@@ -8,10 +8,12 @@ quantities live in the ring R[s]/(s^2 = x) over x-jets: a value is
 whole engine over jets in x of order m yields m x-derivatives of every
 tensor entry, hence radial Laplacians of every invariant.
 
-Ricci and its plain derivatives come from the Taylor expansion of
-log det g around p (det g is a polynomial in the mixed partials; the log
-series needs no transcendental constant because only derivative coefficients
-are read off). Covariant derivatives follow the displayed five-term formula.
+Ricci and its plain derivatives are partials of one more radial function,
+U(z) = u(|z|^2) with u = log det g = (n-1) log f' + log(f' + x f''): since
+Ric_{ij̄} = -d_i dbar_j U, a second partials table built from the jet of
+u' = (det g)' / det g gives Ric, d Ric, dbar Ric and d dbar Ric at p. No log
+is taken, so no transcendental constant enters. Covariant derivatives follow
+the displayed five-term formula.
 
 Sign conventions, pinned against the displayed Simanca component values:
     R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pq̄} (dg_{ip̄}/dz_k)(dg_{ql̄}/dz̄_j)
@@ -23,16 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .jets import Jet
-from .potentials import (
-    PotentialFamily,
-    check_admissible,
-    family_label,
-    fprime_jet,
-    prepare_point,
-)
+from .potentials import PotentialFamily, det_jet_from_fprime, fprime_jet, prepare_point
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DomainError,
@@ -44,7 +40,7 @@ from .scalars import (
     scalar_pow,
 )
 
-TABLE_ORDER = 6  # highest total order of Phi mixed partials the frame needs
+TABLE_ORDER = 5  # highest total order of Phi mixed partials the frame needs (for nabla R)
 
 
 def _jet_is_zero(j: Jet) -> bool:
@@ -60,6 +56,13 @@ class RadialRing:
         self.one_jet = Jet.constant(x_jet.x0, 1, x_jet.order)
         self.zero = RV(self, self.zero_jet, self.zero_jet)
         self.one = RV(self, self.one_jet, self.zero_jet)
+        self._xpow = [self.one_jet]
+
+    def x_power(self, k: int) -> Jet:
+        """x**k, cached: every partials table on this ring shares the powers."""
+        while len(self._xpow) <= k:
+            self._xpow.append(self._xpow[-1] * self.x)
+        return self._xpow[k]
 
     def even(self, jet: Jet) -> "RV":
         return RV(self, jet, self.zero_jet)
@@ -117,9 +120,6 @@ class RV:
     def __truediv__(self, other: "RV") -> "RV":
         return self * other.inverse()
 
-    def conj(self) -> "RV":
-        return self  # all frame values are real at radial points
-
     def even_jet(self, what: str = "invariant") -> Jet:
         if not self._od_zero:
             raise ArithmeticError(f"{what} has a nonvanishing odd-in-s part")
@@ -166,31 +166,34 @@ def _dec(t: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 class PhiPartialTable:
-    """Evaluated mixed partials d^alpha dbar^beta Phi at (s, 0, ..., 0) as RVs."""
+    """Evaluated mixed partials d^alpha dbar^beta U at (s, 0, ..., 0) as RVs, for
+    a radial function U(z) = u(|z|^2) given by the jet du of u' at x0 = s^2.
 
-    def __init__(self, fam: PotentialFamily, n: int, x0: Scalar, jet_order: int,
-                 max_order: int = TABLE_ORDER):
+    The frame builds one for the potential (u = f) and one for log det g; both
+    live on the frame's ring. du must have order ring jet order + max_order - 1.
+    """
+
+    def __init__(self, du: Jet, n: int, max_order: int, ring: RadialRing):
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        check_admissible(fam, x0)
-        self.fam = fam
+        jet_order = ring.x.order
+        need = jet_order + max(max_order - 1, 0)
+        if du.order < need:
+            raise ValueError(
+                f"partials to total order {max_order} over jets of order {jet_order} "
+                f"need a u' jet of order {need}, got {du.order}"
+            )
         self.n = n
-        self.x0 = x0
-        self.jet_order = jet_order
         self.max_order = max_order
-        self.ring = RadialRing(Jet.variable(x0, jet_order))
-        fp = fprime_jet(fam, x0, jet_order + max(max_order - 1, 1))
-        f0 = fp.truncate(max(jet_order - 1, 0)).antiderive(0)
-        fderiv = [f0.truncate(jet_order), fp.truncate(jet_order)]
-        d = fp
+        self.ring = ring
+        self.du = du
+        u0 = du.truncate(max(jet_order - 1, 0)).antiderive(0)
+        uderiv = [u0.truncate(jet_order), du.truncate(jet_order)]
+        d = du
         for _ in range(2, max_order + 1):
             d = d.derive()
-            fderiv.append(d.truncate(jet_order))
-        self._fderiv = fderiv
-        xj = self.ring.x
-        self._xpow = [self.ring.one_jet]
-        for _ in range(max_order):
-            self._xpow.append(self._xpow[-1] * xj)
+            uderiv.append(d.truncate(jet_order))
+        self._uderiv = uderiv
         self._sym: dict[tuple, Mapping[TermKey, Fraction]] = {}
         self._val: dict[tuple, RV] = {}
 
@@ -233,9 +236,9 @@ class PhiPartialTable:
             if any(a[i] or b[i] for i in range(1, self.n)):
                 continue  # vanishes at z_i = 0, i >= 2
             m = a[0] + b[0]
-            contrib = self._fderiv[k] * c
+            contrib = self._uderiv[k] * c
             if m // 2:
-                contrib = contrib * self._xpow[m // 2]
+                contrib = contrib * self.ring.x_power(m // 2)
             if m % 2:
                 od = od + contrib
             else:
@@ -253,7 +256,8 @@ def potential_mixed_partials(
         raise ValueError("mixed-partial table is limited to total order 8")
     s = as_scalar(s)
     x0 = s * s
-    table = PhiPartialTable(fam, n, x0, jet_order, max_order=max_order)
+    fp = fprime_jet(fam, x0, jet_order + max(max_order - 1, 0))
+    table = PhiPartialTable(fp, n, max_order, RadialRing(Jet.variable(x0, jet_order)))
     out = {}
     for alpha in _multi_indices(n, max_order):
         for beta in _multi_indices(n, max_order - sum(alpha)):
@@ -271,107 +275,11 @@ def _multi_indices(n: int, max_total: int) -> list[tuple[int, ...]]:
     return out
 
 
-# -- truncated multivariate polynomials over RV (for log det g) -------------
-
-
-class TruncPoly:
-    """Sparse polynomial in (dz_1..dz_n, dz̄_1..dz̄_n), bidegree-truncated."""
-
-    __slots__ = ("ring", "n", "dmax", "coeffs")
-
-    def __init__(self, ring: RadialRing, n: int, dmax: int, coeffs: dict):
-        self.ring = ring
-        self.n = n
-        self.dmax = dmax  # cap on deg(gamma) and deg(delta) separately
-        self.coeffs = coeffs
-
-    def get(self, key) -> RV:
-        return self.coeffs.get(key, self.ring.zero)
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return TruncPoly(self.ring, self.n, self.dmax, out)
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "TruncPoly":
-        return TruncPoly(
-            self.ring, self.n, self.dmax, {k: v * c for k, v in self.coeffs.items()}
-        )
-
-    def scale_rv(self, c: RV) -> "TruncPoly":
-        return TruncPoly(
-            self.ring, self.n, self.dmax, {k: v * c for k, v in self.coeffs.items()}
-        )
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        out: dict = {}
-        for (g1, d1), v1 in self.coeffs.items():
-            if v1.is_zero():
-                continue
-            for (g2, d2), v2 in other.coeffs.items():
-                if v2.is_zero():
-                    continue
-                g = tuple(a + b for a, b in zip(g1, g2))
-                if sum(g) > self.dmax:
-                    continue
-                d = tuple(a + b for a, b in zip(d1, d2))
-                if sum(d) > self.dmax:
-                    continue
-                key = (g, d)
-                term = v1 * v2
-                out[key] = out[key] + term if key in out else term
-        return TruncPoly(self.ring, self.n, self.dmax, out)
-
-    def drop_constant(self) -> "TruncPoly":
-        zero_key = ((0,) * self.n, (0,) * self.n)
-        out = {k: v for k, v in self.coeffs.items() if k != zero_key}
-        return TruncPoly(self.ring, self.n, self.dmax, out)
-
-
-def _det_poly(mat: list[list[TruncPoly]]) -> TruncPoly:
-    n = len(mat)
-    memo: dict[frozenset, TruncPoly] = {}
-
-    def rec(cols: frozenset) -> TruncPoly:
-        if not cols:
-            ring = mat[0][0].ring
-            return TruncPoly(
-                ring, mat[0][0].n, mat[0][0].dmax,
-                {(((0,) * mat[0][0].n), ((0,) * mat[0][0].n)): ring.one},
-            )
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = n - len(cols)
-        acc = None
-        for pos, c in enumerate(sorted(cols)):
-            term = mat[row][c] * rec(cols - {c})
-            if pos % 2:
-                term = term.scale(Fraction(-1))
-            acc = term if acc is None else acc + term
-        memo[cols] = acc
-        return acc
-
-    return rec(frozenset(range(n)))
-
-
 # -- the tensor frame --------------------------------------------------------
 
 
 def _e(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _mi_fact(t: Iterable[int]) -> int:
-    out = 1
-    for v in t:
-        for m in range(2, v + 1):
-            out *= m
-    return out
 
 
 @dataclass
@@ -391,7 +299,6 @@ class RadialTensorFrame:
     ric_cov1: list | None = None  # Ric_{ij̄,k}
     ric_cov2: list | None = None  # Ric_{ij̄,kl̄}
     rho: RV | None = None
-    _lpoly: TruncPoly | None = None
 
     def ensure_ricci(self) -> None:
         if self.ric is None:
@@ -437,8 +344,10 @@ def frame_at_x(
     with_ricci: bool = True,
 ) -> RadialTensorFrame:
     x0 = as_scalar(x0)
-    table = PhiPartialTable(fam, n, x0, jet_order)
-    ring = table.ring
+    ring = RadialRing(Jet.variable(x0, jet_order))
+    # one order above what the Phi table needs: the Ricci block reads f'' off it
+    fp = fprime_jet(fam, x0, jet_order + TABLE_ORDER)
+    table = PhiPartialTable(fp, n, TABLE_ORDER, ring)
     e = lambda i: _e(n, i)
 
     g = [[table.partial(e(i), e(j)) for j in range(n)] for i in range(n)]
@@ -516,61 +425,22 @@ def _attach_ricci(frame: RadialTensorFrame) -> None:
     n, ring, table = frame.n, frame.ring, frame.table
     e = lambda i: _e(n, i)
 
-    # Taylor expansion of det g around p, bidegree (2, 2)
-    gpoly = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            coeffs = {}
-            for gam in _multi_indices(n, 2):
-                for dlt in _multi_indices(n, 2):
-                    rv = table.partial(_add(gam, e(a)), _add(dlt, e(b)))
-                    if rv.is_zero():
-                        continue
-                    w = Fraction(1, _mi_fact(gam) * _mi_fact(dlt))
-                    coeffs[(gam, dlt)] = rv * w
-            row.append(TruncPoly(ring, n, 2, coeffs))
-        gpoly.append(row)
-    D = _det_poly(gpoly)
-    zero_key = ((0,) * n, (0,) * n)
-    d0_inv = D.get(zero_key).inverse()
-    E = D.scale_rv(d0_inv).drop_constant()
-    # log(1 + E) without the irrelevant constant term
-    L = E
-    power = E
-    sign = 1
-    for m in range(2, 2 * 2 + 1):
-        power = power * E
-        sign = -sign
-        L = L + power.scale(Fraction(sign, m))
-    frame._lpoly = L
-
-    def lc(gam, dlt) -> RV:
-        return L.get((gam, dlt))
-
-    ric = [[-lc(e(i), e(j)) for j in range(n)] for i in range(n)]
+    # Ric_{ij̄} = -d_i dbar_j U for the radial U = u(|z|^2), u = log det g, so
+    # Ric and its plain derivatives are partials of U; u' = (det g)' / det g
+    det = det_jet_from_fprime(table.du, n)
+    U = PhiPartialTable(det.derive() / det.truncate(det.order - 1), n, 4, ring)
+    ric = [[-U.partial(e(i), e(j)) for j in range(n)] for i in range(n)]
     dric = [
-        [[-(lc(_add(e(i), e(k)), e(j)) * _mi_fact(_add(e(i), e(k)))) for j in range(n)]
-         for i in range(n)]
+        [[-U.partial(_add(e(i), e(k)), e(j)) for j in range(n)] for i in range(n)]
         for k in range(n)
     ]  # dric[k][i][j] = d_k Ric_{ij̄}
     dric_bar = [
-        [[-(lc(e(i), _add(e(j), e(l))) * _mi_fact(_add(e(j), e(l)))) for j in range(n)]
-         for i in range(n)]
+        [[-U.partial(e(i), _add(e(j), e(l))) for j in range(n)] for i in range(n)]
         for l in range(n)
     ]  # dric_bar[l][i][j] = dbar_l Ric_{ij̄}
     ddric = [
         [
-            [
-                [
-                    -(
-                        lc(_add(e(i), e(k)), _add(e(j), e(l)))
-                        * (_mi_fact(_add(e(i), e(k))) * _mi_fact(_add(e(j), e(l))))
-                    )
-                    for l in range(n)
-                ]
-                for k in range(n)
-            ]
+            [[-U.partial(_add(e(i), e(k)), _add(e(j), e(l))) for l in range(n)] for k in range(n)]
             for j in range(n)
         ]
         for i in range(n)
@@ -755,6 +625,22 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
 # -- invariants and the Lu report -------------------------------------------
 
 
+def _norm2_R(frame: RadialTensorFrame) -> RV:
+    """|R|^2 = sum of g^{iī} g^{jj̄} g^{kk̄} g^{ll̄} R_{ij̄kl̄}^2 (g^-1 is diagonal)."""
+    n, R = frame.n, frame.R
+    gi = [frame.ginv[i][i] for i in range(n)]
+    acc = frame.ring.zero
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    v = R[i][j][k][l]
+                    if v.is_zero():
+                        continue
+                    acc = acc + gi[i] * gi[j] * gi[k] * gi[l] * v * v
+    return acc
+
+
 def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     """All contraction invariants of the TYZ coefficient formulas, as jets in x
     (no Laplacian-of-invariant fields).
@@ -770,15 +656,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     def quad_weight(i, j, k, l):
         return gi[i] * gi[j] * gi[k] * gi[l]
 
-    r2 = ring.zero
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    v = R[i][j][k][l]
-                    if v.is_zero():
-                        continue
-                    r2 = r2 + quad_weight(i, j, k, l) * v * v.conj()
+    r2 = _norm2_R(frame)
 
     ric2 = ring.zero
     for i in range(n):
@@ -786,7 +664,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
             v = ric[i][j]
             if v.is_zero():
                 continue
-            ric2 = ric2 + gi[i] * gi[j] * v * v.conj()
+            ric2 = ric2 + gi[i] * gi[j] * v * v
 
     sigma3 = ring.zero
     for i in range(n):
@@ -833,7 +711,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
                 v = frame.ric_cov1[i][j][k]
                 if v.is_zero():
                     continue
-                dric2 = dric2 + gi[i] * gi[j] * gi[k] * v * v.conj()
+                dric2 = dric2 + gi[i] * gi[j] * gi[k] * v * v
 
     nabla = _nabla_R(frame)
     dr2 = ring.zero
@@ -846,7 +724,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
                         if v.is_zero():
                             continue
                         dr2 = dr2 + (
-                            gi[i] * gi[j] * gi[k] * gi[l] * gi[p] * v * v.conj()
+                            gi[i] * gi[j] * gi[k] * gi[l] * gi[p] * v * v
                         )
 
     # radial-function derivatives of rho; these genuinely need x-jets
@@ -959,8 +837,9 @@ def lu_coefficients(
 ) -> LuReport:
     """a1, a2, a3 and every contraction intermediate at a radial point.
 
-    jet_order >= 4 so that Delta Delta rho closes; the f' jet the engine pulls
-    has order jet_order + TABLE_ORDER - 1 >= 9.
+    jet_order >= 4 so that Delta Delta rho closes. The f' jet the engine pulls
+    has order jet_order + TABLE_ORDER >= 9: the Phi table needs order
+    jet_order + 4, and the f'' in det g one more.
     """
     if jet_order < 4:
         raise ValueError("lu_coefficients needs jet_order >= 4 for the double Laplacian")
@@ -1023,17 +902,7 @@ def curvature_norm2(
     """|R|^2 as a jet in x, without building the Ricci block (fast path)."""
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
     frame = frame_at_x(fam, n, x0, jet_order, with_ricci=False)
-    gi = [frame.ginv[i][i] for i in range(n)]
-    acc = frame.ring.zero
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    v = frame.R[i][j][k][l]
-                    if v.is_zero():
-                        continue
-                    acc = acc + gi[i] * gi[j] * gi[k] * gi[l] * v * v
-    return acc.even_jet("|R|^2")
+    return _norm2_R(frame).even_jet("|R|^2")
 
 
 def closed_forms_eps(n: int, eps: int, x: ScalarLike, lam: Fraction = Fraction(1)) -> dict[str, Scalar]:

@@ -154,10 +154,14 @@ def metric_det_jet(fam: PotentialFamily, x0: ScalarLike, order: int, n: int | No
         n = 2
     if n is None:
         raise ValueError("dimension n required for a custom potential")
-    fp = fprime_jet(fam, x0, order + 1)
+    return det_jet_from_fprime(fprime_jet(fam, x0, order + 1), n)
+
+
+def det_jet_from_fprime(fp: Jet, n: int) -> Jet:
+    """det g = (f')**(n-1) * (f' + x f'') in dimension n, one order below the f' jet."""
     fpp = fp.derive()
-    fp = fp.truncate(order)
-    x = Jet.variable(as_scalar(x0), order)
+    fp = fp.truncate(fpp.order)
+    x = Jet.variable(fp.x0, fpp.order)
     return fp ** (n - 1) * (fp + x * fpp)
 
 

@@ -42,14 +42,6 @@ from .scalars import (
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
-# precision used by ball-backed items; set per run by run_items
-_ACTIVE_PRECISION = 256
-
-
-def _prec() -> int:
-    return _ACTIVE_PRECISION
-
-
 def _combine(statuses) -> str:
     statuses = list(statuses)
     if any(s == FAIL for s in statuses):
@@ -127,7 +119,8 @@ class PaperReproductionReport:
         }
 
 
-ItemFn = Callable[[], tuple[str, str, str]]  # -> (expected, computed, status)
+# precision_bits (of ball-backed items) -> (expected, computed, status)
+ItemFn = Callable[[int], tuple[str, str, str]]
 _REGISTRY: list[tuple[str, str, ItemFn]] = []
 
 
@@ -146,7 +139,7 @@ F = Fraction
 
 
 @_item("table-n2-h7", "golden value, exact fraction")
-def _table_n2_h7():
+def _table_n2_h7(precision_bits: int):
     t0 = time.time()
     got = gh_sequence(EpsilonFamily(1, F(1), 2), F(3, 4), 7)[7]
     elapsed = time.time() - t0
@@ -155,10 +148,12 @@ def _table_n2_h7():
     return want, f"{got.text()} in {elapsed:.3f}s", PASS if ok else FAIL
 
 
-def _table_float(n: int, x: Fraction, h: int, target: Fraction, tol: Fraction):
+def _table_float(
+    n: int, x: Fraction, h: int, target: Fraction, tol: Fraction, precision_bits: int
+):
     t0 = time.time()
     fam = EpsilonFamily(1, F(1), n)
-    x0 = prepare_point(fam, as_scalar(x), exact=False, precision_bits=_prec())
+    x0 = prepare_point(fam, as_scalar(x), exact=False, precision_bits=precision_bits)
     got = gh_sequence(fam, x0, h)[h]
     elapsed = time.time() - t0
     status = _tri_within(got, target, tol)
@@ -172,22 +167,22 @@ def _table_float(n: int, x: Fraction, h: int, target: Fraction, tol: Fraction):
 
 
 @_item("table-n3-h5", "golden value, 2 decimals")
-def _table_n3():
-    return _table_float(3, F(3, 4), 5, F(-281, 100), F(1, 100))
+def _table_n3(precision_bits: int):
+    return _table_float(3, F(3, 4), 5, F(-281, 100), F(1, 100), precision_bits)
 
 
 @_item("table-n4-h5", "golden value, 1 decimal")
-def _table_n4():
-    return _table_float(4, F(3, 4), 5, F(-103, 10), F(5, 100))
+def _table_n4(precision_bits: int):
+    return _table_float(4, F(3, 4), 5, F(-103, 10), F(5, 100), precision_bits)
 
 
 @_item("table-n5-h4", "golden value, 2 decimals")
-def _table_n5():
-    return _table_float(5, F(6, 5), 4, F(-14, 100), F(5, 1000))
+def _table_n5(precision_bits: int):
+    return _table_float(5, F(6, 5), 4, F(-14, 100), F(5, 1000), precision_bits)
 
 
 @_item("g4-at-1-signs", "closed form vs jet engine; sign flips at n = 6")
-def _g4_signs():
+def _g4_signs(precision_bits: int):
     t0 = time.time()
     bad = []
     for n in range(2, 21):
@@ -210,14 +205,14 @@ def _g4_signs():
 
 
 @_item("eps-minus1-divergence", "g_3 -> -inf as x -> 1+")
-def _eps_minus1():
+def _eps_minus1(precision_bits: int):
     fam = EpsilonFamily(-1, F(1), 2)
     values = []
     for k in range(1, 6):
         x = 1 + F(1, 10**k)
         values.append(gh_sequence(fam, x, 3)[3])
     neg = all(v.sign() == Sign.NEGATIVE for v in values)
-    balls = [v.to_ball(_prec()) for v in values]
+    balls = [v.to_ball(precision_bits) for v in values]
     steps = all(
         ((-balls[i + 1]) - (-balls[i]) * 5).sign() == Sign.POSITIVE
         for i in range(len(balls) - 1)
@@ -238,13 +233,13 @@ def _eps_minus1():
 
 
 @_item("noninteger-lambda-blowup", "g_[lam]+2 -> -inf as x -> 0+")
-def _lambda_blowup():
+def _lambda_blowup(precision_bits: int):
     statuses = []
     notes = []
     for lam in (F(1, 2), F(3, 2), F(5, 2)):
         for n in (2, 3):
             rep = small_x_divergence_check(
-                lam, n, [2, 3, 4, 5], growth_factor=10, precision_bits=_prec()
+                lam, n, [2, 3, 4, 5], growth_factor=10, precision_bits=precision_bits
             )
             sub = _combine(_tri_negative(v) for v in rep.values)
             if sub == PASS and not rep.growth_certified:
@@ -260,7 +255,7 @@ def _lambda_blowup():
 
 
 @_item("ricci-flat-family", "det g identity and vanishing Ricci tensor")
-def _ricci_flat():
+def _ricci_flat(precision_bits: int):
     pts = [F(5, 4), F(3, 2), F(2), F(7, 3), F(3)]  # admissible for eps = -1 too
     bad = []
     statuses = [PASS]
@@ -272,7 +267,7 @@ def _ricci_flat():
             if not all(r.is_zero() and r.exact for r in res):
                 bad.append(f"residual eps={eps} n={n}")
                 statuses.append(FAIL)
-            x0 = as_scalar(F(3, 2)).to_ball(_prec())
+            x0 = as_scalar(F(3, 2)).to_ball(precision_bits)
             fr = frame_at_x(fam, n, x0, 0)
             for i in range(n):
                 for j in range(n):
@@ -292,7 +287,7 @@ def _ricci_flat():
 
 
 @_item("curvature-norm-closed-form", "closed-form |R|^2 for the Ricci-flat family")
-def _r2_closed():
+def _r2_closed(precision_bits: int):
     rng = random.Random(1007)
     tol = F(1, 10**25)
     bad = []
@@ -302,9 +297,9 @@ def _r2_closed():
             for _ in range(10):
                 lo = 1 if eps >= 0 else 2  # keep x > 1 for eps = -1
                 x = F(rng.randint(lo * 100 + 1, 400), 100)
-                xb = as_scalar(x).to_ball(_prec())
+                xb = as_scalar(x).to_ball(precision_bits)
                 engine = curvature_norm2(
-                    EpsilonFamily(eps, F(1), n), n, x, exact=False, precision_bits=_prec()
+                    EpsilonFamily(eps, F(1), n), n, x, exact=False, precision_bits=precision_bits
                 ).value()
                 closed = closed_forms_eps(n, eps, xb)["R2"]
                 rel = (engine - closed) / closed
@@ -320,7 +315,7 @@ def _r2_closed():
 
 
 @_item("a3-vanishing-locus", "single root of a3 at x = (2/5)^(1/2) for n = 2")
-def _a3_locus():
+def _a3_locus(precision_bits: int):
     fam = EpsilonFamily(1, F(1), 2)
 
     def a3_sign(x: Fraction) -> Sign:
@@ -361,7 +356,7 @@ def _a3_locus():
 
 
 @_item("simanca-suite", "scalar-flat surface: components, a2 = a3 = 0")
-def _simanca():
+def _simanca(precision_bits: int):
     bad = []
     statuses = [PASS]
     tol = F(1, 10**30)
@@ -375,7 +370,7 @@ def _simanca():
             bad.append(f"R2-4Ric2(x={x})")
             statuses.append(FAIL)
         # displayed components, checked in ball mode against the closed forms
-        xb = as_scalar(x).to_ball(_prec())
+        xb = as_scalar(x).to_ball(precision_bits)
         s = nth_root(xb, 2)
         fr = frame_at_x(Simanca(), 2, xb, 0)
         one = as_scalar(1)
@@ -403,7 +398,7 @@ def _simanca():
 
 
 @_item("embedding-identity", "coefficients (j+k)/(j!k!) of (a+b)e^(a+b)")
-def _embedding():
+def _embedding(precision_bits: int):
     rep = simanca_embedding_check(10)
     return (
         "exact equality for all 1 <= j+k <= 10",
@@ -413,7 +408,7 @@ def _embedding():
 
 
 @_item("resolvability-criterion", "flat certificate, first-row identity, obstruction")
-def _resolvability():
+def _resolvability(precision_bits: int):
     bad = []
     flat = EpsilonFamily(0, F(1), 2)
     cert = minor_matrix(flat, s=1, lmax=3, hmax=5)
@@ -438,7 +433,7 @@ def _resolvability():
 
 
 @_item("property-suite", "randomized arithmetic oracles and engine identities")
-def _properties():
+def _properties(precision_bits: int):
     bad = []
     # jet arithmetic vs naive convolution, 1000 randomized cases
     rng = random.Random(20240809)
@@ -503,32 +498,27 @@ def _properties():
 def run_items(
     only: str | None = None, precision_bits: int = 256
 ) -> PaperReproductionReport:
-    global _ACTIVE_PRECISION
-    _ACTIVE_PRECISION = precision_bits
     results = []
-    try:
-        for item_id, provenance, fn in _REGISTRY:
-            if only is not None and item_id != only:
-                continue
-            t0 = time.time()
-            try:
-                expected, computed, status = fn()
-            except Exception as exc:  # a crash is a failure, not a silent skip
-                expected, computed, status = (
-                    "no exception", f"{type(exc).__name__}: {exc}", FAIL
-                )
-            results.append(
-                ItemResult(
-                    item_id=item_id,
-                    expected=expected,
-                    provenance=provenance,
-                    computed=computed,
-                    status=status,
-                    runtime_s=time.time() - t0,
-                )
+    for item_id, provenance, fn in _REGISTRY:
+        if only is not None and item_id != only:
+            continue
+        t0 = time.time()
+        try:
+            expected, computed, status = fn(precision_bits)
+        except Exception as exc:  # a crash is a failure, not a silent skip
+            expected, computed, status = (
+                "no exception", f"{type(exc).__name__}: {exc}", FAIL
             )
-    finally:
-        _ACTIVE_PRECISION = 256
+        results.append(
+            ItemResult(
+                item_id=item_id,
+                expected=expected,
+                provenance=provenance,
+                computed=computed,
+                status=status,
+                runtime_s=time.time() - t0,
+            )
+        )
     return PaperReproductionReport(items=tuple(results))
 
 

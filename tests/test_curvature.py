@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,14 @@ from radialtyz.curvature import (
     radial_laplacian_jet,
 )
 from radialtyz.jets import Jet
-from radialtyz.potentials import EguchiHanson, EpsilonFamily, Simanca, fprime_jet
+from radialtyz.potentials import (
+    CustomPotential,
+    EguchiHanson,
+    EpsilonFamily,
+    Simanca,
+    fprime_jet,
+    ricci_flat_residual,
+)
 from radialtyz.scalars import Sign, abs_le, as_scalar, nth_root
 
 from conftest import assert_exact_zero, assert_within
@@ -71,10 +79,23 @@ def test_curvature_symmetries():
         assert fr.curvature_symmetry_violations() == []
 
 
+# f' Taylor data at x0 = 1/2, enough for frames over jets of order 2; its
+# det g is not constant, so its Ricci tensor is not zero
+CUSTOM = CustomPotential.make(
+    F(1, 2), [F(2), F(1), F(-1, 3), F(1, 5), F(0), F(1, 7), F(-1), F(1, 2)]
+)
+
+
 def test_ricci_consistency_contraction():
-    # Ric from -dd̄ log det g equals minus the g-contraction of R entry-wise
-    for fam, n, x in ((Simanca(), 2, F(1)), (EguchiHanson(), 2, F(3, 4))):
-        fr = frame_at_x(fam, n, x, 0)
+    # Ric from -dd̄ log det g equals minus the g-contraction of R entry-wise,
+    # in every coefficient of the x-jets
+    for fam, n, x in (
+        (Simanca(), 2, F(1)),
+        (EguchiHanson(), 2, F(3, 4)),
+        (EpsilonFamily(-1, F(3, 2), 3), 3, F(3, 2)),
+        (CUSTOM, 2, F(1, 2)),
+    ):
+        fr = frame_at_x(fam, n, x, 2)
         gi = [fr.ginv[i][i] for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -83,6 +104,77 @@ def test_ricci_consistency_contraction():
                     contr = contr + gi[k] * fr.R[i][j][k][k]
                 diff = fr.ric[i][j] + contr
                 assert diff.is_zero(), (i, j)
+
+
+def test_transverse_ricci_is_minus_log_det_derivative():
+    # Ric_{kk̄} = -(log det g)' for k >= 2: the curvature frame against the
+    # residual the potentials module reports. The eps family built for n = 2
+    # and framed at n = 3 is not Ricci-flat there.
+    for fam, n, x in (
+        (EpsilonFamily(1, F(1), 2), 2, F(3, 4)),
+        (EpsilonFamily(1, F(1), 2), 3, F(3, 4)),
+        (EpsilonFamily(-1, F(3, 2), 3), 3, F(3, 2)),
+        (EpsilonFamily(0, F(2), 3), 3, F(5, 4)),
+        (Simanca(), 2, F(2)),
+        (EguchiHanson(), 2, F(3, 4)),
+        (CUSTOM, 2, F(1, 2)),
+    ):
+        fr = frame_at_x(fam, n, x, 0)
+        (residual,) = ricci_flat_residual(fam, [x], n=n)
+        for k in range(1, n):
+            assert fr.ric[k][k].od.value().sign() == Sign.ZERO
+            assert_exact_zero(fr.ric[k][k].ev.value() + residual, f"Ric_{k}{k} {fam} n={n}")
+
+
+def _ricci_block_text(fr) -> dict:
+    """Every non-zero even / odd jet of ric, ric_cov1 and ric_cov2, as text."""
+    out = {}
+    for name, rank in (("ric", 2), ("ric_cov1", 3), ("ric_cov2", 4)):
+        for idx in itertools.product(range(fr.n), repeat=rank):
+            rv = getattr(fr, name)
+            for i in idx:
+                rv = rv[i]
+            for part in ("ev", "od"):
+                text = [c.text() for c in getattr(rv, part).coeffs]
+                if any(t != "0" for t in text):
+                    out[(name, *idx, part)] = text
+    return out
+
+
+SIMANCA_RICCI_X2 = {
+    ("ric", 0, 0, "ev"): ["-1/9", "2/27", "-1/27"],
+    ("ric", 1, 1, "ev"): ["1/6", "-5/36", "19/216"],
+    ("ric_cov1", 0, 0, 0, "od"): ["2/27", "-2/27", "4/81"],
+    ("ric_cov1", 0, 1, 1, "od"): ["-1/9", "7/54", "-11/108"],
+    ("ric_cov1", 1, 1, 0, "od"): ["-1/9", "7/54", "-11/108"],
+    ("ric_cov2", 0, 0, 0, 0, "ev"): ["-2/27", "4/81", "-4/243"],
+    ("ric_cov2", 0, 0, 1, 1, "ev"): ["4/27", "-4/27", "8/81"],
+    ("ric_cov2", 0, 1, 1, 0, "ev"): ["1/9", "-5/54", "5/108"],
+    ("ric_cov2", 1, 0, 0, 1, "ev"): ["4/27", "-4/27", "8/81"],
+    ("ric_cov2", 1, 1, 0, 0, "ev"): ["1/9", "-5/54", "5/108"],
+    ("ric_cov2", 1, 1, 1, 1, "ev"): ["-2/9", "7/27", "-11/54"],
+}
+
+CUSTOM_RICCI = {
+    ("ric", 0, 0, "ev"): ["-671/1800", "739/1080", "-19073069/3780000"],
+    ("ric", 1, 1, "ev"): ["-7/6", "1429/900", "-13453/5400"],
+    ("ric_cov1", 0, 0, 0, "od"): ["1679/1800", "-20642917/1890000", "102912727/2835000"],
+    ("ric_cov1", 0, 1, 1, "od"): ["977/450", "-8717/1350", "2461901/315000"],
+    ("ric_cov1", 1, 1, 0, "od"): ["977/450", "-8717/1350", "2461901/315000"],
+    ("ric_cov2", 0, 0, 0, 0, "ev"): ["-6097439/1260000", "101741147/5670000", "24232244881/68040000"],
+    ("ric_cov2", 0, 0, 1, 1, "ev"): ["-1603/900", "-1040507/315000", "26847719/945000"],
+    ("ric_cov2", 0, 1, 1, 0, "ev"): ["-8641/5400", "-7440119/1890000", "1869187/63000"],
+    ("ric_cov2", 1, 0, 0, 1, "ev"): ["-1603/900", "-1040507/315000", "26847719/945000"],
+    ("ric_cov2", 1, 1, 0, 0, "ev"): ["-8641/5400", "-7440119/1890000", "1869187/63000"],
+    ("ric_cov2", 1, 1, 1, 1, "ev"): ["977/225", "-8717/675", "2461901/157500"],
+}
+
+
+def test_ricci_block_pinned_exact():
+    # exact Taylor coefficients of Ric, Ric_{ij̄,k} and Ric_{ij̄,kl̄} over jets
+    # of order 2; every entry not listed is exactly zero
+    assert _ricci_block_text(frame_at_x(Simanca(), 2, F(2), 2)) == SIMANCA_RICCI_X2
+    assert _ricci_block_text(frame_at_x(CUSTOM, 2, F(1, 2), 2)) == CUSTOM_RICCI
 
 
 def test_eps_family_is_ricci_flat_in_frame():
