@@ -8,7 +8,9 @@ byte-identical JSON.
 
 Exit codes: 0 success / all-pass; 1 certified failure (a reproduction item
 contradicts its stated value); 2 inconclusive results present (undetermined
-signs at the configured precision).
+signs at the configured precision, also a sign the computation itself needed);
+3 input error (a usage error, or an input that validation or the computation
+rejects), so no result was computed.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from pathlib import Path
 from .curvature import lu_coefficients
 from .obstruction import gh_reports, obstruction_scan, rational_grid
 from .potentials import (
-    CustomPotential,
     EguchiHanson,
     EpsilonFamily,
     PotentialFamily,
@@ -35,9 +36,10 @@ from .potentials import (
 from .reports import dumps, scalar_to_decimal, scalar_to_json, scalar_to_text
 from .reproduction import run_items
 from .resolvability import minor_matrix, simanca_embedding_check
-from .scalars import DEFAULT_PRECISION_BITS, Sign, as_scalar
+from .scalars import DEFAULT_PRECISION_BITS, Sign, SignUndeterminedError, as_scalar
 
 PRECISION_ENV = "RADIALTYZ_PRECISION_BITS"
+EXIT_INPUT_ERROR = 3
 
 
 @dataclass(frozen=True)
@@ -152,20 +154,6 @@ def _add_family(p: argparse.ArgumentParser) -> None:
     p.add_argument("--custom-json", default=None, help="custom potential JSON path")
 
 
-def _family_from_args(args) -> PotentialFamily:
-    if args.family == "epsilon":
-        if args.eps is None or args.n is None:
-            raise SystemExit("error: --family epsilon needs --eps and --n")
-        return EpsilonFamily(args.eps, Fraction(args.lam), args.n)
-    if args.family == "simanca":
-        return Simanca()
-    if args.family == "eguchi-hanson":
-        return EguchiHanson()
-    if args.custom_json is None:
-        raise SystemExit("error: --family custom needs --custom-json PATH")
-    return load_custom_potential(args.custom_json)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -178,7 +166,7 @@ def _exact_flag(args) -> bool | None:
 
 
 def _cmd_gh_eval(args) -> int:
-    fam = _family_from_args(args)
+    fam = RunConfig.from_args(args).build_family()
     reports = gh_reports(
         fam, Fraction(args.x), args.hmax,
         exact=_exact_flag(args), precision_bits=args.precision_bits,
@@ -206,7 +194,7 @@ def _cmd_gh_eval(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    fam = _family_from_args(args)
+    fam = RunConfig.from_args(args).build_family()
     grid = rational_grid(args.x_grid)
     hits = obstruction_scan(
         fam, grid, args.hmax, exact=_exact_flag(args), precision_bits=args.precision_bits
@@ -238,7 +226,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_lu_coeffs(args) -> int:
-    fam = _family_from_args(args)
+    fam = RunConfig.from_args(args).build_family()
     dim = args.dim if args.dim is not None else (
         fam.n if isinstance(fam, EpsilonFamily) else 2
     )
@@ -267,7 +255,7 @@ def _cmd_lu_coeffs(args) -> int:
 
 
 def _cmd_resolvability(args) -> int:
-    fam = _family_from_args(args)
+    fam = RunConfig.from_args(args).build_family()
     kwargs = dict(
         lmax=args.lmax, hmax=args.hmax,
         exact=_exact_flag(args), precision_bits=args.precision_bits,
@@ -331,7 +319,7 @@ def _cmd_embedding_check(args) -> int:
 
 
 def _cmd_ricci_flat_check(args) -> int:
-    fam = _family_from_args(args)
+    fam = RunConfig.from_args(args).build_family()
     samples = [Fraction(tok) for tok in args.samples.split(",")]
     residuals = ricci_flat_residual(fam, samples)
     rows = []
@@ -373,8 +361,16 @@ def _cmd_reproduce(args) -> int:
     return report.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means "inconclusive"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="radialtyz",
         description=(
             "obstruction functions, curvature invariants and TYZ coefficients "
@@ -441,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, SignUndeterminedError) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

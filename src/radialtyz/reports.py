@@ -8,10 +8,9 @@ construction so identical inputs yield byte-identical output.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
-from .scalars import BallScalar, RationalScalar, RootScalar, Scalar, Sign
+from .scalars import BallScalar, RationalScalar, RootScalar, Scalar
 
 
 def scalar_to_json(value: Scalar) -> dict[str, Any]:
@@ -51,13 +50,5 @@ def scalar_to_decimal(value: Scalar, dps: int = 30) -> str:
     return value.to_ball(128).midpoint_str(dps)
 
 
-def parse_scalar_text(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def dumps(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-
-
-def sign_text(sign: Sign) -> str:
-    return sign.value

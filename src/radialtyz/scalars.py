@@ -25,7 +25,6 @@ from typing import Union
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import fhalf, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub, to_str
-from sympy import factorint
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_CAP_BITS = 4096
@@ -228,6 +227,33 @@ ZERO = RationalScalar(Fraction(0))
 ONE = RationalScalar(Fraction(1))
 
 
+_TRIAL_BOUND = 1 << 16
+
+
+def _factor(m: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of an integer m >= 1.
+
+    Trial division by 2 and the odd numbers below 2**16 factors m completely
+    unless a cofactor >= 2**32 with no prime factor below 2**16 is left; only
+    that cofactor goes to sympy, imported here so that importing the package
+    does not load it (sympy's import costs more than a typical CLI call).
+    """
+    factors: dict[int, int] = {}
+    p = 2
+    while p < _TRIAL_BOUND and p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1 and p * p > m:
+        factors[m] = 1
+    elif m > 1:
+        from sympy import factorint
+
+        factors.update((int(q), int(e)) for q, e in factorint(m).items())
+    return factors
+
+
 def _canonical_root(fr: Fraction, n: int) -> tuple[Fraction, int, int]:
     """Write fr**(1/n), fr > 0, as scale * radicand**(1/degree).
 
@@ -237,11 +263,9 @@ def _canonical_root(fr: Fraction, n: int) -> tuple[Fraction, int, int]:
     """
     if fr <= 0:
         raise ExactnessError("canonical root requires a positive radicand")
-    exps: dict[int, int] = {}
-    for p, e in factorint(fr.numerator).items():
-        exps[int(p)] = int(e)
-    for p, e in factorint(fr.denominator).items():
-        exps[int(p)] = exps.get(int(p), 0) - int(e)
+    exps = _factor(fr.numerator)
+    for p, e in _factor(fr.denominator).items():
+        exps[p] = exps.get(p, 0) - e
     g = n
     for e in exps.values():
         g = math.gcd(g, e)

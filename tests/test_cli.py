@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,8 +92,24 @@ def test_domain_validation_rejected_before_compute(capsys):
         capsys, "gh-eval", "--family", "epsilon", "--eps", "-1", "--n", "2",
         "--x", "1/2", "--hmax", "3",
     )
-    assert code == 1
+    assert code == 3
     assert "x > 1" in err
+
+
+def test_usage_error_exits_with_input_error_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gh-eval", "--family", "epsilon", "--eps", "1", "--n", "2", "--hmax", "3"])
+    assert exc.value.code == 3
+    assert "--x" in capsys.readouterr().err
+
+
+def test_sign_needed_by_the_computation_undetermined_exits_inconclusive(capsys):
+    code, out, err = run_cli(
+        capsys, "lu-coeffs", "--family", "epsilon", "--eps", "1", "--n", "3",
+        "--x", "1/1000000", "--precision-bits", "16",
+    )
+    assert code == 2 and out == ""
+    assert "undetermined" in err
 
 
 def test_output_determinism(capsys):
@@ -179,3 +199,14 @@ def test_custom_family_via_cli(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["values"][1]["value"]["value"] == "9/4"
+
+
+def test_import_does_not_load_sympy():
+    # a subprocess, because other test modules import sympy into this one
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radialtyz, radialtyz.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"

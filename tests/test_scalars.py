@@ -1,8 +1,11 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from radialtyz.scalars import (
     BallScalar,
@@ -12,6 +15,8 @@ from radialtyz.scalars import (
     RootScalar,
     Sign,
     SignUndeterminedError,
+    _canonical_root,
+    _factor,
     abs_le,
     as_scalar,
     int_pow,
@@ -139,3 +144,42 @@ def test_abs_le_on_straddling_ball():
     z = z - z  # tiny straddling interval
     assert abs_le(z, F(1, 10**60))
     assert not abs_le(z, F(-1))
+
+
+def test_factor_matches_sympy():
+    rng = random.Random(0)
+    cases = list(range(1, 20001))
+    cases += [rng.randrange(1 << (bits - 1), 1 << bits) for bits in range(20, 91)]
+    # prime squares on either side of the 2**16 trial bound, the product of
+    # the two primes, and 2**61 - 1, a prime above 2**32 that only the
+    # sympy fallback factors
+    cases += [65521**2, 65537**2, 65521 * 65537, 2**61 - 1]
+    for m in cases:
+        assert _factor(m) == factorint(m), m
+
+
+def _canonical_root_reference(fr, n):
+    exps = {int(p): int(e) for p, e in factorint(fr.numerator).items()}
+    for p, e in factorint(fr.denominator).items():
+        exps[int(p)] = -int(e)
+    g = n
+    for e in exps.values():
+        g = math.gcd(g, e)
+    degree = n // g
+    scale, radicand = F(1), 1
+    for p, e in exps.items():
+        e //= g
+        scale *= F(p) ** (e // degree)
+        radicand *= p ** (e % degree)
+    return scale, (1 if radicand == 1 else degree), radicand
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_canonical_root_matches_sympy_reference(n):
+    table = [
+        F(1), F(2), F(12), F(1, 2), F(25, 16), F(27, 8), F(101, 100), F(91, 27),
+        F(72, 50), F(3**6 * 5**4, 2**10), F(2**12 * 7**5, 3**9), F(53089, 4096),
+        F(65537**2, 65521), F(65521**3 * 4, 9), F(2**61 - 1, 65537**2),
+    ]
+    for fr in table:
+        assert _canonical_root(fr, n) == _canonical_root_reference(fr, n), fr
