@@ -19,10 +19,6 @@ from .jets import (
     Jet,
     bijet_compose_univariate,
     bijet_exp,
-    bijet_from_products,
-    jet_arith,
-    jet_calculus,
-    jet_elementary,
 )
 from .potentials import (
     CustomPotential,
@@ -59,8 +55,6 @@ from .curvature import (
     frame_at_x,
     invariants_from_frame,
     lu_coefficients,
-    potential_mixed_partials,
-    radial_laplacian,
     radial_laplacian_jet,
 )
 from .resolvability import (
@@ -70,7 +64,7 @@ from .resolvability import (
     minor_matrix,
     simanca_embedding_check,
 )
-from .reproduction import PaperReproductionReport, reproduce_paper, run_items
+from .reproduction import PaperReproductionReport, run_items
 
 __version__ = "0.1.0"
 
@@ -78,7 +72,6 @@ __all__ = [
     "BallScalar", "DomainError", "ExactnessError", "RationalScalar", "RootScalar",
     "Scalar", "Sign", "SignUndeterminedError", "as_scalar", "nth_root", "scalar_pow",
     "HermitianBiJet", "Jet", "bijet_compose_univariate", "bijet_exp",
-    "bijet_from_products", "jet_arith", "jet_calculus", "jet_elementary",
     "CustomPotential", "EguchiHanson", "EpsilonFamily", "PotentialFamily", "Simanca",
     "f_jet", "family_label", "fprime_jet", "load_custom_potential", "metric_det_jet",
     "prepare_point", "ricci_flat_residual",
@@ -87,8 +80,8 @@ __all__ = [
     "small_x_divergence_check", "structural_form_gap",
     "LuReport", "RadialTensorFrame", "build_frame", "closed_forms_eps",
     "curvature_norm2", "frame_at_x", "invariants_from_frame", "lu_coefficients",
-    "potential_mixed_partials", "radial_laplacian", "radial_laplacian_jet",
+    "radial_laplacian_jet",
     "DiastasisGerm", "ResolvabilityCertificate", "diastasis_germ", "minor_matrix",
     "simanca_embedding_check",
-    "PaperReproductionReport", "reproduce_paper", "run_items",
+    "PaperReproductionReport", "run_items",
 ]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .curvature import lu_coefficients
-from .obstruction import gh_reports, obstruction_scan, rational_grid
+from .obstruction import ObstructionReport, gh_reports, obstruction_scan, rational_grid
 from .potentials import (
     EguchiHanson,
     EpsilonFamily,
@@ -73,10 +73,6 @@ class RunConfig:
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "RunConfig":
-        return RunConfig(**data)
 
     @staticmethod
     def from_args(args) -> "RunConfig":
@@ -165,6 +161,16 @@ def _exact_flag(args) -> bool | None:
     return True if args.exact else None
 
 
+def _obstruction_csv(reports: list[ObstructionReport]) -> str:
+    lines = ["family,x,h,value,sign,backend,precision_bits"]
+    for r in reports:
+        lines.append(
+            f"{r.family},{r.x.text()},{r.h},{scalar_to_decimal(r.value)},"
+            f"{r.sign.value},{r.backend},{r.precision_bits or ''}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_gh_eval(args) -> int:
     fam = RunConfig.from_args(args).build_family()
     reports = gh_reports(
@@ -176,13 +182,7 @@ def _cmd_gh_eval(args) -> int:
         _emit(dumps({"subcommand": "gh-eval", "family": family_label(fam), "x": args.x,
                      "values": rows}), args.out)
     elif args.format == "csv":
-        lines = ["family,x,h,value,sign,backend,precision_bits"]
-        for r in reports:
-            lines.append(
-                f"{r.family},{r.x.text()},{r.h},{scalar_to_decimal(r.value)},"
-                f"{r.sign.value},{r.backend},{r.precision_bits or ''}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_obstruction_csv(reports), args.out)
     else:
         lines = [f"g_h at x = {args.x} for {family_label(fam)}"]
         for r in reports:
@@ -204,13 +204,7 @@ def _cmd_scan(args) -> int:
         _emit(dumps({"subcommand": "scan", "family": family_label(fam),
                      "x_grid": args.x_grid, "hmax": args.hmax, "hits": rows}), args.out)
     elif args.format == "csv":
-        lines = ["family,x,h,value,sign,backend,precision_bits"]
-        for r in hits:
-            lines.append(
-                f"{r.family},{r.x.text()},{r.h},{scalar_to_decimal(r.value)},"
-                f"{r.sign.value},{r.backend},{r.precision_bits or ''}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_obstruction_csv(hits), args.out)
     else:
         lines = [f"certified-negative g_h over {args.x_grid} (hmax={args.hmax})"]
         for r in hits:

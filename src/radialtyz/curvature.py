@@ -248,33 +248,6 @@ class PhiPartialTable:
         return rv
 
 
-def potential_mixed_partials(
-    fam: PotentialFamily, s: Scalar, max_order: int, n: int = 2, jet_order: int = 0
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar]:
-    """All mixed partials of Phi at (s, 0, .., 0) with total order <= max_order."""
-    if max_order > 8:
-        raise ValueError("mixed-partial table is limited to total order 8")
-    s = as_scalar(s)
-    x0 = s * s
-    fp = fprime_jet(fam, x0, jet_order + max(max_order - 1, 0))
-    table = PhiPartialTable(fp, n, max_order, RadialRing(Jet.variable(x0, jet_order)))
-    out = {}
-    for alpha in _multi_indices(n, max_order):
-        for beta in _multi_indices(n, max_order - sum(alpha)):
-            out[(alpha, beta)] = table.partial(alpha, beta).full_value(s)
-    return out
-
-
-def _multi_indices(n: int, max_total: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-    for head in range(max_total + 1):
-        for tail in _multi_indices(n - 1, max_total - head):
-            out.append((head,) + tail)
-    return out
-
-
 # -- the tensor frame --------------------------------------------------------
 
 
@@ -789,10 +762,6 @@ def radial_laplacian_jet(u: Jet, fam: PotentialFamily, n: int) -> Jet:
     x = Jet.variable(x0, u.order - 2)
     g11 = fp + x * fpp  # g_{11̄}; certified positive for admissible families
     return (du + ddu * x) / g11 + (du * (n - 1)) / fp
-
-
-def radial_laplacian(u: Jet, fam: PotentialFamily, n: int) -> Scalar:
-    return radial_laplacian_jet(u, fam, n).value()
 
 
 @dataclass(frozen=True)

@@ -231,39 +231,6 @@ class Jet:
         return Jet(self.x0, tuple(out))
 
 
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Named dispatch kept for the operation table; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown jet op {op!r}")
-
-
-def jet_elementary(a: Jet, fn: str, exponent: Fraction | int | None = None) -> Jet:
-    if fn == "exp":
-        return a.exp()
-    if fn == "log":
-        return a.log()
-    if fn == "pow":
-        if exponent is None:
-            raise ValueError("pow needs an exponent")
-        return a.pow(exponent)
-    raise ValueError(f"unknown elementary function {fn!r}")
-
-
-def jet_calculus(a: Jet, op: str, c0: ScalarLike = 0) -> Jet:
-    if op == "derive":
-        return a.derive()
-    if op == "antiderive":
-        return a.antiderive(c0)
-    raise ValueError(f"unknown calculus op {op!r}")
-
-
 @dataclass(frozen=True)
 class HermitianBiJet:
     """Bivariate truncated series sum c_ij u**i v**j around a radial point.
@@ -349,15 +316,6 @@ class HermitianBiJet:
         rows = [list(r) for r in self.coeffs]
         rows[0][0] = ZERO
         return HermitianBiJet.make(self.base, rows)
-
-
-def bijet_from_products(factors: Sequence[HermitianBiJet]) -> HermitianBiJet:
-    if not factors:
-        raise ValueError("need at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc * f
-    return acc
 
 
 def bijet_exp(a: HermitianBiJet) -> HermitianBiJet:

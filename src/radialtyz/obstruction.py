@@ -21,7 +21,6 @@ from .potentials import (
     PotentialFamily,
     EpsilonFamily,
     family_label,
-    f_jet,
     fprime_jet,
     prepare_point,
 )
@@ -40,22 +39,31 @@ from .scalars import (
 )
 
 
+def gh_jets(fp: Jet, hmax: int) -> list[Jet]:
+    """Jets of g_0 .. g_hmax at fp.x0 by g_{h+1} = g_h' + f' g_h.
+
+    g_0 = 1 starts at order fp.order + 1 and each step loses one order, so
+    g_h is known to order fp.order + 1 - h.
+    """
+    cur = Jet.constant(fp.x0, 1, fp.order + 1)
+    jets = [cur]
+    for _ in range(hmax):
+        cur = cur.derive() + (fp * cur).truncate(cur.order - 1)
+        jets.append(cur)
+    return jets
+
+
 def gh_sequence(fam: PotentialFamily, x0: ScalarLike, hmax: int) -> list[Scalar]:
     """g_0 .. g_hmax at x0, recursion- and direct-route agreement enforced."""
     if hmax < 0:
         raise ValueError("hmax must be nonnegative")
-    x0 = as_scalar(x0)
-    values: list[Scalar] = [as_scalar(1)]
     if hmax == 0:
-        return values
+        return [as_scalar(1)]
 
     fp = fprime_jet(fam, x0, hmax - 1)
-    cur = Jet.constant(x0, 1, hmax)
-    for h in range(1, hmax + 1):
-        cur = cur.derive() + (fp * cur).truncate(cur.order - 1)
-        values.append(cur.coeffs[0])
+    values = [g.value() for g in gh_jets(fp, hmax)]
 
-    direct = f_jet(fam, x0, hmax).exp()
+    direct = fp.antiderive(0).exp()  # e^f with f(x0) = 0
     for h in range(1, hmax + 1):
         diff = values[h] - direct.derivative(h)
         s = diff.sign()
@@ -178,9 +186,7 @@ def obstruction_scan(
                 break
             prec *= 2
         for h, (v, s) in enumerate(zip(values, signs)):
-            if s == Sign.NEGATIVE:
-                hits.append(_report(fam, x, h, v))
-            elif s == Sign.UNDETERMINED:
+            if s in (Sign.NEGATIVE, Sign.UNDETERMINED):
                 hits.append(_report(fam, x, h, v))
     return hits
 

@@ -521,6 +521,3 @@ def run_items(
         )
     return PaperReproductionReport(items=tuple(results))
 
-
-def reproduce_paper(precision_bits: int = 256) -> PaperReproductionReport:
-    return run_items(precision_bits=precision_bits)

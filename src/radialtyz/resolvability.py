@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp
-from .obstruction import gh_sequence
+from .obstruction import gh_jets, gh_sequence
 from .potentials import PotentialFamily, family_label, f_jet, fprime_jet, prepare_point
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -164,20 +165,16 @@ def minor_matrix(
     expd = bijet_exp(germ.bijet)
     inner = _inner_bijet(x0, lmax)
 
-    # g_h jets at x0 of order >= 2*lmax, via the recursion over jets
-    order_budget = hmax + 2 * lmax
-    gh_jets: list[Jet] = [Jet.constant(x0, 1, order_budget)]
-    if hmax >= 1:
-        fp = fprime_jet(fam, x0, order_budget - 1)
-        cur = gh_jets[0]
-        for _ in range(hmax):
-            cur = cur.derive() + (fp * cur).truncate(cur.order - 1)
-            gh_jets.append(cur)
+    # g_h jets at x0 of order >= 2*lmax; g_0 = 1 needs no f' jet
+    if hmax:
+        gh = gh_jets(fprime_jet(fam, x0, hmax + 2 * lmax - 1), hmax)
+    else:
+        gh = [Jet.constant(x0, 1, 2 * lmax)]
 
     minors: list[list[Scalar]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     signs: list[list[Sign]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     for h in range(hmax + 1):
-        gh_bij = bijet_compose_univariate(gh_jets[h].truncate(2 * lmax), inner)
+        gh_bij = bijet_compose_univariate(gh[h].truncate(2 * lmax), inner)
         entries = expd * gh_bij  # scaled-variable coefficients
         for l in range(lmax + 1):
             sub = [[entries.coeff(i, j) for j in range(l + 1)] for i in range(l + 1)]
@@ -186,23 +183,13 @@ def minor_matrix(
             minors[l][h] = det / int_pow(x0, l * (l + 1) // 2)
             signs[l][h] = minors[l][h].sign()
 
-    verdict = "all-positive"
-    first: tuple[int, int] | None = None
-    for l in range(lmax + 1):
-        for h in range(hmax + 1):
-            if signs[l][h] == Sign.NEGATIVE:
-                verdict, first = "obstructed", (l, h)
-                break
-        if first is not None:
+    verdict, first = "all-positive", None
+    for l, h in product(range(lmax + 1), range(hmax + 1)):
+        if signs[l][h] == Sign.NEGATIVE:
+            verdict, first = "obstructed", (l, h)
             break
-    if first is None:
-        for l in range(lmax + 1):
-            for h in range(hmax + 1):
-                if signs[l][h] in (Sign.ZERO, Sign.UNDETERMINED):
-                    verdict, first = "inconclusive", (l, h)
-                    break
-            if first is not None:
-                break
+        if first is None and signs[l][h] in (Sign.ZERO, Sign.UNDETERMINED):
+            verdict, first = "inconclusive", (l, h)
 
     return ResolvabilityCertificate(
         family=family_label(fam),

@@ -46,6 +46,32 @@ def test_scan_csv_format(capsys):
     assert len(lines) == 2 and ",4," in lines[1] and "negative" in lines[1]
 
 
+GH_EVAL_CSV = """\
+family,x,h,value,sign,backend,precision_bits
+epsilon(eps=1,lambda=1,n=2),3/4,0,1.0,positive,rational,
+epsilon(eps=1,lambda=1,n=2),3/4,1,1.66666666666666666666666666667,positive,rational,
+epsilon(eps=1,lambda=1,n=2),3/4,2,1.35555555555555555555555555556,positive,rational,
+epsilon(eps=1,lambda=1,n=2),3/4,3,1.99377777777777777777777777778,positive,rational,
+"""
+GH_EVAL_TABLE = """\
+g_h at x = 3/4 for epsilon(eps=1,lambda=1,n=2)
+  h=0   1                                              [positive]
+  h=1   5/3                                            [positive]
+  h=2   61/45                                          [positive]
+  h=3   2243/1125                                      [positive]
+"""
+
+
+@pytest.mark.parametrize("fmt, want", [("csv", GH_EVAL_CSV), ("table", GH_EVAL_TABLE)])
+def test_gh_eval_text_formats_pinned(capsys, fmt, want):
+    code, out, _ = run_cli(
+        capsys, "gh-eval", "--eps", "1", "--n", "2", "--x", "3/4", "--hmax", "3",
+        "--format", fmt,
+    )
+    assert code == 0
+    assert out == want
+
+
 def test_lu_coeffs_simanca_zero_a2_a3(capsys):
     code, out, _ = run_cli(
         capsys, "lu-coeffs", "--family", "simanca", "--dim", "2", "--x", "1",
@@ -157,7 +183,7 @@ def test_runconfig_round_trip():
         subcommand="gh-eval", family="epsilon", eps=1, lam="1", n=2,
         x="3/4", hmax=7, precision_bits=256,
     )
-    again = RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+    again = RunConfig(**json.loads(json.dumps(cfg.to_json_dict())))
     assert again == cfg
     cfg.validate()
 

@@ -4,14 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from radialtyz.curvature import (
+    PhiPartialTable,
+    RadialRing,
     build_frame,
     closed_forms_eps,
     curvature_norm2,
     frame_at_x,
     invariants_from_frame,
     lu_coefficients,
-    potential_mixed_partials,
-    radial_laplacian,
     radial_laplacian_jet,
 )
 from radialtyz.jets import Jet
@@ -25,27 +25,26 @@ from radialtyz.potentials import (
 )
 from radialtyz.scalars import Sign, abs_le, as_scalar, nth_root
 
-from conftest import assert_exact_zero, assert_within
+from helpers import assert_exact_zero, assert_within
 
 
 def test_mixed_partials_metric_entries():
     fam = EpsilonFamily(1, F(1), 2)
     s = as_scalar(F(1, 2))
-    table = potential_mixed_partials(fam, s, 2, n=2)
     fp = fprime_jet(fam, F(1, 4), 1)
+    table = PhiPartialTable(fp, 2, 2, RadialRing(Jet.variable(F(1, 4), 0)))
     want_11 = fp.coeffs[0] + fp.coeffs[1] * F(1, 4)  # f' + f'' x
-    assert (table[((1, 0), (1, 0))] - want_11).sign() == Sign.ZERO
-    assert (table[((0, 1), (0, 1))] - fp.coeffs[0]).sign() == Sign.ZERO
+    assert (table.partial((1, 0), (1, 0)).full_value(s) - want_11).sign() == Sign.ZERO
+    assert (table.partial((0, 1), (0, 1)).full_value(s) - fp.coeffs[0]).sign() == Sign.ZERO
 
 
 def test_mixed_partial_flat_fourth_order():
-    table = potential_mixed_partials(EpsilonFamily(0, F(1), 2), as_scalar(F(2, 3)), 4, n=2)
-    assert_exact_zero(table[((1, 1), (1, 1))], "flat 4th mixed partial")
-
-
-def test_mixed_partials_order_cap():
-    with pytest.raises(ValueError):
-        potential_mixed_partials(Simanca(), as_scalar(1), 9)
+    s = as_scalar(F(2, 3))
+    fp = fprime_jet(EpsilonFamily(0, F(1), 2), s * s, 3)
+    table = PhiPartialTable(fp, 2, 4, RadialRing(Jet.variable(s * s, 0)))
+    assert_exact_zero(table.partial((1, 1), (1, 1)).full_value(s), "flat 4th mixed partial")
+    with pytest.raises(ValueError, match="total order 4"):
+        table.partial((3, 0), (2, 0))
 
 
 def test_frame_rejects_origin():
@@ -226,18 +225,18 @@ def test_closed_forms_trivial_and_sign():
 
 def test_radial_laplacian_examples():
     fam = EpsilonFamily(1, F(1), 2)
-    assert radial_laplacian(Jet.constant(F(2, 3), 5, 4), fam, 2).text() == "0"
+    assert radial_laplacian_jet(Jet.constant(F(2, 3), 5, 4), fam, 2).value().text() == "0"
     flat = EpsilonFamily(0, F(1), 2)
-    assert radial_laplacian(Jet.variable(F(1, 2), 2), flat, 2).text() == "2"
+    assert radial_laplacian_jet(Jet.variable(F(1, 2), 2), flat, 2).value().text() == "2"
     with pytest.raises(ValueError):
-        radial_laplacian(Jet.variable(F(1, 2), 1), flat, 2)
+        radial_laplacian_jet(Jet.variable(F(1, 2), 1), flat, 2)
 
 
 def test_laplacian_of_r2_matches_closed_form():
     fam = EpsilonFamily(1, F(1), 2)
     for x in (F(1), F(2, 5)):
         r2 = curvature_norm2(fam, 2, x, jet_order=2)
-        lap = radial_laplacian(r2, fam, 2)
+        lap = radial_laplacian_jet(r2, fam, 2).value()
         closed = closed_forms_eps(2, 1, x)["a3_proportional"]
         assert (lap - closed).sign() == Sign.ZERO
 

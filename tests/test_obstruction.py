@@ -1,7 +1,9 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from radialtyz import potentials
 from radialtyz.obstruction import (
     g3_closed_eps_minus1,
     g4_at_1_closed,
@@ -15,7 +17,7 @@ from radialtyz.obstruction import (
 from radialtyz.potentials import EpsilonFamily, Simanca, prepare_point
 from radialtyz.scalars import DomainError, Sign, abs_le, as_scalar
 
-from conftest import assert_within
+from helpers import assert_within
 
 
 def test_table_value_exact():
@@ -171,3 +173,20 @@ def test_recursion_vs_direct_all_families():
     for fam, x in cases:
         gh_sequence(fam, x, 10)
         gh_sequence(fam, prepare_point(fam, as_scalar(x), exact=False, precision_bits=256), 10)
+
+
+@pytest.mark.parametrize("hmax", [1, 4])
+def test_gh_sequence_builds_fprime_once(monkeypatch, hmax):
+    # count through every module binding, as the benchmark's tracer patches it
+    original = potentials.fprime_jet
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "radialtyz" and getattr(mod, "fprime_jet", None) is original:
+            monkeypatch.setattr(mod, "fprime_jet", counted)
+    gh_sequence(EpsilonFamily(1, F(1), 2), F(3, 4), hmax)
+    assert len(calls) == 1

@@ -19,7 +19,7 @@ from radialtyz.potentials import (
 )
 from radialtyz.scalars import DomainError, Sign, as_scalar
 
-from conftest import assert_exact_zero
+from helpers import assert_exact_zero
 
 
 def jets_equal(a: Jet, b: Jet) -> bool:

@@ -4,7 +4,7 @@ import pytest
 import sympy as sp
 
 from radialtyz.obstruction import g3_closed_eps_minus1, gh_sequence
-from radialtyz.potentials import EpsilonFamily, Simanca
+from radialtyz.potentials import CustomPotential, EpsilonFamily, Simanca
 from radialtyz.resolvability import (
     det_scalar,
     diastasis_germ,
@@ -14,7 +14,7 @@ from radialtyz.resolvability import (
 )
 from radialtyz.scalars import Sign, as_scalar
 
-from conftest import assert_exact_zero
+from helpers import assert_exact_zero
 
 
 def test_germ_constant_is_zero():
@@ -86,6 +86,25 @@ def test_obstruction_at_x_101_over_100():
     assert cert.first_flag == (0, 3)
     closed = g3_closed_eps_minus1(F(1), 2, F(101, 100))
     assert (cert.minors[0][3] - closed).sign() == Sign.ZERO
+
+
+@pytest.mark.parametrize(
+    "fam, lmax, hmax, kwargs, verdict, first",
+    [
+        # exact zeros from (0, 2) on: the first zero flags
+        (CustomPotential.make(1, [1, -1, 1, -1, 1, -1, 1, -1, 1]), 1, 3, {"x": F(1)},
+         "inconclusive", (0, 2)),
+        # undetermined at (1, 4) and (2, 2): l is scanned before h
+        (EpsilonFamily(1, F(1), 2), 2, 4, {"x": F(3, 4), "exact": False, "precision_bits": 16},
+         "inconclusive", (1, 4)),
+        # negative at (1, 1) and (0, 3): row l = 0 comes first
+        (EpsilonFamily(-1, F(1), 2), 1, 3, {"x": F(101, 100)}, "obstructed", (0, 3)),
+        (EpsilonFamily(0, F(1), 2), 3, 3, {"s": 1}, "all-positive", None),
+    ],
+)
+def test_minor_verdict_scan_order(fam, lmax, hmax, kwargs, verdict, first):
+    cert = minor_matrix(fam, lmax=lmax, hmax=hmax, **kwargs)
+    assert (cert.verdict, cert.first_flag) == (verdict, first)
 
 
 def test_monotone_information():
