@@ -44,7 +44,7 @@ TABLE_ORDER = 5  # highest total order of Phi mixed partials the frame needs (fo
 
 
 def _jet_is_zero(j: Jet) -> bool:
-    return all(c.sign() == Sign.ZERO for c in j.coeffs)
+    return all(c.is_zero() for c in j.coeffs)
 
 
 class RadialRing:

@@ -25,7 +25,6 @@ from .jets import Jet
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DomainError,
-    ONE,
     RationalScalar,
     Scalar,
     ScalarLike,

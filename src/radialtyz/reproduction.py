@@ -19,7 +19,6 @@ from .curvature import (
     curvature_norm2,
     frame_at_x,
     lu_coefficients,
-    radial_laplacian_jet,
 )
 from .jets import Jet
 from .obstruction import (
@@ -37,7 +36,6 @@ from .scalars import (
     as_scalar,
     certified_lt,
     nth_root,
-    scalar_pow,
 )
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"

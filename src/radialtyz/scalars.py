@@ -24,7 +24,11 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import fhalf, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub, to_str
+from mpmath.libmp import (
+    fhalf, fone, from_int, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub, round_ceiling,
+    round_floor, to_str,
+)
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_CAP_BITS = 4096
@@ -118,6 +122,13 @@ class Scalar:
     # -- operators --------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "Scalar":
+        # an exact zero leaves the other operand as it is, with no promotion;
+        # x * ZERO is not shortcut, because on balls it must stay a ball
+        other = as_scalar(other)
+        if isinstance(other, RationalScalar) and not other.value:
+            return self
+        if isinstance(self, RationalScalar) and not self.value:
+            return other
         a, b = self._promote(other)
         return a._add(b)
 
@@ -152,7 +163,7 @@ class Scalar:
         raise NotImplementedError
 
     def is_zero(self) -> bool:
-        return self.sign() == Sign.ZERO
+        raise NotImplementedError
 
     def require_sign(self, what: str = "value") -> Sign:
         s = self.sign()
@@ -205,10 +216,17 @@ class RationalScalar(Scalar):
             return Sign.NEGATIVE
         return Sign.ZERO
 
+    def is_zero(self) -> bool:
+        return not self.value
+
     def to_ball(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> "BallScalar":
-        ctx = _ctx(precision_bits)
-        iv = ctx.mpf(self.value.numerator) / ctx.mpf(self.value.denominator)
-        return BallScalar(iv._mpi_, precision_bits)
+        # the endpoints and division the interval context's mpf(p) / mpf(q) computes
+        p, q = self.value.numerator, self.value.denominator
+        iv = (from_int(p, precision_bits, round_floor), from_int(p, precision_bits, round_ceiling))
+        if q != 1:
+            den = (from_int(q, precision_bits, round_floor), from_int(q, precision_bits, round_ceiling))
+            iv = mpi_div(iv, den, precision_bits)
+        return BallScalar(iv, precision_bits)
 
     def text(self) -> str:
         return str(self.value)
@@ -380,6 +398,9 @@ class RootScalar(Scalar):
             prec *= 2
         raise SignUndeterminedError("root element sign refinement exhausted")
 
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)  # only reachable through _embed of zero
+
     def _interval(self, precision_bits: int):
         ctx = _ctx(precision_bits)
         theta = ctx.exp(ctx.log(ctx.mpf(self.radicand)) / self.degree)
@@ -424,19 +445,20 @@ class BallScalar(Scalar):
     def _iv(self, ctx):
         return ctx.make_mpf(self.mpi)
 
+    # The arithmetic calls libmpi on the stored endpoints at the precision the
+    # interval context would use, with the same roundings, and builds no
+    # interval-context objects.
+
     def __neg__(self) -> "BallScalar":
-        ctx = _ctx(self.precision_bits)
-        return BallScalar((-self._iv(ctx))._mpi_, self.precision_bits)
+        return BallScalar(mpi_neg(self.mpi, self.precision_bits), self.precision_bits)
 
     def _add(self, other: "BallScalar") -> "BallScalar":
         prec = max(self.precision_bits, other.precision_bits)
-        ctx = _ctx(prec)
-        return BallScalar((self._iv(ctx) + other._iv(ctx))._mpi_, prec)
+        return BallScalar(mpi_add(self.mpi, other.mpi, prec), prec)
 
     def _mul(self, other: "BallScalar") -> "BallScalar":
         prec = max(self.precision_bits, other.precision_bits)
-        ctx = _ctx(prec)
-        return BallScalar((self._iv(ctx) * other._iv(ctx))._mpi_, prec)
+        return BallScalar(mpi_mul(self.mpi, other.mpi, prec), prec)
 
     def _inverse(self) -> "BallScalar":
         s = self.sign()
@@ -444,8 +466,7 @@ class BallScalar(Scalar):
             raise ZeroDivisionError("division by exact zero ball")
         if s == Sign.UNDETERMINED:
             raise SignUndeterminedError("division by a ball whose enclosure straddles zero")
-        ctx = _ctx(self.precision_bits)
-        return BallScalar((ctx.mpf(1) / self._iv(ctx))._mpi_, self.precision_bits)
+        return BallScalar(mpi_div((fone, fone), self.mpi, self.precision_bits), self.precision_bits)
 
     def sign(self) -> Sign:
         lo, hi = self.mpi
@@ -456,6 +477,9 @@ class BallScalar(Scalar):
         if lo == fzero and hi == fzero:
             return Sign.ZERO
         return Sign.UNDETERMINED
+
+    def is_zero(self) -> bool:
+        return self.mpi[0] == fzero and self.mpi[1] == fzero
 
     def to_ball(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> "BallScalar":
         if precision_bits == self.precision_bits:

@@ -1,6 +1,9 @@
+import hashlib
+import json
 from fractions import Fraction
 
-from radialtyz.scalars import Scalar, Sign, abs_le, as_scalar
+from radialtyz.reports import scalar_to_json
+from radialtyz.scalars import BallScalar, Scalar, Sign, abs_le, as_scalar
 
 
 def assert_exact_zero(value: Scalar, what: str = "value"):
@@ -10,3 +13,17 @@ def assert_exact_zero(value: Scalar, what: str = "value"):
 def assert_within(value: Scalar, target, tol: Fraction, what: str = "value"):
     diff = value - as_scalar(target)
     assert abs_le(diff, tol), f"{what} = {value!r} not within {tol} of {target}"
+
+
+def scalars_digest(values) -> str:
+    """sha256 over scalar_to_json of each value and, for a ball, its exact endpoints.
+
+    scalar_to_json rounds a ball to a decimal midpoint and a 3-digit radius,
+    so the endpoints' (sign, mantissa, exponent, bitcount) go in as well."""
+    payload = []
+    for v in values:
+        item = scalar_to_json(v)
+        if isinstance(v, BallScalar):
+            item["mpi"] = [[s, str(m), e, bc] for s, m, e, bc in v.mpi]
+        payload.append(item)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

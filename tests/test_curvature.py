@@ -25,7 +25,7 @@ from radialtyz.potentials import (
 )
 from radialtyz.scalars import Sign, abs_le, as_scalar, nth_root
 
-from helpers import assert_exact_zero, assert_within
+from helpers import assert_exact_zero, assert_within, scalars_digest
 
 
 def test_mixed_partials_metric_entries():
@@ -298,3 +298,14 @@ def test_lu_ball_backend_matches_exact():
         assert_within(getattr(ball, name), 0, F(10**40), name)  # sanity: finite
         diff = getattr(ball, name) - v.to_ball(256)
         assert abs_le(diff, F(1, 10**40)), name
+
+
+def test_lu_report_balls_pinned():
+    """Every LuReport field on 256-bit balls, bit for bit (digest taken before
+    the ball operators called libmpi directly)."""
+    rep = lu_coefficients(EpsilonFamily(1, F(1), 3), 3, x=F(3, 4), precision_bits=256)
+    assert all(v.backend == "ball" for v in rep.as_dict().values())
+    assert list(rep.as_dict()) == list(rep.FIELD_ORDER)
+    assert scalars_digest(rep.as_dict().values()) == (
+        "11d08855ff47f55ee2c1faf0a3749996099484059287341897287acf87bf28dd"
+    )

@@ -14,7 +14,7 @@ from radialtyz.resolvability import (
 )
 from radialtyz.scalars import Sign, as_scalar
 
-from helpers import assert_exact_zero
+from helpers import assert_exact_zero, scalars_digest
 
 
 def test_germ_constant_is_zero():
@@ -149,3 +149,15 @@ def test_minor_matrix_requires_one_point_argument():
         minor_matrix(Simanca(), s=1, x=F(1), lmax=0, hmax=0)
     with pytest.raises(ValueError):
         minor_matrix(Simanca(), lmax=0, hmax=0)
+
+
+def test_minor_matrix_balls_pinned():
+    """Every minor on 256-bit balls, bit for bit (digest taken before the ball
+    operators called libmpi directly)."""
+    cert = minor_matrix(EpsilonFamily(1, F(1), 4), x=F(3, 4), lmax=2, hmax=4)
+    minors = [v for row in cert.minors for v in row]
+    assert all(v.backend == "ball" for v in minors)
+    assert (cert.verdict, cert.first_flag) == ("obstructed", (1, 2))
+    assert scalars_digest(minors) == (
+        "8ed1e8d5332cf6de0fd3cd1c65ef200889ccc8a1a39b69c54e2a6306d5f7a8ff"
+    )

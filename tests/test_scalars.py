@@ -3,8 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import fzero
 from sympy import factorint
 
 from radialtyz.scalars import (
@@ -13,9 +14,11 @@ from radialtyz.scalars import (
     ExactnessError,
     RationalScalar,
     RootScalar,
+    ZERO,
     Sign,
     SignUndeterminedError,
     _canonical_root,
+    _ctx,
     _factor,
     abs_le,
     as_scalar,
@@ -183,3 +186,91 @@ def test_canonical_root_matches_sympy_reference(n):
     ]
     for fr in table:
         assert _canonical_root(fr, n) == _canonical_root_reference(fr, n), fr
+
+
+# -- ball arithmetic on the stored endpoints ------------------------------
+#
+# The ball operators call libmpi directly; the interval-context computations
+# below are what they did before, kept as the reference.
+
+
+def _ctx_iv_to_ball(fr: F, prec: int) -> BallScalar:
+    ctx = _ctx(prec)
+    return BallScalar((ctx.mpf(fr.numerator) / ctx.mpf(fr.denominator))._mpi_, prec)
+
+
+def _ctx_iv_binary(op, a: BallScalar, b: BallScalar) -> BallScalar:
+    prec = max(a.precision_bits, b.precision_bits)
+    ctx = _ctx(prec)
+    return BallScalar(op(ctx.make_mpf(a.mpi), ctx.make_mpf(b.mpi))._mpi_, prec)
+
+
+def _ctx_iv_inverse(b: BallScalar) -> BallScalar:
+    ctx = _ctx(b.precision_bits)
+    return BallScalar((ctx.mpf(1) / ctx.make_mpf(b.mpi))._mpi_, b.precision_bits)
+
+
+precisions = st.sampled_from([4, 16, 53, 256])
+wide_rationals = st.builds(
+    F, st.integers(-(2**300), 2**300), st.integers(1, 2**300)
+) | rationals
+# a ball from two rationals lo <= hi: a point, a wide ball, or one straddling 0
+balls = st.builds(
+    lambda lo, hi, prec: BallScalar(
+        (_ctx_iv_to_ball(min(lo, hi), prec).mpi[0], _ctx_iv_to_ball(max(lo, hi), prec).mpi[1]),
+        prec,
+    ),
+    wide_rationals, wide_rationals, precisions,
+) | st.builds(_ctx_iv_to_ball, wide_rationals, precisions)
+
+
+@given(wide_rationals, precisions)
+@example(F(2**300 + 1, 3), 53)
+@example(F(-(2**300 + 1), 3), 53)
+@example(F(0), 4)
+@example(F(3**200, 7**150), 16)
+@settings(max_examples=300, deadline=None)
+def test_rational_to_ball_matches_interval_context(fr, prec):
+    assert RationalScalar(fr).to_ball(prec).mpi == _ctx_iv_to_ball(fr, prec).mpi
+
+
+@given(balls, balls)
+@example(as_scalar(F(2**300 + 1, 3)).to_ball(53), as_scalar(F(-1, 3)).to_ball(256))
+@example(as_scalar(0).to_ball(4), as_scalar(F(1, 3)).to_ball(16))
+@settings(max_examples=400, deadline=None)
+def test_ball_ops_match_interval_context(a, b):
+    assert (a + b).mpi == _ctx_iv_binary(lambda x, y: x + y, a, b).mpi
+    assert (a * b).mpi == _ctx_iv_binary(lambda x, y: x * y, a, b).mpi
+    assert (-a).mpi == (-_ctx(a.precision_bits).make_mpf(a.mpi))._mpi_
+    if b.sign() in (Sign.POSITIVE, Sign.NEGATIVE):
+        # a / b promotes b to the wider precision before inverting it
+        inverse = _ctx_iv_inverse(b.to_ball(max(a.precision_bits, b.precision_bits)))
+        want = _ctx_iv_binary(lambda x, y: x * y, a, inverse)
+        got = a / b
+        assert (got.mpi, got.precision_bits) == (want.mpi, want.precision_bits)
+
+
+def test_is_zero_agrees_with_sign():
+    third = as_scalar(F(1, 3))
+    s2 = nth_root(as_scalar(2), 2)
+    straddling = third.to_ball(256) - third.to_ball(256)
+    tiny = as_scalar(F(1, 10**70)).to_ball(256)
+    cases = [
+        ZERO, third, -third,
+        s2._embed(ZERO), s2,
+        ZERO.to_ball(53), straddling, tiny, -tiny,
+    ]
+    assert [v.is_zero() for v in cases] == [v.sign() == Sign.ZERO for v in cases]
+    assert [v.is_zero() for v in cases] == [True, False, False, True, False, True, False, False, False]
+
+
+def test_adding_exact_zero_returns_the_other_operand():
+    ball = as_scalar(F(1, 3)).to_ball(64)
+    root = nth_root(as_scalar(2), 2)
+    for v in (ball, root):
+        assert v + ZERO is v
+        assert ZERO + v is v
+    assert isinstance(ZERO + ZERO, RationalScalar) and (ZERO + ZERO).is_zero()
+    product = ball * ZERO  # not shortcut: a ball times an exact zero stays a ball
+    assert isinstance(product, BallScalar)
+    assert product.mpi == (fzero, fzero) and product.precision_bits == 64
