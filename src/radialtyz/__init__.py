@@ -30,7 +30,6 @@ from .potentials import (
     family_label,
     fprime_jet,
     load_custom_potential,
-    metric_det_jet,
     prepare_point,
     ricci_flat_residual,
 )
@@ -73,7 +72,7 @@ __all__ = [
     "Scalar", "Sign", "SignUndeterminedError", "as_scalar", "nth_root", "scalar_pow",
     "HermitianBiJet", "Jet", "bijet_compose_univariate", "bijet_exp",
     "CustomPotential", "EguchiHanson", "EpsilonFamily", "PotentialFamily", "Simanca",
-    "f_jet", "family_label", "fprime_jet", "load_custom_potential", "metric_det_jet",
+    "f_jet", "family_label", "fprime_jet", "load_custom_potential",
     "prepare_point", "ricci_flat_residual",
     "DivergenceReport", "ObstructionReport", "g3_closed_eps_minus1", "g4_at_1_closed",
     "gh_reports", "gh_sequence", "obstruction_scan", "rational_grid",

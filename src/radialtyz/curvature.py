@@ -4,9 +4,16 @@ The potential is Phi(z) = f(|z|^2). Mixed partials of Phi are differentiated
 symbolically (terms c * f^(k) * z^a * zbar^b are closed under d/dz_j and
 d/dzbar_j) and evaluated at the radial point p = (s, 0, ..., 0). Evaluated
 quantities live in the ring R[s]/(s^2 = x) over x-jets: a value is
-`even(x) + odd(x) * s`, so no square root of x is ever taken and running the
-whole engine over jets in x of order m yields m x-derivatives of every
-tensor entry, hence radial Laplacians of every invariant.
+`even(x) + odd(x) * s`, so no square root of x is ever taken, and a frame
+over jets in x of order m holds m x-derivatives of every tensor entry.
+
+lu_coefficients takes radial Laplacians of rho, |R|^2 and |Ric|^2 only, so
+g, Gamma, R, Ric and rho are carried as jets of order 4 for it. Every other
+invariant it reads at its value alone: the covariant Ricci block, nabla R and
+the contractions that use them are computed on the frame's order-0
+truncation. Jet arithmetic is causal, so those values are the constant terms
+the order-4 computation would give, bit for bit, with one scalar product
+where a product of order-4 jets takes fifteen.
 
 Ricci and its plain derivatives are partials of one more radial function,
 U(z) = u(|z|^2) with u = log det g = (n-1) log f' + log(f' + x f''): since
@@ -125,6 +132,11 @@ class RV:
             raise ArithmeticError(f"{what} has a nonvanishing odd-in-s part")
         return self.ev
 
+    def truncate(self, ring: RadialRing) -> "RV":
+        """This value on a ring over jets of lower order (its leading coefficients)."""
+        order = ring.x.order
+        return RV(ring, self.ev.truncate(order), self.od.truncate(order))
+
     def full_value(self, s: Scalar) -> Scalar:
         """even(x0) + odd(x0) * s; may require a ball backend for irrational s."""
         v = self.ev.value()
@@ -197,6 +209,14 @@ class PhiPartialTable:
         self._sym: dict[tuple, Mapping[TermKey, Fraction]] = {}
         self._val: dict[tuple, RV] = {}
 
+    def truncated(self, ring: RadialRing) -> "PhiPartialTable":
+        """The same partials over a ring of lower jet order, from the same u' jet
+        and sharing the symbolic terms; jet arithmetic is causal, so each value
+        is this table's to the ring's order, bit for bit."""
+        table = PhiPartialTable(self.du, self.n, self.max_order, ring)
+        table._sym = self._sym
+        return table
+
     def _terms(self, alpha: tuple[int, ...], beta: tuple[int, ...]):
         key = (alpha, beta)
         cached = self._sym.get(key)
@@ -268,14 +288,11 @@ class RadialTensorFrame:
     ginv: list
     gamma: list  # gamma[p][k][i]
     R: list  # R[i][j][k][l] ~ R_{i j̄ k l̄}
+    log_det: PhiPartialTable | None = None  # partials of U = log det g(|z|^2)
     ric: list | None = None
     ric_cov1: list | None = None  # Ric_{ij̄,k}
     ric_cov2: list | None = None  # Ric_{ij̄,kl̄}
     rho: RV | None = None
-
-    def ensure_ricci(self) -> None:
-        if self.ric is None:
-            _attach_ricci(self)
 
     def curvature_symmetry_violations(self) -> list[tuple]:
         """Index tuples violating R_{ij̄kl̄} = R_{kj̄il̄} = R_{il̄kj̄}."""
@@ -380,6 +397,7 @@ def frame_at_x(
     )
     if with_ricci:
         _attach_ricci(frame)
+        _attach_ricci_cov(frame)
     return frame
 
 
@@ -395,14 +413,33 @@ def _sum(ring: RadialRing, items) -> RV:
 
 
 def _attach_ricci(frame: RadialTensorFrame) -> None:
-    n, ring, table = frame.n, frame.ring, frame.table
+    """Ric and rho at the frame's jet order."""
+    n, ring = frame.n, frame.ring
     e = lambda i: _e(n, i)
 
     # Ric_{ij̄} = -d_i dbar_j U for the radial U = u(|z|^2), u = log det g, so
     # Ric and its plain derivatives are partials of U; u' = (det g)' / det g
-    det = det_jet_from_fprime(table.du, n)
+    det = det_jet_from_fprime(frame.table.du, n)
     U = PhiPartialTable(det.derive() / det.truncate(det.order - 1), n, 4, ring)
     ric = [[-U.partial(e(i), e(j)) for j in range(n)] for i in range(n)]
+    ginv = frame.ginv
+    frame.rho = _sum(
+        ring,
+        (
+            ginv[j][i] * ric[i][j]
+            for i in range(n)
+            for j in range(n)
+            if not ginv[j][i].is_zero()
+        ),
+    ) * 2
+    frame.log_det = U
+    frame.ric = ric
+
+
+def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
+    """Ric_{ij̄,k} and Ric_{ij̄,kl̄} at the frame's jet order; needs _attach_ricci."""
+    n, ring, table, U, ric = frame.n, frame.ring, frame.table, frame.log_det, frame.ric
+    e = lambda i: _e(n, i)
     dric = [
         [[-U.partial(_add(e(i), e(k)), e(j)) for j in range(n)] for i in range(n)]
         for k in range(n)
@@ -527,20 +564,32 @@ def _attach_ricci(frame: RadialTensorFrame) -> None:
         for i in range(n)
     ]  # ric_cov2[i][j][k][l] = Ric_{ij̄,kl̄}
 
-    rho = _sum(
-        ring,
-        (
-            ginv[j][i] * ric[i][j]
-            for i in range(n)
-            for j in range(n)
-            if not ginv[j][i].is_zero()
-        ),
-    ) * 2
-
-    frame.ric = ric
     frame.ric_cov1 = ric_cov1
     frame.ric_cov2 = ric_cov2
-    frame.rho = rho
+
+
+def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
+    """The frame's order-0 truncation, with the covariant Ricci block built at
+    order 0.
+
+    Jet arithmetic is causal: coefficient 0 of a sum, product or quotient comes
+    from the constant terms alone, by the same scalar operations. So every
+    value computed here is the constant term of the same quantity computed over
+    the frame's jets, bit for bit. Needs _attach_ricci.
+    """
+    ring = RadialRing(frame.ring.x.truncate(0))
+
+    def cut(t):
+        return [cut(u) for u in t] if isinstance(t, list) else t.truncate(ring)
+
+    value = RadialTensorFrame(
+        fam=frame.fam, n=frame.n, x0=frame.x0, s=frame.s, jet_order=0, ring=ring,
+        table=frame.table.truncated(ring), g=cut(frame.g), ginv=cut(frame.ginv),
+        gamma=cut(frame.gamma), R=cut(frame.R), log_det=frame.log_det.truncated(ring),
+        ric=cut(frame.ric),
+    )
+    _attach_ricci_cov(value)
+    return value
 
 
 def _nabla_R(frame: RadialTensorFrame) -> list:
@@ -615,29 +664,48 @@ def _norm2_R(frame: RadialTensorFrame) -> RV:
 
 
 def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
-    """All contraction invariants of the TYZ coefficient formulas, as jets in x
-    (no Laplacian-of-invariant fields).
+    """All contraction invariants of the TYZ coefficient formulas (no
+    Laplacian-of-invariant fields), as even jets in x.
+
+    Only rho, R2 and Ric2 enter a radial Laplacian in lu_coefficients, so only
+    they are jets of the frame's order. Every other invariant is read at its
+    value alone and is an order-0 jet, computed on the frame's order-0
+    truncation (_value_frame); there the covariant Ricci block and nabla R are
+    built at order 0 only. Its value is the constant term the frame's order
+    would give, bit for bit.
 
     The inverse metric is diagonal at radial points (asserted at build time),
     so contractions run over the free tensor indices with diagonal weights.
     """
-    frame.ensure_ricci()
+    # radial-function derivatives of rho; these genuinely need x-jets
+    if frame.jet_order < 2:
+        raise ValueError(
+            "invariants_from_frame needs jet_order >= 2 for |D'rho|^2 and the "
+            "rho Hessian; build the frame over jets in x"
+        )
+    if frame.ric is None:
+        _attach_ricci(frame)
     n, ring = frame.n, frame.ring
     gi = [frame.ginv[i][i] for i in range(n)]
-    R, ric, rho = frame.R, frame.ric, frame.rho
-
-    def quad_weight(i, j, k, l):
-        return gi[i] * gi[j] * gi[k] * gi[l]
 
     r2 = _norm2_R(frame)
 
     ric2 = ring.zero
     for i in range(n):
         for j in range(n):
-            v = ric[i][j]
+            v = frame.ric[i][j]
             if v.is_zero():
                 continue
             ric2 = ric2 + gi[i] * gi[j] * v * v
+
+    # from here on, values only
+    value = _value_frame(frame)
+    ring = value.ring
+    gi = [value.ginv[i][i] for i in range(n)]
+    R, ric = value.R, value.ric
+
+    def quad_weight(i, j, k, l):
+        return gi[i] * gi[j] * gi[k] * gi[l]
 
     sigma3 = ring.zero
     for i in range(n):
@@ -681,12 +749,12 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                v = frame.ric_cov1[i][j][k]
+                v = value.ric_cov1[i][j][k]
                 if v.is_zero():
                     continue
                 dric2 = dric2 + gi[i] * gi[j] * gi[k] * v * v
 
-    nabla = _nabla_R(frame)
+    nabla = _nabla_R(value)
     dr2 = ring.zero
     for p in range(n):
         for i in range(n):
@@ -700,20 +768,14 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
                             gi[i] * gi[j] * gi[k] * gi[l] * gi[p] * v * v
                         )
 
-    # radial-function derivatives of rho; these genuinely need x-jets
-    if frame.jet_order < 2:
-        raise ValueError(
-            "invariants_from_frame needs jet_order >= 2 for |D'rho|^2 and the "
-            "rho Hessian; build the frame over jets in x"
-        )
-    rho_jet = rho.even_jet("scalar curvature")
-    rho_x = rho_jet.derive()
+    rho_x = frame.rho.even_jet("scalar curvature").derive()
+    rho_xx = rho_x.derive()
+    rho_x, rho_xx = rho_x.truncate(0), rho_xx.truncate(0)
     drho = ring.odd(rho_x)
     drho2 = gi[0] * drho * drho
     # complex Hessian of a radial function: u'' zbar_a z_b + u' delta_ab
-    rho_xx = rho_x.derive()
     hess = [[ring.zero] * n for _ in range(n)]
-    hess[0][0] = ring.even(rho_xx * ring.x.truncate(rho_xx.order) + rho_x.truncate(rho_xx.order))
+    hess[0][0] = ring.even(rho_xx * ring.x + rho_x)
     for i in range(1, n):
         hess[i][i] = ring.even(rho_x)
     ric_hess = ring.zero
@@ -728,14 +790,14 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    a = frame.ric_cov2[i][j][k][l]
+                    a = value.ric_cov2[i][j][k][l]
                     b = R[j][i][l][k]
                     if a.is_zero() or b.is_zero():
                         continue
                     ric_cov2_r = ric_cov2_r + quad_weight(i, j, k, l) * a * b
 
     names = {
-        "rho": rho,
+        "rho": frame.rho,
         "R2": r2,
         "Ric2": ric2,
         "sigma3Ric": sigma3,
@@ -818,7 +880,7 @@ def lu_coefficients(
         s = as_scalar(s)
         x = s * s
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
-    frame = frame_at_x(fam, n, x0, jet_order)
+    frame = frame_at_x(fam, n, x0, jet_order, with_ricci=False)
     inv = invariants_from_frame(frame)
 
     rho = inv["rho"]

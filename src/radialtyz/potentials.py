@@ -145,17 +145,6 @@ def f_jet(fam: PotentialFamily, x0: ScalarLike, order: int) -> Jet:
     return fprime_jet(fam, x0, order - 1).antiderive(0)
 
 
-def metric_det_jet(fam: PotentialFamily, x0: ScalarLike, order: int, n: int | None = None) -> Jet:
-    """Jet of det g = (f')**(n-1) * (f' + x f'')."""
-    if isinstance(fam, EpsilonFamily) and n is None:
-        n = fam.n
-    if isinstance(fam, (Simanca, EguchiHanson)) and n is None:
-        n = 2
-    if n is None:
-        raise ValueError("dimension n required for a custom potential")
-    return det_jet_from_fprime(fprime_jet(fam, x0, order + 1), n)
-
-
 def det_jet_from_fprime(fp: Jet, n: int) -> Jet:
     """det g = (f')**(n-1) * (f' + x f'') in dimension n, one order below the f' jet."""
     fpp = fp.derive()
@@ -168,10 +157,16 @@ def ricci_flat_residual(
     fam: PotentialFamily, samples: Sequence[ScalarLike], n: int | None = None
 ) -> list[Scalar]:
     """d/dx log det g at each sample; all zero iff the radial metric is
-    Ricci-flat along the samples."""
+    Ricci-flat along the samples. n defaults to the family's own dimension."""
+    if isinstance(fam, EpsilonFamily) and n is None:
+        n = fam.n
+    if isinstance(fam, (Simanca, EguchiHanson)) and n is None:
+        n = 2
+    if n is None:
+        raise ValueError("dimension n required for a custom potential")
     out = []
     for x0 in samples:
-        det = metric_det_jet(fam, as_scalar(x0), 1, n=n)
+        det = det_jet_from_fprime(fprime_jet(fam, as_scalar(x0), 2), n)
         out.append(det.coeffs[1] / det.coeffs[0])
     return out
 

@@ -25,7 +25,7 @@ from itertools import product
 
 from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp
 from .obstruction import gh_jets, gh_sequence
-from .potentials import PotentialFamily, family_label, f_jet, fprime_jet, prepare_point
+from .potentials import PotentialFamily, family_label, fprime_jet, prepare_point
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     Scalar,
@@ -68,9 +68,10 @@ def _inner_bijet(x0: Scalar, order: int) -> HermitianBiJet:
     return HermitianBiJet.make(x0, rows)
 
 
-def diastasis_germ_at_x(fam: PotentialFamily, x0: ScalarLike, order: int) -> DiastasisGerm:
-    x0 = as_scalar(x0)
-    fj = f_jet(fam, x0, 2 * order) if order >= 1 else f_jet(fam, x0, 1).truncate(0)
+def diastasis_germ_at_x(fam: PotentialFamily, fp: Jet, order: int) -> DiastasisGerm:
+    """The germ at x0 = fp.x0 from the f' jet fp, of order >= 2 * order - 1."""
+    x0 = fp.x0
+    fj = fp.antiderive(0).truncate(2 * order)  # f anchored to f(x0) = 0
     inner = _inner_bijet(x0, order)
     radial_part = bijet_compose_univariate(fj, inner)
     # f(s z1) = f(x0 (1 + u_hat)): univariate row/column contributions
@@ -90,7 +91,8 @@ def diastasis_germ(fam: PotentialFamily, s: ScalarLike, order: int) -> Diastasis
     s = as_scalar(s)
     if s.sign() == Sign.ZERO:
         raise ValueError("diastasis germ needs s != 0")
-    g = diastasis_germ_at_x(fam, s * s, order)
+    x0 = s * s
+    g = diastasis_germ_at_x(fam, fprime_jet(fam, x0, max(2 * order - 1, 0)), order)
     return DiastasisGerm(family=g.family, s=s, x0=g.x0, order=order, bijet=g.bijet)
 
 
@@ -161,15 +163,13 @@ def minor_matrix(
         x0 = as_scalar(x)
     x0 = prepare_point(fam, x0, exact=exact, precision_bits=precision_bits)
 
-    germ = diastasis_germ_at_x(fam, x0, lmax)
+    # one f' jet serves the germ (order 2*lmax - 1) and the g_h jets at x0 of
+    # order >= 2*lmax (order hmax + 2*lmax - 1); g_0 = 1 needs none
+    fp = fprime_jet(fam, x0, max(hmax + 2 * lmax - 1, 0))
+    germ = diastasis_germ_at_x(fam, fp, lmax)
     expd = bijet_exp(germ.bijet)
     inner = _inner_bijet(x0, lmax)
-
-    # g_h jets at x0 of order >= 2*lmax; g_0 = 1 needs no f' jet
-    if hmax:
-        gh = gh_jets(fprime_jet(fam, x0, hmax + 2 * lmax - 1), hmax)
-    else:
-        gh = [Jet.constant(x0, 1, 2 * lmax)]
+    gh = gh_jets(fp, hmax) if hmax else [Jet.constant(x0, 1, 2 * lmax)]
 
     minors: list[list[Scalar]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     signs: list[list[Sign]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]

@@ -25,8 +25,8 @@ from typing import Union
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
-    fhalf, fone, from_int, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub, round_ceiling,
-    round_floor, to_str,
+    fhalf, finf, fnan, fninf, fone, from_int, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
+    round_ceiling, round_floor, to_str,
 )
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg
 
@@ -141,6 +141,15 @@ class Scalar:
         return as_scalar(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
+        # an exact zero times a finite ball is the ball [0, 0] at the ball's
+        # precision, which is what promoting the zero and calling mpi_mul gives
+        other = as_scalar(other)
+        if isinstance(other, BallScalar):
+            if isinstance(self, RationalScalar) and not self.value and other._finite():
+                return BallScalar((fzero, fzero), other.precision_bits)
+        elif isinstance(self, BallScalar):
+            if isinstance(other, RationalScalar) and not other.value and self._finite():
+                return BallScalar((fzero, fzero), self.precision_bits)
         a, b = self._promote(other)
         return a._mul(b)
 
@@ -444,6 +453,9 @@ class BallScalar(Scalar):
 
     def _iv(self, ctx):
         return ctx.make_mpf(self.mpi)
+
+    def _finite(self) -> bool:
+        return not any(e in (finf, fninf, fnan) for e in self.mpi)
 
     # The arithmetic calls libmpi on the stored endpoints at the precision the
     # interval context would use, with the same roundings, and builds no

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
+
+from radialtyz import potentials
 
 from radialtyz.reports import scalar_to_json
 from radialtyz.scalars import BallScalar, Scalar, Sign, abs_le, as_scalar
@@ -27,3 +30,19 @@ def scalars_digest(values) -> str:
             item["mpi"] = [[s, str(m), e, bc] for s, m, e, bc in v.mpi]
         payload.append(item)
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def count_fprime_calls(monkeypatch) -> list:
+    """Record the arguments of every fprime_jet call, patched at every module
+    binding, as the benchmark's tracer patches it."""
+    original = potentials.fprime_jet
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "radialtyz" and getattr(mod, "fprime_jet", None) is original:
+            monkeypatch.setattr(mod, "fprime_jet", counted)
+    return calls

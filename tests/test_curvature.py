@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from radialtyz import curvature
 from radialtyz.curvature import (
     PhiPartialTable,
     RadialRing,
@@ -21,6 +22,7 @@ from radialtyz.potentials import (
     EpsilonFamily,
     Simanca,
     fprime_jet,
+    prepare_point,
     ricci_flat_residual,
 )
 from radialtyz.scalars import Sign, abs_le, as_scalar, nth_root
@@ -309,3 +311,57 @@ def test_lu_report_balls_pinned():
     assert scalars_digest(rep.as_dict().values()) == (
         "11d08855ff47f55ee2c1faf0a3749996099484059287341897287acf87bf28dd"
     )
+
+
+# f' Taylor data to order 9, for frames over jets of order 4
+CUSTOM_9 = CustomPotential.make(
+    F(1, 2), [F(2), F(1), F(-1, 3), F(1, 5), F(0), F(1, 7), F(-1), F(1, 2), F(3), F(-2)]
+)
+
+
+def _leaves(t):
+    return [v for u in t for v in _leaves(u)] if isinstance(t, list) else [t]
+
+
+def _constant_terms(rvs) -> str:
+    return scalars_digest([c for rv in rvs for c in (rv.ev.value(), rv.od.value())])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fam, x, exact", [
+    (EpsilonFamily(1, F(1), 2), F(3, 4), True),
+    (EpsilonFamily(1, F(1), 2), F(3, 4), False),
+    (EpsilonFamily(-1, F(1), 2), F(3, 2), True),
+    (EpsilonFamily(-1, F(1), 2), F(3, 2), False),
+    (Simanca(), F(2), True),
+    (Simanca(), F(2), False),
+    (EguchiHanson(), F(3, 4), True),
+    (EguchiHanson(), F(3, 4), False),
+    (CUSTOM_9, F(1, 2), True),  # a custom potential has no ball point
+])
+def test_value_frame_matches_constant_terms(fam, n, x, exact):
+    # the order-0 Ricci block and nabla R equal the constant terms of the
+    # order-4 ones, bit for bit, backends and ball endpoints included
+    x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=256)
+    full = frame_at_x(fam, n, x0, 4)
+    value = curvature._value_frame(full)
+    assert value.jet_order == 0
+    for name in ("ric_cov1", "ric_cov2"):
+        assert _constant_terms(_leaves(getattr(value, name))) == _constant_terms(
+            _leaves(getattr(full, name))
+        ), name
+    assert _constant_terms(_leaves(curvature._nabla_R(value))) == _constant_terms(
+        _leaves(curvature._nabla_R(full))
+    )
+
+
+def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch):
+    orders = []
+    for name in ("_attach_ricci_cov", "_nabla_R"):
+        original = getattr(curvature, name)
+        monkeypatch.setattr(
+            curvature, name,
+            lambda frame, name=name, f=original: orders.append((name, frame.jet_order)) or f(frame),
+        )
+    lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4))
+    assert orders == [("_attach_ricci_cov", 0), ("_nabla_R", 0)]

@@ -14,7 +14,7 @@ from radialtyz.resolvability import (
 )
 from radialtyz.scalars import Sign, as_scalar
 
-from helpers import assert_exact_zero, scalars_digest
+from helpers import assert_exact_zero, count_fprime_calls, scalars_digest
 
 
 def test_germ_constant_is_zero():
@@ -161,3 +161,11 @@ def test_minor_matrix_balls_pinned():
     assert scalars_digest(minors) == (
         "8ed1e8d5332cf6de0fd3cd1c65ef200889ccc8a1a39b69c54e2a6306d5f7a8ff"
     )
+
+
+@pytest.mark.parametrize("lmax, hmax", [(2, 4), (2, 0), (0, 3), (0, 0)])
+def test_minor_matrix_builds_fprime_once(monkeypatch, lmax, hmax):
+    # the germ's f jet is a truncation of the g_h jets' f' jet
+    calls = count_fprime_calls(monkeypatch)
+    minor_matrix(EpsilonFamily(1, F(1), 2), x=F(3, 4), lmax=lmax, hmax=hmax)
+    assert [order for _, _, order in calls] == [max(hmax + 2 * lmax - 1, 0)]

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import fzero
+from mpmath.libmp import finf, fnan, fninf, fzero
 from sympy import factorint
 
 from radialtyz.scalars import (
@@ -274,3 +274,35 @@ def test_adding_exact_zero_returns_the_other_operand():
     product = ball * ZERO  # not shortcut: a ball times an exact zero stays a ball
     assert isinstance(product, BallScalar)
     assert product.mpi == (fzero, fzero) and product.precision_bits == 64
+
+
+# balls that mpi_mul does not turn into [0, 0] when multiplied by zero, or that
+# hold a nan endpoint: these keep the promoted product
+non_finite_balls = st.sampled_from([
+    BallScalar((fninf, finf), 53), BallScalar((fzero, finf), 16),
+    BallScalar((fninf, fzero), 256), BallScalar((fnan, fnan), 4),
+])
+
+
+@given(balls | non_finite_balls, st.sampled_from([ZERO, RationalScalar(F(0))]))
+@example(as_scalar(F(-1, 3)).to_ball(4), ZERO)
+@example(ZERO.to_ball(256), ZERO)
+@settings(max_examples=300, deadline=None)
+def test_exact_zero_times_ball_matches_promoted_product(ball, zero):
+    want = zero.to_ball(ball.precision_bits)._mul(ball)
+    for got in (zero * ball, ball * zero):
+        assert isinstance(got, BallScalar)
+        assert (got.mpi, got.precision_bits) == (want.mpi, want.precision_bits)
+
+
+def test_exact_zero_times_finite_ball_promotes_nothing(monkeypatch):
+    ball = as_scalar(F(1, 3)).to_ball(64)
+    promoted = []
+    to_ball = RationalScalar.to_ball
+    monkeypatch.setattr(
+        RationalScalar, "to_ball", lambda self, *a: promoted.append(self) or to_ball(self, *a)
+    )
+    assert (ZERO * ball).mpi == (ball * ZERO).mpi == (fzero, fzero)
+    assert promoted == []
+    root = nth_root(as_scalar(2), 2)
+    assert isinstance(ZERO * root, RationalScalar) and isinstance(root * ZERO, RationalScalar)
