@@ -48,7 +48,6 @@ from .obstruction import (
 from .curvature import (
     LuReport,
     RadialTensorFrame,
-    build_frame,
     closed_forms_eps,
     curvature_norm2,
     frame_at_x,
@@ -77,7 +76,7 @@ __all__ = [
     "DivergenceReport", "ObstructionReport", "g3_closed_eps_minus1", "g4_at_1_closed",
     "gh_reports", "gh_sequence", "obstruction_scan", "rational_grid",
     "small_x_divergence_check", "structural_form_gap",
-    "LuReport", "RadialTensorFrame", "build_frame", "closed_forms_eps",
+    "LuReport", "RadialTensorFrame", "closed_forms_eps",
     "curvature_norm2", "frame_at_x", "invariants_from_frame", "lu_coefficients",
     "radial_laplacian_jet",
     "DiastasisGerm", "ResolvabilityCertificate", "diastasis_germ", "minor_matrix",

@@ -15,6 +15,16 @@ truncation. Jet arithmetic is causal, so those values are the constant terms
 the order-4 computation would give, bit for bit, with one scalar product
 where a product of order-4 jets takes fifteen.
 
+The tensor loops (Gamma, R, the covariant Ricci block, nabla R and the
+contractions) visit only the terms whose factors are all non-zero: each
+partial is looked up once, outside the loops it does not depend on, and each
+factor is tested with is_zero() before its product is built. The values are
+bit for bit those of the dense loops. An RV product with a zero factor is the
+ring's exact zero, and adding an exact rational zero returns the other
+operand, so a skipped term changed no coefficient; the non-zero terms are
+added in the dense loops' lexicographic order. A term whose own sum is zero
+is still added, because a ball [0, 0] is not the exact zero.
+
 Ricci and its plain derivatives are partials of one more radial function,
 U(z) = u(|z|^2) with u = log det g = (n-1) log f' + log(f' + x f''): since
 Ric_{ij̄} = -d_i dbar_j U, a second partials table built from the jet of
@@ -271,8 +281,39 @@ class PhiPartialTable:
 # -- the tensor frame --------------------------------------------------------
 
 
-def _e(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
+def _units(n: int) -> tuple[list, list]:
+    """The exponent tuples e_i and e_i + e_k, built once per tensor pass."""
+    e = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return e, [[_add(a, b) for b in e] for a in e]
+
+
+def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _nz(v: RV) -> RV | None:
+    """v, or None where v is zero, so that a loop tests each factor once."""
+    return None if v.is_zero() else v
+
+
+def _nonzero_rows(m: list) -> list:
+    """rows[p] = [(q, m[p][q]) for each non-zero entry of row p], in index order."""
+    return [[(q, v) for q, v in enumerate(row) if not v.is_zero()] for row in m]
+
+
+def _sum(ring: RadialRing, items) -> RV:
+    acc = ring.zero
+    for v in items:
+        acc = acc + v
+    return acc
+
+
+def _entries(t: list, idx: tuple = ()) -> list:
+    """(index tuple, value) of every non-zero entry of a nested tensor, in
+    lexicographic index order."""
+    if isinstance(t, list):
+        return [e for i, u in enumerate(t) for e in _entries(u, idx + (i,))]
+    return [] if t.is_zero() else [(idx, t)]
 
 
 @dataclass
@@ -309,22 +350,6 @@ class RadialTensorFrame:
         return bad
 
 
-def build_frame(
-    fam: PotentialFamily,
-    n: int,
-    s: ScalarLike,
-    jet_order: int = 0,
-    *,
-    with_ricci: bool = True,
-) -> RadialTensorFrame:
-    s = as_scalar(s)
-    if s.sign() == Sign.ZERO:
-        raise DomainError("radial point needs s != 0")
-    frame = frame_at_x(fam, n, s * s, jet_order, with_ricci=with_ricci)
-    frame.s = s
-    return frame
-
-
 def frame_at_x(
     fam: PotentialFamily,
     n: int,
@@ -338,9 +363,10 @@ def frame_at_x(
     # one order above what the Phi table needs: the Ricci block reads f'' off it
     fp = fprime_jet(fam, x0, jet_order + TABLE_ORDER)
     table = PhiPartialTable(fp, n, TABLE_ORDER, ring)
-    e = lambda i: _e(n, i)
+    partial = table.partial
+    e, e2 = _units(n)
 
-    g = [[table.partial(e(i), e(j)) for j in range(n)] for i in range(n)]
+    g = [[partial(e[i], e[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and not g[i][j].is_zero():
@@ -350,19 +376,15 @@ def frame_at_x(
     ginv = [[ring.zero] * n for _ in range(n)]
     for i in range(n):
         ginv[i][i] = g[i][i].inverse()
+    rows = _nonzero_rows(ginv)
+    # dg[i][k][q] = d_k g_{iq̄}
+    dg = [[[_nz(partial(e2[i][k], e[q])) for q in range(n)] for k in range(n)] for i in range(n)]
 
     # Christoffels: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}
     gamma = [
         [
             [
-                _sum(
-                    ring,
-                    (
-                        ginv[p][q] * table.partial(_add(e(i), e(k)), e(q))
-                        for q in range(n)
-                        if not ginv[p][q].is_zero()
-                    ),
-                )
+                _sum(ring, (gpq * dg[i][k][q] for q, gpq in rows[p] if dg[i][k][q] is not None))
                 for i in range(n)
             ]
             for k in range(n)
@@ -370,25 +392,21 @@ def frame_at_x(
         for p in range(n)
     ]
 
-    # curvature: R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pq̄} (d_k g_{ip̄})(dbar_j g_{ql̄})
+    # curvature: R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pq̄} (d_k g_{ip̄})(dbar_j g_{ql̄}),
+    # with g^{pq̄} d_k g_{ip̄} formed once per (i, k)
+    dbar = [[[_nz(partial(e[q], e2[l][j])) for q in range(n)] for l in range(n)] for j in range(n)]
     R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for k in range(n):
-            aik = _add(e(i), e(k))
+            b = dg[i][k]
+            gb = [(q, gpq * b[p]) for p in range(n) if b[p] is not None for q, gpq in rows[p]]
             for j in range(n):
                 for l in range(n):
-                    acc = table.partial(aik, _add(e(j), e(l)))
-                    for p in range(n):
-                        for q in range(n):
-                            if ginv[p][q].is_zero():
-                                continue
-                            b = table.partial(aik, e(p))
-                            if b.is_zero():
-                                continue
-                            c = table.partial(e(q), _add(e(l), e(j)))
-                            if c.is_zero():
-                                continue
-                            acc = acc - ginv[p][q] * b * c
+                    acc = partial(e2[i][k], e2[j][l])
+                    c = dbar[j][l]
+                    for q, t in gb:
+                        if c[q] is not None:
+                            acc = acc - t * c[q]
                     R[i][j][k][l] = acc
 
     frame = RadialTensorFrame(
@@ -401,115 +419,99 @@ def frame_at_x(
     return frame
 
 
-def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sum(ring: RadialRing, items) -> RV:
-    acc = ring.zero
-    for v in items:
-        acc = acc + v
-    return acc
-
-
 def _attach_ricci(frame: RadialTensorFrame) -> None:
     """Ric and rho at the frame's jet order."""
     n, ring = frame.n, frame.ring
-    e = lambda i: _e(n, i)
+    e, _ = _units(n)
 
     # Ric_{ij̄} = -d_i dbar_j U for the radial U = u(|z|^2), u = log det g, so
     # Ric and its plain derivatives are partials of U; u' = (det g)' / det g
     det = det_jet_from_fprime(frame.table.du, n)
     U = PhiPartialTable(det.derive() / det.truncate(det.order - 1), n, 4, ring)
-    ric = [[-U.partial(e(i), e(j)) for j in range(n)] for i in range(n)]
-    ginv = frame.ginv
+    ric = [[-U.partial(e[i], e[j]) for j in range(n)] for i in range(n)]
+    rows = _nonzero_rows(frame.ginv)
     frame.rho = _sum(
         ring,
-        (
-            ginv[j][i] * ric[i][j]
-            for i in range(n)
-            for j in range(n)
-            if not ginv[j][i].is_zero()
-        ),
+        (gji * ric[i][j] for j in range(n) for i, gji in rows[j] if not ric[i][j].is_zero()),
     ) * 2
     frame.log_det = U
     frame.ric = ric
 
 
+def _dginv(ring: RadialRing, ginv: list, d: list) -> list:
+    """-g^{pb̄} d[a][b] g^{aq̄}: a derivative of g^{pq̄} from the same derivative
+    d[a][b] of g_{ab̄} (None where zero)."""
+    n = len(ginv)
+    rows = _nonzero_rows(ginv)
+    cols = _nonzero_rows([list(col) for col in zip(*ginv)])
+    return [
+        [
+            -_sum(
+                ring,
+                (gpb * d[a][b] * gaq for a, gaq in cols[q] for b, gpb in rows[p]
+                 if d[a][b] is not None),
+            )
+            for q in range(n)
+        ]
+        for p in range(n)
+    ]
+
+
+def _pair_terms(x: list, a: list, y: list, b: list, qs: list):
+    """x[q] * a[q] + y[q] * b[q] for each q in qs, leaving out each product with a
+    None (zero) factor, and the q where both are left out."""
+    for q in qs:
+        t = None if x[q] is None or a[q] is None else x[q] * a[q]
+        if y[q] is not None and b[q] is not None:
+            u = y[q] * b[q]
+            t = u if t is None else t + u
+        if t is not None:
+            yield t
+
+
 def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
     """Ric_{ij̄,k} and Ric_{ij̄,kl̄} at the frame's jet order; needs _attach_ricci."""
-    n, ring, table, U, ric = frame.n, frame.ring, frame.table, frame.log_det, frame.ric
-    e = lambda i: _e(n, i)
+    n, ring, ric = frame.n, frame.ring, frame.ric
+    partial, upartial = frame.table.partial, frame.log_det.partial
+    e, e2 = _units(n)
     dric = [
-        [[-U.partial(_add(e(i), e(k)), e(j)) for j in range(n)] for i in range(n)]
+        [[-upartial(e2[i][k], e[j]) for j in range(n)] for i in range(n)]
         for k in range(n)
     ]  # dric[k][i][j] = d_k Ric_{ij̄}
     dric_bar = [
-        [[-U.partial(e(i), _add(e(j), e(l))) for j in range(n)] for i in range(n)]
+        [[-upartial(e[i], e2[j][l]) for j in range(n)] for i in range(n)]
         for l in range(n)
     ]  # dric_bar[l][i][j] = dbar_l Ric_{ij̄}
-    ddric = [
-        [
-            [[-U.partial(_add(e(i), e(k)), _add(e(j), e(l))) for l in range(n)] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]  # ddric[i][j][k][l] = dbar_l d_k Ric_{ij̄}
 
     ginv, gamma = frame.ginv, frame.gamma
-    # dbar_l g^{pq̄} = - g^{pb̄} (dbar_l g_{ab̄}) g^{aq̄}
-    dginv_bar = [
-        [
-            [
-                -_sum(
-                    ring,
-                    (
-                        ginv[p][b] * table.partial(e(a), _add(e(b), e(l))) * ginv[a][q]
-                        for a in range(n)
-                        for b in range(n)
-                        if not (ginv[p][b].is_zero() or ginv[a][q].is_zero())
-                    ),
-                )
-                for q in range(n)
-            ]
-            for p in range(n)
-        ]
-        for l in range(n)
-    ]
-    # dbar_l Gamma^p_{ki}
-    dgamma_bar = [
-        [
-            [
-                [
-                    _sum(
-                        ring,
-                        (
-                            dginv_bar[l][p][q] * table.partial(_add(e(i), e(k)), e(q))
-                            + ginv[p][q] * table.partial(_add(e(i), e(k)), _add(e(q), e(l)))
-                            for q in range(n)
-                        ),
-                    )
-                    for i in range(n)
-                ]
+    gz = [[_nz(v) for v in row] for row in ginv]
+    # dbar_l Gamma^p_{ki} = (dbar_l g^{pq̄}) d_k g_{iq̄} + g^{pq̄} dbar_l d_k g_{iq̄},
+    # with dbar_l g^{pq̄} = -g^{pb̄} (dbar_l g_{ab̄}) g^{aq̄}
+    dg = [[[_nz(partial(e2[i][k], e[q])) for q in range(n)] for k in range(n)] for i in range(n)]
+    dgamma_bar = []  # dgamma_bar[l][p][k][i]
+    for l in range(n):
+        d = [[_nz(partial(e[a], e2[b][l])) for b in range(n)] for a in range(n)]
+        dginv = _dginv(ring, ginv, d)
+        ddg = [[[_nz(partial(e2[i][k], e2[q][l])) for q in range(n)] for k in range(n)]
+               for i in range(n)]
+        block = []
+        for p in range(n):
+            dgz = [_nz(v) for v in dginv[p]]
+            qs = [q for q in range(n) if dgz[q] is not None or gz[p][q] is not None]
+            block.append([
+                [_sum(ring, _pair_terms(dgz, dg[i][k], gz[p], ddg[i][k], qs)) for i in range(n)]
                 for k in range(n)
-            ]
-            for p in range(n)
-        ]
-        for l in range(n)
-    ]
+            ])
+        dgamma_bar.append(block)
 
+    # gam[k][i] = [(p, Gamma^p_{ki}) for each non-zero Gamma^p_{ki}]
+    gam = [[[(p, gamma[p][k][i]) for p in range(n) if not gamma[p][k][i].is_zero()]
+            for i in range(n)] for k in range(n)]
     ric_cov1 = [
         [
             [
                 dric[k][i][j]
-                - _sum(
-                    ring,
-                    (
-                        ric[p][j] * gamma[p][k][i]
-                        for p in range(n)
-                        if not ric[p][j].is_zero()
-                    ),
-                )
+                - _sum(ring, (ric[p][j] * gp for p, gp in gam[k][i] if not ric[p][j].is_zero()))
                 for k in range(n)
             ]
             for j in range(n)
@@ -517,52 +519,24 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
         for i in range(n)
     ]  # ric_cov1[i][j][k] = Ric_{ij̄,k}
 
-    ric_cov2 = [
-        [
-            [
-                [
-                    ddric[i][j][k][l]
-                    + _sum(
-                        ring,
-                        (
-                            gamma[q][k][i] * gamma[p][l][j] * ric[q][p]
-                            for q in range(n)
-                            for p in range(n)
-                            if not ric[q][p].is_zero()
-                        ),
-                    )
-                    - _sum(
-                        ring,
-                        (
-                            gamma[p][k][i] * dric_bar[l][p][j]
-                            for p in range(n)
-                            if not gamma[p][k][i].is_zero()
-                        ),
-                    )
-                    - _sum(
-                        ring,
-                        (
-                            dgamma_bar[l][p][k][i] * ric[p][j]
-                            for p in range(n)
-                            if not ric[p][j].is_zero()
-                        ),
-                    )
-                    - _sum(
-                        ring,
-                        (
-                            gamma[p][l][j] * dric[k][i][p]
-                            for p in range(n)
-                            if not gamma[p][l][j].is_zero()
-                        ),
-                    )
-                    for l in range(n)
-                ]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]  # ric_cov2[i][j][k][l] = Ric_{ij̄,kl̄}
+    ric_cov2 = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    gki, glj = gam[k][i], gam[l][j]
+                    ric_cov2[i][j][k][l] = (
+                        -upartial(e2[i][k], e2[j][l])  # dbar_l d_k Ric_{ij̄}
+                        + _sum(ring, (gq * gp * ric[q][p] for q, gq in gki for p, gp in glj
+                                      if not ric[q][p].is_zero()))
+                        - _sum(ring, (gp * dric_bar[l][p][j] for p, gp in gki
+                                      if not dric_bar[l][p][j].is_zero()))
+                        - _sum(ring, (dgamma_bar[l][p][k][i] * ric[p][j] for p in range(n)
+                                      if not (dgamma_bar[l][p][k][i].is_zero()
+                                              or ric[p][j].is_zero())))
+                        - _sum(ring, (gp * dric[k][i][p] for p, gp in glj
+                                      if not dric[k][i][p].is_zero()))
+                    )  # ric_cov2[i][j][k][l] = Ric_{ij̄,kl̄}
 
     frame.ric_cov1 = ric_cov1
     frame.ric_cov2 = ric_cov2
@@ -593,53 +567,62 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
 
 
 def _nabla_R(frame: RadialTensorFrame) -> list:
-    """R_{ij̄kl̄,p} = d_p R_{ij̄kl̄} - Gamma^q_{pi} R_{qj̄kl̄} - Gamma^q_{pk} R_{ij̄ql̄}."""
+    """R_{ij̄kl̄,m} = d_m R_{ij̄kl̄} - Gamma^q_{mi} R_{qj̄kl̄} - Gamma^q_{mk} R_{ij̄ql̄},
+    with d_m R differentiated term by term from the formula for R; out[m][i][j][k][l]."""
     n, ring, table = frame.n, frame.ring, frame.table
     ginv, gamma, R = frame.ginv, frame.gamma, frame.R
-    e = lambda i: _e(n, i)
-    dginv = [
-        [
-            [
-                -_sum(
-                    ring,
-                    (
-                        ginv[p][b] * table.partial(_add(e(a), e(m)), e(b)) * ginv[a][q]
-                        for a in range(n)
-                        for b in range(n)
-                        if not (ginv[p][b].is_zero() or ginv[a][q].is_zero())
-                    ),
-                )
-                for q in range(n)
-            ]
-            for p in range(n)
-        ]
-        for m in range(n)
-    ]
+    partial = table.partial
+    e, e2 = _units(n)
+    gz = [[_nz(v) for v in row] for row in ginv]
+    Rz = [[[[_nz(v) for v in r3] for r3 in r2] for r2 in r1] for r1 in R]
+    # dbar[j][l][q] = dbar_j g_{ql̄}
+    dbar = [[[_nz(partial(e[q], e2[l][j])) for q in range(n)] for l in range(n)] for j in range(n)]
     out = [[[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for m in range(n):
+        # d_m g^{pq̄}, built from partial(e_a + e_m, e_b): this is transposed
+        # against the contraction below, which makes DR2 wrong; a1-a3 do not read it
+        d = [[_nz(partial(e2[a][m], e[b])) for b in range(n)] for a in range(n)]
+        dginv = _dginv(ring, ginv, d)
+        dgz = [[_nz(v) for v in row] for row in dginv]
+        dmdbar = [[[_nz(partial(e2[q][m], e2[l][j])) for q in range(n)] for l in range(n)]
+                  for j in range(n)]  # dmdbar[j][l][q] = d_m dbar_j g_{ql̄}
         for i in range(n):
             for k in range(n):
-                aik = _add(e(i), e(k))
-                aikm = _add(aik, e(m))
+                aik = e2[i][k]
+                aikm = _add(aik, e[m])
+                # (q, (d_m g^{pq̄}) d_k g_{ip̄}, g^{pq̄}, d_k g_{ip̄}, d_m d_k g_{ip̄}),
+                # in (p, q) order
+                terms = []
+                for p in range(n):
+                    bp, dbp = _nz(partial(aik, e[p])), _nz(partial(aikm, e[p]))
+                    if bp is None and dbp is None:
+                        continue
+                    for q in range(n):
+                        dgb = None if bp is None or dgz[p][q] is None else _nz(dgz[p][q] * bp)
+                        if dgb is not None or gz[p][q] is not None:
+                            terms.append((q, dgb, gz[p][q], bp, dbp))
+                gam = [(q, _nz(gamma[q][m][i]), _nz(gamma[q][m][k])) for q in range(n)]
+                gam = [t for t in gam if t[1] is not None or t[2] is not None]
                 for j in range(n):
                     for l in range(n):
-                        dlj = _add(e(l), e(j))
-                        acc = table.partial(aikm, dlj)
-                        for p in range(n):
-                            bp = table.partial(aik, e(p))
-                            dbp = table.partial(aikm, e(p))
-                            for q in range(n):
-                                cq = table.partial(e(q), dlj)
-                                dcq = table.partial(_add(e(q), e(m)), dlj)
-                                if not dginv[m][p][q].is_zero():
-                                    acc = acc - dginv[m][p][q] * bp * cq
-                                if not ginv[p][q].is_zero():
-                                    acc = acc - ginv[p][q] * (dbp * cq + bp * dcq)
-                        for q in range(n):
-                            if not gamma[q][m][i].is_zero():
-                                acc = acc - gamma[q][m][i] * R[q][j][k][l]
-                            if not gamma[q][m][k].is_zero():
-                                acc = acc - gamma[q][m][k] * R[i][j][q][l]
+                        acc = partial(aikm, e2[j][l])
+                        c, dc = dbar[j][l], dmdbar[j][l]
+                        for q, dgb, gpq, bp, dbp in terms:
+                            cq = c[q]
+                            if dgb is not None and cq is not None:
+                                acc = acc - dgb * cq
+                            if gpq is not None:
+                                t = None if dbp is None or cq is None else dbp * cq
+                                if bp is not None and dc[q] is not None:
+                                    u = bp * dc[q]
+                                    t = u if t is None else t + u
+                                if t is not None and not t.is_zero():
+                                    acc = acc - gpq * t
+                        for q, gmi, gmk in gam:
+                            if gmi is not None and Rz[q][j][k][l] is not None:
+                                acc = acc - gmi * Rz[q][j][k][l]
+                            if gmk is not None and Rz[i][j][q][l] is not None:
+                                acc = acc - gmk * Rz[i][j][q][l]
                         out[m][i][j][k][l] = acc
     return out
 
@@ -647,19 +630,28 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
 # -- invariants and the Lu report -------------------------------------------
 
 
-def _norm2_R(frame: RadialTensorFrame) -> RV:
-    """|R|^2 = sum of g^{iī} g^{jj̄} g^{kk̄} g^{ll̄} R_{ij̄kl̄}^2 (g^-1 is diagonal)."""
-    n, R = frame.n, frame.R
-    gi = [frame.ginv[i][i] for i in range(n)]
+class _Weights:
+    """w(i, j, ...) = g^{iī} g^{jj̄} ... as the left-associated product, memoised
+    by index prefix: one table per frame, shared by its contractions. (A class,
+    not a recursive closure, so the table is freed by reference counting.)"""
+
+    def __init__(self, frame: RadialTensorFrame):
+        self.gi = [frame.ginv[i][i] for i in range(frame.n)]
+        self.memo = {(i,): v for i, v in enumerate(self.gi)}
+
+    def __call__(self, *idx: int) -> RV:
+        v = self.memo.get(idx)
+        if v is None:
+            v = self.memo[idx] = self(*idx[:-1]) * self.gi[idx[-1]]
+        return v
+
+
+def _norm2_R(frame: RadialTensorFrame, w: _Weights) -> RV:
+    """|R|^2 = sum of g^{iī} g^{jj̄} g^{kk̄} g^{ll̄} R_{ij̄kl̄}^2 (g^-1 is diagonal);
+    w is the frame's weight table."""
     acc = frame.ring.zero
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    v = R[i][j][k][l]
-                    if v.is_zero():
-                        continue
-                    acc = acc + gi[i] * gi[j] * gi[k] * gi[l] * v * v
+    for (i, j, k, l), v in _entries(frame.R):
+        acc = acc + w(i, j, k, l) * v * v
     return acc
 
 
@@ -675,7 +667,10 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     would give, bit for bit.
 
     The inverse metric is diagonal at radial points (asserted at build time),
-    so contractions run over the free tensor indices with diagonal weights.
+    so contractions run over the non-zero entries of the free tensor indices,
+    in index order, with diagonal weights from one memoised table per frame.
+    A term with a zero factor would be the exact zero and leave the sum as it
+    is, so leaving it out changes no bit; see the module docstring.
     """
     # radial-function derivatives of rho; these genuinely need x-jets
     if frame.jet_order < 2:
@@ -686,115 +681,71 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     if frame.ric is None:
         _attach_ricci(frame)
     n, ring = frame.n, frame.ring
-    gi = [frame.ginv[i][i] for i in range(n)]
-
-    r2 = _norm2_R(frame)
-
+    w = _Weights(frame)
+    r2 = _norm2_R(frame, w)
     ric2 = ring.zero
-    for i in range(n):
-        for j in range(n):
-            v = frame.ric[i][j]
-            if v.is_zero():
-                continue
-            ric2 = ric2 + gi[i] * gi[j] * v * v
+    for (i, j), v in _entries(frame.ric):
+        ric2 = ric2 + w(i, j) * v * v
 
     # from here on, values only
     value = _value_frame(frame)
     ring = value.ring
-    gi = [value.ginv[i][i] for i in range(n)]
+    w = _Weights(value)
     R, ric = value.R, value.ric
-
-    def quad_weight(i, j, k, l):
-        return gi[i] * gi[j] * gi[k] * gi[l]
+    ric_entries, R_entries = _entries(ric), _entries(R)
 
     sigma3 = ring.zero
-    for i in range(n):
-        for j in range(n):
-            if ric[i][j].is_zero():
+    for (i, j), rij in ric_entries:
+        for k in range(n):
+            if ric[j][k].is_zero() or ric[k][i].is_zero():
                 continue
-            for k in range(n):
-                term = ric[i][j] * ric[j][k] * ric[k][i]
-                if term.is_zero():
-                    continue
-                sigma3 = sigma3 + gi[i] * gi[j] * gi[k] * term
+            term = rij * ric[j][k] * ric[k][i]
+            if not term.is_zero():
+                sigma3 = sigma3 + w(i, j, k) * term
 
     r_ric_ric = ring.zero
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if R[i][j][k][l].is_zero() or ric[j][i].is_zero() or ric[l][k].is_zero():
-                        continue
-                    r_ric_ric = r_ric_ric + quad_weight(i, j, k, l) * (
-                        R[i][j][k][l] * ric[j][i] * ric[l][k]
-                    )
+    for (i, j, k, l), v in R_entries:
+        if not (ric[j][i].is_zero() or ric[l][k].is_zero()):
+            r_ric_ric = r_ric_ric + w(i, j, k, l) * (v * ric[j][i] * ric[l][k])
 
+    R_by_first = [[] for _ in range(n)]
+    for (j, k, p, q), v in R_entries:
+        R_by_first[j].append((k, p, q, v))
     ric_r_r = ring.zero
-    for i in range(n):
-        for j in range(n):
-            if ric[i][j].is_zero():
-                continue
-            for k in range(n):
-                for p in range(n):
-                    for q in range(n):
-                        t1 = R[j][k][p][q]
-                        t2 = R[k][i][q][p]
-                        if t1.is_zero() or t2.is_zero():
-                            continue
-                        ric_r_r = ric_r_r + (
-                            gi[i] * gi[j] * gi[k] * gi[p] * gi[q] * ric[i][j] * t1 * t2
-                        )
+    for (i, j), rij in ric_entries:
+        for k, p, q, t1 in R_by_first[j]:
+            t2 = R[k][i][q][p]
+            if not t2.is_zero():
+                ric_r_r = ric_r_r + w(i, j, k, p, q) * rij * t1 * t2
 
     dric2 = ring.zero
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = value.ric_cov1[i][j][k]
-                if v.is_zero():
-                    continue
-                dric2 = dric2 + gi[i] * gi[j] * gi[k] * v * v
+    for (i, j, k), v in _entries(value.ric_cov1):
+        dric2 = dric2 + w(i, j, k) * v * v
 
-    nabla = _nabla_R(value)
     dr2 = ring.zero
-    for p in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        v = nabla[p][i][j][k][l]
-                        if v.is_zero():
-                            continue
-                        dr2 = dr2 + (
-                            gi[i] * gi[j] * gi[k] * gi[l] * gi[p] * v * v
-                        )
+    for (p, i, j, k, l), v in _entries(_nabla_R(value)):
+        dr2 = dr2 + w(i, j, k, l, p) * v * v
 
     rho_x = frame.rho.even_jet("scalar curvature").derive()
     rho_xx = rho_x.derive()
     rho_x, rho_xx = rho_x.truncate(0), rho_xx.truncate(0)
     drho = ring.odd(rho_x)
-    drho2 = gi[0] * drho * drho
+    drho2 = ring.zero if drho.is_zero() else w(0) * drho * drho
     # complex Hessian of a radial function: u'' zbar_a z_b + u' delta_ab
     hess = [[ring.zero] * n for _ in range(n)]
     hess[0][0] = ring.even(rho_xx * ring.x + rho_x)
     for i in range(1, n):
         hess[i][i] = ring.even(rho_x)
     ric_hess = ring.zero
-    for i in range(n):
-        for j in range(n):
-            if ric[i][j].is_zero() or hess[j][i].is_zero():
-                continue
-            ric_hess = ric_hess + gi[i] * gi[j] * ric[i][j] * hess[j][i]
+    for (i, j), rij in ric_entries:
+        if not hess[j][i].is_zero():
+            ric_hess = ric_hess + w(i, j) * rij * hess[j][i]
 
     ric_cov2_r = ring.zero
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    a = value.ric_cov2[i][j][k][l]
-                    b = R[j][i][l][k]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    ric_cov2_r = ric_cov2_r + quad_weight(i, j, k, l) * a * b
+    for (i, j, k, l), a in _entries(value.ric_cov2):
+        b = R[j][i][l][k]
+        if not b.is_zero():
+            ric_cov2_r = ric_cov2_r + w(i, j, k, l) * a * b
 
     names = {
         "rho": frame.rho,
@@ -933,7 +884,7 @@ def curvature_norm2(
     """|R|^2 as a jet in x, without building the Ricci block (fast path)."""
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
     frame = frame_at_x(fam, n, x0, jet_order, with_ricci=False)
-    return _norm2_R(frame).even_jet("|R|^2")
+    return _norm2_R(frame, _Weights(frame)).even_jet("|R|^2")
 
 
 def closed_forms_eps(n: int, eps: int, x: ScalarLike, lam: Fraction = Fraction(1)) -> dict[str, Scalar]:

@@ -262,22 +262,6 @@ class HermitianBiJet:
     def coeff(self, i: int, j: int) -> Scalar:
         return self.coeffs[i][j]
 
-    def mixed_partial(self, i: int, j: int) -> Scalar:
-        fact = 1
-        for m in range(2, i + 1):
-            fact *= m
-        for m in range(2, j + 1):
-            fact *= m
-        return self.coeffs[i][j] * fact
-
-    def is_symmetric(self) -> bool:
-        n = self.order + 1
-        return all(
-            (self.coeffs[i][j] - self.coeffs[j][i]).sign() == Sign.ZERO
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-
     def _check_base(self, other: "HermitianBiJet") -> None:
         if other.base != self.base:
             raise ValueError("bivariate jet base points differ")

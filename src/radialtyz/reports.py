@@ -35,12 +35,13 @@ def scalar_to_json(value: Scalar) -> dict[str, Any]:
 
 
 def scalar_to_text(value: Scalar) -> str:
-    """Flat text: exact rationals verbatim, everything else decimal."""
+    """Flat text: exact rationals verbatim, root elements decimal, and a ball as
+    midpoint ± radius, so a ball around 0 does not read as a non-zero value."""
     if isinstance(value, RationalScalar):
         return str(value.value)
     if isinstance(value, RootScalar):
         return value.to_ball(192).midpoint_str(40)
-    return value.midpoint_str()
+    return f"{value.midpoint_str()} ± {value.radius_str()}"
 
 
 def scalar_to_decimal(value: Scalar, dps: int = 30) -> str:

@@ -49,12 +49,6 @@ class DiastasisGerm:
     order: int
     bijet: HermitianBiJet  # in scaled offsets u_hat, v_hat
 
-    def coeff_unscaled(self, i: int, j: int) -> Scalar:
-        """Coefficient in the unscaled offsets (z1 - s, z̄1 - s); needs s."""
-        if self.s is None:
-            raise ValueError("unscaled coefficients need an explicit s")
-        return self.bijet.coeff(i, j) / int_pow(self.s, i + j)
-
 
 def _inner_bijet(x0: Scalar, order: int) -> HermitianBiJet:
     """x = s^2 (1 + u_hat)(1 + v_hat) as a bivariate jet: x0(1 + u + v + uv)."""

@@ -4,9 +4,10 @@ import sys
 from fractions import Fraction
 
 from radialtyz import potentials
+from radialtyz.curvature import frame_at_x
 
 from radialtyz.reports import scalar_to_json
-from radialtyz.scalars import BallScalar, Scalar, Sign, abs_le, as_scalar
+from radialtyz.scalars import BallScalar, Scalar, Sign, abs_le, as_scalar, int_pow
 
 
 def assert_exact_zero(value: Scalar, what: str = "value"):
@@ -46,3 +47,22 @@ def count_fprime_calls(monkeypatch) -> list:
         if name.split(".")[0] == "radialtyz" and getattr(mod, "fprime_jet", None) is original:
             monkeypatch.setattr(mod, "fprime_jet", counted)
     return calls
+
+
+def frame_at_s(fam, n: int, s, jet_order: int = 0):
+    """The frame at x = s*s, with s recorded for full_value."""
+    s = as_scalar(s)
+    frame = frame_at_x(fam, n, s * s, jet_order)
+    frame.s = s
+    return frame
+
+
+def is_hermitian_symmetric(bijet) -> bool:
+    """c_ij = c_ji exactly for every coefficient of a HermitianBiJet."""
+    c = bijet.coeffs
+    return all((c[i][j] - c[j][i]).sign() == Sign.ZERO for i in range(len(c)) for j in range(i))
+
+
+def coeff_unscaled(germ, i: int, j: int) -> Scalar:
+    """A diastasis germ coefficient in the unscaled offsets (z1 - s, z̄1 - s)."""
+    return germ.bijet.coeff(i, j) / int_pow(germ.s, i + j)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,6 @@ from radialtyz import curvature
 from radialtyz.curvature import (
     PhiPartialTable,
     RadialRing,
-    build_frame,
     closed_forms_eps,
     curvature_norm2,
     frame_at_x,
@@ -25,9 +25,9 @@ from radialtyz.potentials import (
     prepare_point,
     ricci_flat_residual,
 )
-from radialtyz.scalars import Sign, abs_le, as_scalar, nth_root
+from radialtyz.scalars import DomainError, Sign, abs_le, as_scalar, nth_root
 
-from helpers import assert_exact_zero, assert_within, scalars_digest
+from helpers import assert_exact_zero, assert_within, frame_at_s, scalars_digest
 
 
 def test_mixed_partials_metric_entries():
@@ -50,8 +50,8 @@ def test_mixed_partial_flat_fourth_order():
 
 
 def test_frame_rejects_origin():
-    with pytest.raises(Exception):
-        build_frame(Simanca(), 2, 0)
+    with pytest.raises(DomainError, match="x > 0"):
+        lu_coefficients(Simanca(), 2, s=0)
 
 
 def test_eps_family_curvature_components():
@@ -264,8 +264,8 @@ def test_norms_are_nonnegative():
 def test_plus_minus_s_consistency():
     fam = Simanca()
     s = F(6, 5)
-    fp = build_frame(fam, 2, s, 0)
-    fm = build_frame(fam, 2, -s, 0)
+    fp = frame_at_s(fam, 2, s)
+    fm = frame_at_s(fam, 2, -s)
     v_plus = fp.ric_cov1[0][0][0].full_value(fp.s)
     v_minus = fm.ric_cov1[0][0][0].full_value(fm.s)
     assert (v_plus + v_minus).sign() == Sign.ZERO  # odd component flips
@@ -365,3 +365,106 @@ def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch):
         )
     lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4))
     assert orders == [("_attach_ricci_cov", 0), ("_nabla_R", 0)]
+
+
+def _all_coeffs(t) -> list:
+    return [c for rv in _leaves(t) for part in (rv.ev, rv.od) for c in part.coeffs]
+
+
+# (R, ric_cov1, ric_cov2 of an order-2 frame, order-0 nabla R): the first 16
+# hex digits of scalars_digest over every coefficient, taken from the dense
+# index loops these replaced; x = 3/4, 3/2, 2, 3/4 and 5/4 per family
+COVARIANT_DIGESTS = {
+    ("eps+1", 2, True): ("d4b53ff7b946835c", "b9ebaf6936c079e1", "4f4cb532545f7cea", "9a8fac48311c9372"),
+    ("eps+1", 2, False): ("f9b6d482206b693b", "a3d70e0237e7fc13", "208db64d3990428a", "c7f1949d8283e192"),
+    ("eps+1", 3, True): ("286ef07ee437acb0", "81b2b66b4165f647", "3c91455830f759a4", "fbbb571c896e433a"),
+    ("eps+1", 3, False): ("be39bfe32f65d892", "442844d3fb340a91", "31135ad9bc92cfac", "701b5f5a97acfb26"),
+    ("eps+1", 4, True): ("a4a5ff847792303e", "9303b5ecb7676288", "e8ad8b234d1327c0", "97f3ff1b03caaf43"),
+    ("eps+1", 4, False): ("2c6d0fc82272e79b", "2a99ef506d77df02", "af551e60596774b5", "718cf8725f359b94"),
+    ("eps-1", 2, True): ("9e41587b0f4ccff6", "b9ebaf6936c079e1", "4f4cb532545f7cea", "6839936fb35d5768"),
+    ("eps-1", 2, False): ("2a159bb71e478e2a", "2be8a56bd72f8dea", "9c9f782276015f7a", "cf679ede8871a7b0"),
+    ("eps-1", 3, True): ("a6d3d4749076a38c", "81b2b66b4165f647", "3c91455830f759a4", "315a252815135950"),
+    ("eps-1", 3, False): ("aa16fa48d36f575f", "4ac9ef5e4a2982b6", "f2ef726e56ef37c0", "8cb0e34a4116efa3"),
+    ("eps-1", 4, True): ("460696577294f749", "9303b5ecb7676288", "e8ad8b234d1327c0", "f014bbba31c032ee"),
+    ("eps-1", 4, False): ("190eed5dab9715e4", "67e2f412201caf78", "6b5e812ca8079713", "418e44ad750d477b"),
+    ("simanca", 3, True): ("2fd5557c42d8edf3", "5a6d68a8213bab90", "1641dbab692d3d2f", "ac71c1fa8e1689a6"),
+    ("simanca", 3, False): ("752d5706b0f6f85a", "b7b7e30b0f07bb21", "2eede60c6a86acce", "8dfb368067241b29"),
+    ("eguchi-hanson", 3, True): ("53b57116417d16d1", "86be6500260fcd94", "3e69d15b6473aa88", "2d0c2ef5b656a1f4"),
+    ("eguchi-hanson", 3, False): ("42ba6b79c9268838", "2685e1c2b139b2e6", "1b0e894f748a2d96", "c614bd1b120d5de2"),
+    ("flat", 3, True): ("3c91455830f759a4", "81b2b66b4165f647", "3c91455830f759a4", "3c91455830f759a4"),
+    ("flat", 3, False): ("0b20428ad74cf5ce", "5aba24403ac997b0", "7af502960314fe4c", "a788be098e94832f"),
+}
+COVARIANT_FAMILIES = {
+    "eps+1": (lambda n: EpsilonFamily(1, F(1), n), F(3, 4)),
+    "eps-1": (lambda n: EpsilonFamily(-1, F(1), n), F(3, 2)),
+    "simanca": (lambda n: Simanca(), F(2)),
+    "eguchi-hanson": (lambda n: EguchiHanson(), F(3, 4)),
+    "flat": (lambda n: EpsilonFamily(0, F(2), n), F(5, 4)),
+}
+
+
+@pytest.mark.parametrize("name, n, exact", list(COVARIANT_DIGESTS))
+def test_covariant_tensors_pinned(name, n, exact):
+    # every coefficient, backend and ball endpoint of R, the covariant Ricci
+    # block and nabla R, bit for bit, exact and on 256-bit balls
+    make, x = COVARIANT_FAMILIES[name]
+    fam = make(n)
+    x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=256)
+    frame = frame_at_x(fam, n, x0, 2)
+    nabla = curvature._nabla_R(curvature._value_frame(frame))
+    got = tuple(
+        scalars_digest(_all_coeffs(t))[:16]
+        for t in (frame.R, frame.ric_cov1, frame.ric_cov2, nabla)
+    )
+    assert got == COVARIANT_DIGESTS[(name, n, exact)]
+
+
+@pytest.mark.parametrize("fam, n, x, exact", [
+    (EpsilonFamily(1, F(1), 3), 3, F(3, 4), False),
+    (EpsilonFamily(1, F(1), 2), 2, F(3, 4), True),
+    (Simanca(), 2, F(1, 2), True),
+    (EguchiHanson(), 3, F(3, 4), False),
+    (EpsilonFamily(0, F(1), 4), 4, F(3, 4), False),
+])
+def test_lu_multiplies_no_zero_factor(monkeypatch, fam, n, x, exact):
+    # the tensor loops and contractions test each factor before forming a
+    # product, so no RV product in lu_coefficients has a zero operand; the
+    # first case covers _nabla_R and _attach_ricci_cov at a Ricci-flat point
+    seen = {"products": 0, "zero": [], "scoped": 0}
+    scopes = []
+    mul = curvature.RV.__mul__
+
+    def counted_mul(self, other):
+        if isinstance(other, curvature.RV):
+            seen["products"] += 1
+            seen["scoped"] += bool(scopes)
+            if self.is_zero() or other.is_zero():
+                seen["zero"].append(tuple(scopes))
+        return mul(self, other)
+
+    def scoped(name, f):
+        def run(*args, **kwargs):
+            scopes.append(name)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                scopes.pop()
+        return run
+
+    monkeypatch.setattr(curvature.RV, "__mul__", counted_mul)
+    for name in ("_attach_ricci_cov", "_nabla_R"):
+        monkeypatch.setattr(curvature, name, scoped(name, getattr(curvature, name)))
+    lu_coefficients(fam, n, x=x, exact=exact, precision_bits=256)
+    assert seen["zero"] == []
+    if n == 3 and not exact:
+        assert seen["scoped"] > 0
+
+
+def test_lu_dimension_six_within_budget():
+    # the tensor loops visit non-zero terms only, so cost follows the
+    # non-zero entries rather than n^7 index tuples
+    start = time.process_time()
+    rep = lu_coefficients(EpsilonFamily(1, F(1), 6), 6, x=F(3, 4), exact=False, precision_bits=256)
+    elapsed = time.process_time() - start
+    assert rep.a3.backend == "ball"
+    assert elapsed < 1.5, f"lu_coefficients at n=6 took {elapsed:.2f} s of CPU"

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,8 @@ from radialtyz.jets import (
     bijet_exp,
 )
 from radialtyz.scalars import Sign, SignUndeterminedError, as_scalar
+
+from helpers import is_hermitian_symmetric
 
 coeff = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12)
 coeff_lists = st.lists(coeff, min_size=1, max_size=7)
@@ -150,7 +153,7 @@ def test_bijet_compose_square_against_brute_force():
     expect = {(0, 0): "1", (0, 1): "2", (1, 0): "2", (1, 1): "4"}
     for (i, j), want in expect.items():
         assert comp.coeff(i, j).text() == want
-    assert comp.is_symmetric()
+    assert is_hermitian_symmetric(comp)
 
 
 def test_bijet_order_shortfall():
@@ -163,13 +166,18 @@ def test_bijet_products_and_symmetry():
     a = HermitianBiJet.make(2, [[F(1), F(2)], [F(2), F(3)]])
     b = HermitianBiJet.make(2, [[F(4), F(-1)], [F(-1), F(5)]])
     p = a * b * a
-    assert p.is_symmetric()
+    assert is_hermitian_symmetric(p)
     e = bijet_exp(a - a)  # zero
     assert e.coeff(0, 0).text() == "1"
 
 
 def test_bijet_mixed_partial_convention():
-    b = HermitianBiJet.make(0, [[F(0), F(1), F(5)], [F(1), F(3), F(0)], [F(5), F(0), F(7)]])
-    assert b.mixed_partial(1, 1).text() == "3"
-    assert b.mixed_partial(2, 2).text() == "28"  # 2! 2! * 7
-    assert b.mixed_partial(0, 2).text() == "10"  # 2! * 5
+    # mixed partials at the base point are i! j! c_ij: x^3 composed with
+    # x = (1+u)(1+v), against sympy's derivatives of ((1+u)(1+v))^3 at 0
+    u, v = sp.symbols("u v")
+    inner = HermitianBiJet.make(1, [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+    comp = bijet_compose_univariate(Jet.variable(1, 4) ** 3, inner)
+    for i in range(3):
+        for j in range(3):
+            want = sp.diff(((1 + u) * (1 + v)) ** 3, u, i, v, j).subs({u: 0, v: 0})
+            assert F(comp.coeff(i, j).text()) * sp.factorial(i) * sp.factorial(j) == want
