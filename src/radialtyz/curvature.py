@@ -1,11 +1,13 @@
 """Curvature tensors, contraction invariants and TYZ coefficients at radial points.
 
-The potential is Phi(z) = f(|z|^2). Mixed partials of Phi are differentiated
-symbolically (terms c * f^(k) * z^a * zbar^b are closed under d/dz_j and
-d/dzbar_j) and evaluated at the radial point p = (s, 0, ..., 0). Evaluated
-quantities live in the ring R[s]/(s^2 = x) over x-jets: a value is
-`even(x) + odd(x) * s`, so no square root of x is ever taken, and a frame
-over jets in x of order m holds m x-derivatives of every tensor entry.
+The potential is Phi(z) = f(|z|^2). Its mixed partials at the radial point
+p = (s, 0, ..., 0) come from a closed formula in the derivatives of f
+(PhiPartialTable): by U(n-1) symmetry d^alpha dbar^beta Phi vanishes there
+unless alpha_a = beta_a for every a >= 2, and g is diagonal, so every
+contraction with g^-1 runs over its diagonal. Evaluated quantities live in the
+ring R[s]/(s^2 = x) over x-jets: a value is `even(x) + odd(x) * s`, so no
+square root of x is ever taken, and a frame over jets in x of order m holds m
+x-derivatives of every tensor entry.
 
 lu_coefficients takes radial Laplacians of rho, |R|^2 and |Ric|^2 only, so
 g, Gamma, R, Ric and rho are carried as jets of order 4 for it. Every other
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import comb, factorial, perm, prod
 
 from .jets import Jet
 from .potentials import PotentialFamily, det_jet_from_fprime, fprime_jet, prepare_point
@@ -155,41 +157,27 @@ class RV:
         return v + self.od.value() * s
 
 
-# -- symbolic mixed partials of Phi = f(|z|^2) -----------------------------
-
-TermKey = tuple[int, tuple[int, ...], tuple[int, ...]]  # (k, a, b)
-
-
-def _diff_terms(terms: Mapping[TermKey, Fraction], var: int, barred: bool, n: int):
-    out: dict[TermKey, Fraction] = {}
-
-    def bump(key: TermKey, c: Fraction):
-        out[key] = out.get(key, Fraction(0)) + c
-
-    for (k, a, b), c in terms.items():
-        if barred:
-            # d/dzbar_var: f^(k) -> f^(k+1) * z_var ; power rule on zbar
-            bump((k + 1, _inc(a, var), b), c)
-            if b[var]:
-                bump((k, a, _dec(b, var)), c * b[var])
-        else:
-            bump((k + 1, a, _inc(b, var)), c)
-            if a[var]:
-                bump((k, _dec(a, var), b), c * a[var])
-    return out
-
-
-def _inc(t: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return t[:i] + (t[i] + 1,) + t[i + 1 :]
-
-
-def _dec(t: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return t[:i] + (t[i] - 1,) + t[i + 1 :]
+# -- mixed partials of Phi = f(|z|^2) at the radial point --------------------
 
 
 class PhiPartialTable:
     """Evaluated mixed partials d^alpha dbar^beta U at (s, 0, ..., 0) as RVs, for
     a radial function U(z) = u(|z|^2) given by the jet du of u' at x0 = s^2.
+
+    Write p = alpha_1, q = beta_1 and M = sum_{a>=2} alpha_a. Each z_a with
+    a >= 2 enters U only through z_a zbar_a, which vanishes at the point, so the
+    partial is zero unless alpha_a = beta_a for every a >= 2 (the U(n-1) zero
+    rule); each such pair then contributes alpha_a! and alpha_a more
+    derivatives of u. In z_1, dbar^q u = u^(q) z_1^q, and Leibniz gives
+
+        prod_{a>=2} alpha_a! * sum_{j=0}^{min(p,q)} C(p, j) q!/(q-j)!
+                                  * s^(p+q-2j) * u^(p+q-j+M)(x).
+
+    s^m is x^(m//2), times s when m is odd, so a term lands in the even or the
+    odd part. The terms are added in ascending j, which is descending
+    derivative order k = p+q-j+M, each as u^(k) * c * x^(m//2) added to an
+    exact zero: on balls a sum's endpoints depend on that order, and this is
+    the order the pinned ball digests were taken in.
 
     The frame builds one for the potential (u = f) and one for log det g; both
     live on the frame's ring. du must have order ring jet order + max_order - 1.
@@ -216,39 +204,7 @@ class PhiPartialTable:
             d = d.derive()
             uderiv.append(d.truncate(jet_order))
         self._uderiv = uderiv
-        self._sym: dict[tuple, Mapping[TermKey, Fraction]] = {}
         self._val: dict[tuple, RV] = {}
-
-    def truncated(self, ring: RadialRing) -> "PhiPartialTable":
-        """The same partials over a ring of lower jet order, from the same u' jet
-        and sharing the symbolic terms; jet arithmetic is causal, so each value
-        is this table's to the ring's order, bit for bit."""
-        table = PhiPartialTable(self.du, self.n, self.max_order, ring)
-        table._sym = self._sym
-        return table
-
-    def _terms(self, alpha: tuple[int, ...], beta: tuple[int, ...]):
-        key = (alpha, beta)
-        cached = self._sym.get(key)
-        if cached is not None:
-            return cached
-        if not any(alpha) and not any(beta):
-            z = (0,) * self.n
-            terms: Mapping[TermKey, Fraction] = {(0, z, z): Fraction(1)}
-        else:
-            for i, e in enumerate(alpha):
-                if e:
-                    prev = self._terms(_dec(alpha, i), beta)
-                    terms = _diff_terms(prev, i, False, self.n)
-                    break
-            else:
-                for i, e in enumerate(beta):
-                    if e:
-                        prev = self._terms(alpha, _dec(beta, i))
-                        terms = _diff_terms(prev, i, True, self.n)
-                        break
-        self._sym[key] = terms
-        return terms
 
     def partial(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> RV:
         key = (alpha, beta)
@@ -260,20 +216,23 @@ class PhiPartialTable:
             raise ValueError(
                 f"table built to total order {self.max_order}, requested {total}"
             )
-        ev = self.ring.zero_jet
-        od = self.ring.zero_jet
-        for (k, a, b), c in self._terms(alpha, beta).items():
-            if any(a[i] or b[i] for i in range(1, self.n)):
-                continue  # vanishes at z_i = 0, i >= 2
-            m = a[0] + b[0]
-            contrib = self._uderiv[k] * c
-            if m // 2:
-                contrib = contrib * self.ring.x_power(m // 2)
-            if m % 2:
-                od = od + contrib
-            else:
-                ev = ev + contrib
-        rv = RV(self.ring, ev, od)
+        ring = self.ring
+        rv = ring.zero
+        if alpha[1:] == beta[1:]:
+            p, q, rest = alpha[0], beta[0], alpha[1:]
+            top = p + q + sum(rest)  # the derivative order of the j = 0 term
+            weight = prod(factorial(a) for a in rest)
+            ev = od = ring.zero_jet
+            for j in range(min(p, q) + 1):
+                m = p + q - 2 * j
+                term = self._uderiv[top - j] * Fraction(weight * comb(p, j) * perm(q, j))
+                if m >= 2:
+                    term = term * ring.x_power(m // 2)
+                if m % 2:
+                    od = od + term
+                else:
+                    ev = ev + term
+            rv = RV(ring, ev, od)
         self._val[key] = rv
         return rv
 
@@ -294,11 +253,6 @@ def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def _nz(v: RV) -> RV | None:
     """v, or None where v is zero, so that a loop tests each factor once."""
     return None if v.is_zero() else v
-
-
-def _nonzero_rows(m: list) -> list:
-    """rows[p] = [(q, m[p][q]) for each non-zero entry of row p], in index order."""
-    return [[(q, v) for q, v in enumerate(row) if not v.is_zero()] for row in m]
 
 
 def _sum(ring: RadialRing, items) -> RV:
@@ -373,33 +327,28 @@ def frame_at_x(
                 raise ArithmeticError("radial metric must be diagonal at a radial point")
         if g[i][i].ev.value().require_sign("metric diagonal") != Sign.POSITIVE:
             raise DomainError("singular metric: a diagonal entry is not certified positive")
-    ginv = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        ginv[i][i] = g[i][i].inverse()
-    rows = _nonzero_rows(ginv)
+    gi = [g[i][i].inverse() for i in range(n)]
+    ginv = [[gi[i] if i == j else ring.zero for j in range(n)] for i in range(n)]
     # dg[i][k][q] = d_k g_{iq̄}
     dg = [[[_nz(partial(e2[i][k], e[q])) for q in range(n)] for k in range(n)] for i in range(n)]
 
-    # Christoffels: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}
+    # Christoffels: Gamma^p_{ki} = g^{pp̄} d_k g_{ip̄} (g^-1 is diagonal)
     gamma = [
         [
-            [
-                _sum(ring, (gpq * dg[i][k][q] for q, gpq in rows[p] if dg[i][k][q] is not None))
-                for i in range(n)
-            ]
+            [ring.zero if dg[i][k][p] is None else gi[p] * dg[i][k][p] for i in range(n)]
             for k in range(n)
         ]
         for p in range(n)
     ]
 
-    # curvature: R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pq̄} (d_k g_{ip̄})(dbar_j g_{ql̄}),
-    # with g^{pq̄} d_k g_{ip̄} formed once per (i, k)
+    # curvature: R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pp̄} (d_k g_{ip̄})(dbar_j g_{pl̄}),
+    # with g^{pp̄} d_k g_{ip̄} formed once per (i, k)
     dbar = [[[_nz(partial(e[q], e2[l][j])) for q in range(n)] for l in range(n)] for j in range(n)]
     R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for k in range(n):
             b = dg[i][k]
-            gb = [(q, gpq * b[p]) for p in range(n) if b[p] is not None for q, gpq in rows[p]]
+            gb = [(p, gi[p] * b[p]) for p in range(n) if b[p] is not None]
             for j in range(n):
                 for l in range(n):
                     acc = partial(e2[i][k], e2[j][l])
@@ -429,28 +378,23 @@ def _attach_ricci(frame: RadialTensorFrame) -> None:
     det = det_jet_from_fprime(frame.table.du, n)
     U = PhiPartialTable(det.derive() / det.truncate(det.order - 1), n, 4, ring)
     ric = [[-U.partial(e[i], e[j]) for j in range(n)] for i in range(n)]
-    rows = _nonzero_rows(frame.ginv)
+    ginv = frame.ginv
     frame.rho = _sum(
-        ring,
-        (gji * ric[i][j] for j in range(n) for i, gji in rows[j] if not ric[i][j].is_zero()),
+        ring, (ginv[j][j] * ric[j][j] for j in range(n) if not ric[j][j].is_zero())
     ) * 2
     frame.log_det = U
     frame.ric = ric
 
 
-def _dginv(ring: RadialRing, ginv: list, d: list) -> list:
-    """-g^{pb̄} d[a][b] g^{aq̄}: a derivative of g^{pq̄} from the same derivative
-    d[a][b] of g_{ab̄} (None where zero)."""
+def _dginv(ginv: list, d: list) -> list:
+    """-g^{pp̄} d[q][p] g^{qq̄}: a derivative of g^{pq̄} from the same derivative
+    d[a][b] of g_{ab̄}. g^-1 is diagonal at radial points, so the general
+    -g^{pb̄} d[a][b] g^{aq̄} has this one term. Zero entries, of d and of the
+    result, are None."""
     n = len(ginv)
-    rows = _nonzero_rows(ginv)
-    cols = _nonzero_rows([list(col) for col in zip(*ginv)])
     return [
         [
-            -_sum(
-                ring,
-                (gpb * d[a][b] * gaq for a, gaq in cols[q] for b, gpb in rows[p]
-                 if d[a][b] is not None),
-            )
+            None if d[q][p] is None else _nz(-(ginv[p][p] * d[q][p] * ginv[q][q]))
             for q in range(n)
         ]
         for p in range(n)
@@ -491,12 +435,12 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
     dgamma_bar = []  # dgamma_bar[l][p][k][i]
     for l in range(n):
         d = [[_nz(partial(e[a], e2[b][l])) for b in range(n)] for a in range(n)]
-        dginv = _dginv(ring, ginv, d)
+        dginv = _dginv(ginv, d)
         ddg = [[[_nz(partial(e2[i][k], e2[q][l])) for q in range(n)] for k in range(n)]
                for i in range(n)]
         block = []
         for p in range(n):
-            dgz = [_nz(v) for v in dginv[p]]
+            dgz = dginv[p]
             qs = [q for q in range(n) if dgz[q] is not None or gz[p][q] is not None]
             block.append([
                 [_sum(ring, _pair_terms(dgz, dg[i][k], gz[p], ddg[i][k], qs)) for i in range(n)]
@@ -542,6 +486,11 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
     frame.ric_cov2 = ric_cov2
 
 
+def _cut(t, ring: RadialRing):
+    """A nested tensor of RVs truncated to the ring's jet order."""
+    return [_cut(u, ring) for u in t] if isinstance(t, list) else t.truncate(ring)
+
+
 def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
     """The frame's order-0 truncation, with the covariant Ricci block built at
     order 0.
@@ -551,16 +500,14 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
     value computed here is the constant term of the same quantity computed over
     the frame's jets, bit for bit. Needs _attach_ricci.
     """
+    n, table, log_det = frame.n, frame.table, frame.log_det
     ring = RadialRing(frame.ring.x.truncate(0))
-
-    def cut(t):
-        return [cut(u) for u in t] if isinstance(t, list) else t.truncate(ring)
-
     value = RadialTensorFrame(
-        fam=frame.fam, n=frame.n, x0=frame.x0, s=frame.s, jet_order=0, ring=ring,
-        table=frame.table.truncated(ring), g=cut(frame.g), ginv=cut(frame.ginv),
-        gamma=cut(frame.gamma), R=cut(frame.R), log_det=frame.log_det.truncated(ring),
-        ric=cut(frame.ric),
+        fam=frame.fam, n=n, x0=frame.x0, s=frame.s, jet_order=0, ring=ring,
+        table=PhiPartialTable(table.du, n, table.max_order, ring),
+        g=_cut(frame.g, ring), ginv=_cut(frame.ginv, ring), gamma=_cut(frame.gamma, ring),
+        R=_cut(frame.R, ring), log_det=PhiPartialTable(log_det.du, n, log_det.max_order, ring),
+        ric=_cut(frame.ric, ring),
     )
     _attach_ricci_cov(value)
     return value
@@ -569,7 +516,7 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
 def _nabla_R(frame: RadialTensorFrame) -> list:
     """R_{ij̄kl̄,m} = d_m R_{ij̄kl̄} - Gamma^q_{mi} R_{qj̄kl̄} - Gamma^q_{mk} R_{ij̄ql̄},
     with d_m R differentiated term by term from the formula for R; out[m][i][j][k][l]."""
-    n, ring, table = frame.n, frame.ring, frame.table
+    n, table = frame.n, frame.table
     ginv, gamma, R = frame.ginv, frame.gamma, frame.R
     partial = table.partial
     e, e2 = _units(n)
@@ -582,8 +529,7 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
         # d_m g^{pq̄}, built from partial(e_a + e_m, e_b): this is transposed
         # against the contraction below, which makes DR2 wrong; a1-a3 do not read it
         d = [[_nz(partial(e2[a][m], e[b])) for b in range(n)] for a in range(n)]
-        dginv = _dginv(ring, ginv, d)
-        dgz = [[_nz(v) for v in row] for row in dginv]
+        dgz = _dginv(ginv, d)
         dmdbar = [[[_nz(partial(e2[q][m], e2[l][j])) for q in range(n)] for l in range(n)]
                   for j in range(n)]  # dmdbar[j][l][q] = d_m dbar_j g_{ql̄}
         for i in range(n):
@@ -763,16 +709,16 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     return {k: v.even_jet(k) for k, v in names.items()}
 
 
-def radial_laplacian_jet(u: Jet, fam: PotentialFamily, n: int) -> Jet:
-    """Delta u as a jet of order u.order - 2 (radial Laplacian formula)."""
+def radial_laplacian_jet(u: Jet, fp: Jet, n: int) -> Jet:
+    """Delta u as a jet of order u.order - 2 (radial Laplacian formula), from the
+    jet fp of f' at the same point, of order at least u.order - 1."""
     if u.order < 2:
         raise ValueError("radial Laplacian needs a jet of order >= 2")
-    x0 = u.x0
     du = u.derive()
     ddu = du.derive()
-    fp = fprime_jet(fam, x0, u.order - 1)
+    fp = fp.truncate(u.order - 1)
     fpp = fp.derive()
-    x = Jet.variable(x0, u.order - 2)
+    x = Jet.variable(u.x0, u.order - 2)
     g11 = fp + x * fpp  # g_{11̄}; certified positive for admissible families
     return (du + ddu * x) / g11 + (du * (n - 1)) / fp
 
@@ -834,11 +780,11 @@ def lu_coefficients(
     frame = frame_at_x(fam, n, x0, jet_order, with_ricci=False)
     inv = invariants_from_frame(frame)
 
-    rho = inv["rho"]
-    lap_rho = radial_laplacian_jet(rho, fam, n)
-    laplap_rho = radial_laplacian_jet(lap_rho, fam, n)
+    rho, fp = inv["rho"], frame.table.du
+    lap_rho = radial_laplacian_jet(rho, fp, n)
+    laplap_rho = radial_laplacian_jet(lap_rho, fp, n)
     combo8 = inv["R2"] - inv["Ric2"] * 4 + rho * rho * 8
-    lap_combo8 = radial_laplacian_jet(combo8, fam, n)
+    lap_combo8 = radial_laplacian_jet(combo8, fp, n)
 
     divdiv_rho_ric = inv["DRho2"] * 2 + inv["ricHessRho"] + rho * lap_rho
     divdiv_r_ric = (

@@ -100,11 +100,7 @@ class PaperReproductionReport:
 
     @property
     def status(self) -> str:
-        if any(i.status == FAIL for i in self.items):
-            return FAIL
-        if any(i.status == INCONCLUSIVE for i in self.items):
-            return INCONCLUSIVE
-        return PASS
+        return _combine(i.status for i in self.items)
 
     @property
     def exit_code(self) -> int:

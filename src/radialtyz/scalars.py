@@ -616,13 +616,6 @@ def scalar_log(value: Scalar) -> Scalar:
     raise ExactnessError("log of an exact scalar other than 1 is transcendental")
 
 
-def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    """Exact-backend equality; for balls, certified equality only when both
-    enclosures are the identical point interval."""
-    diff = a - b
-    return diff.sign() == Sign.ZERO
-
-
 def certified_lt(a: Scalar, b: ScalarLike) -> bool:
     return (a - as_scalar(b)).sign() == Sign.NEGATIVE
 

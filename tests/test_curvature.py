@@ -3,6 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
 from radialtyz import curvature
 from radialtyz.curvature import (
@@ -27,7 +28,13 @@ from radialtyz.potentials import (
 )
 from radialtyz.scalars import DomainError, Sign, abs_le, as_scalar, nth_root
 
-from helpers import assert_exact_zero, assert_within, frame_at_s, scalars_digest
+from helpers import (
+    assert_exact_zero,
+    assert_within,
+    count_fprime_calls,
+    frame_at_s,
+    scalars_digest,
+)
 
 
 def test_mixed_partials_metric_entries():
@@ -47,6 +54,31 @@ def test_mixed_partial_flat_fourth_order():
     assert_exact_zero(table.partial((1, 1), (1, 1)).full_value(s), "flat 4th mixed partial")
     with pytest.raises(ValueError, match="total order 4"):
         table.partial((3, 0), (2, 0))
+
+
+def test_phi_partials_match_sympy():
+    # Simanca f = x + log x at n = 3, s = 3/2: every mixed partial of
+    # f(sum z_i w_i), w_i standing for zbar_i, up to total order 4, zeros included
+    n, s = 3, F(3, 2)
+    ring = RadialRing(Jet.variable(s * s, 0))
+    table = PhiPartialTable(fprime_jet(Simanca(), s * s, 3), n, 4, ring)
+    z, w = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"w1:{n + 1}")
+    x = sum(zi * wi for zi, wi in zip(z, w))
+    phi = x + sp.log(x)
+    at = {v: (sp.Rational(s.numerator, s.denominator) if i == 0 else 0)
+          for vs in (z, w) for i, v in enumerate(vs)}
+    cases = 0
+    for total in range(1, 5):
+        for exps in itertools.product(range(total + 1), repeat=2 * n):
+            if sum(exps) != total:
+                continue
+            alpha, beta = exps[:n], exps[n:]
+            d = phi.diff(*[(v, k) for v, k in zip(z + w, exps) if k])
+            want = sp.Rational(d.subs(at))
+            got = table.partial(alpha, beta).full_value(as_scalar(s))
+            assert_exact_zero(got - F(int(want.p), int(want.q)), f"partial {alpha}, {beta}")
+            cases += 1
+    assert cases == 209
 
 
 def test_frame_rejects_origin():
@@ -227,18 +259,20 @@ def test_closed_forms_trivial_and_sign():
 
 def test_radial_laplacian_examples():
     fam = EpsilonFamily(1, F(1), 2)
-    assert radial_laplacian_jet(Jet.constant(F(2, 3), 5, 4), fam, 2).value().text() == "0"
+    fp = fprime_jet(fam, F(2, 3), 3)
+    assert radial_laplacian_jet(Jet.constant(F(2, 3), 5, 4), fp, 2).value().text() == "0"
     flat = EpsilonFamily(0, F(1), 2)
-    assert radial_laplacian_jet(Jet.variable(F(1, 2), 2), flat, 2).value().text() == "2"
+    flat_fp = fprime_jet(flat, F(1, 2), 1)
+    assert radial_laplacian_jet(Jet.variable(F(1, 2), 2), flat_fp, 2).value().text() == "2"
     with pytest.raises(ValueError):
-        radial_laplacian_jet(Jet.variable(F(1, 2), 1), flat, 2)
+        radial_laplacian_jet(Jet.variable(F(1, 2), 1), flat_fp, 2)
 
 
 def test_laplacian_of_r2_matches_closed_form():
     fam = EpsilonFamily(1, F(1), 2)
     for x in (F(1), F(2, 5)):
         r2 = curvature_norm2(fam, 2, x, jet_order=2)
-        lap = radial_laplacian_jet(r2, fam, 2).value()
+        lap = radial_laplacian_jet(r2, fprime_jet(fam, x, 1), 2).value()
         closed = closed_forms_eps(2, 1, x)["a3_proportional"]
         assert (lap - closed).sign() == Sign.ZERO
 
@@ -365,6 +399,13 @@ def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch):
         )
     lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4))
     assert orders == [("_attach_ricci_cov", 0), ("_nabla_R", 0)]
+
+
+def test_lu_coefficients_builds_fprime_once(monkeypatch):
+    # the radial Laplacians read truncations of the frame's f' jet
+    calls = count_fprime_calls(monkeypatch)
+    lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4))
+    assert len(calls) == 1
 
 
 def _all_coeffs(t) -> list:
