@@ -8,7 +8,8 @@ byte-identical JSON.
 
 Exit codes: 0 success / all-pass; 1 certified failure (a reproduction item
 contradicts its stated value); 2 inconclusive results present (undetermined
-signs at the configured precision, also a sign the computation itself needed);
+signs at the configured precision, among them a1, a2 or a3 of lu-coeffs, also
+a sign the computation itself needed);
 3 input error (a usage error, or an input that validation or the computation
 rejects), so no result was computed.
 """
@@ -245,6 +246,8 @@ def _cmd_lu_coeffs(args) -> int:
         lines = [f"Lu coefficients for {family_label(fam)} at x = {args.x} (dim {dim})"]
         lines += [f"  {k:<14} {scalar_to_text(v)}" for k, v in fields.items()]
         _emit("\n".join(lines) + "\n", args.out)
+    if any(fields[k].sign() == Sign.UNDETERMINED for k in ("a1", "a2", "a3")):
+        return 2
     return 0
 
 

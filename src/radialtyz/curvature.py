@@ -9,13 +9,20 @@ ring R[s]/(s^2 = x) over x-jets: a value is `even(x) + odd(x) * s`, so no
 square root of x is ever taken, and a frame over jets in x of order m holds m
 x-derivatives of every tensor entry.
 
+A frame (frame_at_x) computes g, the diagonal of g^-1, Gamma, R, the log det
+table, Ric and rho when it is built, and the covariant Ricci block Ric_{ij̄,k},
+Ric_{ij̄,kl̄} when that is first read, all at the frame's jet order. The block's
+dbar Gamma term is read off R: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}, and by
+dbar g^-1 = -g^-1 (dbar g) g^-1 and the Kähler symmetry of d dbar g,
+dbar_l Gamma^p_{ki} = g^{pq̄} R_{iq̄kl̄}, which is g^{pp̄} R_{ip̄kl̄} here.
+
 lu_coefficients takes radial Laplacians of rho, |R|^2 and |Ric|^2 only, so
-g, Gamma, R, Ric and rho are carried as jets of order 4 for it. Every other
-invariant it reads at its value alone: the covariant Ricci block, nabla R and
-the contractions that use them are computed on the frame's order-0
-truncation. Jet arithmetic is causal, so those values are the constant terms
-the order-4 computation would give, bit for bit, with one scalar product
-where a product of order-4 jets takes fifteen.
+the frame it builds is over jets of order 4. Every other invariant it reads
+at its value alone: the covariant Ricci block, nabla R and the contractions
+that use them are computed on the frame's order-0 truncation. Jet arithmetic
+is causal, so those values are the constant terms the order-4 computation
+would give, bit for bit, with one scalar product where a product of order-4
+jets takes fifteen.
 
 The tensor loops (Gamma, R, the covariant Ricci block, nabla R and the
 contractions) visit only the terms whose factors are all non-zero: each
@@ -43,6 +50,7 @@ Sign conventions, pinned against the displayed Simanca component values:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
@@ -73,9 +81,13 @@ class RadialRing:
         self.x = x_jet
         self.zero_jet = Jet.constant(x_jet.x0, 0, x_jet.order)
         self.one_jet = Jet.constant(x_jet.x0, 1, x_jet.order)
-        self.zero = RV(self, self.zero_jet, self.zero_jet)
-        self.one = RV(self, self.one_jet, self.zero_jet)
         self._xpow = [self.one_jet]
+
+    @property
+    def zero(self) -> "RV":
+        """The exact zero, a new RV on each read: an RV stored on the ring would
+        point back at it, a cycle that only the cyclic collector frees."""
+        return RV(self, self.zero_jet, self.zero_jet)
 
     def x_power(self, k: int) -> Jet:
         """x**k, cached: every partials table on this ring shares the powers."""
@@ -97,8 +109,9 @@ class RV:
         self.ring = ring
         self.ev = ev
         self.od = od
-        self._ev_zero = _jet_is_zero(ev)
-        self._od_zero = _jet_is_zero(od)
+        zero = ring.zero_jet  # the common zero part, known without a scan
+        self._ev_zero = ev is zero or _jet_is_zero(ev)
+        self._od_zero = od is zero or _jet_is_zero(od)
 
     def is_zero(self) -> bool:
         return self._ev_zero and self._od_zero
@@ -272,22 +285,26 @@ def _entries(t: list, idx: tuple = ()) -> list:
 
 @dataclass
 class RadialTensorFrame:
-    fam: PotentialFamily
     n: int
-    x0: Scalar
     s: Scalar | None
     jet_order: int
     ring: RadialRing
     table: PhiPartialTable
     g: list  # metric entries as RVs, diagonal at radial points
-    ginv: list
+    gi: list  # gi[i] = g^{iī}, the diagonal of g^-1
     gamma: list  # gamma[p][k][i]
     R: list  # R[i][j][k][l] ~ R_{i j̄ k l̄}
-    log_det: PhiPartialTable | None = None  # partials of U = log det g(|z|^2)
-    ric: list | None = None
-    ric_cov1: list | None = None  # Ric_{ij̄,k}
-    ric_cov2: list | None = None  # Ric_{ij̄,kl̄}
-    rho: RV | None = None
+    log_det: PhiPartialTable  # partials of U = log det g(|z|^2)
+    ric: list  # ric[i][j] ~ Ric_{ij̄}
+    rho: RV
+
+    @cached_property
+    def _ricci_cov(self) -> tuple[list, list]:
+        """The covariant Ricci block at the frame's order, built on first read."""
+        return _attach_ricci_cov(self)
+
+    ric_cov1 = property(lambda self: self._ricci_cov[0])  # ric_cov1[i][j][k] = Ric_{ij̄,k}
+    ric_cov2 = property(lambda self: self._ricci_cov[1])  # ric_cov2[i][j][k][l] = Ric_{ij̄,kl̄}
 
     def curvature_symmetry_violations(self) -> list[tuple]:
         """Index tuples violating R_{ij̄kl̄} = R_{kj̄il̄} = R_{il̄kj̄}."""
@@ -305,16 +322,11 @@ class RadialTensorFrame:
 
 
 def frame_at_x(
-    fam: PotentialFamily,
-    n: int,
-    x0: ScalarLike,
-    jet_order: int = 0,
-    *,
-    with_ricci: bool = True,
+    fam: PotentialFamily, n: int, x0: ScalarLike, jet_order: int = 0
 ) -> RadialTensorFrame:
     x0 = as_scalar(x0)
     ring = RadialRing(Jet.variable(x0, jet_order))
-    # one order above what the Phi table needs: the Ricci block reads f'' off it
+    # one order above what the Phi table needs: det g reads f'' off it
     fp = fprime_jet(fam, x0, jet_order + TABLE_ORDER)
     table = PhiPartialTable(fp, n, TABLE_ORDER, ring)
     partial = table.partial
@@ -328,7 +340,6 @@ def frame_at_x(
         if g[i][i].ev.value().require_sign("metric diagonal") != Sign.POSITIVE:
             raise DomainError("singular metric: a diagonal entry is not certified positive")
     gi = [g[i][i].inverse() for i in range(n)]
-    ginv = [[gi[i] if i == j else ring.zero for j in range(n)] for i in range(n)]
     # dg[i][k][q] = d_k g_{iq̄}
     dg = [[[_nz(partial(e2[i][k], e[q])) for q in range(n)] for k in range(n)] for i in range(n)]
 
@@ -358,65 +369,23 @@ def frame_at_x(
                             acc = acc - t * c[q]
                     R[i][j][k][l] = acc
 
-    frame = RadialTensorFrame(
-        fam=fam, n=n, x0=x0, s=None, jet_order=jet_order,
-        ring=ring, table=table, g=g, ginv=ginv, gamma=gamma, R=R,
-    )
-    if with_ricci:
-        _attach_ricci(frame)
-        _attach_ricci_cov(frame)
-    return frame
-
-
-def _attach_ricci(frame: RadialTensorFrame) -> None:
-    """Ric and rho at the frame's jet order."""
-    n, ring = frame.n, frame.ring
-    e, _ = _units(n)
-
     # Ric_{ij̄} = -d_i dbar_j U for the radial U = u(|z|^2), u = log det g, so
     # Ric and its plain derivatives are partials of U; u' = (det g)' / det g
-    det = det_jet_from_fprime(frame.table.du, n)
-    U = PhiPartialTable(det.derive() / det.truncate(det.order - 1), n, 4, ring)
-    ric = [[-U.partial(e[i], e[j]) for j in range(n)] for i in range(n)]
-    ginv = frame.ginv
-    frame.rho = _sum(
-        ring, (ginv[j][j] * ric[j][j] for j in range(n) if not ric[j][j].is_zero())
-    ) * 2
-    frame.log_det = U
-    frame.ric = ric
+    det = det_jet_from_fprime(fp, n)
+    log_det = PhiPartialTable(det.derive() / det.truncate(det.order - 1), n, 4, ring)
+    ric = [[-log_det.partial(e[i], e[j]) for j in range(n)] for i in range(n)]
+    rho = _sum(ring, (gi[j] * ric[j][j] for j in range(n) if not ric[j][j].is_zero())) * 2
+    return RadialTensorFrame(
+        n=n, s=None, jet_order=jet_order, ring=ring, table=table, g=g, gi=gi,
+        gamma=gamma, R=R, log_det=log_det, ric=ric, rho=rho,
+    )
 
 
-def _dginv(ginv: list, d: list) -> list:
-    """-g^{pp̄} d[q][p] g^{qq̄}: a derivative of g^{pq̄} from the same derivative
-    d[a][b] of g_{ab̄}. g^-1 is diagonal at radial points, so the general
-    -g^{pb̄} d[a][b] g^{aq̄} has this one term. Zero entries, of d and of the
-    result, are None."""
-    n = len(ginv)
-    return [
-        [
-            None if d[q][p] is None else _nz(-(ginv[p][p] * d[q][p] * ginv[q][q]))
-            for q in range(n)
-        ]
-        for p in range(n)
-    ]
-
-
-def _pair_terms(x: list, a: list, y: list, b: list, qs: list):
-    """x[q] * a[q] + y[q] * b[q] for each q in qs, leaving out each product with a
-    None (zero) factor, and the q where both are left out."""
-    for q in qs:
-        t = None if x[q] is None or a[q] is None else x[q] * a[q]
-        if y[q] is not None and b[q] is not None:
-            u = y[q] * b[q]
-            t = u if t is None else t + u
-        if t is not None:
-            yield t
-
-
-def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
-    """Ric_{ij̄,k} and Ric_{ij̄,kl̄} at the frame's jet order; needs _attach_ricci."""
-    n, ring, ric = frame.n, frame.ring, frame.ric
-    partial, upartial = frame.table.partial, frame.log_det.partial
+def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
+    """(ric_cov1, ric_cov2) at the frame's jet order, the frame's block on its
+    first read; dbar_l Gamma^p_{ki} is g^{pp̄} R_{ip̄kl̄} (see the module docstring)."""
+    n, ring, ric, R, gi = frame.n, frame.ring, frame.ric, frame.R, frame.gi
+    upartial = frame.log_det.partial
     e, e2 = _units(n)
     dric = [
         [[-upartial(e2[i][k], e[j]) for j in range(n)] for i in range(n)]
@@ -427,28 +396,8 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
         for l in range(n)
     ]  # dric_bar[l][i][j] = dbar_l Ric_{ij̄}
 
-    ginv, gamma = frame.ginv, frame.gamma
-    gz = [[_nz(v) for v in row] for row in ginv]
-    # dbar_l Gamma^p_{ki} = (dbar_l g^{pq̄}) d_k g_{iq̄} + g^{pq̄} dbar_l d_k g_{iq̄},
-    # with dbar_l g^{pq̄} = -g^{pb̄} (dbar_l g_{ab̄}) g^{aq̄}
-    dg = [[[_nz(partial(e2[i][k], e[q])) for q in range(n)] for k in range(n)] for i in range(n)]
-    dgamma_bar = []  # dgamma_bar[l][p][k][i]
-    for l in range(n):
-        d = [[_nz(partial(e[a], e2[b][l])) for b in range(n)] for a in range(n)]
-        dginv = _dginv(ginv, d)
-        ddg = [[[_nz(partial(e2[i][k], e2[q][l])) for q in range(n)] for k in range(n)]
-               for i in range(n)]
-        block = []
-        for p in range(n):
-            dgz = dginv[p]
-            qs = [q for q in range(n) if dgz[q] is not None or gz[p][q] is not None]
-            block.append([
-                [_sum(ring, _pair_terms(dgz, dg[i][k], gz[p], ddg[i][k], qs)) for i in range(n)]
-                for k in range(n)
-            ])
-        dgamma_bar.append(block)
-
     # gam[k][i] = [(p, Gamma^p_{ki}) for each non-zero Gamma^p_{ki}]
+    gamma = frame.gamma
     gam = [[[(p, gamma[p][k][i]) for p in range(n) if not gamma[p][k][i].is_zero()]
             for i in range(n)] for k in range(n)]
     ric_cov1 = [
@@ -461,7 +410,7 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
             for j in range(n)
         ]
         for i in range(n)
-    ]  # ric_cov1[i][j][k] = Ric_{ij̄,k}
+    ]
 
     ric_cov2 = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -475,15 +424,12 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> None:
                                       if not ric[q][p].is_zero()))
                         - _sum(ring, (gp * dric_bar[l][p][j] for p, gp in gki
                                       if not dric_bar[l][p][j].is_zero()))
-                        - _sum(ring, (dgamma_bar[l][p][k][i] * ric[p][j] for p in range(n)
-                                      if not (dgamma_bar[l][p][k][i].is_zero()
-                                              or ric[p][j].is_zero())))
+                        - _sum(ring, (gi[p] * R[i][p][k][l] * ric[p][j] for p in range(n)
+                                      if not (R[i][p][k][l].is_zero() or ric[p][j].is_zero())))
                         - _sum(ring, (gp * dric[k][i][p] for p, gp in glj
                                       if not dric[k][i][p].is_zero()))
-                    )  # ric_cov2[i][j][k][l] = Ric_{ij̄,kl̄}
-
-    frame.ric_cov1 = ric_cov1
-    frame.ric_cov2 = ric_cov2
+                    )
+    return ric_cov1, ric_cov2
 
 
 def _cut(t, ring: RadialRing):
@@ -492,35 +438,44 @@ def _cut(t, ring: RadialRing):
 
 
 def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
-    """The frame's order-0 truncation, with the covariant Ricci block built at
-    order 0.
+    """The frame's order-0 truncation; its covariant Ricci block is built at
+    order 0 when first read.
 
     Jet arithmetic is causal: coefficient 0 of a sum, product or quotient comes
     from the constant terms alone, by the same scalar operations. So every
     value computed here is the constant term of the same quantity computed over
-    the frame's jets, bit for bit. Needs _attach_ricci.
+    the frame's jets, bit for bit.
     """
     n, table, log_det = frame.n, frame.table, frame.log_det
     ring = RadialRing(frame.ring.x.truncate(0))
-    value = RadialTensorFrame(
-        fam=frame.fam, n=n, x0=frame.x0, s=frame.s, jet_order=0, ring=ring,
+    return RadialTensorFrame(
+        n=n, s=frame.s, jet_order=0, ring=ring,
         table=PhiPartialTable(table.du, n, table.max_order, ring),
-        g=_cut(frame.g, ring), ginv=_cut(frame.ginv, ring), gamma=_cut(frame.gamma, ring),
+        g=_cut(frame.g, ring), gi=_cut(frame.gi, ring), gamma=_cut(frame.gamma, ring),
         R=_cut(frame.R, ring), log_det=PhiPartialTable(log_det.du, n, log_det.max_order, ring),
-        ric=_cut(frame.ric, ring),
+        ric=_cut(frame.ric, ring), rho=frame.rho.truncate(ring),
     )
-    _attach_ricci_cov(value)
-    return value
+
+
+def _dginv(gi: list, d: list) -> list:
+    """-g^{pp̄} d[q][p] g^{qq̄}: a derivative of g^{pq̄} from the same derivative
+    d[a][b] of g_{ab̄}. g^-1 is diagonal at radial points, so the general
+    -g^{pb̄} d[a][b] g^{aq̄} has this one term. Zero entries, of d and of the
+    result, are None."""
+    n = len(gi)
+    return [
+        [None if d[q][p] is None else _nz(-(gi[p] * d[q][p] * gi[q])) for q in range(n)]
+        for p in range(n)
+    ]
 
 
 def _nabla_R(frame: RadialTensorFrame) -> list:
     """R_{ij̄kl̄,m} = d_m R_{ij̄kl̄} - Gamma^q_{mi} R_{qj̄kl̄} - Gamma^q_{mk} R_{ij̄ql̄},
     with d_m R differentiated term by term from the formula for R; out[m][i][j][k][l]."""
     n, table = frame.n, frame.table
-    ginv, gamma, R = frame.ginv, frame.gamma, frame.R
+    gi, gamma, R = frame.gi, frame.gamma, frame.R
     partial = table.partial
     e, e2 = _units(n)
-    gz = [[_nz(v) for v in row] for row in ginv]
     Rz = [[[[_nz(v) for v in r3] for r3 in r2] for r2 in r1] for r1 in R]
     # dbar[j][l][q] = dbar_j g_{ql̄}
     dbar = [[[_nz(partial(e[q], e2[l][j])) for q in range(n)] for l in range(n)] for j in range(n)]
@@ -529,7 +484,7 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
         # d_m g^{pq̄}, built from partial(e_a + e_m, e_b): this is transposed
         # against the contraction below, which makes DR2 wrong; a1-a3 do not read it
         d = [[_nz(partial(e2[a][m], e[b])) for b in range(n)] for a in range(n)]
-        dgz = _dginv(ginv, d)
+        dgz = _dginv(gi, d)
         dmdbar = [[[_nz(partial(e2[q][m], e2[l][j])) for q in range(n)] for l in range(n)]
                   for j in range(n)]  # dmdbar[j][l][q] = d_m dbar_j g_{ql̄}
         for i in range(n):
@@ -545,8 +500,9 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
                         continue
                     for q in range(n):
                         dgb = None if bp is None or dgz[p][q] is None else _nz(dgz[p][q] * bp)
-                        if dgb is not None or gz[p][q] is not None:
-                            terms.append((q, dgb, gz[p][q], bp, dbp))
+                        gpq = gi[p] if p == q else None
+                        if dgb is not None or gpq is not None:
+                            terms.append((q, dgb, gpq, bp, dbp))
                 gam = [(q, _nz(gamma[q][m][i]), _nz(gamma[q][m][k])) for q in range(n)]
                 gam = [t for t in gam if t[1] is not None or t[2] is not None]
                 for j in range(n):
@@ -582,7 +538,7 @@ class _Weights:
     not a recursive closure, so the table is freed by reference counting.)"""
 
     def __init__(self, frame: RadialTensorFrame):
-        self.gi = [frame.ginv[i][i] for i in range(frame.n)]
+        self.gi = frame.gi
         self.memo = {(i,): v for i, v in enumerate(self.gi)}
 
     def __call__(self, *idx: int) -> RV:
@@ -624,8 +580,6 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
             "invariants_from_frame needs jet_order >= 2 for |D'rho|^2 and the "
             "rho Hessian; build the frame over jets in x"
         )
-    if frame.ric is None:
-        _attach_ricci(frame)
     n, ring = frame.n, frame.ring
     w = _Weights(frame)
     r2 = _norm2_R(frame, w)
@@ -777,7 +731,7 @@ def lu_coefficients(
         s = as_scalar(s)
         x = s * s
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
-    frame = frame_at_x(fam, n, x0, jet_order, with_ricci=False)
+    frame = frame_at_x(fam, n, x0, jet_order)
     inv = invariants_from_frame(frame)
 
     rho, fp = inv["rho"], frame.table.du
@@ -827,9 +781,10 @@ def curvature_norm2(
     exact: bool | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Jet:
-    """|R|^2 as a jet in x, without building the Ricci block (fast path)."""
+    """|R|^2 as a jet in x. The frame builds Ric with R, but the covariant Ricci
+    block and nabla R are never built here."""
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
-    frame = frame_at_x(fam, n, x0, jet_order, with_ricci=False)
+    frame = frame_at_x(fam, n, x0, jet_order)
     return _norm2_R(frame, _Weights(frame)).even_jet("|R|^2")
 
 

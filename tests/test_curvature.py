@@ -1,3 +1,4 @@
+import gc
 import itertools
 import time
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ import sympy as sp
 
 from radialtyz import curvature
 from radialtyz.curvature import (
+    LuReport,
     PhiPartialTable,
     RadialRing,
     closed_forms_eps,
@@ -108,7 +110,7 @@ def test_curvature_symmetries():
         (EpsilonFamily(-1, F(1), 3), 3, F(3, 2)),
         (Simanca(), 2, F(2)),
     ):
-        fr = frame_at_x(fam, n, x, 0, with_ricci=False)
+        fr = frame_at_x(fam, n, x, 0)
         assert fr.curvature_symmetry_violations() == []
 
 
@@ -129,7 +131,7 @@ def test_ricci_consistency_contraction():
         (CUSTOM, 2, F(1, 2)),
     ):
         fr = frame_at_x(fam, n, x, 2)
-        gi = [fr.ginv[i][i] for i in range(n)]
+        gi = [fr.gi[i] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 contr = fr.ring.zero
@@ -337,13 +339,13 @@ def test_lu_ball_backend_matches_exact():
 
 
 def test_lu_report_balls_pinned():
-    """Every LuReport field on 256-bit balls, bit for bit (digest taken before
-    the ball operators called libmpi directly)."""
+    """Every LuReport field on 256-bit balls, bit for bit (digest re-taken when
+    dbar Gamma in ric_cov2 came to be read off R, which moved divdivRRic only)."""
     rep = lu_coefficients(EpsilonFamily(1, F(1), 3), 3, x=F(3, 4), precision_bits=256)
     assert all(v.backend == "ball" for v in rep.as_dict().values())
     assert list(rep.as_dict()) == list(rep.FIELD_ORDER)
     assert scalars_digest(rep.as_dict().values()) == (
-        "11d08855ff47f55ee2c1faf0a3749996099484059287341897287acf87bf28dd"
+        "715e5474918c96b77991e6f4575e58f6a4f89ece2bafc81d4f69de7a307f983d"
     )
 
 
@@ -401,6 +403,25 @@ def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch):
     assert orders == [("_attach_ricci_cov", 0), ("_nabla_R", 0)]
 
 
+def test_lu_coefficients_leaves_no_reference_cycles():
+    # every frame, ring and jet of a call is freed by reference counting, so
+    # nothing waits for the cyclic collector
+    def run():
+        lu_coefficients(EpsilonFamily(1, F(1), 3), 3, x=F(3, 4), precision_bits=256)
+
+    run()  # warm-up: one-time setup, such as the interval contexts, is not per call
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
 def test_lu_coefficients_builds_fprime_once(monkeypatch):
     # the radial Laplacians read truncations of the frame's f' jet
     calls = count_fprime_calls(monkeypatch)
@@ -414,24 +435,26 @@ def _all_coeffs(t) -> list:
 
 # (R, ric_cov1, ric_cov2 of an order-2 frame, order-0 nabla R): the first 16
 # hex digits of scalars_digest over every coefficient, taken from the dense
-# index loops these replaced; x = 3/4, 3/2, 2, 3/4 and 5/4 per family
+# index loops these replaced; x = 3/4, 3/2, 2, 3/4 and 5/4 per family. The ball
+# ric_cov2 digests were re-taken when dbar Gamma came to be read off R: each
+# moved ball meets the one before and a 1024-bit enclosure.
 COVARIANT_DIGESTS = {
     ("eps+1", 2, True): ("d4b53ff7b946835c", "b9ebaf6936c079e1", "4f4cb532545f7cea", "9a8fac48311c9372"),
-    ("eps+1", 2, False): ("f9b6d482206b693b", "a3d70e0237e7fc13", "208db64d3990428a", "c7f1949d8283e192"),
+    ("eps+1", 2, False): ("f9b6d482206b693b", "a3d70e0237e7fc13", "6eb1231daaa7f24d", "c7f1949d8283e192"),
     ("eps+1", 3, True): ("286ef07ee437acb0", "81b2b66b4165f647", "3c91455830f759a4", "fbbb571c896e433a"),
-    ("eps+1", 3, False): ("be39bfe32f65d892", "442844d3fb340a91", "31135ad9bc92cfac", "701b5f5a97acfb26"),
+    ("eps+1", 3, False): ("be39bfe32f65d892", "442844d3fb340a91", "e8f2db7e2ebc5aa9", "701b5f5a97acfb26"),
     ("eps+1", 4, True): ("a4a5ff847792303e", "9303b5ecb7676288", "e8ad8b234d1327c0", "97f3ff1b03caaf43"),
-    ("eps+1", 4, False): ("2c6d0fc82272e79b", "2a99ef506d77df02", "af551e60596774b5", "718cf8725f359b94"),
+    ("eps+1", 4, False): ("2c6d0fc82272e79b", "2a99ef506d77df02", "6715576026917742", "718cf8725f359b94"),
     ("eps-1", 2, True): ("9e41587b0f4ccff6", "b9ebaf6936c079e1", "4f4cb532545f7cea", "6839936fb35d5768"),
-    ("eps-1", 2, False): ("2a159bb71e478e2a", "2be8a56bd72f8dea", "9c9f782276015f7a", "cf679ede8871a7b0"),
+    ("eps-1", 2, False): ("2a159bb71e478e2a", "2be8a56bd72f8dea", "2ed10e73c2023952", "cf679ede8871a7b0"),
     ("eps-1", 3, True): ("a6d3d4749076a38c", "81b2b66b4165f647", "3c91455830f759a4", "315a252815135950"),
-    ("eps-1", 3, False): ("aa16fa48d36f575f", "4ac9ef5e4a2982b6", "f2ef726e56ef37c0", "8cb0e34a4116efa3"),
+    ("eps-1", 3, False): ("aa16fa48d36f575f", "4ac9ef5e4a2982b6", "ecd3baf0897c776f", "8cb0e34a4116efa3"),
     ("eps-1", 4, True): ("460696577294f749", "9303b5ecb7676288", "e8ad8b234d1327c0", "f014bbba31c032ee"),
     ("eps-1", 4, False): ("190eed5dab9715e4", "67e2f412201caf78", "6b5e812ca8079713", "418e44ad750d477b"),
     ("simanca", 3, True): ("2fd5557c42d8edf3", "5a6d68a8213bab90", "1641dbab692d3d2f", "ac71c1fa8e1689a6"),
-    ("simanca", 3, False): ("752d5706b0f6f85a", "b7b7e30b0f07bb21", "2eede60c6a86acce", "8dfb368067241b29"),
+    ("simanca", 3, False): ("752d5706b0f6f85a", "b7b7e30b0f07bb21", "538ab45ab1f8ba43", "8dfb368067241b29"),
     ("eguchi-hanson", 3, True): ("53b57116417d16d1", "86be6500260fcd94", "3e69d15b6473aa88", "2d0c2ef5b656a1f4"),
-    ("eguchi-hanson", 3, False): ("42ba6b79c9268838", "2685e1c2b139b2e6", "1b0e894f748a2d96", "c614bd1b120d5de2"),
+    ("eguchi-hanson", 3, False): ("42ba6b79c9268838", "2685e1c2b139b2e6", "d2211a6e819eb219", "c614bd1b120d5de2"),
     ("flat", 3, True): ("3c91455830f759a4", "81b2b66b4165f647", "3c91455830f759a4", "3c91455830f759a4"),
     ("flat", 3, False): ("0b20428ad74cf5ce", "5aba24403ac997b0", "7af502960314fe4c", "a788be098e94832f"),
 }
@@ -458,6 +481,31 @@ def test_covariant_tensors_pinned(name, n, exact):
         for t in (frame.R, frame.ric_cov1, frame.ric_cov2, nabla)
     )
     assert got == COVARIANT_DIGESTS[(name, n, exact)]
+
+
+@pytest.mark.parametrize("fam, x", [
+    (EpsilonFamily(1, F(1), 2), F(3, 4)),
+    (EpsilonFamily(-1, F(1), 2), F(3, 2)),
+    (Simanca(), F(2)),
+    (EguchiHanson(), F(3, 4)),
+], ids=["eps+1", "eps-1", "simanca", "eguchi-hanson"])
+def test_balls_enclose_exact_ricci_block_and_lu_report(fam, x):
+    # enclosure, where the digests above pin bits: no coefficient of the
+    # order-2 frame's ric_cov2 and no LuReport field, on 64- or 256-bit balls,
+    # is certified unequal to its exact value
+    def values(exact: bool, bits: int) -> list:
+        x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=bits)
+        rep = lu_coefficients(fam, 2, x=x, exact=exact, precision_bits=bits)
+        return _all_coeffs(frame_at_x(fam, 2, x0, 2).ric_cov2) + list(rep.as_dict().values())
+
+    want = values(True, 256)
+    assert len(want) == 16 * 2 * 3 + len(LuReport.FIELD_ORDER)
+    for bits in (64, 256):
+        got = values(False, bits)
+        assert got[-1].backend == "ball"
+        apart = [i for i, (b, v) in enumerate(zip(got, want))
+                 if (b - v).sign() in (Sign.POSITIVE, Sign.NEGATIVE)]
+        assert apart == [], (bits, apart)
 
 
 @pytest.mark.parametrize("fam, n, x, exact", [

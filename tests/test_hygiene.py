@@ -1,13 +1,16 @@
 """Static checks on the package source with the stdlib ast module: no import
-is left unused and no private module-level helper is left unreferenced, as
-deletions tend to leave them behind."""
+is left unused, no private module-level helper is left unreferenced and no
+attribute set on self is left unread, as deletions tend to leave them behind."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "radialtyz"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "radialtyz"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# where a read of a package attribute may live
+READERS = [path for d in ("src", "tests", "perfbench") for path in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -67,3 +70,28 @@ def test_every_private_helper_is_referenced():
         if not any(name in names for other, names in refs if other is not stmt):
             orphans.append(f"{path.name}:{stmt.lineno} {name}")
     assert not orphans, f"unreferenced private helpers: {orphans}"
+
+
+def test_every_attribute_set_on_self_is_read():
+    # an attribute counts as read where any code loads an attribute of that name
+    read = {
+        sub.attr
+        for path in READERS
+        for sub in ast.walk(_tree(path))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = []
+    for path in MODULES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for sub in ast.walk(cls):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                    and sub.attr not in read
+                ):
+                    unread.append(f"{path.name}:{sub.lineno} {cls.name}.{sub.attr}")
+    assert not unread, f"attributes set on self and never read: {unread}"
