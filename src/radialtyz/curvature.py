@@ -9,9 +9,10 @@ ring R[s]/(s^2 = x) over x-jets: a value is `even(x) + odd(x) * s`, so no
 square root of x is ever taken, and a frame over jets in x of order m holds m
 x-derivatives of every tensor entry.
 
-A frame (frame_at_x) computes g, the diagonal of g^-1, Gamma, R, the log det
-table, Ric and rho when it is built, and the covariant Ricci block Ric_{ij̄,k},
-Ric_{ij̄,kl̄} when that is first read, all at the frame's jet order. The block's
+A frame (frame_at_x) computes g, the diagonal of g^-1, Gamma and R when it is
+built, and the log det table, Ric, rho and the covariant Ricci block
+Ric_{ij̄,k}, Ric_{ij̄,kl̄} when each is first read, all at the frame's jet
+order; |R|^2 (curvature_norm2) reads none of them. The block's
 dbar Gamma term is read off R: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}, and by
 dbar g^-1 = -g^-1 (dbar g) g^-1 and the Kähler symmetry of d dbar g,
 dbar_l Gamma^p_{ki} = g^{pq̄} R_{iq̄kl̄}, which is g^{pp̄} R_{ip̄kl̄} here.
@@ -220,7 +221,9 @@ class PhiPartialTable:
         self._val: dict[tuple, RV] = {}
 
     def partial(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> RV:
-        key = (alpha, beta)
+        # the formula is symmetric in (alpha, beta) (C(p, j) q!/(q-j)! is
+        # p! q! / (j! (p-j)! (q-j)!)), so a transpose is the same value
+        key = (alpha, beta) if alpha <= beta else (beta, alpha)
         cached = self._val.get(key)
         if cached is not None:
             return cached
@@ -294,9 +297,31 @@ class RadialTensorFrame:
     gi: list  # gi[i] = g^{iī}, the diagonal of g^-1
     gamma: list  # gamma[p][k][i]
     R: list  # R[i][j][k][l] ~ R_{i j̄ k l̄}
-    log_det: PhiPartialTable  # partials of U = log det g(|z|^2)
-    ric: list  # ric[i][j] ~ Ric_{ij̄}
-    rho: RV
+
+    @cached_property
+    def log_det(self) -> PhiPartialTable:
+        """Partials of U = log det g(|z|^2), from u' = (det g)' / det g.
+
+        Ric_{ij̄} = -d_i dbar_j U for this radial U, so Ric and its plain
+        derivatives are partials of U; no log is taken. The f' jet is cut to
+        the order this frame needs, which a value frame (_value_frame) keeps
+        cheap; jet arithmetic is causal, so the coefficients are the same.
+        """
+        det = det_jet_from_fprime(self.table.du.truncate(self.jet_order + TABLE_ORDER), self.n)
+        return PhiPartialTable(det.derive() / det.truncate(det.order - 1), self.n, 4, self.ring)
+
+    @cached_property
+    def ric(self) -> list:
+        """ric[i][j] ~ Ric_{ij̄}."""
+        e, _ = _units(self.n)
+        partial = self.log_det.partial
+        return [[-partial(e[i], e[j]) for j in range(self.n)] for i in range(self.n)]
+
+    @cached_property
+    def rho(self) -> RV:
+        gi, ric = self.gi, self.ric
+        diag = (gi[j] * ric[j][j] for j in range(self.n) if not ric[j][j].is_zero())
+        return _sum(self.ring, diag) * 2
 
     @cached_property
     def _ricci_cov(self) -> tuple[list, list]:
@@ -369,15 +394,8 @@ def frame_at_x(
                             acc = acc - t * c[q]
                     R[i][j][k][l] = acc
 
-    # Ric_{ij̄} = -d_i dbar_j U for the radial U = u(|z|^2), u = log det g, so
-    # Ric and its plain derivatives are partials of U; u' = (det g)' / det g
-    det = det_jet_from_fprime(fp, n)
-    log_det = PhiPartialTable(det.derive() / det.truncate(det.order - 1), n, 4, ring)
-    ric = [[-log_det.partial(e[i], e[j]) for j in range(n)] for i in range(n)]
-    rho = _sum(ring, (gi[j] * ric[j][j] for j in range(n) if not ric[j][j].is_zero())) * 2
     return RadialTensorFrame(
-        n=n, s=None, jet_order=jet_order, ring=ring, table=table, g=g, gi=gi,
-        gamma=gamma, R=R, log_det=log_det, ric=ric, rho=rho,
+        n=n, s=None, jet_order=jet_order, ring=ring, table=table, g=g, gi=gi, gamma=gamma, R=R,
     )
 
 
@@ -438,22 +456,21 @@ def _cut(t, ring: RadialRing):
 
 
 def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
-    """The frame's order-0 truncation; its covariant Ricci block is built at
-    order 0 when first read.
+    """The frame's order-0 truncation; its log det table, Ric and covariant
+    Ricci block are built at order 0 when first read.
 
     Jet arithmetic is causal: coefficient 0 of a sum, product or quotient comes
     from the constant terms alone, by the same scalar operations. So every
     value computed here is the constant term of the same quantity computed over
     the frame's jets, bit for bit.
     """
-    n, table, log_det = frame.n, frame.table, frame.log_det
+    n, table = frame.n, frame.table
     ring = RadialRing(frame.ring.x.truncate(0))
     return RadialTensorFrame(
         n=n, s=frame.s, jet_order=0, ring=ring,
         table=PhiPartialTable(table.du, n, table.max_order, ring),
         g=_cut(frame.g, ring), gi=_cut(frame.gi, ring), gamma=_cut(frame.gamma, ring),
-        R=_cut(frame.R, ring), log_det=PhiPartialTable(log_det.du, n, log_det.max_order, ring),
-        ric=_cut(frame.ric, ring), rho=frame.rho.truncate(ring),
+        R=_cut(frame.R, ring),
     )
 
 

@@ -7,6 +7,11 @@ recurrences: exp via p' = a'p, log via integration of a'/a, and pow(r) via the
 binomial recurrence k*a0*p_k = sum_{j=1..k} ((r+1)j - k) a_j p_{k-j}; a second
 pow route through exp(r*log(a/a0)) * a0**r is kept for cross-checks.
 
+Each coefficient of a product, a quotient, exp and pow, and of the bivariate
+product, is one sum of products, computed by scalars.scalar_dot: the same
+Scalar, bit for bit, as adding the terms one Scalar operation at a time, with
+no Scalar built per term. Sums and differences go coefficient by coefficient.
+
 HermitianBiJet is the bivariate counterpart in offsets (u, v) of (z1, z̄1)
 around a radial axis point, with real coefficients and the Hermitian symmetry
 c_ij = c_ji; mixed partials at the base point are i! j! c_ij.
@@ -25,6 +30,7 @@ from .scalars import (
     Sign,
     SignUndeterminedError,
     as_scalar,
+    scalar_dot,
     scalar_exp,
     scalar_log,
     scalar_pow,
@@ -99,7 +105,9 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
-        return self + (-self._lift(other))
+        other = self._lift(other)
+        n = min(self.order, other.order) + 1
+        return Jet(self.x0, tuple(a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
 
     def __rsub__(self, other) -> "Jet":
         return self._lift(other) - self
@@ -110,13 +118,8 @@ class Jet:
             return Jet(self.x0, tuple(a * c for a in self.coeffs))
         other = self._lift(other)
         n = min(self.order, other.order) + 1
-        out = []
-        for k in range(n):
-            acc: Scalar = ZERO
-            for j in range(k + 1):
-                acc = acc + self.coeffs[j] * other.coeffs[k - j]
-            out.append(acc)
-        return Jet(self.x0, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return Jet(self.x0, tuple(scalar_dot(ZERO, a[: k + 1], b[k::-1]) for k in range(n)))
 
     __rmul__ = __mul__
 
@@ -136,9 +139,8 @@ class Jet:
         inv0 = ONE / other.coeffs[0]
         out: list[Scalar] = []
         for k in range(n):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc = acc - other.coeffs[j] * out[k - j]
+            # out[k] = (a_k - sum_{j=1..k} b_j out[k-j]) / b_0
+            acc = scalar_dot(self.coeffs[k], other.coeffs[1 : k + 1], out[::-1], neg=True)
             out.append(acc * inv0)
         return Jet(self.x0, tuple(out))
 
@@ -176,12 +178,10 @@ class Jet:
     # -- elementary functions -------------------------------------------------
 
     def exp(self) -> "Jet":
-        p0 = scalar_exp(self.coeffs[0])
-        out = [p0]
+        out = [scalar_exp(self.coeffs[0])]
         for k in range(1, self.order + 1):
-            acc: Scalar = ZERO
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j] * j
+            # k p_k = sum_{j=1..k} j a_j p_{k-j}
+            acc = scalar_dot(ZERO, self.coeffs[1 : k + 1], out[::-1], range(1, k + 1))
             out.append(acc * Fraction(1, k))
         return Jet(self.x0, tuple(out))
 
@@ -199,14 +199,12 @@ class Jet:
         a0 = self.coeffs[0]
         if a0.require_sign("pow base constant term") != Sign.POSITIVE:
             raise ValueError("fractional jet power needs a certified-positive constant term")
-        p0 = scalar_pow(a0, exponent)
         inv0 = ONE / a0
-        out = [p0]
+        out = [scalar_pow(a0, exponent)]
+        r1 = exponent + 1
         for k in range(1, self.order + 1):
-            acc: Scalar = ZERO
-            for j in range(1, k + 1):
-                w = (exponent + 1) * j - k
-                acc = acc + self.coeffs[j] * out[k - j] * w
+            ws = [r1 * j - k for j in range(1, k + 1)]
+            acc = scalar_dot(ZERO, self.coeffs[1 : k + 1], out[::-1], ws)
             out.append(acc * inv0 * Fraction(1, k))
         return Jet(self.x0, tuple(out))
 
@@ -283,13 +281,14 @@ class HermitianBiJet:
     def __mul__(self, other: "HermitianBiJet") -> "HermitianBiJet":
         self._check_base(other)
         n = min(self.order, other.order) + 1
+        a, b = self.coeffs, other.coeffs
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                acc: Scalar = ZERO
-                for i1 in range(i + 1):
-                    for j1 in range(j + 1):
-                        acc = acc + self.coeffs[i1][j1] * other.coeffs[i - i1][j - j1]
+                pairs = [(i1, j1) for i1 in range(i + 1) for j1 in range(j + 1)]
+                acc = scalar_dot(
+                    ZERO, [a[p][q] for p, q in pairs], [b[i - p][j - q] for p, q in pairs]
+                )
                 rows[i][j] = acc
                 if j != i:
                     # mirror keeps the Hermitian symmetry exact even for balls

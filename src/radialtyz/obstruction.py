@@ -48,7 +48,7 @@ def gh_jets(fp: Jet, hmax: int) -> list[Jet]:
     cur = Jet.constant(fp.x0, 1, fp.order + 1)
     jets = [cur]
     for _ in range(hmax):
-        cur = cur.derive() + (fp * cur).truncate(cur.order - 1)
+        cur = cur.derive() + fp.truncate(cur.order - 1) * cur
         jets.append(cur)
     return jets
 

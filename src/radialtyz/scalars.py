@@ -15,20 +15,25 @@ Three interchangeable backends share one operator protocol:
 All values are immutable; mixed-backend operations coerce upward
 (rational -> root -> ball). Two distinct root extensions never mix: that
 raises ExactnessError and callers are expected to fall back to balls.
+
+scalar_dot(acc, xs, ys, ws, neg) is the kernel under every jet recurrence: it
+returns the left fold acc ± x0*y0*w0 ± x1*y1*w1 ... of the operators above,
+bit for bit, on raw numerators and interval endpoints, without a Scalar or a
+promotion per step.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
     fhalf, finf, fnan, fninf, fone, from_int, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
     round_ceiling, round_floor, to_str,
 )
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_CAP_BITS = 4096
@@ -109,10 +114,7 @@ class Scalar:
         if isinstance(a, RootScalar) or isinstance(b, RootScalar):
             if isinstance(a, RootScalar) and isinstance(b, RootScalar):
                 if (a.degree, a.radicand) != (b.degree, b.radicand):
-                    raise ExactnessError(
-                        f"cannot mix root extensions {a.radicand}^(1/{a.degree}) "
-                        f"and {b.radicand}^(1/{b.degree}); use a ball backend"
-                    )
+                    raise _mixed_roots((a.degree, a.radicand), (b.degree, b.radicand))
                 return a, b
             if isinstance(a, RootScalar):
                 return a, a._embed(b)
@@ -135,6 +137,11 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
+        # ball - ball is one mpi_sub, with the endpoints of self + (-other): a
+        # ball's endpoints fit its precision, so negating them is exact
+        if type(self) is BallScalar and type(other) is BallScalar:
+            prec = max(self.precision_bits, other.precision_bits)
+            return BallScalar(mpi_sub(self.mpi, other.mpi, prec), prec)
         return self + (-as_scalar(other))
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
@@ -145,10 +152,10 @@ class Scalar:
         # precision, which is what promoting the zero and calling mpi_mul gives
         other = as_scalar(other)
         if isinstance(other, BallScalar):
-            if isinstance(self, RationalScalar) and not self.value and other._finite():
+            if isinstance(self, RationalScalar) and not self.value and _finite(other.mpi):
                 return BallScalar((fzero, fzero), other.precision_bits)
         elif isinstance(self, BallScalar):
-            if isinstance(other, RationalScalar) and not other.value and self._finite():
+            if isinstance(other, RationalScalar) and not other.value and _finite(self.mpi):
                 return BallScalar((fzero, fzero), self.precision_bits)
         a, b = self._promote(other)
         return a._mul(b)
@@ -342,20 +349,8 @@ class RootScalar(Scalar):
         return RootScalar.make(self.degree, self.radicand, coeffs)
 
     def _mul(self, other: "RootScalar") -> Scalar:
-        d, r = self.degree, self.radicand
-        acc = [Fraction(0)] * d
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < d:
-                    acc[k] += a * b
-                else:
-                    acc[k - d] += a * b * r
-        return RootScalar.make(d, r, tuple(acc))
+        # the kernel's product on integer numerators (see scalar_dot)
+        return _cook(_raw_mul(_raw(self), _raw(other)))
 
     def _inverse(self) -> Scalar:
         # Solve (self * x) == 1 as a linear system over Q in the theta basis.
@@ -454,9 +449,6 @@ class BallScalar(Scalar):
     def _iv(self, ctx):
         return ctx.make_mpf(self.mpi)
 
-    def _finite(self) -> bool:
-        return not any(e in (finf, fninf, fnan) for e in self.mpi)
-
     # The arithmetic calls libmpi on the stored endpoints at the precision the
     # interval context would use, with the same roundings, and builds no
     # interval-context objects.
@@ -532,6 +524,177 @@ class BallScalar(Scalar):
     def __repr__(self):
         ctx = _ctx(self.precision_bits)
         return f"BallScalar({ctx.make_mpf(self.mpi)}, bits={self.precision_bits})"
+
+
+# -- the dot kernel under every jet recurrence -------------------------------
+#
+# scalar_dot keeps each term and the running sum raw and builds no Scalar
+# between steps: a ball is (None, mpi, precision_bits), an exact value is
+# (ext, nums, den), which stands for sum(nums[j] * theta**j) / den in Q(theta)
+# for ext = (degree, radicand), or for the rational nums[0] / den when ext is
+# _Q. Exact raws stay in RootScalar.make's normal form (ext is _Q once every
+# irrational part is zero), so an exact zero is a rational with numerator 0,
+# and two root extensions meet exactly where the Scalar fold would mix them.
+
+_Q = (1, 1)
+
+
+def _mixed_roots(ea: tuple[int, int], eb: tuple[int, int]) -> ExactnessError:
+    return ExactnessError(
+        f"cannot mix root extensions {ea[1]}^(1/{ea[0]}) and {eb[1]}^(1/{eb[0]}); "
+        "use a ball backend"
+    )
+
+
+def _finite(iv) -> bool:
+    return not any(e in (finf, fninf, fnan) for e in iv)
+
+
+def _raw(v) -> tuple:
+    t = type(v)
+    if t is BallScalar:
+        return None, v.mpi, v.precision_bits
+    if t is RationalScalar:
+        v = v.value
+        return _Q, (v.numerator,), v.denominator
+    if t is int:
+        return _Q, (v,), 1
+    if t is Fraction:
+        return _Q, (v.numerator,), v.denominator
+    if t is RootScalar:
+        den = math.lcm(*(c.denominator for c in v.coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in v.coeffs)
+        return (v.degree, v.radicand), nums, den
+    return _raw(as_scalar(v))
+
+
+def _cook(r: tuple) -> Scalar:
+    ext, nums, den = r
+    if ext is None:
+        return BallScalar(nums, den)
+    if ext is _Q:
+        return RationalScalar(Fraction(nums[0], den))
+    return RootScalar.make(ext[0], ext[1], tuple(Fraction(c, den) for c in nums))
+
+
+def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
+    if ext is not _Q and not any(nums[1:]):
+        return _Q, nums[:1], den
+    return ext, nums, den
+
+
+def _ball_of(r: tuple, prec: int):
+    """The endpoints of the exact raw r promoted to a ball at prec."""
+    return _cook(r).to_ball(prec).mpi
+
+
+def _raw_mul(a: tuple, b: tuple) -> tuple:
+    """a * b, as Scalar.__mul__ computes it (on balls, nums is the interval
+    and den the precision)."""
+    ea, na, da = a
+    eb, nb, db = b
+    if ea is None:
+        if eb is None:
+            p = max(da, db)
+            return None, mpi_mul(na, nb, p), p
+        if not any(nb) and _finite(na):
+            return None, (fzero, fzero), da
+        return None, mpi_mul(na, _ball_of(b, da), da), da
+    if eb is None:
+        if not any(na) and _finite(nb):
+            return None, (fzero, fzero), db
+        return None, mpi_mul(_ball_of(a, db), nb, db), db
+    if ea is _Q:
+        if eb is _Q:
+            return _Q, (na[0] * nb[0],), da * db
+        c = na[0]
+        return _exact(eb, tuple(c * v for v in nb), da * db)
+    if eb is _Q:
+        c = nb[0]
+        return _exact(ea, tuple(v * c for v in na), da * db)
+    if ea != eb:
+        raise _mixed_roots(ea, eb)
+    d, r = ea
+    acc = [0] * d
+    for i, u in enumerate(na):
+        if u:
+            for j, v in enumerate(nb):
+                if v:
+                    if i + j < d:
+                        acc[i + j] += u * v
+                    else:
+                        acc[i + j - d] += u * v * r
+    return _exact(ea, tuple(acc), da * db)
+
+
+def _raw_add(a: tuple, b: tuple) -> tuple:
+    """a + b, as Scalar.__add__ computes it: an exact zero returns the other
+    operand as it is."""
+    ea, na, da = a
+    eb, nb, db = b
+    if eb is None:
+        if ea is None:
+            p = max(da, db)
+            return None, mpi_add(na, nb, p), p
+        if not any(na):
+            return b
+        return None, mpi_add(_ball_of(a, db), nb, db), db
+    if not any(nb):
+        return a
+    if ea is None:
+        return None, mpi_add(na, _ball_of(b, da), da), da
+    if not any(na):
+        return b
+    if ea != eb:
+        if ea is _Q:
+            ea, na = eb, na + (0,) * (len(nb) - 1)
+        elif eb is _Q:
+            nb = nb + (0,) * (len(na) - 1)
+        else:
+            raise _mixed_roots(ea, eb)
+    if da == db:
+        return _exact(ea, tuple(u + v for u, v in zip(na, nb)), da)
+    g = math.gcd(da, db)
+    ma, mb = db // g, da // g
+    return _exact(ea, tuple(u * ma + v * mb for u, v in zip(na, nb)), da * ma)
+
+
+def _raw_neg(a: tuple) -> tuple:
+    ext, nums, den = a
+    if ext is None:
+        return None, mpi_neg(nums, den), den
+    return ext, tuple(-v for v in nums), den
+
+
+def scalar_dot(
+    acc: Scalar,
+    xs: Sequence[Scalar],
+    ys: Sequence[Scalar],
+    ws: Sequence[ScalarLike] | None = None,
+    neg: bool = False,
+) -> Scalar:
+    """acc + x0*y0*w0 + x1*y1*w1 + ... (each term negated when neg), the same
+    Scalar as that left fold of Scalar operations, bit for bit.
+
+    Exact values are summed as integer numerators over a running denominator
+    and normalised once, into the one exact result. Balls go through
+    mpi_mul / mpi_add / mpi_neg on their endpoints, at the precision
+    Scalar._promote picks, with Scalar's promotion rules: an exact zero term
+    leaves the sum as it is, an exact zero times a finite ball is [0, 0] at
+    the ball's precision, and any other exact operand meeting a ball goes
+    through to_ball at that precision. Two root extensions raise
+    ExactnessError where the fold would mix them.
+    """
+    total = _raw(acc)
+    if ws is None:
+        for x, y in zip(xs, ys):
+            t = _raw_mul(_raw(x), _raw(y))
+            total = _raw_add(total, _raw_neg(t) if neg else t)
+    else:
+        for x, y, w in zip(xs, ys, ws):
+            t = _raw_mul(_raw_mul(_raw(x), _raw(y)), _raw(w))
+            total = _raw_add(total, _raw_neg(t) if neg else t)
+    return _cook(total)
 
 
 # -- generic scalar functions ---------------------------------------------

@@ -58,6 +58,23 @@ def test_mixed_partial_flat_fourth_order():
         table.partial((3, 0), (2, 0))
 
 
+def test_phi_partial_transposes_share_one_entry():
+    # the closed formula is symmetric in (alpha, beta), so the table keeps one
+    # entry per unordered pair; a transpose computed first on a fresh table has
+    # the same ball endpoints
+    x0 = prepare_point(Simanca(), as_scalar(F(9, 4)), exact=False, precision_bits=64)
+    ring = RadialRing(Jet.variable(x0, 2))
+    fp = fprime_jet(Simanca(), x0, 6)
+    table, fresh = PhiPartialTable(fp, 2, 4, ring), PhiPartialTable(fp, 2, 4, ring)
+    exps = [e for e in itertools.product(range(3), repeat=2) if sum(e) <= 2]
+    for a, b in itertools.product(exps, repeat=2):
+        v = table.partial(a, b)
+        assert table.partial(b, a) is v
+        w = fresh.partial(b, a)
+        coeffs = lambda rv: rv.ev.coeffs + rv.od.coeffs
+        assert scalars_digest(coeffs(v)) == scalars_digest(coeffs(w))
+
+
 def test_phi_partials_match_sympy():
     # Simanca f = x + log x at n = 3, s = 3/2: every mixed partial of
     # f(sum z_i w_i), w_i standing for zbar_i, up to total order 4, zeros included

@@ -11,7 +11,7 @@ from radialtyz.jets import (
     bijet_compose_univariate,
     bijet_exp,
 )
-from radialtyz.scalars import Sign, SignUndeterminedError, as_scalar
+from radialtyz.scalars import Scalar, Sign, SignUndeterminedError, as_scalar
 
 from helpers import is_hermitian_symmetric
 
@@ -181,3 +181,19 @@ def test_bijet_mixed_partial_convention():
         for j in range(3):
             want = sp.diff(((1 + u) * (1 + v)) ** 3, u, i, v, j).subs({u: 0, v: 0})
             assert F(comp.coeff(i, j).text()) * sp.factorial(i) * sp.factorial(j) == want
+
+
+def test_ball_jet_recurrences_multiply_scalars_once_per_coefficient(monkeypatch):
+    # the convolutions run in scalar_dot, so Scalar.__mul__ is left with the
+    # per-coefficient scalings: O(order) calls, where the loops took O(order^2)
+    order = 24
+    x0 = as_scalar(F(3, 4)).to_ball(256)
+    a = Jet.make(x0, [as_scalar(F(k + 2, k + 1)).to_ball(256) for k in range(order + 1)])
+    b = Jet.make(x0, [as_scalar(F(-1, k + 3)).to_ball(256) for k in range(order + 1)])
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    for op in (lambda: a * b, lambda: a.pow(F(1, 3)), lambda: b.exp(), lambda: b / a):
+        calls.clear()
+        assert op().order == order
+        assert len(calls) <= 3 * (order + 1)

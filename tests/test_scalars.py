@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import finf, fnan, fninf, fzero
 from sympy import factorint
 
+from radialtyz.jets import Jet
 from radialtyz.scalars import (
     BallScalar,
     DomainError,
@@ -24,6 +25,7 @@ from radialtyz.scalars import (
     as_scalar,
     int_pow,
     nth_root,
+    scalar_dot,
     scalar_exp,
     scalar_log,
     scalar_pow,
@@ -306,3 +308,65 @@ def test_exact_zero_times_finite_ball_promotes_nothing(monkeypatch):
     assert promoted == []
     root = nth_root(as_scalar(2), 2)
     assert isinstance(ZERO * root, RationalScalar) and isinstance(root * ZERO, RationalScalar)
+
+
+@given(balls | non_finite_balls, balls | non_finite_balls)
+@example(as_scalar(F(1, 3)).to_ball(16), as_scalar(F(2**300 + 1, 3)).to_ball(256))
+@example(BallScalar((fninf, finf), 53), BallScalar((fzero, finf), 16))
+@settings(max_examples=400, deadline=None)
+def test_ball_minus_ball_is_add_of_negation(a, b):
+    got, want = a - b, a + (-b)
+    assert (got.mpi, got.precision_bits) == (want.mpi, want.precision_bits)
+    # Jet.__sub__ subtracts coefficient by coefficient
+    ja, jb = Jet.make(0, [a, b, ZERO]), Jet.make(0, [b, a, b])
+    ends = lambda j: [(c.mpi, c.precision_bits) for c in j.coeffs]
+    assert ends(ja - jb) == ends(ja + (-jb))
+
+
+# -- the dot kernel ----------------------------------------------------------
+
+SQRT2, CBRT3 = nth_root(as_scalar(2), 2), nth_root(as_scalar(3), 3)
+exact_zeros = st.sampled_from([ZERO, RationalScalar(F(0))])
+root_elements = st.tuples(st.sampled_from([SQRT2, CBRT3]), rationals, rationals.filter(bool)).map(
+    lambda t: as_scalar(t[1]) + t[0] * t[2]
+)
+dot_operands = exact_zeros | rationals.map(as_scalar) | root_elements | balls | non_finite_balls
+dot_weights = dot_operands | st.integers(-3, 3) | rationals
+
+
+def _fold(acc, xs, ys, ws, neg):
+    """The left fold the kernel replaces."""
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        t = x * y if ws is None else x * y * ws[i]
+        acc = acc - t if neg else acc + t
+    return acc
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except ExactnessError:
+        return "ExactnessError"
+    if isinstance(v, BallScalar):
+        return "ball", v.mpi, v.precision_bits
+    return type(v).__name__, v
+
+
+@given(
+    dot_operands,
+    st.lists(st.tuples(dot_operands, dot_operands, dot_weights), max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+@example(ZERO, [(SQRT2, ZERO, 1), (CBRT3, as_scalar(1).to_ball(53), 1)], False, True)
+@example(as_scalar(F(1, 3)), [(SQRT2, SQRT2, F(1, 2)), (CBRT3, as_scalar(1), 0)], True, False)
+@example(ZERO, [(as_scalar(F(1, 3)).to_ball(16), as_scalar(3), 0),
+                (BallScalar((fninf, finf), 53), ZERO, 1)], False, True)
+@example(BallScalar((fnan, fnan), 4), [(ZERO, ZERO, 1)], False, False)
+@settings(max_examples=300, deadline=None)
+def test_scalar_dot_matches_the_scalar_fold(acc, terms, weighted, neg):
+    xs, ys, ws = [t[0] for t in terms], [t[1] for t in terms], [t[2] for t in terms]
+    if not weighted:
+        ws = None
+    want = _outcome(lambda: _fold(acc, xs, ys, ws, neg))
+    assert _outcome(lambda: scalar_dot(acc, xs, ys, ws, neg)) == want
