@@ -10,8 +10,10 @@ Exit codes: 0 success / all-pass; 1 certified failure (a reproduction item
 contradicts its stated value); 2 inconclusive results present (undetermined
 signs at the configured precision, among them a1, a2 or a3 of lu-coeffs, also
 a sign the computation itself needed);
-3 input error (a usage error, or an input that validation or the computation
-rejects), so no result was computed.
+3 input error (a usage error, a non-integer RADIALTYZ_PRECISION_BITS, a
+missing or malformed --custom-json file, an unwritable --out path, or an
+input that validation or the computation rejects), so no result was computed;
+each prints one "error:" line on stderr.
 """
 from __future__ import annotations
 
@@ -127,7 +129,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--precision-bits",
         type=int,
-        default=int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS)),
+        default=None,
         help="ball-backend precision (env %s overrides the default 256)" % PRECISION_ENV,
     )
     p.add_argument(
@@ -430,9 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.precision_bits is None:
+            env = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION_BITS))
+            try:
+                args.precision_bits = int(env)
+            except ValueError:
+                raise ValueError(f"{PRECISION_ENV}={env!r} is not an integer") from None
         RunConfig.from_args(args).validate()
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, SignUndeterminedError) else EXIT_INPUT_ERROR
 

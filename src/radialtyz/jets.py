@@ -18,6 +18,7 @@ c_ij = c_ji; mixed partials at the base point are i! j! c_ij.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,10 +76,7 @@ class Jet:
         """k-th derivative at the base point: k! * c_k."""
         if k > self.order:
             raise ValueError(f"jet of order {self.order} has no derivative {k}")
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        return self.coeffs[k] * fact
+        return self.coeffs[k] * math.factorial(k)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:

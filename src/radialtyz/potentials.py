@@ -200,4 +200,6 @@ def prepare_point(
 def load_custom_potential(path: str | Path) -> CustomPotential:
     """Ingest {x0: "p/q", coefficients: ["p/q", ...]} as Taylor data of f'."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict) or "coefficients" not in data or "x0" not in data:
+        raise ValueError(f"custom potential {path} needs the keys \"x0\" and \"coefficients\"")
     return CustomPotential.make(str(data["x0"]), [str(c) for c in data["coefficients"]])

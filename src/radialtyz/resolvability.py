@@ -19,6 +19,7 @@ condition and is labeled as such.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -227,7 +228,7 @@ def simanca_embedding_check(max_degree: int) -> EmbeddingCheckReport:
             fact /= m
         for j in range(m + 2):
             k = m + 1 - j
-            c = Fraction(_binom(m + 1, j)) * fact
+            c = Fraction(math.comb(m + 1, j)) * fact
             poly[(j, k)] = poly.get((j, k), Fraction(0)) + c
     mism = []
     checked = 0
@@ -236,21 +237,10 @@ def simanca_embedding_check(max_degree: int) -> EmbeddingCheckReport:
             if j + k == 0:
                 continue
             checked += 1
-            expected = Fraction(j + k, _fact(j) * _fact(k))
+            expected = Fraction(j + k, math.factorial(j) * math.factorial(k))
             if poly.get((j, k), Fraction(0)) != expected:
                 mism.append((j, k))
     return EmbeddingCheckReport(max_degree=D, checked=checked, mismatches=tuple(mism))
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _binom(n: int, k: int) -> int:
-    return _fact(n) // (_fact(k) * _fact(n - k))
 
 
 def first_row_matches_gh(

@@ -8,9 +8,10 @@ Three interchangeable backends share one operator protocol:
                     Sign queries are decided by interval refinement, which
                     terminates because {1, theta, ..., theta**(d-1)} is a
                     Q-basis (x**d - r is irreducible for canonical r).
-* BallScalar     -- mpmath interval ("ball") arithmetic at a stated precision;
-                    a sign query answers `undetermined` whenever the enclosure
-                    straddles zero.
+* BallScalar     -- interval ("ball") arithmetic: mpmath.libmp.libmpi on the
+                    stored endpoints at the ball's precision, with no context
+                    objects; a sign query answers `undetermined` whenever the
+                    enclosure straddles zero.
 
 All values are immutable; mixed-backend operations coerce upward
 (rational -> root -> ball). Two distinct root extensions never mix: that
@@ -28,12 +29,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
     fhalf, finf, fnan, fninf, fone, from_int, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
     round_ceiling, round_floor, to_str,
 )
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_sub
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_CAP_BITS = 4096
@@ -60,35 +60,24 @@ class DomainError(ValueError):
     """An evaluation point violates a family's admissible domain."""
 
 
-_CONTEXTS: dict[int, MPIntervalContext] = {}
-
-
-def _ctx(precision_bits: int) -> MPIntervalContext:
-    ctx = _CONTEXTS.get(precision_bits)
-    if ctx is None:
-        ctx = MPIntervalContext()
-        ctx.prec = precision_bits
-        _CONTEXTS[precision_bits] = ctx
-    return ctx
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the canonical "p/q" (or plain integer) text form."""
-    return Fraction(text.strip())
+def _rat_iv(p: int, q: int, precision_bits: int):
+    """The endpoints of p/q at precision_bits: p rounded down and up, then
+    divided by q (also rounded outward) unless q is 1."""
+    iv = (from_int(p, precision_bits, round_floor), from_int(p, precision_bits, round_ceiling))
+    if q != 1:
+        iv = mpi_div(iv, _rat_iv(q, 1, precision_bits), precision_bits)
+    return iv
 
 
 def as_scalar(value: ScalarLike) -> "Scalar":
+    """A Scalar as it is; an int, Fraction or "p/q" text as a RationalScalar."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
         return RationalScalar(Fraction(value))
     if isinstance(value, str):
-        return RationalScalar(parse_rational(value))
+        return RationalScalar(Fraction(value.strip()))
     raise TypeError(f"cannot convert {type(value).__name__} to Scalar")
-
-
-def rational(p: int | Fraction, q: int = 1) -> "RationalScalar":
-    return RationalScalar(Fraction(p, q))
 
 
 ZERO: "RationalScalar"
@@ -236,13 +225,8 @@ class RationalScalar(Scalar):
         return not self.value
 
     def to_ball(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> "BallScalar":
-        # the endpoints and division the interval context's mpf(p) / mpf(q) computes
-        p, q = self.value.numerator, self.value.denominator
-        iv = (from_int(p, precision_bits, round_floor), from_int(p, precision_bits, round_ceiling))
-        if q != 1:
-            den = (from_int(q, precision_bits, round_floor), from_int(q, precision_bits, round_ceiling))
-            iv = mpi_div(iv, den, precision_bits)
-        return BallScalar(iv, precision_bits)
+        v = self.value
+        return BallScalar(_rat_iv(v.numerator, v.denominator, precision_bits), precision_bits)
 
     def text(self) -> str:
         return str(self.value)
@@ -405,14 +389,14 @@ class RootScalar(Scalar):
     def is_zero(self) -> bool:
         return not any(self.coeffs)  # only reachable through _embed of zero
 
-    def _interval(self, precision_bits: int):
-        ctx = _ctx(precision_bits)
-        theta = ctx.exp(ctx.log(ctx.mpf(self.radicand)) / self.degree)
-        acc = ctx.mpf(0)
+    def _interval(self, prec: int):
+        # theta = exp(log(r) / d), then Horner in theta
+        log_r = mpi_log(_rat_iv(self.radicand, 1, prec), prec)
+        theta = mpi_exp(mpi_div(log_r, _rat_iv(self.degree, 1, prec), prec), prec)
+        acc = (fzero, fzero)
         for c in reversed(self.coeffs):
-            term = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-            acc = acc * theta + term
-        return acc._mpi_
+            acc = mpi_add(mpi_mul(acc, theta, prec), _rat_iv(c.numerator, c.denominator, prec), prec)
+        return acc
 
     def to_ball(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> "BallScalar":
         return BallScalar(self._interval(precision_bits), precision_bits)
@@ -445,13 +429,6 @@ class BallScalar(Scalar):
 
     def __setattr__(self, *a):
         raise AttributeError("BallScalar is immutable")
-
-    def _iv(self, ctx):
-        return ctx.make_mpf(self.mpi)
-
-    # The arithmetic calls libmpi on the stored endpoints at the precision the
-    # interval context would use, with the same roundings, and builds no
-    # interval-context objects.
 
     def __neg__(self) -> "BallScalar":
         return BallScalar(mpi_neg(self.mpi, self.precision_bits), self.precision_bits)
@@ -490,16 +467,6 @@ class BallScalar(Scalar):
             return self
         return BallScalar(self.mpi, max(precision_bits, self.precision_bits))
 
-    def exp(self) -> "BallScalar":
-        ctx = _ctx(self.precision_bits)
-        return BallScalar(ctx.exp(self._iv(ctx))._mpi_, self.precision_bits)
-
-    def log(self) -> "BallScalar":
-        if self.require_sign("log argument") != Sign.POSITIVE:
-            raise DomainError("log of a non-positive ball")
-        ctx = _ctx(self.precision_bits)
-        return BallScalar(ctx.log(self._iv(ctx))._mpi_, self.precision_bits)
-
     def midpoint_str(self, dps: int | None = None) -> str:
         lo, hi = self.mpi
         mid = mpf_mul(mpf_add(lo, hi, self.precision_bits + 8), fhalf)
@@ -522,8 +489,7 @@ class BallScalar(Scalar):
         return hash(("ball", self.mpi))
 
     def __repr__(self):
-        ctx = _ctx(self.precision_bits)
-        return f"BallScalar({ctx.make_mpf(self.mpi)}, bits={self.precision_bits})"
+        return f"BallScalar({self.midpoint_str()} ± {self.radius_str()}, bits={self.precision_bits})"
 
 
 # -- the dot kernel under every jet recurrence -------------------------------
@@ -739,9 +705,8 @@ def nth_root(value: Scalar, n: int) -> Scalar:
     if isinstance(value, BallScalar):
         if value.require_sign("radicand") != Sign.POSITIVE:
             raise DomainError("root of a non-positive ball")
-        ctx = _ctx(value.precision_bits)
-        iv = ctx.exp(ctx.log(value._iv(ctx)) / n)
-        return BallScalar(iv._mpi_, value.precision_bits)
+        p = value.precision_bits
+        return BallScalar(mpi_exp(mpi_div(mpi_log(value.mpi, p), _rat_iv(n, 1, p), p), p), p)
     raise ExactnessError(
         "nested radicals are not supported exactly; convert to a ball backend"
     )
@@ -754,16 +719,15 @@ def scalar_pow(value: Scalar, exponent: Fraction | int) -> Scalar:
     if isinstance(value, BallScalar):
         if value.require_sign("power base") != Sign.POSITIVE:
             raise DomainError("fractional power of a non-positive ball")
-        ctx = _ctx(value.precision_bits)
-        e = ctx.mpf(exponent.numerator) / ctx.mpf(exponent.denominator)
-        iv = ctx.exp(e * ctx.log(value._iv(ctx)))
-        return BallScalar(iv._mpi_, value.precision_bits)
+        p = value.precision_bits
+        e = _rat_iv(exponent.numerator, exponent.denominator, p)
+        return BallScalar(mpi_exp(mpi_mul(e, mpi_log(value.mpi, p), p), p), p)
     return nth_root(int_pow(value, exponent.numerator), exponent.denominator)
 
 
 def scalar_exp(value: Scalar) -> Scalar:
     if isinstance(value, BallScalar):
-        return value.exp()
+        return BallScalar(mpi_exp(value.mpi, value.precision_bits), value.precision_bits)
     if isinstance(value, RationalScalar) and value.value == 0:
         return ONE
     raise ExactnessError("exp of a nonzero exact scalar is transcendental")
@@ -771,7 +735,9 @@ def scalar_exp(value: Scalar) -> Scalar:
 
 def scalar_log(value: Scalar) -> Scalar:
     if isinstance(value, BallScalar):
-        return value.log()
+        if value.require_sign("log argument") != Sign.POSITIVE:
+            raise DomainError("log of a non-positive ball")
+        return BallScalar(mpi_log(value.mpi, value.precision_bits), value.precision_bits)
     if isinstance(value, RationalScalar) and value.value == 1:
         return ZERO
     if value.require_sign("log argument") != Sign.POSITIVE:

@@ -240,6 +240,24 @@ def test_custom_family_via_cli(tmp_path, capsys):
     assert json.loads(out)["values"][1]["value"]["value"] == "9/4"
 
 
+@pytest.mark.parametrize("case", ["precision-env", "custom-missing", "custom-keys", "out-dir"])
+def test_input_errors_exit_with_one_error_line(case, tmp_path, capsys, monkeypatch):
+    argv = ["gh-eval", "--family", "custom", "--custom-json", str(tmp_path / "pot.json"),
+            "--x", "4/5", "--hmax", "2"]
+    pot = {"x0": "4/5", "coefficients": ["9/4", "-25/16", "2"]}
+    if case == "precision-env":
+        monkeypatch.setenv("RADIALTYZ_PRECISION_BITS", "abc")
+    elif case == "custom-keys":
+        del pot["coefficients"]
+    elif case == "out-dir":
+        argv += ["--out", str(tmp_path / "missing-dir" / "report.json")]
+    if case != "custom-missing":
+        (tmp_path / "pot.json").write_text(json.dumps(pot))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_import_does_not_load_sympy():
     # a subprocess, because other test modules import sympy into this one
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

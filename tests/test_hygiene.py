@@ -1,10 +1,23 @@
-"""Static checks on the package source with the stdlib ast module: no import
-is left unused, no private module-level helper is left unreferenced and no
-attribute set on self is left unread, as deletions tend to leave them behind."""
+"""Hygiene checks on the package.
+
+Static checks on the source with the stdlib ast module: no import is left
+unused, no private module-level helper is left unreferenced and no attribute
+set on self is left unread, as deletions tend to leave them behind. One
+runtime check: evaluations leave every module-level container as it was, so
+evaluations share no mutable state."""
 import ast
+import importlib
+import pkgutil
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+import radialtyz
+from radialtyz.curvature import lu_coefficients
+from radialtyz.obstruction import gh_reports
+from radialtyz.potentials import EpsilonFamily
+from radialtyz.scalars import RootScalar, Sign
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "radialtyz"
@@ -95,3 +108,25 @@ def test_every_attribute_set_on_self_is_read():
                 ):
                     unread.append(f"{path.name}:{sub.lineno} {cls.name}.{sub.attr}")
     assert not unread, f"attributes set on self and never read: {unread}"
+
+
+def _module_container_sizes() -> dict[str, int]:
+    """The size of every module-level dict, list and set of every module."""
+    sizes = {}
+    for info in pkgutil.iter_modules(radialtyz.__path__):
+        module = importlib.import_module(f"radialtyz.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                sizes[f"{info.name}.{name}"] = len(value)
+    return sizes
+
+
+def test_evaluations_grow_no_module_level_state():
+    before = _module_container_sizes()
+    # 2**k * sqrt(2) - 2**k - 1 > 0, a sign decided by interval refinement
+    # that starts at max(64, k + 34) bits: a new precision for each k > 30
+    for k in range(30, 130):
+        assert RootScalar(2, 2, (F(-(2**k) - 1), F(2**k))).sign() == Sign.POSITIVE
+    lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4), exact=False, precision_bits=96)
+    gh_reports(EpsilonFamily(1, F(1), 3), F(3, 4), 5, exact=False, precision_bits=80)
+    assert _module_container_sizes() == before

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import finf, fnan, fninf, fzero
 from sympy import factorint
 
@@ -19,7 +20,6 @@ from radialtyz.scalars import (
     Sign,
     SignUndeterminedError,
     _canonical_root,
-    _ctx,
     _factor,
     abs_le,
     as_scalar,
@@ -192,8 +192,15 @@ def test_canonical_root_matches_sympy_reference(n):
 
 # -- ball arithmetic on the stored endpoints ------------------------------
 #
-# The ball operators call libmpi directly; the interval-context computations
-# below are what they did before, kept as the reference.
+# Every ball operation calls libmpi directly on the stored endpoints; the
+# computations of mpmath's interval context below are the reference they
+# must match bit for bit.
+
+
+def _ctx(precision_bits: int) -> MPIntervalContext:
+    ctx = MPIntervalContext()
+    ctx.prec = precision_bits
+    return ctx
 
 
 def _ctx_iv_to_ball(fr: F, prec: int) -> BallScalar:
@@ -216,14 +223,21 @@ precisions = st.sampled_from([4, 16, 53, 256])
 wide_rationals = st.builds(
     F, st.integers(-(2**300), 2**300), st.integers(1, 2**300)
 ) | rationals
-# a ball from two rationals lo <= hi: a point, a wide ball, or one straddling 0
-balls = st.builds(
-    lambda lo, hi, prec: BallScalar(
-        (_ctx_iv_to_ball(min(lo, hi), prec).mpi[0], _ctx_iv_to_ball(max(lo, hi), prec).mpi[1]),
-        prec,
-    ),
-    wide_rationals, wide_rationals, precisions,
-) | st.builds(_ctx_iv_to_ball, wide_rationals, precisions)
+
+
+def _balls(values, precs):
+    """A ball from two values lo <= hi, or around one value."""
+    return st.builds(
+        lambda lo, hi, prec: BallScalar(
+            (_ctx_iv_to_ball(min(lo, hi), prec).mpi[0], _ctx_iv_to_ball(max(lo, hi), prec).mpi[1]),
+            prec,
+        ),
+        values, values, precs,
+    ) | st.builds(_ctx_iv_to_ball, values, precs)
+
+
+# a point, a wide ball, or one straddling 0
+balls = _balls(wide_rationals, precisions)
 
 
 @given(wide_rationals, precisions)
@@ -370,3 +384,65 @@ def test_scalar_dot_matches_the_scalar_fold(acc, terms, weighted, neg):
         ws = None
     want = _outcome(lambda: _fold(acc, xs, ys, ws, neg))
     assert _outcome(lambda: scalar_dot(acc, xs, ys, ws, neg)) == want
+
+
+# -- exp, log, roots and powers against the interval context ----------------
+
+oracle_precisions = st.sampled_from([8, 16, 53, 64, 256, 694])
+positive_rationals = st.builds(F, st.integers(1, 2**300), st.integers(1, 2**300)) | rationals.filter(
+    lambda v: v > 0
+)
+positive_balls = _balls(positive_rationals, oracle_precisions)
+
+
+def _ends(b: BallScalar):
+    return b.mpi, b.precision_bits
+
+
+@given(positive_balls, st.integers(2, 7), st.integers(-7, 7).filter(bool))
+@example(_ctx_iv_to_ball(F(2), 8), 2, 1)
+@example(_ctx_iv_to_ball(F(1, 3), 694), 5, -3)
+@settings(max_examples=200, deadline=None)
+def test_ball_exp_log_root_pow_match_interval_context(b, n, k):
+    ctx = _ctx(b.precision_bits)
+    x = ctx.make_mpf(b.mpi)
+    want = lambda v: (v._mpi_, b.precision_bits)
+    assert _ends(scalar_exp(b)) == want(ctx.exp(x))
+    assert _ends(scalar_exp(-b)) == want(ctx.exp(-x))
+    assert _ends(scalar_log(b)) == want(ctx.log(x))
+    assert _ends(nth_root(b, n)) == want(ctx.exp(ctx.log(x) / n))
+    e = F(k, n)
+    if e.denominator != 1:
+        ctx_e = ctx.mpf(e.numerator) / ctx.mpf(e.denominator)
+        assert _ends(scalar_pow(b, e)) == want(ctx.exp(ctx_e * ctx.log(x)))
+
+
+root_coeffs = st.lists(wide_rationals, min_size=5, max_size=5)
+
+
+@given(st.integers(2, 5), st.sampled_from([2, 3, 5, 6, 7, 10, 12, 101]), root_coeffs,
+       oracle_precisions)
+@example(2, 2, [F(-1), F(1), F(0), F(0), F(0)], 8)
+@example(5, 12, [F(1, 3), F(-2, 7), F(0), F(5), F(-1)], 694)
+@settings(max_examples=200, deadline=None)
+def test_root_to_ball_matches_interval_context(degree, radicand, coeffs, prec):
+    coeffs = tuple(coeffs[:degree])
+    if not any(coeffs[1:]):
+        coeffs = coeffs[:1] + (F(1),) + coeffs[2:]
+    v = RootScalar(degree, radicand, coeffs)
+    ctx = _ctx(prec)
+    theta = ctx.exp(ctx.log(ctx.mpf(radicand)) / degree)
+    acc = ctx.mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * theta + ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
+    assert _ends(v.to_ball(prec)) == (acc._mpi_, prec)
+
+
+@pytest.mark.parametrize("prec", [8, 53, 256])
+def test_ball_log_keeps_its_errors(prec):
+    third = as_scalar(F(1, 3)).to_ball(prec)
+    with pytest.raises(SignUndeterminedError):
+        scalar_log(third - third)
+    for ball in (ZERO.to_ball(prec), -third):
+        with pytest.raises(DomainError, match="log of a non-positive ball"):
+            scalar_log(ball)
