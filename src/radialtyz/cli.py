@@ -50,7 +50,8 @@ class RunConfig:
     """Validated, JSON-round-trippable description of one CLI invocation.
 
     validate() rejects inconsistent combinations (unknown family, eps = -1
-    with x <= 1, malformed rationals) before any computation starts.
+    with x <= 1, malformed rationals, an --out that is a directory or whose
+    directory does not exist) before any computation starts.
     """
 
     subcommand: str
@@ -102,6 +103,8 @@ class RunConfig:
         raise ValueError(f"unknown family {self.family!r}")
 
     def validate(self) -> None:
+        if self.out is not None and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
+            raise ValueError(f"--out {self.out} is not a file path in an existing directory")
         if self.format not in ("json", "csv", "table"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.precision_bits < 16:
@@ -149,7 +152,8 @@ def _add_family(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--eps", type=int, choices=(-1, 0, 1), default=None)
     p.add_argument("--lam", default="1", help='scaling lambda as "p/q"')
-    p.add_argument("--n", type=int, default=None, help="epsilon-family exponent / dimension")
+    p.add_argument("--n", type=int, default=None,
+                   help="epsilon-family exponent; a custom potential's dimension")
     p.add_argument("--custom-json", default=None, help="custom potential JSON path")
 
 
@@ -320,7 +324,8 @@ def _cmd_embedding_check(args) -> int:
 def _cmd_ricci_flat_check(args) -> int:
     fam = RunConfig.from_args(args).build_family()
     samples = [Fraction(tok) for tok in args.samples.split(",")]
-    residuals = ricci_flat_residual(fam, samples)
+    # only a custom potential has no dimension of its own
+    residuals = ricci_flat_residual(fam, samples, args.n if args.family == "custom" else None)
     rows = []
     flat = True
     for x, r in zip(samples, residuals):

@@ -165,13 +165,13 @@ def obstruction_scan(
     *,
     exact: bool | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    precision_cap: int = PRECISION_CAP_BITS,
 ) -> list[ObstructionReport]:
     """All certified-negative g_h over the grid; ascending x, then h.
 
-    Undetermined signs trigger recomputation at doubled precision up to the
-    cap; points that remain undetermined are reported as such (never as a
-    verdict). The minimal negative h per x is the first hit listed for that x.
+    Undetermined signs trigger recomputation at doubled precision up to
+    PRECISION_CAP_BITS; points that remain undetermined are reported as such
+    (never as a verdict). The minimal negative h per x is the first hit
+    listed for that x.
     """
     points = sorted((Fraction(as_scalar(p).text()) for p in x_grid))
     hits: list[ObstructionReport] = []
@@ -182,7 +182,7 @@ def obstruction_scan(
             x0 = prepare_point(fam, x, exact=exact, precision_bits=prec)
             values = gh_sequence(fam, x0, hmax)
             signs = [v.sign() for v in values]
-            if Sign.UNDETERMINED not in signs or x0.exact or prec >= precision_cap:
+            if Sign.UNDETERMINED not in signs or x0.exact or prec >= PRECISION_CAP_BITS:
                 break
             prec *= 2
         for h, (v, s) in enumerate(zip(values, signs)):
@@ -199,7 +199,6 @@ class DivergenceReport:
     values: tuple[Scalar, ...]
     all_negative: bool
     growth_certified: bool
-    growth_factor: int
 
     @property
     def passed(self) -> bool:
@@ -211,11 +210,11 @@ def small_x_divergence_check(
     n: int,
     k_list: Sequence[int],
     *,
-    growth_factor: int = 10,
     exact: bool | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> DivergenceReport:
-    """g_{floor(lam)+2}(10^-k) for each k: certified negative and blowing up.
+    """g_{floor(lam)+2}(10^-k) for each k: certified negative and blowing up,
+    each value certified more than 10x the previous one in magnitude.
 
     Only non-integer lam is accepted (the x -> 0 divergence is specific to
     lam outside the integers).
@@ -236,7 +235,7 @@ def small_x_divergence_check(
     # successive points live in different root extensions; compare via balls
     balls = [v.to_ball(precision_bits) for v in values]
     growth = all(
-        ((-balls[i + 1]) - (-balls[i]) * growth_factor).sign() == Sign.POSITIVE
+        ((-balls[i + 1]) - (-balls[i]) * 10).sign() == Sign.POSITIVE
         for i in range(len(balls) - 1)
     )
     return DivergenceReport(
@@ -246,7 +245,6 @@ def small_x_divergence_check(
         values=tuple(values),
         all_negative=all_negative,
         growth_certified=growth,
-        growth_factor=growth_factor,
     )
 
 

@@ -232,9 +232,7 @@ def _lambda_blowup(precision_bits: int):
     notes = []
     for lam in (F(1, 2), F(3, 2), F(5, 2)):
         for n in (2, 3):
-            rep = small_x_divergence_check(
-                lam, n, [2, 3, 4, 5], growth_factor=10, precision_bits=precision_bits
-            )
+            rep = small_x_divergence_check(lam, n, [2, 3, 4, 5], precision_bits=precision_bits)
             sub = _combine(_tri_negative(v) for v in rep.values)
             if sub == PASS and not rep.growth_certified:
                 sub = INCONCLUSIVE if not rep.values[0].exact else FAIL

@@ -128,9 +128,6 @@ class ResolvabilityCertificate:
     first_flag: tuple[int, int] | None  # (l, h) of the verdict witness
     scope_note: str = field(default=SCOPE_NOTE)
 
-    def minor(self, l: int, h: int) -> Scalar:
-        return self.minors[l][h]
-
 
 def minor_matrix(
     fam: PotentialFamily,
@@ -150,6 +147,8 @@ def minor_matrix(
     """
     if (x is None) == (s is None):
         raise ValueError("give exactly one of s or x (= s^2)")
+    if lmax < 0 or hmax < 0:
+        raise ValueError("lmax and hmax must be >= 0")
     s_scalar: Scalar | None = None
     if x is None:
         s_scalar = as_scalar(s)

@@ -17,10 +17,11 @@ All values are immutable; mixed-backend operations coerce upward
 (rational -> root -> ball). Two distinct root extensions never mix: that
 raises ExactnessError and callers are expected to fall back to balls.
 
-scalar_dot(acc, xs, ys, ws, neg) is the kernel under every jet recurrence: it
-returns the left fold acc ± x0*y0*w0 ± x1*y1*w1 ... of the operators above,
-bit for bit, on raw numerators and interval endpoints, without a Scalar or a
-promotion per step.
+scalar_dot(acc, xs, ys, ws, neg) is the one arithmetic: it returns
+acc ± x0*y0*w0 ± x1*y1*w1 ... on raw numerators and interval endpoints,
+without a Scalar or a promotion per step, and every binary operator of the
+backends is its one-term case, so a left fold of operators gives the same
+result bit for bit.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from mpmath.libmp import (
     fhalf, finf, fnan, fninf, fone, from_int, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
     round_ceiling, round_floor, to_str,
 )
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_sub
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_CAP_BITS = 4096
@@ -85,76 +86,42 @@ ONE: "RationalScalar"
 
 
 class Scalar:
-    """Common operator protocol; concrete backends implement _add/_mul/..."""
+    """Common operator protocol: + and * are the dot kernel's one-term case
+    (see scalar_dot); backends implement _inverse, sign, to_ball, ..."""
 
     backend = "abstract"
-
-    # -- coercion ---------------------------------------------------------
-
-    def _promote(self, other: ScalarLike) -> tuple["Scalar", "Scalar"]:
-        other = as_scalar(other)
-        a, b = self, other
-        if isinstance(a, BallScalar) or isinstance(b, BallScalar):
-            prec = max(
-                a.precision_bits if isinstance(a, BallScalar) else 0,
-                b.precision_bits if isinstance(b, BallScalar) else 0,
-            )
-            return a.to_ball(prec), b.to_ball(prec)
-        if isinstance(a, RootScalar) or isinstance(b, RootScalar):
-            if isinstance(a, RootScalar) and isinstance(b, RootScalar):
-                if (a.degree, a.radicand) != (b.degree, b.radicand):
-                    raise _mixed_roots((a.degree, a.radicand), (b.degree, b.radicand))
-                return a, b
-            if isinstance(a, RootScalar):
-                return a, a._embed(b)
-            return b._embed(a), b
-        return a, b
 
     # -- operators --------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        # an exact zero leaves the other operand as it is, with no promotion;
-        # x * ZERO is not shortcut, because on balls it must stay a ball
+        # an exact zero leaves the other operand as it is, with no promotion
         other = as_scalar(other)
         if isinstance(other, RationalScalar) and not other.value:
             return self
         if isinstance(self, RationalScalar) and not self.value:
             return other
-        a, b = self._promote(other)
-        return a._add(b)
+        return _lane(self, other)._add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        # ball - ball is one mpi_sub, with the endpoints of self + (-other): a
-        # ball's endpoints fit its precision, so negating them is exact
-        if type(self) is BallScalar and type(other) is BallScalar:
-            prec = max(self.precision_bits, other.precision_bits)
-            return BallScalar(mpi_sub(self.mpi, other.mpi, prec), prec)
         return self + (-as_scalar(other))
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return as_scalar(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        # an exact zero times a finite ball is the ball [0, 0] at the ball's
-        # precision, which is what promoting the zero and calling mpi_mul gives
         other = as_scalar(other)
-        if isinstance(other, BallScalar):
-            if isinstance(self, RationalScalar) and not self.value and _finite(other.mpi):
-                return BallScalar((fzero, fzero), other.precision_bits)
-        elif isinstance(self, BallScalar):
-            if isinstance(other, RationalScalar) and not other.value and _finite(self.mpi):
-                return BallScalar((fzero, fzero), self.precision_bits)
-        a, b = self._promote(other)
-        return a._mul(b)
+        return _lane(self, other)._mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        a, b = self._promote(other)
-        # _inverse may collapse a root element to a rational, so re-promote
-        return a * b._inverse()
+        other = as_scalar(other)
+        if isinstance(self, BallScalar):
+            # invert at the wider precision, as the product's promotion would
+            other = other.to_ball(self.precision_bits)
+        return self * other._inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return as_scalar(other) / self
@@ -202,12 +169,6 @@ class RationalScalar(Scalar):
 
     def __neg__(self) -> "RationalScalar":
         return RationalScalar(-self.value)
-
-    def _add(self, other: "RationalScalar") -> "RationalScalar":
-        return RationalScalar(self.value + other.value)
-
-    def _mul(self, other: "RationalScalar") -> "RationalScalar":
-        return RationalScalar(self.value * other.value)
 
     def _inverse(self) -> "RationalScalar":
         if self.value == 0:
@@ -320,21 +281,8 @@ class RootScalar(Scalar):
             return RationalScalar(coeffs[0])
         return RootScalar(degree, radicand, coeffs)
 
-    def _embed(self, other: Scalar) -> "RootScalar":
-        assert isinstance(other, RationalScalar)
-        coeffs = (other.value,) + (Fraction(0),) * (self.degree - 1)
-        return RootScalar(self.degree, self.radicand, coeffs)
-
     def __neg__(self) -> "RootScalar":
         return RootScalar(self.degree, self.radicand, tuple(-c for c in self.coeffs))
-
-    def _add(self, other: "RootScalar") -> Scalar:
-        coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return RootScalar.make(self.degree, self.radicand, coeffs)
-
-    def _mul(self, other: "RootScalar") -> Scalar:
-        # the kernel's product on integer numerators (see scalar_dot)
-        return _cook(_raw_mul(_raw(self), _raw(other)))
 
     def _inverse(self) -> Scalar:
         # Solve (self * x) == 1 as a linear system over Q in the theta basis.
@@ -369,7 +317,7 @@ class RootScalar(Scalar):
 
     def sign(self) -> Sign:
         if all(c == 0 for c in self.coeffs):
-            return Sign.ZERO  # only reachable through _embed of zero
+            return Sign.ZERO  # only a directly built zero; make() never returns one
         if all(c >= 0 for c in self.coeffs):
             return Sign.POSITIVE  # theta > 0
         if all(c <= 0 for c in self.coeffs):
@@ -387,7 +335,7 @@ class RootScalar(Scalar):
         raise SignUndeterminedError("root element sign refinement exhausted")
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)  # only reachable through _embed of zero
+        return not any(self.coeffs)  # see sign()
 
     def _interval(self, prec: int):
         # theta = exp(log(r) / d), then Horner in theta
@@ -432,14 +380,6 @@ class BallScalar(Scalar):
 
     def __neg__(self) -> "BallScalar":
         return BallScalar(mpi_neg(self.mpi, self.precision_bits), self.precision_bits)
-
-    def _add(self, other: "BallScalar") -> "BallScalar":
-        prec = max(self.precision_bits, other.precision_bits)
-        return BallScalar(mpi_add(self.mpi, other.mpi, prec), prec)
-
-    def _mul(self, other: "BallScalar") -> "BallScalar":
-        prec = max(self.precision_bits, other.precision_bits)
-        return BallScalar(mpi_mul(self.mpi, other.mpi, prec), prec)
 
     def _inverse(self) -> "BallScalar":
         s = self.sign()
@@ -500,7 +440,8 @@ class BallScalar(Scalar):
 # for ext = (degree, radicand), or for the rational nums[0] / den when ext is
 # _Q. Exact raws stay in RootScalar.make's normal form (ext is _Q once every
 # irrational part is zero), so an exact zero is a rational with numerator 0,
-# and two root extensions meet exactly where the Scalar fold would mix them.
+# and a root element whose irrational part cancels is a rational, which mixes
+# with any root extension.
 
 _Q = (1, 1)
 
@@ -555,8 +496,7 @@ def _ball_of(r: tuple, prec: int):
 
 
 def _raw_mul(a: tuple, b: tuple) -> tuple:
-    """a * b, as Scalar.__mul__ computes it (on balls, nums is the interval
-    and den the precision)."""
+    """a * b (on balls, nums is the interval and den the precision)."""
     ea, na, da = a
     eb, nb, db = b
     if ea is None:
@@ -594,8 +534,7 @@ def _raw_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _raw_add(a: tuple, b: tuple) -> tuple:
-    """a + b, as Scalar.__add__ computes it: an exact zero returns the other
-    operand as it is."""
+    """a + b: an exact zero returns the other operand as it is."""
     ea, na, da = a
     eb, nb, db = b
     if eb is None:
@@ -632,6 +571,32 @@ def _raw_neg(a: tuple) -> tuple:
     return ext, tuple(-v for v in nums), den
 
 
+def _kernel_add(a: Scalar, b: Scalar) -> Scalar:
+    return _cook(_raw_add(_raw(a), _raw(b)))
+
+
+def _kernel_mul(a: Scalar, b: Scalar) -> Scalar:
+    return _cook(_raw_mul(_raw(a), _raw(b)))
+
+
+def _lane(a: Scalar, b: Scalar) -> type:
+    """The class a binary result lives in: ball, else root, else rational."""
+    if type(a) is BallScalar or type(b) is BallScalar:
+        return BallScalar
+    if type(a) is RootScalar or type(b) is RootScalar:
+        return RootScalar
+    return RationalScalar
+
+
+# Scalar's operators call _lane(a, b)._add / ._mul, one shared kernel routine
+# aliased on each class, only so that perfbench/tracing.py can patch them by
+# name and count scalars.ball_ops, rational_ops and root_ops per lane; the
+# aliases and _lane go once a collector replaces that patching.
+for _cls in (RationalScalar, RootScalar, BallScalar):
+    _cls._add, _cls._mul = _kernel_add, _kernel_mul
+del _cls
+
+
 def scalar_dot(
     acc: Scalar,
     xs: Sequence[Scalar],
@@ -644,12 +609,11 @@ def scalar_dot(
 
     Exact values are summed as integer numerators over a running denominator
     and normalised once, into the one exact result. Balls go through
-    mpi_mul / mpi_add / mpi_neg on their endpoints, at the precision
-    Scalar._promote picks, with Scalar's promotion rules: an exact zero term
-    leaves the sum as it is, an exact zero times a finite ball is [0, 0] at
-    the ball's precision, and any other exact operand meeting a ball goes
-    through to_ball at that precision. Two root extensions raise
-    ExactnessError where the fold would mix them.
+    mpi_mul / mpi_add / mpi_neg on their endpoints, at the wider of the two
+    operands' precisions: an exact zero term leaves the sum as it is, an
+    exact zero times a finite ball is [0, 0] at the ball's precision, and any
+    other exact operand meeting a ball goes through to_ball at the ball's
+    precision. Two distinct root extensions raise ExactnessError.
     """
     total = _raw(acc)
     if ws is None:

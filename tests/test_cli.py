@@ -126,6 +126,19 @@ def test_ricci_flat_check(capsys):
     assert payload["ricci_flat_on_samples"] is True
 
 
+def test_ricci_flat_check_custom_family_takes_n(tmp_path, capsys):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"x0": "4/5", "coefficients": ["9/4", "-25/16", "2", "1", "1"]}))
+    code, out, _ = run_cli(
+        capsys, "ricci-flat-check", "--family", "custom", "--custom-json", str(pot),
+        "--n", "2", "--samples", "4/5",
+    )
+    assert code == 0
+    # (n-1) f''/f' + (2 f'' + x f''')/(f' + x f'') = -25/36 + 3/40 at x = 4/5
+    sample = json.loads(out)["samples"][0]
+    assert (sample["residual"]["value"], sample["sign"]) == ("-223/360", "negative")
+
+
 def test_domain_validation_rejected_before_compute(capsys):
     code, _, err = run_cli(
         capsys, "gh-eval", "--family", "epsilon", "--eps", "-1", "--n", "2",
@@ -256,6 +269,27 @@ def test_input_errors_exit_with_one_error_line(case, tmp_path, capsys, monkeypat
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("lmax, hmax", [("-1", "2"), ("2", "-1")])
+def test_resolvability_negative_order_is_an_input_error(lmax, hmax, capsys):
+    code, out, err = run_cli(
+        capsys, "resolvability", "--eps", "1", "--n", "2", "--x", "3/4",
+        "--lmax", lmax, "--hmax", hmax,
+    )
+    assert code == 3 and out == ""
+    assert err == "error: lmax and hmax must be >= 0\n"
+
+
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_unwritable_out_rejected_before_compute(target, tmp_path, capsys, monkeypatch):
+    def run_items(*args, **kwargs):
+        raise AssertionError("reproduce-paper ran before --out was checked")
+
+    monkeypatch.setattr("radialtyz.cli.run_items", run_items)
+    code, out, err = run_cli(capsys, "reproduce-paper", "--out", str(tmp_path / target))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --out ")
 
 
 def test_import_does_not_load_sympy():

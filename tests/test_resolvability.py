@@ -157,6 +157,12 @@ def test_minor_matrix_requires_one_point_argument():
         minor_matrix(Simanca(), lmax=0, hmax=0)
 
 
+@pytest.mark.parametrize("lmax, hmax", [(-1, 2), (2, -1)])
+def test_minor_matrix_rejects_negative_orders(lmax, hmax):
+    with pytest.raises(ValueError, match="lmax and hmax must be >= 0"):
+        minor_matrix(EpsilonFamily(1, F(1), 2), x=F(3, 4), lmax=lmax, hmax=hmax)
+
+
 def test_minor_matrix_balls_pinned():
     """Every minor on 256-bit balls, bit for bit (digest taken before the ball
     operators called libmpi directly)."""

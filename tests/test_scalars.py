@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import finf, fnan, fninf, fzero
+from mpmath.libmp.libmpi import mpi_add, mpi_mul, mpi_sub
 from sympy import factorint
 
 from radialtyz.jets import Jet
@@ -273,7 +275,7 @@ def test_is_zero_agrees_with_sign():
     tiny = as_scalar(F(1, 10**70)).to_ball(256)
     cases = [
         ZERO, third, -third,
-        s2._embed(ZERO), s2,
+        RootScalar(2, 2, (F(0), F(0))), s2,
         ZERO.to_ball(53), straddling, tiny, -tiny,
     ]
     assert [v.is_zero() for v in cases] == [v.sign() == Sign.ZERO for v in cases]
@@ -305,7 +307,7 @@ non_finite_balls = st.sampled_from([
 @example(ZERO.to_ball(256), ZERO)
 @settings(max_examples=300, deadline=None)
 def test_exact_zero_times_ball_matches_promoted_product(ball, zero):
-    want = zero.to_ball(ball.precision_bits)._mul(ball)
+    want = _ref_ball(mpi_mul, zero.to_ball(ball.precision_bits), ball)
     for got in (zero * ball, ball * zero):
         assert isinstance(got, BallScalar)
         assert (got.mpi, got.precision_bits) == (want.mpi, want.precision_bits)
@@ -337,6 +339,93 @@ def test_ball_minus_ball_is_add_of_negation(a, b):
     assert ends(ja - jb) == ends(ja + (-jb))
 
 
+# -- a reference arithmetic ------------------------------------------------
+#
+# Every operator is the dot kernel's one-term case. The promotion rules and the
+# per-backend operations below are the ones the operators had before that, kept
+# here as an oracle independent of the kernel: the operators and scalar_dot
+# must match them bit for bit, exceptions included.
+
+
+def _ref_promote(a, b):
+    if isinstance(a, BallScalar) or isinstance(b, BallScalar):
+        prec = max(v.precision_bits for v in (a, b) if isinstance(v, BallScalar))
+        return a.to_ball(prec), b.to_ball(prec)
+    if isinstance(a, RootScalar) and isinstance(b, RootScalar):
+        if (a.degree, a.radicand) != (b.degree, b.radicand):
+            raise ExactnessError("cannot mix root extensions")
+    elif isinstance(a, RootScalar):
+        b = RootScalar(a.degree, a.radicand, (b.value,) + (F(0),) * (a.degree - 1))
+    elif isinstance(b, RootScalar):
+        a = RootScalar(b.degree, b.radicand, (a.value,) + (F(0),) * (b.degree - 1))
+    return a, b
+
+
+def _ref_ball(op, a, b):
+    prec = max(a.precision_bits, b.precision_bits)
+    return BallScalar(op(a.mpi, b.mpi, prec), prec)
+
+
+def _ref_add(a, b):
+    a, b = as_scalar(a), as_scalar(b)
+    if isinstance(b, RationalScalar) and not b.value:
+        return a
+    if isinstance(a, RationalScalar) and not a.value:
+        return b
+    a, b = _ref_promote(a, b)
+    if isinstance(a, BallScalar):
+        return _ref_ball(mpi_add, a, b)
+    if isinstance(a, RootScalar):
+        coeffs = tuple(u + v for u, v in zip(a.coeffs, b.coeffs))
+        return RootScalar.make(a.degree, a.radicand, coeffs)
+    return RationalScalar(a.value + b.value)
+
+
+def _ref_sub(a, b):
+    a, b = as_scalar(a), as_scalar(b)
+    if isinstance(a, BallScalar) and isinstance(b, BallScalar):
+        return _ref_ball(mpi_sub, a, b)
+    return _ref_add(a, -b)
+
+
+def _ref_finite(ball):
+    return not any(e in (finf, fninf, fnan) for e in ball.mpi)
+
+
+def _ref_mul(a, b):
+    a, b = as_scalar(a), as_scalar(b)
+    for x, y in ((a, b), (b, a)):
+        if isinstance(y, BallScalar) and isinstance(x, RationalScalar) and not x.value:
+            if _ref_finite(y):
+                return BallScalar((fzero, fzero), y.precision_bits)
+    a, b = _ref_promote(a, b)
+    if isinstance(a, BallScalar):
+        return _ref_ball(mpi_mul, a, b)
+    if isinstance(a, RootScalar):
+        d, r = a.degree, a.radicand
+        acc = [F(0)] * d
+        for i, u in enumerate(a.coeffs):
+            for j, v in enumerate(b.coeffs):
+                acc[(i + j) % d] += u * v * (r if i + j >= d else 1)
+        return RootScalar.make(d, r, tuple(acc))
+    return RationalScalar(a.value * b.value)
+
+
+def _ref_div(a, b):
+    a, b = _ref_promote(as_scalar(a), as_scalar(b))
+    return _ref_mul(a, b._inverse())
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    if isinstance(v, BallScalar):
+        return "ball", v.mpi, v.precision_bits
+    return type(v).__name__, v
+
+
 # -- the dot kernel ----------------------------------------------------------
 
 SQRT2, CBRT3 = nth_root(as_scalar(2), 2), nth_root(as_scalar(3), 3)
@@ -349,21 +438,11 @@ dot_weights = dot_operands | st.integers(-3, 3) | rationals
 
 
 def _fold(acc, xs, ys, ws, neg):
-    """The left fold the kernel replaces."""
+    """The left fold the kernel stands for, in the reference arithmetic."""
     for i, (x, y) in enumerate(zip(xs, ys)):
-        t = x * y if ws is None else x * y * ws[i]
-        acc = acc - t if neg else acc + t
+        t = _ref_mul(x, y) if ws is None else _ref_mul(_ref_mul(x, y), ws[i])
+        acc = _ref_sub(acc, t) if neg else _ref_add(acc, t)
     return acc
-
-
-def _outcome(f):
-    try:
-        v = f()
-    except ExactnessError:
-        return "ExactnessError"
-    if isinstance(v, BallScalar):
-        return "ball", v.mpi, v.precision_bits
-    return type(v).__name__, v
 
 
 @given(
@@ -384,6 +463,24 @@ def test_scalar_dot_matches_the_scalar_fold(acc, terms, weighted, neg):
         ws = None
     want = _outcome(lambda: _fold(acc, xs, ys, ws, neg))
     assert _outcome(lambda: scalar_dot(acc, xs, ys, ws, neg)) == want
+
+
+@given(dot_operands, dot_operands)
+@example(SQRT2, CBRT3)
+@example(as_scalar(F(1, 3)).to_ball(16), as_scalar(F(2**300 + 1, 3)).to_ball(256))
+@example(ZERO, BallScalar((fninf, finf), 53))
+@example(as_scalar(F(1, 3)), ZERO)
+@example(SQRT2, as_scalar(F(1, 3)).to_ball(4))
+@settings(max_examples=400, deadline=None)
+def test_operators_match_the_reference_arithmetic(a, b):
+    for op, ref in ((operator.add, _ref_add), (operator.sub, _ref_sub),
+                    (operator.mul, _ref_mul), (operator.truediv, _ref_div)):
+        assert _outcome(lambda: op(a, b)) == _outcome(lambda: ref(a, b)), op.__name__
+
+
+def test_every_backend_shares_the_kernel_operators():
+    assert RationalScalar._add is RootScalar._add is BallScalar._add
+    assert RationalScalar._mul is RootScalar._mul is BallScalar._mul
 
 
 # -- exp, log, roots and powers against the interval context ----------------
