@@ -50,8 +50,9 @@ class RunConfig:
     """Validated, JSON-round-trippable description of one CLI invocation.
 
     validate() rejects inconsistent combinations (unknown family, eps = -1
-    with x <= 1, malformed rationals, an --out that is a directory or whose
-    directory does not exist) before any computation starts.
+    with x <= 1, --n for a family whose dimension is fixed, malformed
+    rationals, an --out that is a directory or whose directory does not
+    exist) before any computation starts, and returns the family it built.
     """
 
     subcommand: str
@@ -92,6 +93,8 @@ class RunConfig:
             if self.eps is None or self.n is None:
                 raise ValueError("epsilon family needs --eps and --n")
             return EpsilonFamily(self.eps, Fraction(self.lam or "1"), self.n)
+        if self.family in ("simanca", "eguchi-hanson") and self.n is not None:
+            raise ValueError(f"--n does not apply to family {self.family}, whose dimension is 2")
         if self.family == "simanca":
             return Simanca()
         if self.family == "eguchi-hanson":
@@ -102,7 +105,7 @@ class RunConfig:
             return load_custom_potential(self.custom_json)
         raise ValueError(f"unknown family {self.family!r}")
 
-    def validate(self) -> None:
+    def validate(self) -> PotentialFamily | None:
         if self.out is not None and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
             raise ValueError(f"--out {self.out} is not a file path in an existing directory")
         if self.format not in ("json", "csv", "table"):
@@ -113,7 +116,7 @@ class RunConfig:
             "gh-eval", "scan", "lu-coeffs", "resolvability", "ricci-flat-check"
         )
         if not needs_family:
-            return
+            return None
         fam = self.build_family()
         points: list[Fraction] = []
         if self.x is not None:
@@ -126,6 +129,7 @@ class RunConfig:
             points.extend(Fraction(tok) for tok in self.samples.split(","))
         for p in points:
             check_admissible(fam, as_scalar(p))
+        return fam
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -178,8 +182,7 @@ def _obstruction_csv(reports: list[ObstructionReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_gh_eval(args) -> int:
-    fam = RunConfig.from_args(args).build_family()
+def _cmd_gh_eval(args, fam: PotentialFamily) -> int:
     reports = gh_reports(
         fam, Fraction(args.x), args.hmax,
         exact=_exact_flag(args), precision_bits=args.precision_bits,
@@ -200,8 +203,7 @@ def _cmd_gh_eval(args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
-    fam = RunConfig.from_args(args).build_family()
+def _cmd_scan(args, fam: PotentialFamily) -> int:
     grid = rational_grid(args.x_grid)
     hits = obstruction_scan(
         fam, grid, args.hmax, exact=_exact_flag(args), precision_bits=args.precision_bits
@@ -226,8 +228,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_lu_coeffs(args) -> int:
-    fam = RunConfig.from_args(args).build_family()
+def _cmd_lu_coeffs(args, fam: PotentialFamily) -> int:
     dim = args.dim if args.dim is not None else (
         fam.n if isinstance(fam, EpsilonFamily) else 2
     )
@@ -257,8 +258,7 @@ def _cmd_lu_coeffs(args) -> int:
     return 0
 
 
-def _cmd_resolvability(args) -> int:
-    fam = RunConfig.from_args(args).build_family()
+def _cmd_resolvability(args, fam: PotentialFamily) -> int:
     kwargs = dict(
         lmax=args.lmax, hmax=args.hmax,
         exact=_exact_flag(args), precision_bits=args.precision_bits,
@@ -301,7 +301,7 @@ def _cmd_resolvability(args) -> int:
     return 0
 
 
-def _cmd_embedding_check(args) -> int:
+def _cmd_embedding_check(args, fam: None) -> int:
     rep = simanca_embedding_check(args.max_degree)
     payload = {
         "subcommand": "embedding-check",
@@ -321,11 +321,10 @@ def _cmd_embedding_check(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _cmd_ricci_flat_check(args) -> int:
-    fam = RunConfig.from_args(args).build_family()
+def _cmd_ricci_flat_check(args, fam: PotentialFamily) -> int:
     samples = [Fraction(tok) for tok in args.samples.split(",")]
-    # only a custom potential has no dimension of its own
-    residuals = ricci_flat_residual(fam, samples, args.n if args.family == "custom" else None)
+    # --n is the epsilon family's own n, a custom potential's dimension, or absent
+    residuals = ricci_flat_residual(fam, samples, args.n)
     rows = []
     flat = True
     for x, r in zip(samples, residuals):
@@ -350,7 +349,7 @@ def _cmd_ricci_flat_check(args) -> int:
     return 0
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args, fam: None) -> int:
     report = run_items(args.item, precision_bits=args.precision_bits)
     if args.format == "json":
         payload = {"subcommand": "reproduce-paper"}
@@ -443,8 +442,8 @@ def main(argv: list[str] | None = None) -> int:
                 args.precision_bits = int(env)
             except ValueError:
                 raise ValueError(f"{PRECISION_ENV}={env!r} is not an integer") from None
-        RunConfig.from_args(args).validate()
-        return args.fn(args)
+        fam = RunConfig.from_args(args).validate()
+        return args.fn(args, fam)
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, SignUndeterminedError) else EXIT_INPUT_ERROR

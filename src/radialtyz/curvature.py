@@ -63,6 +63,7 @@ from .scalars import (
     Scalar,
     ScalarLike,
     Sign,
+    _raw_is_zero,
     as_scalar,
     int_pow,
     scalar_pow,
@@ -72,7 +73,7 @@ TABLE_ORDER = 5  # highest total order of Phi mixed partials the frame needs (fo
 
 
 def _jet_is_zero(j: Jet) -> bool:
-    return all(c.is_zero() for c in j.coeffs)
+    return all(_raw_is_zero(r) for r in j.raws)
 
 
 class RadialRing:

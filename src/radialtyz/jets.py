@@ -7,10 +7,13 @@ recurrences: exp via p' = a'p, log via integration of a'/a, and pow(r) via the
 binomial recurrence k*a0*p_k = sum_{j=1..k} ((r+1)j - k) a_j p_{k-j}; a second
 pow route through exp(r*log(a/a0)) * a0**r is kept for cross-checks.
 
-Each coefficient of a product, a quotient, exp and pow, and of the bivariate
-product, is one sum of products, computed by scalars.scalar_dot: the same
-Scalar, bit for bit, as adding the terms one Scalar operation at a time, with
-no Scalar built per term. Sums and differences go coefficient by coefficient.
+Coefficients are stored as the scalar kernel's raw values (scalars._raw), each
+the raw of the Scalar an operator would return. Each coefficient of a product,
+a quotient, exp and pow, and of the bivariate product, is one kernel sum of
+products (scalars._raw_dot); sums and scalings by a constant go coefficient by
+coefficient. Results are bit for bit those of the same steps taken one Scalar
+operation at a time, but only value(), derivative(k), coeff(i, j) and the
+read-only `coeffs` views build Scalars.
 
 HermitianBiJet is the bivariate counterpart in offsets (u, v) of (z1, z̄1)
 around a radial axis point, with real coefficients and the Hermitian symmetry
@@ -25,63 +28,77 @@ from typing import Sequence
 
 from .scalars import (
     ONE,
-    ZERO,
     Scalar,
     ScalarLike,
     Sign,
     SignUndeterminedError,
+    _cook,
+    _norm,
+    _raw,
+    _raw_add,
+    _raw_dot,
+    _raw_mul,
+    _raw_neg,
     as_scalar,
-    scalar_dot,
     scalar_exp,
     scalar_log,
     scalar_pow,
 )
 
+_ZERO, _ONE = _raw(0), _raw(1)
 
-def _coerce_coeffs(coeffs: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-    return tuple(as_scalar(c) for c in coeffs)
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return _norm(_raw_add(a, b))
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    return _norm(_raw_mul(a, b))
 
 
 @dataclass(frozen=True)
 class Jet:
     x0: Scalar
-    coeffs: tuple[Scalar, ...]
+    raws: tuple  # c_0..c_H as kernel raws
 
     @staticmethod
     def make(x0: ScalarLike, coeffs: Sequence[ScalarLike]) -> "Jet":
         if len(coeffs) == 0:
             raise ValueError("a jet needs at least the constant coefficient")
-        return Jet(as_scalar(x0), _coerce_coeffs(coeffs))
+        return Jet(as_scalar(x0), tuple(_raw(c) for c in coeffs))
 
     @staticmethod
     def constant(x0: ScalarLike, value: ScalarLike, order: int) -> "Jet":
-        return Jet(as_scalar(x0), (as_scalar(value),) + (ZERO,) * order)
+        return Jet(as_scalar(x0), (_raw(value),) + (_ZERO,) * order)
 
     @staticmethod
     def variable(x0: ScalarLike, order: int) -> "Jet":
         """The jet of x itself: x0 + t."""
         x0 = as_scalar(x0)
-        if order == 0:
-            return Jet(x0, (x0,))
-        return Jet(x0, (x0, ONE) + (ZERO,) * (order - 1))
+        return Jet(x0, ((_raw(x0), _ONE) + (_ZERO,) * order)[: order + 1])
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.raws) - 1
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coefficients as Scalars, built on each read."""
+        return tuple(_cook(r) for r in self.raws)
 
     def value(self) -> Scalar:
-        return self.coeffs[0]
+        return _cook(self.raws[0])
 
     def derivative(self, k: int) -> Scalar:
         """k-th derivative at the base point: k! * c_k."""
         if k > self.order:
             raise ValueError(f"jet of order {self.order} has no derivative {k}")
-        return self.coeffs[k] * math.factorial(k)
+        return _cook(self.raws[k]) * math.factorial(k)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError(f"cannot extend jet of order {self.order} to {order}")
-        return Jet(self.x0, self.coeffs[: order + 1])
+        return Jet(self.x0, self.raws[: order + 1])
 
     # -- ring operations ----------------------------------------------------
 
@@ -93,40 +110,38 @@ class Jet:
         return Jet.constant(self.x0, other, self.order)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.x0, tuple(-c for c in self.coeffs))
+        return Jet(self.x0, tuple(_raw_neg(c) for c in self.raws))
 
     def __add__(self, other) -> "Jet":
         other = self._lift(other)
-        n = min(self.order, other.order) + 1
-        return Jet(self.x0, tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
+        return Jet(self.x0, tuple(_add(a, b) for a, b in zip(self.raws, other.raws)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
         other = self._lift(other)
-        n = min(self.order, other.order) + 1
-        return Jet(self.x0, tuple(a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
+        return Jet(self.x0, tuple(_add(a, _raw_neg(b)) for a, b in zip(self.raws, other.raws)))
 
     def __rsub__(self, other) -> "Jet":
         return self._lift(other) - self
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            c = as_scalar(other)
-            return Jet(self.x0, tuple(a * c for a in self.coeffs))
+            c = _raw(other)
+            return Jet(self.x0, tuple(_mul(a, c) for a in self.raws))
         other = self._lift(other)
         n = min(self.order, other.order) + 1
-        a, b = self.coeffs, other.coeffs
-        return Jet(self.x0, tuple(scalar_dot(ZERO, a[: k + 1], b[k::-1]) for k in range(n)))
+        a, b = self.raws, other.raws
+        return Jet(self.x0, tuple(_raw_dot(_ZERO, a[: k + 1], b[k::-1]) for k in range(n)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            inv = ONE / as_scalar(other)
-            return Jet(self.x0, tuple(a * inv for a in self.coeffs))
+            return self * (ONE / as_scalar(other))
         other = self._lift(other)
-        s = other.coeffs[0].sign()
+        b0 = other.value()
+        s = b0.sign()
         if s == Sign.ZERO:
             raise ZeroDivisionError("division by a jet with zero constant term")
         if s == Sign.UNDETERMINED:
@@ -134,12 +149,13 @@ class Jet:
                 "division by a jet whose constant term has undetermined sign"
             )
         n = min(self.order, other.order) + 1
-        inv0 = ONE / other.coeffs[0]
-        out: list[Scalar] = []
+        inv0 = _raw(ONE / b0)
+        a, b = self.raws, other.raws
+        out: list[tuple] = []
         for k in range(n):
             # out[k] = (a_k - sum_{j=1..k} b_j out[k-j]) / b_0
-            acc = scalar_dot(self.coeffs[k], other.coeffs[1 : k + 1], out[::-1], neg=True)
-            out.append(acc * inv0)
+            acc = _raw_dot(a[k], b[1 : k + 1], out[::-1], neg=True)
+            out.append(_mul(acc, inv0))
         return Jet(self.x0, tuple(out))
 
     def __rtruediv__(self, other) -> "Jet":
@@ -165,28 +181,31 @@ class Jet:
     def derive(self) -> "Jet":
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.x0, tuple(self.coeffs[k] * k for k in range(1, self.order + 1)))
+        c = self.raws
+        return Jet(self.x0, tuple(_mul(c[k], _raw(k)) for k in range(1, len(c))))
 
     def antiderive(self, c0: ScalarLike) -> "Jet":
-        out = [as_scalar(c0)]
-        for k, c in enumerate(self.coeffs):
-            out.append(c * Fraction(1, k + 1))
+        out = [_raw(c0)]
+        for k, c in enumerate(self.raws, 1):
+            out.append(_mul(c, _raw(Fraction(1, k))))
         return Jet(self.x0, tuple(out))
 
     # -- elementary functions -------------------------------------------------
 
     def exp(self) -> "Jet":
-        out = [scalar_exp(self.coeffs[0])]
-        for k in range(1, self.order + 1):
+        c = self.raws
+        out = [_raw(scalar_exp(self.value()))]
+        ws = [_raw(j) for j in range(1, len(c))]
+        for k in range(1, len(c)):
             # k p_k = sum_{j=1..k} j a_j p_{k-j}
-            acc = scalar_dot(ZERO, self.coeffs[1 : k + 1], out[::-1], range(1, k + 1))
-            out.append(acc * Fraction(1, k))
+            acc = _raw_dot(_ZERO, c[1 : k + 1], out[::-1], ws[:k])
+            out.append(_mul(acc, _raw(Fraction(1, k))))
         return Jet(self.x0, tuple(out))
 
     def log(self) -> "Jet":
-        l0 = scalar_log(self.coeffs[0])
+        l0 = scalar_log(self.value())
         if self.order == 0:
-            return Jet(self.x0, (l0,))
+            return Jet(self.x0, (_raw(l0),))
         d = self.derive() / self.truncate(self.order - 1)
         return d.antiderive(l0)
 
@@ -194,22 +213,23 @@ class Jet:
         exponent = Fraction(exponent)
         if exponent.denominator == 1:
             return self.__pow__(exponent.numerator)
-        a0 = self.coeffs[0]
+        a0 = self.value()
         if a0.require_sign("pow base constant term") != Sign.POSITIVE:
             raise ValueError("fractional jet power needs a certified-positive constant term")
-        inv0 = ONE / a0
-        out = [scalar_pow(a0, exponent)]
+        inv0 = _raw(ONE / a0)
+        c = self.raws
+        out = [_raw(scalar_pow(a0, exponent))]
         r1 = exponent + 1
-        for k in range(1, self.order + 1):
-            ws = [r1 * j - k for j in range(1, k + 1)]
-            acc = scalar_dot(ZERO, self.coeffs[1 : k + 1], out[::-1], ws)
-            out.append(acc * inv0 * Fraction(1, k))
+        for k in range(1, len(c)):
+            ws = [_raw(r1 * j - k) for j in range(1, k + 1)]
+            acc = _raw_dot(_ZERO, c[1 : k + 1], out[::-1], ws)
+            out.append(_mul(_mul(acc, inv0), _raw(Fraction(1, k))))
         return Jet(self.x0, tuple(out))
 
     def pow_via_exp_log(self, exponent: Fraction | int) -> "Jet":
         """Alternative pow route: a0**r * exp(r * log(a/a0)); must agree with pow."""
         exponent = Fraction(exponent)
-        a0 = self.coeffs[0]
+        a0 = self.value()
         if a0.require_sign("pow base constant term") != Sign.POSITIVE:
             raise ValueError("fractional jet power needs a certified-positive constant term")
         unit = self / a0
@@ -218,12 +238,12 @@ class Jet:
 
     def scale_var(self, factor: ScalarLike) -> "Jet":
         """Substitute t -> factor * t (coefficients pick up factor**k)."""
-        factor = as_scalar(factor)
+        f = _raw(factor)
         out = []
-        acc: Scalar = ONE
-        for c in self.coeffs:
-            out.append(c * acc)
-            acc = acc * factor
+        acc = _ONE
+        for c in self.raws:
+            out.append(_mul(c, acc))
+            acc = _mul(acc, f)
         return Jet(self.x0, tuple(out))
 
 
@@ -236,7 +256,7 @@ class HermitianBiJet:
     """
 
     base: Scalar
-    coeffs: tuple[tuple[Scalar, ...], ...]
+    raws: tuple[tuple, ...]  # rows of c_ij as kernel raws
 
     @staticmethod
     def make(base: ScalarLike, rows: Sequence[Sequence[ScalarLike]]) -> "HermitianBiJet":
@@ -244,33 +264,37 @@ class HermitianBiJet:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("coefficient matrix must be square")
-        return HermitianBiJet(b, tuple(_coerce_coeffs(r) for r in rows))
+        return HermitianBiJet(b, tuple(tuple(_raw(c) for c in r) for r in rows))
 
     @staticmethod
     def constant(base: ScalarLike, value: ScalarLike, order: int) -> "HermitianBiJet":
-        rows = [[value if i == j == 0 else ZERO for j in range(order + 1)] for i in range(order + 1)]
+        rows = [[value if i == j == 0 else 0 for j in range(order + 1)] for i in range(order + 1)]
         return HermitianBiJet.make(base, rows)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.raws) - 1
+
+    @property
+    def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The coefficients as Scalars, built on each read."""
+        return tuple(tuple(_cook(c) for c in r) for r in self.raws)
 
     def coeff(self, i: int, j: int) -> Scalar:
-        return self.coeffs[i][j]
+        return _cook(self.raws[i][j])
 
     def _check_base(self, other: "HermitianBiJet") -> None:
         if other.base != self.base:
             raise ValueError("bivariate jet base points differ")
 
     def __neg__(self) -> "HermitianBiJet":
-        return HermitianBiJet(self.base, tuple(tuple(-c for c in r) for r in self.coeffs))
+        return HermitianBiJet(self.base, tuple(tuple(_raw_neg(c) for c in r) for r in self.raws))
 
     def __add__(self, other: "HermitianBiJet") -> "HermitianBiJet":
         self._check_base(other)
         n = min(self.order, other.order) + 1
-        rows = tuple(
-            tuple(self.coeffs[i][j] + other.coeffs[i][j] for j in range(n)) for i in range(n)
-        )
+        a, b = self.raws, other.raws
+        rows = tuple(tuple(_add(a[i][j], b[i][j]) for j in range(n)) for i in range(n))
         return HermitianBiJet(self.base, rows)
 
     def __sub__(self, other: "HermitianBiJet") -> "HermitianBiJet":
@@ -279,13 +303,13 @@ class HermitianBiJet:
     def __mul__(self, other: "HermitianBiJet") -> "HermitianBiJet":
         self._check_base(other)
         n = min(self.order, other.order) + 1
-        a, b = self.coeffs, other.coeffs
+        a, b = self.raws, other.raws
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 pairs = [(i1, j1) for i1 in range(i + 1) for j1 in range(j + 1)]
-                acc = scalar_dot(
-                    ZERO, [a[p][q] for p, q in pairs], [b[i - p][j - q] for p, q in pairs]
+                acc = _raw_dot(
+                    _ZERO, [a[p][q] for p, q in pairs], [b[i - p][j - q] for p, q in pairs]
                 )
                 rows[i][j] = acc
                 if j != i:
@@ -294,23 +318,22 @@ class HermitianBiJet:
         return HermitianBiJet(self.base, tuple(tuple(r) for r in rows))
 
     def nilpotent_part(self) -> "HermitianBiJet":
-        rows = [list(r) for r in self.coeffs]
-        rows[0][0] = ZERO
-        return HermitianBiJet.make(self.base, rows)
+        rows = [list(r) for r in self.raws]
+        rows[0][0] = _ZERO
+        return HermitianBiJet(self.base, tuple(tuple(r) for r in rows))
 
 
 def bijet_exp(a: HermitianBiJet) -> HermitianBiJet:
     """exp of a bivariate jet: scalar_exp(c00) * sum N**k / k!, N the nilpotent part."""
     scale = scalar_exp(a.coeff(0, 0))
     n = a.nilpotent_part()
-    acc = HermitianBiJet.constant(a.base, 1, a.order)
-    power = HermitianBiJet.constant(a.base, 1, a.order)
+    acc = power = HermitianBiJet.constant(a.base, 1, a.order)
     fact = Fraction(1)
     for k in range(1, 2 * a.order + 1):
         power = power * n
         fact /= k
-        acc = acc + _bijet_scale(power, fact)
-    return _bijet_scale(acc, scale)
+        acc = acc + _bijet_scale(power, _raw(fact))
+    return _bijet_scale(acc, _raw(scale))
 
 
 def bijet_compose_univariate(g: Jet, inner: HermitianBiJet) -> HermitianBiJet:
@@ -322,14 +345,14 @@ def bijet_compose_univariate(g: Jet, inner: HermitianBiJet) -> HermitianBiJet:
             f"outer jet order {g.order} is short of 2*L = {2 * inner.order}"
         )
     n = inner.nilpotent_part()
-    acc = HermitianBiJet.constant(inner.base, g.coeffs[0], inner.order)
+    acc = HermitianBiJet.constant(inner.base, g.value(), inner.order)
     power = HermitianBiJet.constant(inner.base, 1, inner.order)
     for k in range(1, 2 * inner.order + 1):
         power = power * n
-        acc = acc + _bijet_scale(power, g.coeffs[k])
+        acc = acc + _bijet_scale(power, g.raws[k])
     return acc
 
 
-def _bijet_scale(a: HermitianBiJet, c: ScalarLike) -> HermitianBiJet:
-    c = as_scalar(c)
-    return HermitianBiJet(a.base, tuple(tuple(v * c for v in r) for r in a.coeffs))
+def _bijet_scale(a: HermitianBiJet, c: tuple) -> HermitianBiJet:
+    """a with every coefficient times the raw c."""
+    return HermitianBiJet(a.base, tuple(tuple(_mul(v, c) for v in r) for r in a.raws))

@@ -134,7 +134,7 @@ def fprime_jet(fam: PotentialFamily, x0: ScalarLike, order: int) -> Jet:
                 f"custom potential holds order {len(fam.fprime_coeffs) - 1}, "
                 f"requested {order}"
             )
-        return Jet(fam.x0, fam.fprime_coeffs[: order + 1])
+        return Jet.make(fam.x0, fam.fprime_coeffs[: order + 1])
     raise TypeError(f"unknown family {fam!r}")
 
 
@@ -166,8 +166,8 @@ def ricci_flat_residual(
         raise ValueError("dimension n required for a custom potential")
     out = []
     for x0 in samples:
-        det = det_jet_from_fprime(fprime_jet(fam, as_scalar(x0), 2), n)
-        out.append(det.coeffs[1] / det.coeffs[0])
+        d0, d1 = det_jet_from_fprime(fprime_jet(fam, as_scalar(x0), 2), n).coeffs
+        out.append(d1 / d0)
     return out
 
 

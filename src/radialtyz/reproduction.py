@@ -462,7 +462,7 @@ def _properties(precision_bits: int):
     fj = fprime_jet(fam, x0, 9).antiderive(0)
     base = fj.exp()
     shifted = (fj + as_scalar(F(7, 5)).to_ball(256)).exp()  # f + c
-    scale = shifted.coeffs[0]
+    scale = shifted.value()
     for h in range(1, 10):
         diff = base.derivative(h) - shifted.derivative(h) / scale
         if not abs_le(diff, F(1, 10**60)):

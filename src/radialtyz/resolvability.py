@@ -69,14 +69,11 @@ def diastasis_germ_at_x(fam: PotentialFamily, fp: Jet, order: int) -> DiastasisG
     fj = fp.antiderive(0).truncate(2 * order)  # f anchored to f(x0) = 0
     inner = _inner_bijet(x0, order)
     radial_part = bijet_compose_univariate(fj, inner)
-    # f(s z1) = f(x0 (1 + u_hat)): univariate row/column contributions
-    axis = fj.scale_var(x0)
-    rows = [list(r) for r in radial_part.coeffs]
-    for k in range(1, order + 1):
-        rows[k][0] = rows[k][0] - axis.coeffs[k]
-        rows[0][k] = rows[0][k] - axis.coeffs[k]
-    # the constants f(x0) + f(s^2) - f(s*s) ... cancel: fj is anchored to 0
-    germ = HermitianBiJet.make(x0, rows)
+    # f(s z1) = f(x0 (1 + u_hat)): univariate row/column contributions; the
+    # constants f(x0) + f(s^2) - f(s*s) ... cancel: fj is anchored to 0
+    axis = fj.scale_var(x0).coeffs
+    edge = [[axis[i + j] if i * j == 0 else 0 for j in range(order + 1)] for i in range(order + 1)]
+    germ = radial_part - HermitianBiJet.make(x0, edge)
     return DiastasisGerm(
         family=family_label(fam), s=None, x0=x0, order=order, bijet=germ
     )

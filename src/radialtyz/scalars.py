@@ -17,11 +17,13 @@ All values are immutable; mixed-backend operations coerce upward
 (rational -> root -> ball). Two distinct root extensions never mix: that
 raises ExactnessError and callers are expected to fall back to balls.
 
-scalar_dot(acc, xs, ys, ws, neg) is the one arithmetic: it returns
-acc ± x0*y0*w0 ± x1*y1*w1 ... on raw numerators and interval endpoints,
-without a Scalar or a promotion per step, and every binary operator of the
+There is one arithmetic, on raw values (see _raw): _raw_add, _raw_mul,
+_raw_neg and the dot kernel _raw_dot(acc, xs, ys, ws, neg), which returns
+acc ± x0*y0*w0 ± x1*y1*w1 ... on integer numerators and interval endpoints,
+without an object or a promotion per step. Every binary operator of the
 backends is its one-term case, so a left fold of operators gives the same
-result bit for bit.
+result bit for bit; jets (see jets.py) store their coefficients as raws and
+call the kernel directly.
 """
 from __future__ import annotations
 
@@ -87,7 +89,7 @@ ONE: "RationalScalar"
 
 class Scalar:
     """Common operator protocol: + and * are the dot kernel's one-term case
-    (see scalar_dot); backends implement _inverse, sign, to_ball, ..."""
+    (see _raw_dot); backends implement _inverse, sign, to_ball, ..."""
 
     backend = "abstract"
 
@@ -432,16 +434,18 @@ class BallScalar(Scalar):
         return f"BallScalar({self.midpoint_str()} ± {self.radius_str()}, bits={self.precision_bits})"
 
 
-# -- the dot kernel under every jet recurrence -------------------------------
+# -- the one arithmetic: raw values and the dot kernel ------------------------
 #
-# scalar_dot keeps each term and the running sum raw and builds no Scalar
-# between steps: a ball is (None, mpi, precision_bits), an exact value is
+# A raw value is what jets store and the kernel computes on, with no object
+# per value: a ball is (None, mpi, precision_bits), an exact value is
 # (ext, nums, den), which stands for sum(nums[j] * theta**j) / den in Q(theta)
 # for ext = (degree, radicand), or for the rational nums[0] / den when ext is
 # _Q. Exact raws stay in RootScalar.make's normal form (ext is _Q once every
 # irrational part is zero), so an exact zero is a rational with numerator 0,
 # and a root element whose irrational part cancels is a rational, which mixes
-# with any root extension.
+# with any root extension. _raw_add and _raw_mul leave exact results
+# unreduced; _norm reduces one to the raw of its Scalar (one gcd), as _raw_dot
+# does with its sum.
 
 _Q = (1, 1)
 
@@ -484,6 +488,22 @@ def _cook(r: tuple) -> Scalar:
     return RootScalar.make(ext[0], ext[1], tuple(Fraction(c, den) for c in nums))
 
 
+def _norm(r: tuple) -> tuple:
+    """The raw of the Scalar r stands for, _raw(_cook(r)): an exact value
+    over one gcd of its denominator and numerators, a ball as it is."""
+    ext, nums, den = r
+    if ext is None:
+        return r
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return r
+    return ext, tuple(v // g for v in nums), den // g
+
+
+def _raw_is_zero(r: tuple) -> bool:
+    return r[1] == (fzero, fzero) if r[0] is None else not any(r[1])
+
+
 def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
     if ext is not _Q and not any(nums[1:]):
         return _Q, nums[:1], den
@@ -491,7 +511,12 @@ def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
 
 
 def _ball_of(r: tuple, prec: int):
-    """The endpoints of the exact raw r promoted to a ball at prec."""
+    """The endpoints of the exact raw r promoted to a ball at prec, as its
+    Scalar's to_ball(prec) gives them."""
+    ext, nums, den = r
+    if ext is _Q:
+        g = math.gcd(nums[0], den)
+        return _rat_iv(nums[0] // g, den // g, prec)
     return _cook(r).to_ball(prec).mpi
 
 
@@ -597,34 +622,29 @@ for _cls in (RationalScalar, RootScalar, BallScalar):
 del _cls
 
 
-def scalar_dot(
-    acc: Scalar,
-    xs: Sequence[Scalar],
-    ys: Sequence[Scalar],
-    ws: Sequence[ScalarLike] | None = None,
+def _raw_dot(
+    acc: tuple,
+    xs: Sequence[tuple],
+    ys: Sequence[tuple],
+    ws: Sequence[tuple] | None = None,
     neg: bool = False,
-) -> Scalar:
-    """acc + x0*y0*w0 + x1*y1*w1 + ... (each term negated when neg), the same
-    Scalar as that left fold of Scalar operations, bit for bit.
+) -> tuple:
+    """acc + x0*y0*w0 + x1*y1*w1 + ... on raws (each term negated when neg),
+    normalised once: the raw of the Scalar that the left fold of Scalar
+    operations gives, bit for bit.
 
-    Exact values are summed as integer numerators over a running denominator
-    and normalised once, into the one exact result. Balls go through
-    mpi_mul / mpi_add / mpi_neg on their endpoints, at the wider of the two
-    operands' precisions: an exact zero term leaves the sum as it is, an
-    exact zero times a finite ball is [0, 0] at the ball's precision, and any
-    other exact operand meeting a ball goes through to_ball at the ball's
-    precision. Two distinct root extensions raise ExactnessError.
+    Exact values are summed as integer numerators over a running denominator.
+    Balls go through mpi_mul / mpi_add / mpi_neg on their endpoints, at the
+    wider of the two operands' precisions: an exact zero term leaves the sum
+    as it is, an exact zero times a finite ball is [0, 0] at the ball's
+    precision, and any other exact operand meeting a ball is promoted as
+    to_ball would at the ball's precision. Two distinct root extensions raise
+    ExactnessError.
     """
-    total = _raw(acc)
-    if ws is None:
-        for x, y in zip(xs, ys):
-            t = _raw_mul(_raw(x), _raw(y))
-            total = _raw_add(total, _raw_neg(t) if neg else t)
-    else:
-        for x, y, w in zip(xs, ys, ws):
-            t = _raw_mul(_raw_mul(_raw(x), _raw(y)), _raw(w))
-            total = _raw_add(total, _raw_neg(t) if neg else t)
-    return _cook(total)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        t = _raw_mul(x, y) if ws is None else _raw_mul(_raw_mul(x, y), ws[i])
+        acc = _raw_add(acc, _raw_neg(t) if neg else t)
+    return _norm(acc)
 
 
 # -- generic scalar functions ---------------------------------------------

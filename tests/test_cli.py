@@ -253,6 +253,33 @@ def test_custom_family_via_cli(tmp_path, capsys):
     assert json.loads(out)["values"][1]["value"]["value"] == "9/4"
 
 
+@pytest.mark.parametrize("argv", [
+    ("gh-eval", "--x", "4/5", "--hmax", "3"),
+    ("ricci-flat-check", "--n", "2", "--samples", "4/5"),
+])
+def test_custom_family_is_read_once_per_call(argv, tmp_path, capsys, monkeypatch):
+    from radialtyz import cli
+
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"x0": "4/5", "coefficients": ["9/4", "-25/16", "2", "1", "1"]}))
+    calls = []
+    load = cli.load_custom_potential
+    monkeypatch.setattr(cli, "load_custom_potential", lambda path: calls.append(path) or load(path))
+    code, out, _ = run_cli(capsys, argv[0], "--family", "custom", "--custom-json", str(pot),
+                           *argv[1:])
+    assert code == 0 and json.loads(out)["family"].startswith("custom(")
+    assert calls == [str(pot)]
+
+
+@pytest.mark.parametrize("family", ["simanca", "eguchi-hanson"])
+def test_n_for_a_family_of_fixed_dimension_is_an_input_error(family, capsys):
+    code, out, err = run_cli(
+        capsys, "ricci-flat-check", "--family", family, "--n", "7", "--samples", "1/2",
+    )
+    assert code == 3 and out == ""
+    assert err == f"error: --n does not apply to family {family}, whose dimension is 2\n"
+
+
 @pytest.mark.parametrize("case", ["precision-env", "custom-missing", "custom-keys", "out-dir"])
 def test_input_errors_exit_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     argv = ["gh-eval", "--family", "custom", "--custom-json", str(tmp_path / "pot.json"),

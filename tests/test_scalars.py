@@ -22,12 +22,14 @@ from radialtyz.scalars import (
     Sign,
     SignUndeterminedError,
     _canonical_root,
+    _cook,
     _factor,
+    _raw,
+    _raw_dot,
     abs_le,
     as_scalar,
     int_pow,
     nth_root,
-    scalar_dot,
     scalar_exp,
     scalar_log,
     scalar_pow,
@@ -343,7 +345,7 @@ def test_ball_minus_ball_is_add_of_negation(a, b):
 #
 # Every operator is the dot kernel's one-term case. The promotion rules and the
 # per-backend operations below are the ones the operators had before that, kept
-# here as an oracle independent of the kernel: the operators and scalar_dot
+# here as an oracle independent of the kernel: the operators and _raw_dot
 # must match them bit for bit, exceptions included.
 
 
@@ -462,7 +464,9 @@ def test_scalar_dot_matches_the_scalar_fold(acc, terms, weighted, neg):
     if not weighted:
         ws = None
     want = _outcome(lambda: _fold(acc, xs, ys, ws, neg))
-    assert _outcome(lambda: scalar_dot(acc, xs, ys, ws, neg)) == want
+    raws = lambda vs: None if vs is None else [_raw(v) for v in vs]
+    got = lambda: _cook(_raw_dot(_raw(acc), raws(xs), raws(ys), raws(ws), neg))
+    assert _outcome(got) == want
 
 
 @given(dot_operands, dot_operands)
