@@ -3,8 +3,8 @@
 Subcommands: gh-eval, scan, lu-coeffs, resolvability, embedding-check,
 ricci-flat-check, reproduce-paper. All numeric inputs are rationals in "p/q"
 form so exact backends stay usable; output is JSON (default), CSV (decimal,
-documented lossy) or an aligned text table. Identical configurations produce
-byte-identical JSON.
+documented lossy, with a ball's radius beside its value) or an aligned text
+table. Identical configurations produce byte-identical JSON.
 
 Exit codes: 0 success / all-pass; 1 certified failure (a reproduction item
 contradicts its stated value); 2 inconclusive results present (undetermined
@@ -39,7 +39,7 @@ from .potentials import (
 from .reports import dumps, scalar_to_decimal, scalar_to_json, scalar_to_text
 from .reproduction import run_items
 from .resolvability import minor_matrix, simanca_embedding_check
-from .scalars import DEFAULT_PRECISION_BITS, Sign, SignUndeterminedError, as_scalar
+from .scalars import DEFAULT_PRECISION_BITS, BallScalar, Sign, SignUndeterminedError, as_scalar
 
 PRECISION_ENV = "RADIALTYZ_PRECISION_BITS"
 EXIT_INPUT_ERROR = 3
@@ -50,9 +50,10 @@ class RunConfig:
     """Validated, JSON-round-trippable description of one CLI invocation.
 
     validate() rejects inconsistent combinations (unknown family, eps = -1
-    with x <= 1, --n for a family whose dimension is fixed, malformed
-    rationals, an --out that is a directory or whose directory does not
-    exist) before any computation starts, and returns the family it built.
+    with x <= 1, --eps or --lam for a family other than epsilon, --n for a
+    family whose dimension is fixed, malformed rationals, an --out that is a
+    directory or whose directory does not exist) before any computation
+    starts, and returns the family it built.
     """
 
     subcommand: str
@@ -93,6 +94,9 @@ class RunConfig:
             if self.eps is None or self.n is None:
                 raise ValueError("epsilon family needs --eps and --n")
             return EpsilonFamily(self.eps, Fraction(self.lam or "1"), self.n)
+        for flag, value in (("--eps", self.eps), ("--lam", self.lam)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to the epsilon family, not {self.family}")
         if self.family in ("simanca", "eguchi-hanson") and self.n is not None:
             raise ValueError(f"--n does not apply to family {self.family}, whose dimension is 2")
         if self.family == "simanca":
@@ -155,7 +159,7 @@ def _add_family(p: argparse.ArgumentParser) -> None:
         default="epsilon",
     )
     p.add_argument("--eps", type=int, choices=(-1, 0, 1), default=None)
-    p.add_argument("--lam", default="1", help='scaling lambda as "p/q"')
+    p.add_argument("--lam", default=None, help='scaling lambda as "p/q" (default 1)')
     p.add_argument("--n", type=int, default=None,
                    help="epsilon-family exponent; a custom potential's dimension")
     p.add_argument("--custom-json", default=None, help="custom potential JSON path")
@@ -172,11 +176,16 @@ def _exact_flag(args) -> bool | None:
     return True if args.exact else None
 
 
+def _radius(value) -> str:
+    """A CSV radius cell: the ball's radius, empty for an exact value."""
+    return value.radius_str() if isinstance(value, BallScalar) else ""
+
+
 def _obstruction_csv(reports: list[ObstructionReport]) -> str:
-    lines = ["family,x,h,value,sign,backend,precision_bits"]
+    lines = ["family,x,h,value,radius,sign,backend,precision_bits"]
     for r in reports:
         lines.append(
-            f"{r.family},{r.x.text()},{r.h},{scalar_to_decimal(r.value)},"
+            f"{r.family},{r.x.text()},{r.h},{scalar_to_decimal(r.value)},{_radius(r.value)},"
             f"{r.sign.value},{r.backend},{r.precision_bits or ''}"
         )
     return "\n".join(lines) + "\n"
@@ -247,7 +256,9 @@ def _cmd_lu_coeffs(args, fam: PotentialFamily) -> int:
         payload.update({k: scalar_to_json(v) for k, v in fields.items()})
         _emit(dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["name,value"] + [f"{k},{scalar_to_decimal(v)}" for k, v in fields.items()]
+        lines = ["name,value,radius"] + [
+            f"{k},{scalar_to_decimal(v)},{_radius(v)}" for k, v in fields.items()
+        ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"Lu coefficients for {family_label(fam)} at x = {args.x} (dim {dim})"]
@@ -285,10 +296,12 @@ def _cmd_resolvability(args, fam: PotentialFamily) -> int:
         }
         _emit(dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["l,h,minor,sign"]
+        lines = ["l,h,minor,radius,sign"]
         for l, row in enumerate(cert.minors):
             for h, m in enumerate(row):
-                lines.append(f"{l},{h},{scalar_to_decimal(m)},{cert.signs[l][h].value}")
+                lines.append(
+                    f"{l},{h},{scalar_to_decimal(m)},{_radius(m)},{cert.signs[l][h].value}"
+                )
         _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"minors for {cert.family} at x = {cert.x0.text()}: {cert.verdict}"]

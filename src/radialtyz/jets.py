@@ -8,7 +8,7 @@ binomial recurrence k*a0*p_k = sum_{j=1..k} ((r+1)j - k) a_j p_{k-j}; a second
 pow route through exp(r*log(a/a0)) * a0**r is kept for cross-checks.
 
 Coefficients are stored as the scalar kernel's raw values (scalars._raw), each
-the raw of the Scalar an operator would return. Each coefficient of a product,
+worth exactly the Scalar an operator would return. Each coefficient of a product,
 a quotient, exp and pow, and of the bivariate product, is one kernel sum of
 products (scalars._raw_dot); sums and scalings by a constant go coefficient by
 coefficient. Results are bit for bit those of the same steps taken one Scalar

@@ -8,10 +8,12 @@ Three interchangeable backends share one operator protocol:
                     Sign queries are decided by interval refinement, which
                     terminates because {1, theta, ..., theta**(d-1)} is a
                     Q-basis (x**d - r is irreducible for canonical r).
-* BallScalar     -- interval ("ball") arithmetic: mpmath.libmp.libmpi on the
-                    stored endpoints at the ball's precision, with no context
-                    objects; a sign query answers `undetermined` whenever the
-                    enclosure straddles zero.
+* BallScalar     -- interval ("ball") arithmetic with libmpi's endpoints at
+                    the ball's precision: products and sums are computed on
+                    integer mantissa/exponent endpoints and rounded outward
+                    as libmpi rounds them, while division, exp, log and roots
+                    call libmpi; a sign query answers `undetermined`
+                    whenever the enclosure straddles zero.
 
 All values are immutable; mixed-backend operations coerce upward
 (rational -> root -> ball). Two distinct root extensions never mix: that
@@ -19,10 +21,10 @@ raises ExactnessError and callers are expected to fall back to balls.
 
 There is one arithmetic, on raw values (see _raw): _raw_add, _raw_mul,
 _raw_neg and the dot kernel _raw_dot(acc, xs, ys, ws, neg), which returns
-acc ± x0*y0*w0 ± x1*y1*w1 ... on integer numerators and interval endpoints,
-without an object or a promotion per step. Every binary operator of the
-backends is its one-term case, so a left fold of operators gives the same
-result bit for bit; jets (see jets.py) store their coefficients as raws and
+acc ± x0*y0*w0 ± x1*y1*w1 ... on integer numerators and integer interval
+endpoints, without an object or an mpf tuple per step. Every binary operator
+of the backends is its one-term case, so a left fold of operators gives the
+same result bit for bit; jets (see jets.py) store their coefficients as raws and
 call the kernel directly.
 """
 from __future__ import annotations
@@ -33,8 +35,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from mpmath.libmp import (
-    fhalf, finf, fnan, fninf, fone, from_int, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
-    round_ceiling, round_floor, to_str,
+    fhalf, finf, fnan, fninf, fone, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
+    to_str,
 )
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg
 
@@ -64,12 +66,9 @@ class DomainError(ValueError):
 
 
 def _rat_iv(p: int, q: int, precision_bits: int):
-    """The endpoints of p/q at precision_bits: p rounded down and up, then
-    divided by q (also rounded outward) unless q is 1."""
-    iv = (from_int(p, precision_bits, round_floor), from_int(p, precision_bits, round_ceiling))
-    if q != 1:
-        iv = mpi_div(iv, _rat_iv(q, 1, precision_bits), precision_bits)
-    return iv
+    """The libmpi endpoints of p/q (q > 0, gcd 1) at precision_bits: p and q
+    rounded outward, then divided outward (see _ball_of)."""
+    return _mpi((_Q, (p,), q), precision_bits)
 
 
 def as_scalar(value: ScalarLike) -> "Scalar":
@@ -437,17 +436,30 @@ class BallScalar(Scalar):
 # -- the one arithmetic: raw values and the dot kernel ------------------------
 #
 # A raw value is what jets store and the kernel computes on, with no object
-# per value: a ball is (None, mpi, precision_bits), an exact value is
-# (ext, nums, den), which stands for sum(nums[j] * theta**j) / den in Q(theta)
-# for ext = (degree, radicand), or for the rational nums[0] / den when ext is
-# _Q. Exact raws stay in RootScalar.make's normal form (ext is _Q once every
-# irrational part is zero), so an exact zero is a rational with numerator 0,
-# and a root element whose irrational part cancels is a rational, which mixes
-# with any root extension. _raw_add and _raw_mul leave exact results
-# unreduced; _norm reduces one to the raw of its Scalar (one gcd), as _raw_dot
-# does with its sum.
+# per value. A ball is (None, (lo_m, lo_e, hi_m, hi_e), precision_bits): each
+# endpoint is a signed integer mantissa m and an exponent e, worth m * 2**e,
+# not normalised (trailing zero bits may stay). A ball with an infinite or nan
+# endpoint is (_MPI, mpi, precision_bits) and keeps libmpi (see _nonfinite).
+# An exact value is (ext, nums, den), which stands for
+# sum(nums[j] * theta**j) / den in Q(theta) for ext = (degree, radicand), or
+# for the rational nums[0] / den when ext is _Q. Exact raws stay in
+# RootScalar.make's normal form (ext is _Q once every irrational part is
+# zero), so an exact zero is a rational with numerator 0, and a root element
+# whose irrational part cancels is a rational, which mixes with any root
+# extension. _raw_add and _raw_mul leave exact results unreduced; _norm
+# reduces one to the raw of its Scalar (one gcd), as _raw_dot does with its
+# sum.
+#
+# Ball endpoints are computed as libmpi computes them: each endpoint product
+# and sum is formed exactly on the integers and rounded once, outward, to the
+# precision (floor for a lower endpoint, ceiling for an upper one). A directed
+# rounding of an exact value is unique and libmpf rounds the same exact
+# values, so the endpoints are libmpi's bit for bit; only the conversion to
+# mpf tuples (_cook, _raw) is left to mpmath.
 
 _Q = (1, 1)
+_MPI = "mpi"  # the tag of a ball raw with a non-finite endpoint
+_ZERO_IV = (0, 0, 0, 0)
 
 
 def _mixed_roots(ea: tuple[int, int], eb: tuple[int, int]) -> ExactnessError:
@@ -461,10 +473,126 @@ def _finite(iv) -> bool:
     return not any(e in (finf, fninf, fnan) for e in iv)
 
 
+def _down(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2**e rounded down (towards -inf) to prec bits."""
+    n = m.bit_length() - prec
+    return (m >> n, e + n) if n > 0 else (m, e)
+
+
+def _up(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2**e rounded up (towards +inf) to prec bits."""
+    n = m.bit_length() - prec
+    return (-((-m) >> n), e + n) if n > 0 else (m, e)
+
+
+def _lt(m1: int, e1: int, m2: int, e2: int) -> bool:
+    """m1 * 2**e1 < m2 * 2**e2, exactly."""
+    if e1 >= e2:
+        return m1 << (e1 - e2) < m2
+    return m1 < m2 << (e2 - e1)
+
+
+def _end_add(am: int, ae: int, bm: int, be: int, prec: int, up: bool) -> tuple[int, int]:
+    """am * 2**ae + bm * 2**be rounded up or down to prec bits, as libmpf's
+    mpf_add: exact, except that a term more than prec + 4 bits below the
+    other, whose normalised exponent is also more than 100 below, only
+    perturbs the larger term by one unit prec + 4 bits below its last bit."""
+    if not bm:
+        m, e = am, ae
+    elif not am:
+        m, e = bm, be
+    else:
+        gap = am.bit_length() + ae - bm.bit_length() - be
+        if gap < 0:
+            am, ae, bm, be, gap = bm, be, am, ae, -gap
+        if gap > prec + 4 and ae + (am & -am).bit_length() - be - (bm & -bm).bit_length() > 100:
+            m, e = (am << (prec + 4)) + (1 if bm > 0 else -1), ae - prec - 4
+        elif ae >= be:
+            m, e = (am << (ae - be)) + bm, be
+        else:
+            m, e = am + (bm << (be - ae)), ae
+    n = m.bit_length() - prec
+    if n > 0:
+        return (-((-m) >> n) if up else m >> n), e + n
+    return m, e
+
+
+def _iv_add(x: tuple, y: tuple, prec: int) -> tuple:
+    """mpi_add of two finite integer-endpoint intervals."""
+    return (_end_add(x[0], x[1], y[0], y[1], prec, False)
+            + _end_add(x[2], x[3], y[2], y[3], prec, True))
+
+
+def _iv_mul(x: tuple, y: tuple, prec: int) -> tuple:
+    """mpi_mul of two finite integer-endpoint intervals [a, b] * [c, d]: its
+    case analysis on the endpoint signs picks the two extreme products, and
+    where both intervals straddle 0 the exact cross products are compared.
+    Each is rounded outward to prec bits."""
+    am, ae, bm, be = x
+    cm, ce, dm, de = y
+    if not (am or bm) or not (cm or dm):
+        return _ZERO_IV
+    if am >= 0:
+        if cm >= 0:
+            lm, le, hm, he = am * cm, ae + ce, bm * dm, be + de
+        elif dm <= 0:
+            lm, le, hm, he = bm * cm, be + ce, am * dm, ae + de
+        else:
+            lm, le, hm, he = bm * cm, be + ce, bm * dm, be + de
+    elif bm <= 0:
+        if cm >= 0:
+            lm, le, hm, he = am * dm, ae + de, bm * cm, be + ce
+        elif dm <= 0:
+            lm, le, hm, he = bm * dm, be + de, am * cm, ae + ce
+        else:
+            lm, le, hm, he = am * dm, ae + de, am * cm, ae + ce
+    elif cm >= 0:
+        lm, le, hm, he = am * dm, ae + de, bm * dm, be + de
+    elif dm <= 0:
+        lm, le, hm, he = bm * cm, be + ce, am * cm, ae + ce
+    else:
+        lm, le, hm, he = am * dm, ae + de, am * cm, ae + ce
+        if _lt(bm * cm, be + ce, lm, le):
+            lm, le = bm * cm, be + ce
+        if _lt(hm, he, bm * dm, be + de):
+            hm, he = bm * dm, be + de
+    n = lm.bit_length() - prec
+    if n > 0:
+        lm >>= n
+        le += n
+    n = hm.bit_length() - prec
+    if n > 0:
+        hm = -((-hm) >> n)
+        he += n
+    return lm, le, hm, he
+
+
+def _iv_neg(x: tuple, prec: int) -> tuple:
+    """mpi_neg of a finite integer-endpoint interval (it rounds to prec too)."""
+    return _down(-x[2], x[3], prec) + _up(-x[0], x[1], prec)
+
+
+def _quo(m1: int, e1: int, m2: int, e2: int, prec: int, rnd) -> tuple[int, int]:
+    """(m1 * 2**e1) / (m2 * 2**e2) for m2 > 0, rounded by rnd to prec bits:
+    the quotient is first floored (or ceiled) with at least prec + 2 bits,
+    which the second rounding in the same direction leaves exact."""
+    s = max(0, prec + m2.bit_length() - m1.bit_length() + 2)
+    q = (m1 << s) // m2 if rnd is _down else -((-m1 << s) // m2)
+    return rnd(q, e1 - e2 - s, prec)
+
+
+def _ball_raw(iv, prec: int) -> tuple:
+    """The raw of the ball with libmpi endpoints iv."""
+    if not _finite(iv):
+        return _MPI, iv, prec
+    (ls, lm, le, _), (hs, hm, he, _) = iv
+    return None, (-lm if ls else lm, le, -hm if hs else hm, he), prec
+
+
 def _raw(v) -> tuple:
     t = type(v)
     if t is BallScalar:
-        return None, v.mpi, v.precision_bits
+        return _ball_raw(v.mpi, v.precision_bits)
     if t is RationalScalar:
         v = v.value
         return _Q, (v.numerator,), v.denominator
@@ -479,20 +607,31 @@ def _raw(v) -> tuple:
     return _raw(as_scalar(v))
 
 
+def _mpi(r: tuple, prec: int):
+    """The libmpi interval of the raw r, an exact r promoted at prec."""
+    ext, nums, _ = r
+    if ext is _MPI:
+        return nums
+    if ext is not None:
+        nums = _ball_of(r, prec)
+    return from_man_exp(nums[0], nums[1]), from_man_exp(nums[2], nums[3])
+
+
 def _cook(r: tuple) -> Scalar:
     ext, nums, den = r
-    if ext is None:
-        return BallScalar(nums, den)
+    if ext is None or ext is _MPI:
+        return BallScalar(_mpi(r, den), den)
     if ext is _Q:
         return RationalScalar(Fraction(nums[0], den))
     return RootScalar.make(ext[0], ext[1], tuple(Fraction(c, den) for c in nums))
 
 
 def _norm(r: tuple) -> tuple:
-    """The raw of the Scalar r stands for, _raw(_cook(r)): an exact value
-    over one gcd of its denominator and numerators, a ball as it is."""
+    """The raw of the Scalar r stands for, _raw(_cook(r)) up to the trailing
+    zero bits of ball endpoints: an exact value over one gcd of its
+    denominator and numerators, a ball as it is."""
     ext, nums, den = r
-    if ext is None:
+    if ext is None or ext is _MPI:
         return r
     g = math.gcd(den, *nums)
     if g == 1:
@@ -501,7 +640,10 @@ def _norm(r: tuple) -> tuple:
 
 
 def _raw_is_zero(r: tuple) -> bool:
-    return r[1] == (fzero, fzero) if r[0] is None else not any(r[1])
+    ext, nums, _ = r
+    if ext is None:
+        return not nums[0] and not nums[2]
+    return ext is not _MPI and not any(nums)
 
 
 def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
@@ -510,31 +652,58 @@ def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
     return ext, nums, den
 
 
-def _ball_of(r: tuple, prec: int):
-    """The endpoints of the exact raw r promoted to a ball at prec, as its
-    Scalar's to_ball(prec) gives them."""
+def _ball_of(r: tuple, prec: int) -> tuple:
+    """The integer endpoints of the exact raw r promoted to a ball at prec, as
+    its Scalar's to_ball(prec) gives them: an integer rounded outward (exact
+    when it has at most prec bits), p/q as libmpi's mpi_div of p and q, each
+    first rounded outward."""
     ext, nums, den = r
-    if ext is _Q:
-        g = math.gcd(nums[0], den)
-        return _rat_iv(nums[0] // g, den // g, prec)
-    return _cook(r).to_ball(prec).mpi
+    if ext is not _Q:
+        return _ball_raw(_cook(r).to_ball(prec).mpi, prec)[1]
+    if den == 1 and nums[0].bit_length() <= prec:
+        return nums[0], 0, nums[0], 0
+    g = math.gcd(nums[0], den)
+    p, q = nums[0] // g, den // g
+    pl, ph = _down(p, 0, prec), _up(p, 0, prec)
+    if q == 1:
+        return pl + ph
+    ql, qh = _down(q, 0, prec), _up(q, 0, prec)
+    if p > 0:
+        return _quo(*pl, *qh, prec, _down) + _quo(*ph, *ql, prec, _up)
+    return _quo(*pl, *ql, prec, _down) + _quo(*ph, *qh, prec, _up)
+
+
+def _nonfinite(op, a: tuple, b: tuple) -> tuple:
+    """op (mpi_add or mpi_mul) where a or b is a ball with a non-finite
+    endpoint, by libmpi on mpf endpoints: at the wider precision of two balls,
+    an exact operand promoted at the ball's precision, and an exact zero
+    added returning the other operand."""
+    balls = [r for r in (a, b) if r[0] is None or r[0] is _MPI]
+    if op is mpi_add and len(balls) == 1:
+        other = b if balls[0] is a else a
+        if not any(other[1]):
+            return balls[0]
+    p = max(r[2] for r in balls)
+    return _ball_raw(op(_mpi(a, p), _mpi(b, p), p), p)
 
 
 def _raw_mul(a: tuple, b: tuple) -> tuple:
     """a * b (on balls, nums is the interval and den the precision)."""
     ea, na, da = a
     eb, nb, db = b
+    if ea is _MPI or eb is _MPI:
+        return _nonfinite(mpi_mul, a, b)
     if ea is None:
         if eb is None:
-            p = max(da, db)
-            return None, mpi_mul(na, nb, p), p
-        if not any(nb) and _finite(na):
-            return None, (fzero, fzero), da
-        return None, mpi_mul(na, _ball_of(b, da), da), da
+            p = da if da >= db else db
+            return None, _iv_mul(na, nb, p), p
+        if not any(nb):
+            return None, _ZERO_IV, da
+        return None, _iv_mul(na, _ball_of(b, da), da), da
     if eb is None:
-        if not any(na) and _finite(nb):
-            return None, (fzero, fzero), db
-        return None, mpi_mul(_ball_of(a, db), nb, db), db
+        if not any(na):
+            return None, _ZERO_IV, db
+        return None, _iv_mul(_ball_of(a, db), nb, db), db
     if ea is _Q:
         if eb is _Q:
             return _Q, (na[0] * nb[0],), da * db
@@ -562,17 +731,19 @@ def _raw_add(a: tuple, b: tuple) -> tuple:
     """a + b: an exact zero returns the other operand as it is."""
     ea, na, da = a
     eb, nb, db = b
+    if ea is _MPI or eb is _MPI:
+        return _nonfinite(mpi_add, a, b)
     if eb is None:
         if ea is None:
-            p = max(da, db)
-            return None, mpi_add(na, nb, p), p
+            p = da if da >= db else db
+            return None, _iv_add(na, nb, p), p
         if not any(na):
             return b
-        return None, mpi_add(_ball_of(a, db), nb, db), db
+        return None, _iv_add(_ball_of(a, db), nb, db), db
     if not any(nb):
         return a
     if ea is None:
-        return None, mpi_add(na, _ball_of(b, da), da), da
+        return None, _iv_add(na, _ball_of(b, da), da), da
     if not any(na):
         return b
     if ea != eb:
@@ -592,7 +763,9 @@ def _raw_add(a: tuple, b: tuple) -> tuple:
 def _raw_neg(a: tuple) -> tuple:
     ext, nums, den = a
     if ext is None:
-        return None, mpi_neg(nums, den), den
+        return None, _iv_neg(nums, den), den
+    if ext is _MPI:
+        return _ball_raw(mpi_neg(nums, den), den)
     return ext, tuple(-v for v in nums), den
 
 
@@ -634,7 +807,7 @@ def _raw_dot(
     operations gives, bit for bit.
 
     Exact values are summed as integer numerators over a running denominator.
-    Balls go through mpi_mul / mpi_add / mpi_neg on their endpoints, at the
+    Balls get the endpoints mpi_mul / mpi_add / mpi_neg would give, at the
     wider of the two operands' precisions: an exact zero term leaves the sum
     as it is, an exact zero times a finite ball is [0, 0] at the ball's
     precision, and any other exact operand meeting a ball is promoted as
@@ -642,8 +815,21 @@ def _raw_dot(
     ExactnessError.
     """
     for i, (x, y) in enumerate(zip(xs, ys)):
-        t = _raw_mul(x, y) if ws is None else _raw_mul(_raw_mul(x, y), ws[i])
-        acc = _raw_add(acc, _raw_neg(t) if neg else t)
+        # finite ball * finite ball and finite ball + finite ball inline
+        if x[0] is None and y[0] is None:
+            p = x[2] if x[2] >= y[2] else y[2]
+            t = None, _iv_mul(x[1], y[1], p), p
+        else:
+            t = _raw_mul(x, y)
+        if ws is not None:
+            t = _raw_mul(t, ws[i])
+        if neg:
+            t = _raw_neg(t)
+        if acc[0] is None and t[0] is None:
+            p = acc[2] if acc[2] >= t[2] else t[2]
+            acc = None, _iv_add(acc[1], t[1], p), p
+        else:
+            acc = _raw_add(acc, t)
     return _norm(acc)
 
 

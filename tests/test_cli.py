@@ -42,16 +42,16 @@ def test_scan_csv_format(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "family,x,h,value,sign,backend,precision_bits"
+    assert lines[0] == "family,x,h,value,radius,sign,backend,precision_bits"
     assert len(lines) == 2 and ",4," in lines[1] and "negative" in lines[1]
 
 
 GH_EVAL_CSV = """\
-family,x,h,value,sign,backend,precision_bits
-epsilon(eps=1,lambda=1,n=2),3/4,0,1.0,positive,rational,
-epsilon(eps=1,lambda=1,n=2),3/4,1,1.66666666666666666666666666667,positive,rational,
-epsilon(eps=1,lambda=1,n=2),3/4,2,1.35555555555555555555555555556,positive,rational,
-epsilon(eps=1,lambda=1,n=2),3/4,3,1.99377777777777777777777777778,positive,rational,
+family,x,h,value,radius,sign,backend,precision_bits
+epsilon(eps=1,lambda=1,n=2),3/4,0,1.0,,positive,rational,
+epsilon(eps=1,lambda=1,n=2),3/4,1,1.66666666666666666666666666667,,positive,rational,
+epsilon(eps=1,lambda=1,n=2),3/4,2,1.35555555555555555555555555556,,positive,rational,
+epsilon(eps=1,lambda=1,n=2),3/4,3,1.99377777777777777777777777778,,positive,rational,
 """
 GH_EVAL_TABLE = """\
 g_h at x = 3/4 for epsilon(eps=1,lambda=1,n=2)
@@ -97,6 +97,30 @@ def test_lu_coeffs_table_shows_ball_radius(capsys):
     assert a1.split()[1:] == ["-3.3792e-6", "±", "0.00083"]
     code, csv, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 2 and "±" not in csv
+    # the CSV radius column is the JSON radius of each ball
+    code, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    rows = [line.split(",") for line in csv.splitlines()]
+    assert rows[0] == ["name", "value", "radius"]
+    assert {r[0]: r[2] for r in rows[1:]} == {
+        k: v["radius"] for k, v in payload.items() if isinstance(v, dict)
+    }
+    assert ["a3", "841.0"] == [rows[3][0], rows[3][2]]
+
+
+@pytest.mark.parametrize("argv, radius", [
+    (("resolvability", "--eps", "1", "--n", "3", "--x", "3/4", "--lmax", "1", "--hmax", "1"),
+     ["0.0", "1.73e-77", "1.25e-76", "2.57e-75"]),
+    (("resolvability", "--eps", "1", "--n", "2", "--x", "3/4", "--lmax", "1", "--hmax", "1"),
+     ["", "", "", ""]),
+    (("gh-eval", "--eps", "1", "--n", "3", "--x", "3/4", "--hmax", "1", "--precision-bits", "16"),
+     ["", "4.58e-5"]),
+])
+def test_csv_radius_column_shows_ball_radii_and_is_empty_for_exact_values(argv, radius, capsys):
+    code, csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    header, *rows = [line.split(",") for line in csv.splitlines()]
+    col = header.index("radius") - len(header)  # from the end: family labels hold commas
+    assert [r[col] for r in rows] == radius
 
 
 def test_resolvability_json_schema(capsys):
@@ -278,6 +302,20 @@ def test_n_for_a_family_of_fixed_dimension_is_an_input_error(family, capsys):
     )
     assert code == 3 and out == ""
     assert err == f"error: --n does not apply to family {family}, whose dimension is 2\n"
+
+
+@pytest.mark.parametrize("family", ["simanca", "eguchi-hanson", "custom"])
+@pytest.mark.parametrize("flag", [("--eps", "1"), ("--eps=-1",), ("--lam", "5"), ("--lam", "1")])
+def test_eps_or_lam_for_another_family_is_an_input_error(family, flag, tmp_path, capsys):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"x0": "4/5", "coefficients": ["9/4", "-25/16", "2", "1", "1"]}))
+    argv = ["ricci-flat-check", "--family", family, *flag, "--samples", "4/5"]
+    if family == "custom":
+        argv += ["--custom-json", str(pot), "--n", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    name = flag[0].split("=")[0]
+    assert code == 3 and out == ""
+    assert err == f"error: {name} applies only to the epsilon family, not {family}\n"
 
 
 @pytest.mark.parametrize("case", ["precision-env", "custom-missing", "custom-keys", "out-dir"])

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import finf, fnan, fninf, fzero
-from mpmath.libmp.libmpi import mpi_add, mpi_mul, mpi_sub
+from mpmath.libmp import (
+    finf, fnan, fninf, from_int, from_man_exp, fzero, mpf_cmp, round_ceiling, round_floor,
+)
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
 from sympy import factorint
 
+from radialtyz import scalars
 from radialtyz.jets import Jet
 from radialtyz.scalars import (
     BallScalar,
@@ -21,11 +24,16 @@ from radialtyz.scalars import (
     ZERO,
     Sign,
     SignUndeterminedError,
+    _ball_of,
     _canonical_root,
     _cook,
     _factor,
+    _rat_iv,
     _raw,
+    _raw_add,
     _raw_dot,
+    _raw_mul,
+    _raw_neg,
     abs_le,
     as_scalar,
     int_pow,
@@ -339,6 +347,133 @@ def test_ball_minus_ball_is_add_of_negation(a, b):
     ja, jb = Jet.make(0, [a, b, ZERO]), Jet.make(0, [b, a, b])
     ends = lambda j: [(c.mpi, c.precision_bits) for c in j.coeffs]
     assert ends(ja - jb) == ends(ja + (-jb))
+
+
+# -- the integer lane against libmpi ----------------------------------------
+#
+# Finite ball raws hold integer mantissa/exponent endpoints and _raw_mul,
+# _raw_add and _raw_neg round them outward themselves; converted back by
+# _cook they must be the mpi tuples libmpi gives for the same endpoints.
+
+lane_precisions = st.sampled_from([4, 16, 53, 256, 694])
+SHAPES = ["positive", "negative", "straddle", "zero-lo", "zero-hi", "zero", "point"]
+
+
+@st.composite
+def lane_balls(draw):
+    """A ball of a drawn shape whose endpoints are m * 2**e with exponents far
+    apart or close, rounded outward to the precision or (to reach libmpf's
+    rounding of operands wider than the precision) left exact."""
+    prec = draw(lane_precisions)
+    mags = st.integers(1, 2**prec) | st.integers(1, 2 ** (prec + 80)) | st.integers(1, 8)
+    exps = st.integers(-800, 800) | st.integers(-6, 6)
+    u = from_man_exp(draw(mags), draw(exps))
+    v = from_man_exp(draw(mags), draw(exps))
+    if mpf_cmp(u, v) > 0:
+        u, v = v, u
+    neg = lambda f: (1 - f[0],) + f[1:]
+    lo, hi = {
+        "positive": (u, v), "negative": (neg(v), neg(u)), "straddle": (neg(u), v),
+        "zero-lo": (fzero, v), "zero-hi": (neg(v), fzero), "zero": (fzero, fzero),
+        "point": (u, u),
+    }[draw(st.sampled_from(SHAPES))]
+    if draw(st.booleans()):
+        lo = from_man_exp(*_man_exp(lo), prec, round_floor)
+        hi = from_man_exp(*_man_exp(hi), prec, round_ceiling)
+    return BallScalar((lo, hi), prec)
+
+
+def _man_exp(f):
+    return (-f[1] if f[0] else f[1]), f[2]
+
+
+def _lane_op(op, *raws):
+    return _ends(_cook(op(*raws)))
+
+
+@given(lane_balls(), lane_balls())
+@example(  # both straddle 0
+    BallScalar((_rat_iv(-3, 1, 16)[0], _rat_iv(5, 1, 16)[1]), 16),
+    BallScalar((_rat_iv(-7, 2, 53)[0], _rat_iv(1, 3, 53)[1]), 53),
+)
+@example(  # a gap of more than prec + 4 bits: mpf_add's sticky-bit path
+    BallScalar((from_man_exp(1, 0), from_man_exp(3, 0)), 256),
+    BallScalar((from_man_exp(-1, -700), from_man_exp(1, -700)), 256),
+)
+@example(  # a gap of more than 100 bits but within the precision
+    BallScalar((from_man_exp(5, 0), from_man_exp(7, 0)), 694),
+    BallScalar((from_man_exp(-3, -300), from_man_exp(3, -300)), 694),
+)
+@settings(max_examples=600, deadline=None)
+def test_integer_lane_matches_libmpi(a, b):
+    prec = max(a.precision_bits, b.precision_bits)
+    ra, rb = _raw(a), _raw(b)
+    assert ra[0] is None and isinstance(ra[1][0], int)
+    assert _lane_op(_raw_mul, ra, rb) == (mpi_mul(a.mpi, b.mpi, prec), prec)
+    assert _lane_op(_raw_add, ra, rb) == (mpi_add(a.mpi, b.mpi, prec), prec)
+    assert _lane_op(_raw_neg, ra) == (mpi_neg(a.mpi, a.precision_bits), a.precision_bits)
+    negated = mpi_neg(b.mpi, b.precision_bits)
+    assert _lane_op(_raw_add, ra, _raw_neg(rb)) == (mpi_add(a.mpi, negated, prec), prec)
+
+
+def _ref_rat_iv(p, q, prec):
+    """p/q on libmpi: p and q rounded outward, then divided outward."""
+    iv = lambda k: (from_int(k, prec, round_floor), from_int(k, prec, round_ceiling))
+    return iv(p) if q == 1 else mpi_div(iv(p), iv(q), prec)
+
+
+wide_ints = st.integers(-(2**800), 2**800) | st.integers(-(2**40), 2**40)
+
+
+@given(wide_ints, st.integers(1, 2**800) | st.integers(1, 2**40), lane_precisions)
+@example(2**53 + 1, 1, 53)
+@example(-(2**694) - 1, 3, 694)
+@example(15, 16, 4)
+@example(17, 2**16 + 1, 4)
+@example(0, 7, 16)
+@settings(max_examples=600, deadline=None)
+def test_promotion_matches_libmpi(p, q, prec):
+    g = math.gcd(p, q)
+    want = _ref_rat_iv(p // g, q // g, prec)
+    got = _ball_of(_raw(F(p, q)), prec)
+    assert _cook((None, got, prec)).mpi == _rat_iv(p // g, q // g, prec) == want
+    if q == 1 and p.bit_length() <= prec:
+        assert got == (p, 0, p, 0)  # exact endpoints, no rounding
+    # the operators promote the same way at the ball's precision
+    ball = as_scalar(F(1, 3)).to_ball(prec)
+    assert (ball * F(p, q)).mpi == mpi_mul(ball.mpi, want, prec)
+    assert (ball + F(p, q)).mpi == (mpi_add(ball.mpi, want, prec) if p else ball.mpi)
+
+
+@given(lane_balls() | non_finite_balls, non_finite_balls, rationals)
+@settings(max_examples=200, deadline=None)
+def test_non_finite_balls_keep_libmpi(a, b, r):
+    assert _raw(b)[0] is not None  # their own raw tag
+    for x, y in ((a, b), (b, a)):
+        prec = max(x.precision_bits, y.precision_bits)
+        assert _lane_op(_raw_mul, _raw(x), _raw(y)) == (mpi_mul(x.mpi, y.mpi, prec), prec)
+        assert _lane_op(_raw_add, _raw(x), _raw(y)) == (mpi_add(x.mpi, y.mpi, prec), prec)
+    prec = b.precision_bits
+    promoted = as_scalar(r).to_ball(prec).mpi
+    assert _lane_op(_raw_mul, _raw(b), _raw(r)) == (mpi_mul(b.mpi, promoted, prec), prec)
+    assert _lane_op(_raw_neg, _raw(b)) == (mpi_neg(b.mpi, prec), prec)
+
+
+def test_finite_ball_kernel_work_calls_no_libmpi(monkeypatch):
+    vals = [as_scalar(F(1, 3)).to_ball(256), -as_scalar(F(2, 7)).to_ball(53),
+            as_scalar(F(1, 3)).to_ball(256) - as_scalar(F(1, 3)).to_ball(256),
+            BallScalar((fzero, _rat_iv(5, 1, 16)[1]), 16)]
+    xs = [_raw(v) for v in vals]
+    calls = []
+    for name in ("mpi_mul", "mpi_add", "mpi_neg", "mpi_div"):
+        f = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name, lambda *a, _f=f, _n=name: calls.append(_n) or _f(*a))
+    plain = _raw_dot(xs[0], xs, xs[::-1])
+    negated = _raw_dot(plain, xs, xs, xs[::-1], neg=True)
+    assert calls == []
+    monkeypatch.undo()
+    assert _ends(_cook(plain)) == _ends(_fold(vals[0], vals, vals[::-1], None, False))
+    assert _ends(_cook(negated)) == _ends(_fold(_cook(plain), vals, vals, vals[::-1], True))
 
 
 # -- a reference arithmetic ------------------------------------------------
