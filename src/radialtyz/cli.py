@@ -18,6 +18,7 @@ each prints one "error:" line on stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -51,9 +52,10 @@ class RunConfig:
 
     validate() rejects inconsistent combinations (unknown family, eps = -1
     with x <= 1, --eps or --lam for a family other than epsilon, --n for a
-    family whose dimension is fixed, malformed rationals, an --out that is a
-    directory or whose directory does not exist) before any computation
-    starts, and returns the family it built.
+    family whose dimension is fixed or for a custom family where no
+    dimension is read, malformed rationals, an --out that is a directory or
+    whose directory does not exist) before any computation starts, and
+    returns the family it built.
     """
 
     subcommand: str
@@ -99,6 +101,9 @@ class RunConfig:
                 raise ValueError(f"{flag} applies only to the epsilon family, not {self.family}")
         if self.family in ("simanca", "eguchi-hanson") and self.n is not None:
             raise ValueError(f"--n does not apply to family {self.family}, whose dimension is 2")
+        if (self.family == "custom" and self.n is not None
+                and self.subcommand not in ("lu-coeffs", "ricci-flat-check")):
+            raise ValueError(f"--n does not apply to {self.subcommand}, which reads no dimension")
         if self.family == "simanca":
             return Simanca()
         if self.family == "eguchi-hanson":
@@ -161,7 +166,8 @@ def _add_family(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=int, choices=(-1, 0, 1), default=None)
     p.add_argument("--lam", default=None, help='scaling lambda as "p/q" (default 1)')
     p.add_argument("--n", type=int, default=None,
-                   help="epsilon-family exponent; a custom potential's dimension")
+                   help="epsilon-family exponent; a custom potential's dimension "
+                        "(lu-coeffs, ricci-flat-check)")
     p.add_argument("--custom-json", default=None, help="custom potential JSON path")
 
 
@@ -181,14 +187,21 @@ def _radius(value) -> str:
     return value.radius_str() if isinstance(value, BallScalar) else ""
 
 
+def _csv(header: str, rows) -> str:
+    """A CSV table under the header; a cell holding a comma (a family label) is quoted."""
+    import csv  # only the CSV format pays its import
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header.split(","), *rows])
+    return out.getvalue()
+
+
 def _obstruction_csv(reports: list[ObstructionReport]) -> str:
-    lines = ["family,x,h,value,radius,sign,backend,precision_bits"]
-    for r in reports:
-        lines.append(
-            f"{r.family},{r.x.text()},{r.h},{scalar_to_decimal(r.value)},{_radius(r.value)},"
-            f"{r.sign.value},{r.backend},{r.precision_bits or ''}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("family,x,h,value,radius,sign,backend,precision_bits", (
+        [r.family, r.x.text(), r.h, scalar_to_decimal(r.value), _radius(r.value),
+         r.sign.value, r.backend, r.precision_bits or ""]
+        for r in reports
+    ))
 
 
 def _cmd_gh_eval(args, fam: PotentialFamily) -> int:
@@ -238,9 +251,8 @@ def _cmd_scan(args, fam: PotentialFamily) -> int:
 
 
 def _cmd_lu_coeffs(args, fam: PotentialFamily) -> int:
-    dim = args.dim if args.dim is not None else (
-        fam.n if isinstance(fam, EpsilonFamily) else 2
-    )
+    # --dim, else --n (the epsilon family's n or a custom potential's dimension), else 2
+    dim = args.dim if args.dim is not None else args.n if args.n is not None else 2
     rep = lu_coefficients(
         fam, dim, x=Fraction(args.x), jet_order=args.jet_order,
         exact=_exact_flag(args), precision_bits=args.precision_bits,
@@ -256,10 +268,9 @@ def _cmd_lu_coeffs(args, fam: PotentialFamily) -> int:
         payload.update({k: scalar_to_json(v) for k, v in fields.items()})
         _emit(dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["name,value,radius"] + [
-            f"{k},{scalar_to_decimal(v)},{_radius(v)}" for k, v in fields.items()
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv("name,value,radius", (
+            [k, scalar_to_decimal(v), _radius(v)] for k, v in fields.items()
+        )), args.out)
     else:
         lines = [f"Lu coefficients for {family_label(fam)} at x = {args.x} (dim {dim})"]
         lines += [f"  {k:<14} {scalar_to_text(v)}" for k, v in fields.items()]
@@ -296,13 +307,10 @@ def _cmd_resolvability(args, fam: PotentialFamily) -> int:
         }
         _emit(dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["l,h,minor,radius,sign"]
-        for l, row in enumerate(cert.minors):
-            for h, m in enumerate(row):
-                lines.append(
-                    f"{l},{h},{scalar_to_decimal(m)},{_radius(m)},{cert.signs[l][h].value}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv("l,h,minor,radius,sign", (
+            [l, h, scalar_to_decimal(m), _radius(m), cert.signs[l][h].value]
+            for l, row in enumerate(cert.minors) for h, m in enumerate(row)
+        )), args.out)
     else:
         lines = [f"minors for {cert.family} at x = {cert.x0.text()}: {cert.verdict}"]
         for l, row in enumerate(cert.minors):
@@ -411,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lu-coeffs", help="a1, a2, a3 and all intermediates")
     _add_family(p)
-    p.add_argument("--dim", type=int, default=None, help="complex dimension (default: family n)")
+    p.add_argument("--dim", type=int, default=None,
+                   help="complex dimension (default: --n, else 2)")
     p.add_argument("--x", required=True)
     p.add_argument("--jet-order", type=int, default=4)
     _add_common(p)

@@ -799,8 +799,9 @@ def curvature_norm2(
     exact: bool | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Jet:
-    """|R|^2 as a jet in x. The frame builds Ric with R, but the covariant Ricci
-    block and nabla R are never built here."""
+    """|R|^2 as a jet in x, from the frame's g^-1 and R alone: Ric, rho, the
+    covariant Ricci block and nabla R are built on first read, and none is read
+    here."""
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
     frame = frame_at_x(fam, n, x0, jet_order)
     return _norm2_R(frame, _Weights(frame)).even_jet("|R|^2")

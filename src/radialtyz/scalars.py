@@ -8,12 +8,14 @@ Three interchangeable backends share one operator protocol:
                     Sign queries are decided by interval refinement, which
                     terminates because {1, theta, ..., theta**(d-1)} is a
                     Q-basis (x**d - r is irreducible for canonical r).
-* BallScalar     -- interval ("ball") arithmetic with libmpi's endpoints at
-                    the ball's precision: products and sums are computed on
-                    integer mantissa/exponent endpoints and rounded outward
-                    as libmpi rounds them, while division, exp, log and roots
-                    call libmpi; a sign query answers `undetermined`
-                    whenever the enclosure straddles zero.
+* BallScalar     -- interval ("ball") arithmetic at the ball's precision,
+                    held as finite integer mantissa/exponent endpoints:
+                    products, sums, negation and sign queries work on the
+                    integers, rounded outward as libmpi rounds them, while
+                    division, exp, log and decimal printing call mpmath on
+                    the libmpi tuples derived from them (.mpi); a sign query
+                    answers `undetermined` whenever the enclosure straddles
+                    zero.
 
 All values are immutable; mixed-backend operations coerce upward
 (rational -> root -> ball). Two distinct root extensions never mix: that
@@ -34,11 +36,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from mpmath.libmp import (
-    fhalf, finf, fnan, fninf, fone, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
-    to_str,
-)
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg
+from mpmath.libmp import fhalf, fone, from_man_exp, mpf_add, mpf_mul, mpf_sub, to_str
+from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_CAP_BITS = 4096
@@ -63,12 +62,6 @@ class SignUndeterminedError(ArithmeticError):
 
 class DomainError(ValueError):
     """An evaluation point violates a family's admissible domain."""
-
-
-def _rat_iv(p: int, q: int, precision_bits: int):
-    """The libmpi endpoints of p/q (q > 0, gcd 1) at precision_bits: p and q
-    rounded outward, then divided outward (see _ball_of)."""
-    return _mpi((_Q, (p,), q), precision_bits)
 
 
 def as_scalar(value: ScalarLike) -> "Scalar":
@@ -187,8 +180,7 @@ class RationalScalar(Scalar):
         return not self.value
 
     def to_ball(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> "BallScalar":
-        v = self.value
-        return BallScalar(_rat_iv(v.numerator, v.denominator, precision_bits), precision_bits)
+        return _ball(_ball_of(_raw(self), precision_bits), max(precision_bits, 4))
 
     def text(self) -> str:
         return str(self.value)
@@ -326,29 +318,23 @@ class RootScalar(Scalar):
         bits = max(c.numerator.bit_length() + c.denominator.bit_length() for c in self.coeffs)
         prec = max(64, bits + 32)
         while prec <= (1 << 22):
-            iv = self._interval(prec)
-            lo, hi = iv
-            if mpf_cmp(lo, fzero) > 0:
-                return Sign.POSITIVE
-            if mpf_cmp(hi, fzero) < 0:
-                return Sign.NEGATIVE
+            s = self.to_ball(prec).sign()
+            if s is Sign.POSITIVE or s is Sign.NEGATIVE:
+                return s
             prec *= 2
         raise SignUndeterminedError("root element sign refinement exhausted")
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)  # see sign()
 
-    def _interval(self, prec: int):
-        # theta = exp(log(r) / d), then Horner in theta
-        log_r = mpi_log(_rat_iv(self.radicand, 1, prec), prec)
-        theta = mpi_exp(mpi_div(log_r, _rat_iv(self.degree, 1, prec), prec), prec)
-        acc = (fzero, fzero)
-        for c in reversed(self.coeffs):
-            acc = mpi_add(mpi_mul(acc, theta, prec), _rat_iv(c.numerator, c.denominator, prec), prec)
-        return acc
-
     def to_ball(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> "BallScalar":
-        return BallScalar(self._interval(precision_bits), precision_bits)
+        # theta = exp(log(r) / d), then Horner in theta
+        p = precision_bits
+        theta = _root_ball(_ball(_ball_of(_raw(self.radicand), p), p), self.degree).iv
+        acc = _ZERO_IV
+        for c in reversed(self.coeffs):
+            acc = _iv_add(_iv_mul(acc, theta, p), _ball_of(_raw(c), p), p)
+        return _ball(acc, max(p, 4))
 
     def text(self) -> str:
         parts = [f"{c}*r^{j}" if j else str(c) for j, c in enumerate(self.coeffs) if c != 0]
@@ -369,18 +355,32 @@ class RootScalar(Scalar):
 
 
 class BallScalar(Scalar):
+    """The ball [lo_m * 2**lo_e, hi_m * 2**hi_e] at precision_bits, held as the
+    kernel's integer endpoints iv = (lo_m, lo_e, hi_m, hi_e), both finite.
+    BallScalar(mpi, precision_bits) takes libmpi endpoints (mpmath's results)
+    and .mpi gives them back; kernel results are built by _ball, unconverted."""
+
     backend = "ball"
-    __slots__ = ("mpi", "precision_bits")
+    __slots__ = ("iv", "precision_bits")
 
     def __init__(self, mpi, precision_bits: int):
-        object.__setattr__(self, "mpi", mpi)
+        (ls, lm, le, _), (hs, hm, he, _) = mpi
+        if (not lm and le) or (not hm and he):  # libmpf's inf, -inf and nan
+            raise ValueError("a ball endpoint is infinite or nan")
+        object.__setattr__(self, "iv", (-lm if ls else lm, le, -hm if hs else hm, he))
         object.__setattr__(self, "precision_bits", max(precision_bits, 4))
 
     def __setattr__(self, *a):
         raise AttributeError("BallScalar is immutable")
 
+    @property
+    def mpi(self):
+        """The endpoints as normalised libmpi tuples."""
+        lm, le, hm, he = self.iv
+        return from_man_exp(lm, le), from_man_exp(hm, he)
+
     def __neg__(self) -> "BallScalar":
-        return BallScalar(mpi_neg(self.mpi, self.precision_bits), self.precision_bits)
+        return _ball(_iv_neg(self.iv, self.precision_bits), self.precision_bits)
 
     def _inverse(self) -> "BallScalar":
         s = self.sign()
@@ -391,22 +391,22 @@ class BallScalar(Scalar):
         return BallScalar(mpi_div((fone, fone), self.mpi, self.precision_bits), self.precision_bits)
 
     def sign(self) -> Sign:
-        lo, hi = self.mpi
-        if mpf_cmp(lo, fzero) > 0:
+        lo, _, hi, _ = self.iv
+        if lo > 0:
             return Sign.POSITIVE
-        if mpf_cmp(hi, fzero) < 0:
+        if hi < 0:
             return Sign.NEGATIVE
-        if lo == fzero and hi == fzero:
+        if not lo and not hi:
             return Sign.ZERO
         return Sign.UNDETERMINED
 
     def is_zero(self) -> bool:
-        return self.mpi[0] == fzero and self.mpi[1] == fzero
+        return not self.iv[0] and not self.iv[2]
 
     def to_ball(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> "BallScalar":
         if precision_bits == self.precision_bits:
             return self
-        return BallScalar(self.mpi, max(precision_bits, self.precision_bits))
+        return _ball(self.iv, max(precision_bits, self.precision_bits))
 
     def midpoint_str(self, dps: int | None = None) -> str:
         lo, hi = self.mpi
@@ -424,7 +424,8 @@ class BallScalar(Scalar):
         return self.midpoint_str()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BallScalar) and self.mpi == other.mpi
+        # iv may keep trailing zero bits, so the normalised endpoints compare
+        return self is other or (isinstance(other, BallScalar) and self.mpi == other.mpi)
 
     def __hash__(self):
         return hash(("ball", self.mpi))
@@ -436,29 +437,27 @@ class BallScalar(Scalar):
 # -- the one arithmetic: raw values and the dot kernel ------------------------
 #
 # A raw value is what jets store and the kernel computes on, with no object
-# per value. A ball is (None, (lo_m, lo_e, hi_m, hi_e), precision_bits): each
-# endpoint is a signed integer mantissa m and an exponent e, worth m * 2**e,
-# not normalised (trailing zero bits may stay). A ball with an infinite or nan
-# endpoint is (_MPI, mpi, precision_bits) and keeps libmpi (see _nonfinite).
-# An exact value is (ext, nums, den), which stands for
-# sum(nums[j] * theta**j) / den in Q(theta) for ext = (degree, radicand), or
-# for the rational nums[0] / den when ext is _Q. Exact raws stay in
-# RootScalar.make's normal form (ext is _Q once every irrational part is
-# zero), so an exact zero is a rational with numerator 0, and a root element
-# whose irrational part cancels is a rational, which mixes with any root
-# extension. _raw_add and _raw_mul leave exact results unreduced; _norm
-# reduces one to the raw of its Scalar (one gcd), as _raw_dot does with its
-# sum.
+# per value. A ball is (None, iv, precision_bits) with iv the BallScalar's own
+# endpoints (lo_m, lo_e, hi_m, hi_e): each a signed integer mantissa m and an
+# exponent e, worth m * 2**e, finite and not normalised (trailing zero bits
+# may stay), so _raw and _cook pass them through unconverted. An exact value
+# is (ext, nums, den), which stands for sum(nums[j] * theta**j) / den in
+# Q(theta) for ext = (degree, radicand), or for the rational nums[0] / den
+# when ext is _Q. Exact raws stay in RootScalar.make's normal form (ext is _Q
+# once every irrational part is zero), so an exact zero is a rational with
+# numerator 0, and a root element whose irrational part cancels is a
+# rational, which mixes with any root extension. _raw_add and _raw_mul leave
+# exact results unreduced; _norm reduces one to the raw of its Scalar (one
+# gcd), as _raw_dot does with its sum.
 #
 # Ball endpoints are computed as libmpi computes them: each endpoint product
 # and sum is formed exactly on the integers and rounded once, outward, to the
 # precision (floor for a lower endpoint, ceiling for an upper one). A directed
 # rounding of an exact value is unique and libmpf rounds the same exact
-# values, so the endpoints are libmpi's bit for bit; only the conversion to
-# mpf tuples (_cook, _raw) is left to mpmath.
+# values, so the endpoints are libmpi's bit for bit. mpmath sees them only
+# through BallScalar.mpi, for division, exp, log and decimal printing.
 
 _Q = (1, 1)
-_MPI = "mpi"  # the tag of a ball raw with a non-finite endpoint
 _ZERO_IV = (0, 0, 0, 0)
 
 
@@ -467,10 +466,6 @@ def _mixed_roots(ea: tuple[int, int], eb: tuple[int, int]) -> ExactnessError:
         f"cannot mix root extensions {ea[1]}^(1/{ea[0]}) and {eb[1]}^(1/{eb[0]}); "
         "use a ball backend"
     )
-
-
-def _finite(iv) -> bool:
-    return not any(e in (finf, fninf, fnan) for e in iv)
 
 
 def _down(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -518,13 +513,13 @@ def _end_add(am: int, ae: int, bm: int, be: int, prec: int, up: bool) -> tuple[i
 
 
 def _iv_add(x: tuple, y: tuple, prec: int) -> tuple:
-    """mpi_add of two finite integer-endpoint intervals."""
+    """mpi_add of two integer-endpoint intervals."""
     return (_end_add(x[0], x[1], y[0], y[1], prec, False)
             + _end_add(x[2], x[3], y[2], y[3], prec, True))
 
 
 def _iv_mul(x: tuple, y: tuple, prec: int) -> tuple:
-    """mpi_mul of two finite integer-endpoint intervals [a, b] * [c, d]: its
+    """mpi_mul of two integer-endpoint intervals [a, b] * [c, d]: its
     case analysis on the endpoint signs picks the two extreme products, and
     where both intervals straddle 0 the exact cross products are compared.
     Each is rounded outward to prec bits."""
@@ -568,7 +563,7 @@ def _iv_mul(x: tuple, y: tuple, prec: int) -> tuple:
 
 
 def _iv_neg(x: tuple, prec: int) -> tuple:
-    """mpi_neg of a finite integer-endpoint interval (it rounds to prec too)."""
+    """mpi_neg of an integer-endpoint interval (it rounds to prec too)."""
     return _down(-x[2], x[3], prec) + _up(-x[0], x[1], prec)
 
 
@@ -581,18 +576,25 @@ def _quo(m1: int, e1: int, m2: int, e2: int, prec: int, rnd) -> tuple[int, int]:
     return rnd(q, e1 - e2 - s, prec)
 
 
-def _ball_raw(iv, prec: int) -> tuple:
-    """The raw of the ball with libmpi endpoints iv."""
-    if not _finite(iv):
-        return _MPI, iv, prec
-    (ls, lm, le, _), (hs, hm, he, _) = iv
-    return None, (-lm if ls else lm, le, -hm if hs else hm, he), prec
+def _ball(iv: tuple, prec: int) -> BallScalar:
+    """The ball with the integer endpoints iv at prec, built with no conversion."""
+    b = object.__new__(BallScalar)
+    object.__setattr__(b, "iv", iv)
+    object.__setattr__(b, "precision_bits", prec)
+    return b
+
+
+def _root_ball(b: BallScalar, n: int) -> BallScalar:
+    """exp(log(b) / n) on libmpi for a positive ball b, n promoted at b's precision."""
+    p = b.precision_bits
+    n_mpi = _ball(_ball_of(_raw(n), p), p).mpi
+    return BallScalar(mpi_exp(mpi_div(mpi_log(b.mpi, p), n_mpi, p), p), p)
 
 
 def _raw(v) -> tuple:
     t = type(v)
     if t is BallScalar:
-        return _ball_raw(v.mpi, v.precision_bits)
+        return None, v.iv, v.precision_bits
     if t is RationalScalar:
         v = v.value
         return _Q, (v.numerator,), v.denominator
@@ -607,20 +609,10 @@ def _raw(v) -> tuple:
     return _raw(as_scalar(v))
 
 
-def _mpi(r: tuple, prec: int):
-    """The libmpi interval of the raw r, an exact r promoted at prec."""
-    ext, nums, _ = r
-    if ext is _MPI:
-        return nums
-    if ext is not None:
-        nums = _ball_of(r, prec)
-    return from_man_exp(nums[0], nums[1]), from_man_exp(nums[2], nums[3])
-
-
 def _cook(r: tuple) -> Scalar:
     ext, nums, den = r
-    if ext is None or ext is _MPI:
-        return BallScalar(_mpi(r, den), den)
+    if ext is None:
+        return _ball(nums, den)
     if ext is _Q:
         return RationalScalar(Fraction(nums[0], den))
     return RootScalar.make(ext[0], ext[1], tuple(Fraction(c, den) for c in nums))
@@ -631,7 +623,7 @@ def _norm(r: tuple) -> tuple:
     zero bits of ball endpoints: an exact value over one gcd of its
     denominator and numerators, a ball as it is."""
     ext, nums, den = r
-    if ext is None or ext is _MPI:
+    if ext is None:
         return r
     g = math.gcd(den, *nums)
     if g == 1:
@@ -643,7 +635,7 @@ def _raw_is_zero(r: tuple) -> bool:
     ext, nums, _ = r
     if ext is None:
         return not nums[0] and not nums[2]
-    return ext is not _MPI and not any(nums)
+    return not any(nums)
 
 
 def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
@@ -659,7 +651,7 @@ def _ball_of(r: tuple, prec: int) -> tuple:
     first rounded outward."""
     ext, nums, den = r
     if ext is not _Q:
-        return _ball_raw(_cook(r).to_ball(prec).mpi, prec)[1]
+        return _cook(r).to_ball(prec).iv
     if den == 1 and nums[0].bit_length() <= prec:
         return nums[0], 0, nums[0], 0
     g = math.gcd(nums[0], den)
@@ -673,26 +665,10 @@ def _ball_of(r: tuple, prec: int) -> tuple:
     return _quo(*pl, *ql, prec, _down) + _quo(*ph, *qh, prec, _up)
 
 
-def _nonfinite(op, a: tuple, b: tuple) -> tuple:
-    """op (mpi_add or mpi_mul) where a or b is a ball with a non-finite
-    endpoint, by libmpi on mpf endpoints: at the wider precision of two balls,
-    an exact operand promoted at the ball's precision, and an exact zero
-    added returning the other operand."""
-    balls = [r for r in (a, b) if r[0] is None or r[0] is _MPI]
-    if op is mpi_add and len(balls) == 1:
-        other = b if balls[0] is a else a
-        if not any(other[1]):
-            return balls[0]
-    p = max(r[2] for r in balls)
-    return _ball_raw(op(_mpi(a, p), _mpi(b, p), p), p)
-
-
 def _raw_mul(a: tuple, b: tuple) -> tuple:
     """a * b (on balls, nums is the interval and den the precision)."""
     ea, na, da = a
     eb, nb, db = b
-    if ea is _MPI or eb is _MPI:
-        return _nonfinite(mpi_mul, a, b)
     if ea is None:
         if eb is None:
             p = da if da >= db else db
@@ -731,8 +707,6 @@ def _raw_add(a: tuple, b: tuple) -> tuple:
     """a + b: an exact zero returns the other operand as it is."""
     ea, na, da = a
     eb, nb, db = b
-    if ea is _MPI or eb is _MPI:
-        return _nonfinite(mpi_add, a, b)
     if eb is None:
         if ea is None:
             p = da if da >= db else db
@@ -764,8 +738,6 @@ def _raw_neg(a: tuple) -> tuple:
     ext, nums, den = a
     if ext is None:
         return None, _iv_neg(nums, den), den
-    if ext is _MPI:
-        return _ball_raw(mpi_neg(nums, den), den)
     return ext, tuple(-v for v in nums), den
 
 
@@ -809,13 +781,12 @@ def _raw_dot(
     Exact values are summed as integer numerators over a running denominator.
     Balls get the endpoints mpi_mul / mpi_add / mpi_neg would give, at the
     wider of the two operands' precisions: an exact zero term leaves the sum
-    as it is, an exact zero times a finite ball is [0, 0] at the ball's
-    precision, and any other exact operand meeting a ball is promoted as
-    to_ball would at the ball's precision. Two distinct root extensions raise
-    ExactnessError.
+    as it is, an exact zero times a ball is [0, 0] at the ball's precision,
+    and any other exact operand meeting a ball is promoted as to_ball would at
+    the ball's precision. Two distinct root extensions raise ExactnessError.
     """
     for i, (x, y) in enumerate(zip(xs, ys)):
-        # finite ball * finite ball and finite ball + finite ball inline
+        # ball * ball and ball + ball inline
         if x[0] is None and y[0] is None:
             p = x[2] if x[2] >= y[2] else y[2]
             t = None, _iv_mul(x[1], y[1], p), p
@@ -875,8 +846,7 @@ def nth_root(value: Scalar, n: int) -> Scalar:
     if isinstance(value, BallScalar):
         if value.require_sign("radicand") != Sign.POSITIVE:
             raise DomainError("root of a non-positive ball")
-        p = value.precision_bits
-        return BallScalar(mpi_exp(mpi_div(mpi_log(value.mpi, p), _rat_iv(n, 1, p), p), p), p)
+        return _root_ball(value, n)
     raise ExactnessError(
         "nested radicals are not supported exactly; convert to a ball backend"
     )
@@ -890,8 +860,8 @@ def scalar_pow(value: Scalar, exponent: Fraction | int) -> Scalar:
         if value.require_sign("power base") != Sign.POSITIVE:
             raise DomainError("fractional power of a non-positive ball")
         p = value.precision_bits
-        e = _rat_iv(exponent.numerator, exponent.denominator, p)
-        return BallScalar(mpi_exp(mpi_mul(e, mpi_log(value.mpi, p), p), p), p)
+        log = BallScalar(mpi_log(value.mpi, p), p)
+        return scalar_exp(_ball(_iv_mul(_ball_of(_raw(exponent), p), log.iv, p), p))
     return nth_root(int_pow(value, exponent.numerator), exponent.denominator)
 
 

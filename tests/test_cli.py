@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -48,10 +50,10 @@ def test_scan_csv_format(capsys):
 
 GH_EVAL_CSV = """\
 family,x,h,value,radius,sign,backend,precision_bits
-epsilon(eps=1,lambda=1,n=2),3/4,0,1.0,,positive,rational,
-epsilon(eps=1,lambda=1,n=2),3/4,1,1.66666666666666666666666666667,,positive,rational,
-epsilon(eps=1,lambda=1,n=2),3/4,2,1.35555555555555555555555555556,,positive,rational,
-epsilon(eps=1,lambda=1,n=2),3/4,3,1.99377777777777777777777777778,,positive,rational,
+"epsilon(eps=1,lambda=1,n=2)",3/4,0,1.0,,positive,rational,
+"epsilon(eps=1,lambda=1,n=2)",3/4,1,1.66666666666666666666666666667,,positive,rational,
+"epsilon(eps=1,lambda=1,n=2)",3/4,2,1.35555555555555555555555555556,,positive,rational,
+"epsilon(eps=1,lambda=1,n=2)",3/4,3,1.99377777777777777777777777778,,positive,rational,
 """
 GH_EVAL_TABLE = """\
 g_h at x = 3/4 for epsilon(eps=1,lambda=1,n=2)
@@ -70,6 +72,27 @@ def test_gh_eval_text_formats_pinned(capsys, fmt, want):
     )
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("gh-eval", "--eps", "1", "--n", "2", "--x", "3/4", "--hmax", "3"),
+    ("gh-eval", "--eps", "1", "--lam", "3/2", "--n", "3", "--x", "3/4", "--hmax", "2",
+     "--precision-bits", "64"),
+    ("scan", "--eps", "1", "--n", "5", "--x-grid", "6/5:6/5:1", "--hmax", "4"),
+    ("gh-eval", "--family", "custom", "--x", "4/5", "--hmax", "2"),
+])
+def test_obstruction_csv_rows_have_as_many_cells_as_the_header(argv, tmp_path, capsys):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"x0": "4/5", "coefficients": ["9/4", "-25/16", "2", "1", "1"]}))
+    if "custom" in argv:
+        argv += ("--custom-json", str(pot))
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) == 8 for row in rows)
+    main([*argv, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert {row[0] for row in rows[1:]} == {payload["family"]}
 
 
 def test_lu_coeffs_simanca_zero_a2_a3(capsys):
@@ -302,6 +325,35 @@ def test_n_for_a_family_of_fixed_dimension_is_an_input_error(family, capsys):
     )
     assert code == 3 and out == ""
     assert err == f"error: --n does not apply to family {family}, whose dimension is 2\n"
+
+
+def test_lu_coeffs_takes_a_custom_potentials_dimension_from_n(tmp_path, capsys):
+    pot = tmp_path / "pot.json"
+    coeffs = ["9/4", "-25/16", "2"] + ["1"] * 7  # f' to order 9, as jet order 4 needs
+    pot.write_text(json.dumps({"x0": "3/4", "coefficients": coeffs}))
+    argv = ("lu-coeffs", "--family", "custom", "--custom-json", str(pot), "--x", "3/4")
+    results = {}
+    for extra in (("--n", "3"), ("--dim", "3"), ("--dim", "2"), ()):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 0, err
+        results[extra] = json.loads(out)
+    assert results[("--n", "3")]["dim"] == 3
+    assert results[("--n", "3")] == results[("--dim", "3")]
+    assert results[()] == results[("--dim", "2")] != results[("--n", "3")]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gh-eval", "--x", "4/5", "--hmax", "2"),
+    ("scan", "--x-grid", "4/5:1:2", "--hmax", "2"),
+    ("resolvability", "--x", "4/5", "--lmax", "1", "--hmax", "1"),
+])
+def test_n_for_a_custom_family_that_reads_no_dimension_is_an_input_error(argv, tmp_path, capsys):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"x0": "4/5", "coefficients": ["9/4", "-25/16", "2", "1", "1"]}))
+    code, out, err = run_cli(capsys, argv[0], "--family", "custom", "--custom-json", str(pot),
+                             "--n", "3", *argv[1:])
+    assert code == 3 and out == ""
+    assert err == f"error: --n does not apply to {argv[0]}, which reads no dimension\n"
 
 
 @pytest.mark.parametrize("family", ["simanca", "eguchi-hanson", "custom"])

@@ -2,7 +2,8 @@
 
 Static checks on the source with the stdlib ast module: no import is left
 unused, no private module-level helper is left unreferenced and no attribute
-set on self is left unread, as deletions tend to leave them behind. One
+set on self is left unread, as deletions tend to leave them behind, and
+scalars.py takes nothing from libmpi but division, exp and log. One
 runtime check: evaluations leave every module-level container as it was, so
 evaluations share no mutable state."""
 import ast
@@ -108,6 +109,17 @@ def test_every_attribute_set_on_self_is_read():
                 ):
                     unread.append(f"{path.name}:{sub.lineno} {cls.name}.{sub.attr}")
     assert not unread, f"attributes set on self and never read: {unread}"
+
+
+def test_scalars_takes_only_division_exp_and_log_from_libmpi():
+    # ball products, sums and negation run on the balls' integer endpoints
+    imported = sorted(
+        a.name
+        for node in ast.walk(_tree(PACKAGE / "scalars.py"))
+        if isinstance(node, ast.ImportFrom) and "libmpi" in (node.module or "")
+        for a in node.names
+    )
+    assert imported == ["mpi_div", "mpi_exp", "mpi_log"]
 
 
 def _module_container_sizes() -> dict[str, int]:
