@@ -21,7 +21,6 @@ import argparse
 import io
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from .potentials import (
     load_custom_potential,
     ricci_flat_residual,
 )
+from .records import Record
 from .reports import dumps, scalar_to_decimal, scalar_to_json, scalar_to_text
 from .reproduction import run_items
 from .resolvability import minor_matrix, simanca_embedding_check
@@ -46,14 +46,14 @@ PRECISION_ENV = "RADIALTYZ_PRECISION_BITS"
 EXIT_INPUT_ERROR = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated, JSON-round-trippable description of one CLI invocation.
 
     validate() rejects inconsistent combinations (unknown family, eps = -1
     with x <= 1, --eps or --lam for a family other than epsilon, --n for a
     family whose dimension is fixed or for a custom family where no
-    dimension is read, malformed rationals, an --out that is a directory or
+    dimension is read, a custom lu-coeffs with neither --n nor --dim,
+    malformed rationals, an --out that is a directory or
     whose directory does not exist) before any computation starts, and
     returns the family it built.
     """
@@ -80,14 +80,13 @@ class RunConfig:
     out: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in zip(self._fields, self._values()) if v is not None}
 
     @staticmethod
     def from_args(args) -> "RunConfig":
-        fields = RunConfig.__dataclass_fields__
         data = {}
         for k, v in vars(args).items():
-            if k in fields and v is not None:
+            if k in RunConfig._fields and v is not None:
                 data[k] = v
         return RunConfig(**data)
 
@@ -104,6 +103,9 @@ class RunConfig:
         if (self.family == "custom" and self.n is not None
                 and self.subcommand not in ("lu-coeffs", "ricci-flat-check")):
             raise ValueError(f"--n does not apply to {self.subcommand}, which reads no dimension")
+        if (self.family == "custom" and self.subcommand == "lu-coeffs"
+                and self.n is None and self.dim is None):
+            raise ValueError("dimension required for a custom potential: pass --n or --dim")
         if self.family == "simanca":
             return Simanca()
         if self.family == "eguchi-hanson":
@@ -251,7 +253,8 @@ def _cmd_scan(args, fam: PotentialFamily) -> int:
 
 
 def _cmd_lu_coeffs(args, fam: PotentialFamily) -> int:
-    # --dim, else --n (the epsilon family's n or a custom potential's dimension), else 2
+    # --dim, else --n (the epsilon family's n or a custom potential's dimension,
+    # which validation requires), else 2 (Simanca and Eguchi-Hanson)
     dim = args.dim if args.dim is not None else args.n if args.n is not None else 2
     rep = lu_coefficients(
         fam, dim, x=Fraction(args.x), jet_order=args.jet_order,
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lu-coeffs", help="a1, a2, a3 and all intermediates")
     _add_family(p)
     p.add_argument("--dim", type=int, default=None,
-                   help="complex dimension (default: --n, else 2)")
+                   help="complex dimension (default: --n, else 2 for the dimension-2 families)")
     p.add_argument("--x", required=True)
     p.add_argument("--jet-order", type=int, default=4)
     _add_common(p)

@@ -57,6 +57,7 @@ from math import comb, factorial, perm, prod
 
 from .jets import Jet
 from .potentials import PotentialFamily, det_jet_from_fprime, fprime_jet, prepare_point
+from .records import Record
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DomainError,
@@ -287,8 +288,9 @@ def _entries(t: list, idx: tuple = ()) -> list:
     return [] if t.is_zero() else [(idx, t)]
 
 
-@dataclass
-class RadialTensorFrame:
+class RadialTensorFrame(Record):
+    # a mutable record, so not hashable: callers may set s
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     n: int
     s: Scalar | None
     jet_order: int
@@ -695,6 +697,8 @@ def radial_laplacian_jet(u: Jet, fp: Jet, n: int) -> Jet:
     return (du + ddu * x) / g11 + (du * (n - 1)) / fp
 
 
+# a dataclass, unlike the package's other records: callers derive reports from
+# it with dataclasses.replace
 @dataclass(frozen=True)
 class LuReport:
     a1: Scalar

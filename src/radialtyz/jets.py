@@ -22,10 +22,10 @@ c_ij = c_ji; mixed partials at the base point are i! j! c_ij.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .records import Record
 from .scalars import (
     ONE,
     Scalar,
@@ -56,10 +56,15 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return _norm(_raw_mul(a, b))
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(Record):
+    # slots and a plain __init__: jets are built in the recurrences' inner loops
+    __slots__ = ("x0", "raws")
     x0: Scalar
     raws: tuple  # c_0..c_H as kernel raws
+
+    def __init__(self, x0: Scalar, raws: tuple):
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "raws", raws)
 
     @staticmethod
     def make(x0: ScalarLike, coeffs: Sequence[ScalarLike]) -> "Jet":
@@ -247,16 +252,20 @@ class Jet:
         return Jet(self.x0, tuple(out))
 
 
-@dataclass(frozen=True)
-class HermitianBiJet:
+class HermitianBiJet(Record):
     """Bivariate truncated series sum c_ij u**i v**j around a radial point.
 
     u, v are the offsets of (z1, z̄1) from the base point; for the germs in
     scope all coefficients are real and c_ij == c_ji.
     """
 
+    __slots__ = ("base", "raws")
     base: Scalar
     raws: tuple[tuple, ...]  # rows of c_ij as kernel raws
+
+    def __init__(self, base: Scalar, raws: tuple[tuple, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "raws", raws)
 
     @staticmethod
     def make(base: ScalarLike, rows: Sequence[Sequence[ScalarLike]]) -> "HermitianBiJet":

@@ -12,7 +12,6 @@ g_h is always computed two independent ways which must agree:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from .potentials import (
     fprime_jet,
     prepare_point,
 )
+from .records import Record
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     PRECISION_CAP_BITS,
@@ -107,8 +107,7 @@ def g4_at_1_closed(n: int) -> Scalar:
     return scalar_pow(two, Fraction(1 - 3 * n, n)) * poly
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     family: str
     x: Scalar
     h: int
@@ -191,8 +190,7 @@ def obstruction_scan(
     return hits
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(Record):
     family: str
     h: int
     k_values: tuple[int, ...]

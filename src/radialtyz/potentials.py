@@ -16,12 +16,12 @@ invariant under.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
 
 from .jets import Jet
+from .records import Record
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DomainError,
@@ -34,34 +34,31 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class EpsilonFamily:
+class EpsilonFamily(Record):
     eps: int
     lam: Fraction
     n: int
 
-    def __post_init__(self):
-        if self.eps not in (-1, 0, 1):
+    def __init__(self, eps: int, lam: Fraction, n: int):
+        if eps not in (-1, 0, 1):
             raise ValueError("eps must be -1, 0 or 1")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.lam <= 0:
+        lam = Fraction(lam)
+        if lam <= 0:
             raise ValueError("lambda must be positive")
+        super().__init__(eps, lam, n)
 
 
-@dataclass(frozen=True)
-class Simanca:
+class Simanca(Record):
     pass
 
 
-@dataclass(frozen=True)
-class EguchiHanson:
+class EguchiHanson(Record):
     pass
 
 
-@dataclass(frozen=True)
-class CustomPotential:
+class CustomPotential(Record):
     x0: Scalar
     fprime_coeffs: tuple[Scalar, ...]
 

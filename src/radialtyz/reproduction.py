@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -28,6 +27,7 @@ from .obstruction import (
     small_x_divergence_check,
 )
 from .potentials import EpsilonFamily, Simanca, fprime_jet, prepare_point, ricci_flat_residual
+from .records import Record
 from .resolvability import first_row_matches_gh, minor_matrix, simanca_embedding_check
 from .scalars import (
     Scalar,
@@ -74,8 +74,7 @@ def _tri_negative(value: Scalar) -> str:
     return FAIL
 
 
-@dataclass(frozen=True)
-class ItemResult:
+class ItemResult(Record):
     item_id: str
     expected: str
     provenance: str
@@ -94,8 +93,7 @@ class ItemResult:
         }
 
 
-@dataclass(frozen=True)
-class PaperReproductionReport:
+class PaperReproductionReport(Record):
     items: tuple[ItemResult, ...]
 
     @property

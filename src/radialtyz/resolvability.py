@@ -20,13 +20,13 @@ condition and is labeled as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp
 from .obstruction import gh_jets, gh_sequence
 from .potentials import PotentialFamily, family_label, fprime_jet, prepare_point
+from .records import Record
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     Scalar,
@@ -42,8 +42,7 @@ SCOPE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class DiastasisGerm:
+class DiastasisGerm(Record):
     family: str
     s: Scalar | None
     x0: Scalar
@@ -112,8 +111,7 @@ def det_scalar(matrix: list[list[Scalar]]) -> Scalar:
     return rec(frozenset(range(m)))
 
 
-@dataclass(frozen=True)
-class ResolvabilityCertificate:
+class ResolvabilityCertificate(Record):
     family: str
     x0: Scalar
     s: Scalar | None
@@ -123,7 +121,7 @@ class ResolvabilityCertificate:
     signs: tuple[tuple[Sign, ...], ...]
     verdict: str  # "all-positive" | "obstructed" | "inconclusive"
     first_flag: tuple[int, int] | None  # (l, h) of the verdict witness
-    scope_note: str = field(default=SCOPE_NOTE)
+    scope_note: str = SCOPE_NOTE
 
 
 def minor_matrix(
@@ -195,8 +193,7 @@ def minor_matrix(
     )
 
 
-@dataclass(frozen=True)
-class EmbeddingCheckReport:
+class EmbeddingCheckReport(Record):
     max_degree: int
     checked: int
     mismatches: tuple[tuple[int, int], ...]

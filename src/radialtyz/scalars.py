@@ -10,12 +10,16 @@ Three interchangeable backends share one operator protocol:
                     Q-basis (x**d - r is irreducible for canonical r).
 * BallScalar     -- interval ("ball") arithmetic at the ball's precision,
                     held as finite integer mantissa/exponent endpoints:
-                    products, sums, negation and sign queries work on the
-                    integers, rounded outward as libmpi rounds them, while
-                    division, exp, log and decimal printing call mpmath on
-                    the libmpi tuples derived from them (.mpi); a sign query
+                    products, sums, negation, inverses and sign queries work
+                    on the integers, rounded outward as libmpi rounds them,
+                    while exp, log and decimal printing call mpmath on the
+                    libmpi tuples derived from them (.mpi); a sign query
                     answers `undetermined` whenever the enclosure straddles
                     zero.
+
+mpmath is imported at the first ball exp, log or decimal printing, not with
+this module: any mpmath.libmp import runs the whole mpmath package, which
+costs more than a CLI call on exact values does.
 
 All values are immutable; mixed-backend operations coerce upward
 (rational -> root -> ball). Two distinct root extensions never mix: that
@@ -35,9 +39,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
-
-from mpmath.libmp import fhalf, fone, from_man_exp, mpf_add, mpf_mul, mpf_sub, to_str
-from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_CAP_BITS = 4096
@@ -377,7 +378,7 @@ class BallScalar(Scalar):
     def mpi(self):
         """The endpoints as normalised libmpi tuples."""
         lm, le, hm, he = self.iv
-        return from_man_exp(lm, le), from_man_exp(hm, he)
+        return _mpf(lm, le), _mpf(hm, he)
 
     def __neg__(self) -> "BallScalar":
         return _ball(_iv_neg(self.iv, self.precision_bits), self.precision_bits)
@@ -388,7 +389,12 @@ class BallScalar(Scalar):
             raise ZeroDivisionError("division by exact zero ball")
         if s == Sign.UNDETERMINED:
             raise SignUndeterminedError("division by a ball whose enclosure straddles zero")
-        return BallScalar(mpi_div((fone, fone), self.mpi, self.precision_bits), self.precision_bits)
+        # 1/x falls on a ball of one sign: [1/hi, 1/lo], each the directed
+        # rounding of an exact quotient, as mpi_div((fone, fone), mpi) gives
+        # it; u moves the sign to the numerator, as _quo divides by m2 > 0
+        lm, le, hm, he = self.iv
+        p, u = self.precision_bits, 1 if s == Sign.POSITIVE else -1
+        return _ball(_quo(u, 0, u * hm, he, p, _down) + _quo(u, 0, u * lm, le, p, _up), p)
 
     def sign(self) -> Sign:
         lo, _, hi, _ = self.iv
@@ -409,6 +415,8 @@ class BallScalar(Scalar):
         return _ball(self.iv, max(precision_bits, self.precision_bits))
 
     def midpoint_str(self, dps: int | None = None) -> str:
+        from mpmath.libmp import fhalf, mpf_add, mpf_mul, to_str
+
         lo, hi = self.mpi
         mid = mpf_mul(mpf_add(lo, hi, self.precision_bits + 8), fhalf)
         if dps is None:
@@ -416,6 +424,8 @@ class BallScalar(Scalar):
         return to_str(mid, dps)
 
     def radius_str(self) -> str:
+        from mpmath.libmp import fhalf, mpf_mul, mpf_sub, to_str
+
         lo, hi = self.mpi
         rad = mpf_mul(mpf_sub(hi, lo, 32), fhalf)
         return to_str(rad, 3)
@@ -455,7 +465,7 @@ class BallScalar(Scalar):
 # precision (floor for a lower endpoint, ceiling for an upper one). A directed
 # rounding of an exact value is unique and libmpf rounds the same exact
 # values, so the endpoints are libmpi's bit for bit. mpmath sees them only
-# through BallScalar.mpi, for division, exp, log and decimal printing.
+# through BallScalar.mpi, for exp, log and decimal printing.
 
 _Q = (1, 1)
 _ZERO_IV = (0, 0, 0, 0)
@@ -478,6 +488,19 @@ def _up(m: int, e: int, prec: int) -> tuple[int, int]:
     """m * 2**e rounded up (towards +inf) to prec bits."""
     n = m.bit_length() - prec
     return (-((-m) >> n), e + n) if n > 0 else (m, e)
+
+
+def _mpf(m: int, e: int) -> tuple:
+    """m * 2**e as libmpf's normalised tuple (sign, odd mantissa, exponent,
+    bit count), zero as (0, 0, 0, 0): from_man_exp(m, e), bit for bit."""
+    if not m:
+        return 0, 0, 0, 0
+    sign = 0
+    if m < 0:
+        sign, m = 1, -m
+    t = (m & -m).bit_length() - 1
+    m >>= t
+    return sign, m, e + t, m.bit_length()
 
 
 def _lt(m1: int, e1: int, m2: int, e2: int) -> bool:
@@ -584,8 +607,16 @@ def _ball(iv: tuple, prec: int) -> BallScalar:
     return b
 
 
+def _libmpi() -> tuple:
+    """mpmath's interval division, exp and log, imported at first use."""
+    from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log
+
+    return mpi_div, mpi_exp, mpi_log
+
+
 def _root_ball(b: BallScalar, n: int) -> BallScalar:
     """exp(log(b) / n) on libmpi for a positive ball b, n promoted at b's precision."""
+    mpi_div, mpi_exp, mpi_log = _libmpi()
     p = b.precision_bits
     n_mpi = _ball(_ball_of(_raw(n), p), p).mpi
     return BallScalar(mpi_exp(mpi_div(mpi_log(b.mpi, p), n_mpi, p), p), p)
@@ -860,6 +891,7 @@ def scalar_pow(value: Scalar, exponent: Fraction | int) -> Scalar:
         if value.require_sign("power base") != Sign.POSITIVE:
             raise DomainError("fractional power of a non-positive ball")
         p = value.precision_bits
+        _, _, mpi_log = _libmpi()
         log = BallScalar(mpi_log(value.mpi, p), p)
         return scalar_exp(_ball(_iv_mul(_ball_of(_raw(exponent), p), log.iv, p), p))
     return nth_root(int_pow(value, exponent.numerator), exponent.denominator)
@@ -867,6 +899,7 @@ def scalar_pow(value: Scalar, exponent: Fraction | int) -> Scalar:
 
 def scalar_exp(value: Scalar) -> Scalar:
     if isinstance(value, BallScalar):
+        _, mpi_exp, _ = _libmpi()
         return BallScalar(mpi_exp(value.mpi, value.precision_bits), value.precision_bits)
     if isinstance(value, RationalScalar) and value.value == 0:
         return ONE
@@ -877,6 +910,7 @@ def scalar_log(value: Scalar) -> Scalar:
     if isinstance(value, BallScalar):
         if value.require_sign("log argument") != Sign.POSITIVE:
             raise DomainError("log of a non-positive ball")
+        _, _, mpi_log = _libmpi()
         return BallScalar(mpi_log(value.mpi, value.precision_bits), value.precision_bits)
     if isinstance(value, RationalScalar) and value.value == 1:
         return ZERO

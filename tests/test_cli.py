@@ -333,13 +333,16 @@ def test_lu_coeffs_takes_a_custom_potentials_dimension_from_n(tmp_path, capsys):
     pot.write_text(json.dumps({"x0": "3/4", "coefficients": coeffs}))
     argv = ("lu-coeffs", "--family", "custom", "--custom-json", str(pot), "--x", "3/4")
     results = {}
-    for extra in (("--n", "3"), ("--dim", "3"), ("--dim", "2"), ()):
+    for extra in (("--n", "3"), ("--dim", "3"), ("--dim", "2")):
         code, out, err = run_cli(capsys, *argv, *extra)
         assert code == 0, err
         results[extra] = json.loads(out)
     assert results[("--n", "3")]["dim"] == 3
-    assert results[("--n", "3")] == results[("--dim", "3")]
-    assert results[()] == results[("--dim", "2")] != results[("--n", "3")]
+    assert results[("--n", "3")] == results[("--dim", "3")] != results[("--dim", "2")]
+    # a custom potential has no dimension of its own: with neither flag there is none
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: dimension required for a custom potential: pass --n or --dim\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -418,3 +421,21 @@ def test_import_does_not_load_sympy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["gh-eval", "--family", "epsilon", "--eps=1", "--lam", "1", "--n", "2", "--x", "3/4",
+     "--hmax", "8"],
+    ["lu-coeffs", "--family", "simanca", "--dim", "2", "--x", "1"],
+], ids=["import", "gh-eval", "lu-coeffs"])
+def test_exact_runs_do_not_load_mpmath(argv):
+    # mpmath loads at the first ball exp, log or decimal printing, which exact runs never reach
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = f"assert radialtyz.cli.main({argv!r}) == 0\n" if argv else ""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, radialtyz, radialtyz.cli\n{run}print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False"

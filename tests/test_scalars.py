@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
-    finf, fnan, fninf, from_int, from_man_exp, fzero, mpf_cmp, round_ceiling, round_floor,
+    finf, fnan, fninf, fone, from_int, from_man_exp, fzero, mpf_cmp, round_ceiling, round_floor,
 )
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
 from sympy import factorint
@@ -23,6 +23,7 @@ from radialtyz.scalars import (
     ZERO,
     Sign,
     SignUndeterminedError,
+    _ball,
     _ball_of,
     _canonical_root,
     _cook,
@@ -455,6 +456,41 @@ def test_ball_equality_ignores_trailing_zero_bits():
     assert a.iv != b.iv and a == b and hash(a) == hash(b)
     assert a.mpi == b.mpi == BallScalar((from_man_exp(1, 2), from_man_exp(3, 2)), 16).mpi
     assert a != _cook((None, (4, 0, 13, 0), 16))
+
+
+@st.composite
+def signed_iv_balls(draw):
+    """A ball of one sign at 16 to 1024 bits built from integer endpoints as the
+    kernel leaves them: mantissas of up to prec + 40 bits, each possibly
+    carrying trailing zero bits."""
+    prec = draw(st.sampled_from([16, 53, 256, 1024]) | st.integers(16, 1024))
+    def end():
+        m = draw(st.integers(1, 2 ** (prec + 40)) | st.integers(1, 8))
+        t = draw(st.integers(0, 40))
+        return m << t, draw(st.integers(-800, 800) | st.integers(-6, 6)) - t
+    (lm, le), (hm, he) = sorted((end(), end()), key=lambda me: F(me[0]) * F(2) ** me[1])
+    if draw(st.booleans()):
+        return _ball((-hm, he, -lm, le), prec)
+    return _ball((lm, le, hm, he), prec)
+
+
+@given(signed_iv_balls())
+@example(_ball((8, -3, 8, -3), 16))  # 1 with trailing zero bits: an exact inverse
+@example(_ball((-12, 5, -4, 5), 1024))
+@example(_ball((3, 0, 2**1100 + 1, -40), 1024))  # endpoints wider than the precision
+@settings(max_examples=600, deadline=None)
+def test_ball_inverse_matches_libmpi_division(b):
+    prec = b.precision_bits
+    assert _ends(b._inverse()) == (mpi_div((fone, fone), b.mpi, prec), prec)
+
+
+@given(signed_iv_balls())
+@example(_ball((0, 7, 0, -3), 16))  # a zero mantissa keeps whatever exponent it had
+@example(_ball((-(2**64), 0, 2**64 - 1, 0), 64))
+@settings(max_examples=600, deadline=None)
+def test_ball_mpi_matches_from_man_exp(b):
+    lm, le, hm, he = b.iv
+    assert b.mpi == (from_man_exp(lm, le), from_man_exp(hm, he))
 
 
 # -- a reference arithmetic ------------------------------------------------
