@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -390,6 +391,12 @@ def _cmd_reproduce(args, fam: None) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which here means "inconclusive"."""
+
+    def _parse_optional(self, arg_string):
+        # a negative fraction such as "-1/2" is a value, as argparse takes "-2"
+        if re.fullmatch(r"-\d+/\d+", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

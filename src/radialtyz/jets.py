@@ -13,7 +13,13 @@ a quotient, exp and pow, and of the bivariate product, is one kernel sum of
 products (scalars._raw_dot); sums and scalings by a constant go coefficient by
 coefficient. Results are bit for bit those of the same steps taken one Scalar
 operation at a time, but only value(), derivative(k), coeff(i, j) and the
-read-only `coeffs` views build Scalars.
+read-only `coeffs` views build Scalars. The kernel skips a term with an
+exact-zero factor where the fold would leave the sum as it is (most terms of
+a product with a bivariate power N**k, whose low-order coefficients are exact
+zeros). pow forms its weights (r+1)j - k as integer raws and, on a jet of
+balls at one precision, promotes each distinct weight once per call rather
+than once per term. bijet_compose_univariate takes the powers of the inner
+series' nilpotent part from a caller that composes several jets with one.
 
 HermitianBiJet is the bivariate counterpart in offsets (u, v) of (z1, z̄1)
 around a radial axis point, with real coefficients and the Hermitian symmetry
@@ -32,6 +38,8 @@ from .scalars import (
     ScalarLike,
     Sign,
     SignUndeterminedError,
+    _Q,
+    _ball_of,
     _cook,
     _norm,
     _raw,
@@ -192,7 +200,7 @@ class Jet(Record):
     def antiderive(self, c0: ScalarLike) -> "Jet":
         out = [_raw(c0)]
         for k, c in enumerate(self.raws, 1):
-            out.append(_mul(c, _raw(Fraction(1, k))))
+            out.append(_mul(c, (_Q, (1,), k)))
         return Jet(self.x0, tuple(out))
 
     # -- elementary functions -------------------------------------------------
@@ -204,7 +212,7 @@ class Jet(Record):
         for k in range(1, len(c)):
             # k p_k = sum_{j=1..k} j a_j p_{k-j}
             acc = _raw_dot(_ZERO, c[1 : k + 1], out[::-1], ws[:k])
-            out.append(_mul(acc, _raw(Fraction(1, k))))
+            out.append(_mul(acc, (_Q, (1,), k)))
         return Jet(self.x0, tuple(out))
 
     def log(self) -> "Jet":
@@ -224,11 +232,26 @@ class Jet(Record):
         inv0 = _raw(ONE / a0)
         c = self.raws
         out = [_raw(scalar_pow(a0, exponent))]
-        r1 = exponent + 1
+        # the weight (r+1)j - k is (u j - k v)/v for r + 1 = u/v; where every
+        # coefficient, a0**r and 1/a0 are balls at one precision p, each term
+        # is a ball at p too, so a weight promoted once at p multiplies it as
+        # the exact weight would (see _raw_mul)
+        u, v = exponent.numerator + exponent.denominator, exponent.denominator
+        p = inv0[2]
+        if not all(r[0] is None and r[2] == p for r in (*c, out[0], inv0)):
+            p = None
+        weights: dict[int, tuple] = {}  # by numerator u j - k v
         for k in range(1, len(c)):
-            ws = [_raw(r1 * j - k) for j in range(1, k + 1)]
+            ws = []
+            for j in range(1, k + 1):
+                m = u * j - k * v
+                if m not in weights:
+                    g = math.gcd(m, v)
+                    w = _Q, (m // g,), v // g
+                    weights[m] = w if p is None else (None, _ball_of(w, p), p)
+                ws.append(weights[m])
             acc = _raw_dot(_ZERO, c[1 : k + 1], out[::-1], ws)
-            out.append(_mul(_mul(acc, inv0), _raw(Fraction(1, k))))
+            out.append(_mul(_mul(acc, inv0), (_Q, (1,), k)))
         return Jet(self.x0, tuple(out))
 
     def pow_via_exp_log(self, exponent: Fraction | int) -> "Jet":
@@ -345,19 +368,34 @@ def bijet_exp(a: HermitianBiJet) -> HermitianBiJet:
     return _bijet_scale(acc, _raw(scale))
 
 
-def bijet_compose_univariate(g: Jet, inner: HermitianBiJet) -> HermitianBiJet:
-    """g composed with a bivariate inner series whose constant term is g.x0."""
+def nilpotent_powers(inner: HermitianBiJet) -> tuple[HermitianBiJet, ...]:
+    """N, N**2, ..., N**(2L) for N the nilpotent part of inner and L its order."""
+    n = inner.nilpotent_part()
+    power = HermitianBiJet.constant(inner.base, 1, inner.order)
+    out = []
+    for _ in range(2 * inner.order):
+        power = power * n
+        out.append(power)
+    return tuple(out)
+
+
+def bijet_compose_univariate(
+    g: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...] | None = None
+) -> HermitianBiJet:
+    """g composed with a bivariate inner series whose constant term is g.x0.
+
+    powers, when given, must be nilpotent_powers(inner): a caller composing
+    several jets with one inner series builds them once and passes them in."""
     if inner.coeff(0, 0) != g.x0:
         raise ValueError("inner constant coefficient must equal the outer base point")
     if g.order < 2 * inner.order:
         raise ValueError(
             f"outer jet order {g.order} is short of 2*L = {2 * inner.order}"
         )
-    n = inner.nilpotent_part()
+    if powers is None:
+        powers = nilpotent_powers(inner)
     acc = HermitianBiJet.constant(inner.base, g.value(), inner.order)
-    power = HermitianBiJet.constant(inner.base, 1, inner.order)
-    for k in range(1, 2 * inner.order + 1):
-        power = power * n
+    for k, power in enumerate(powers, 1):
         acc = acc + _bijet_scale(power, g.raws[k])
     return acc
 

@@ -16,6 +16,12 @@ unaffected either way.
 A certified-negative minor proves the metric is not projectively induced; a
 certificate with every minor positive is only a finite-order necessary
 condition and is labeled as such.
+
+minor_matrix builds the inner series x0(1 + u + v + uv) and the powers of its
+nilpotent part once per call, and the germ's radial part and every g_h
+compose with them; det_scalar runs on kernel raws and builds one Scalar.
+Results are bit for bit those of the same steps taken one Scalar operation
+at a time.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp
+from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp, nilpotent_powers
 from .obstruction import gh_jets, gh_sequence
 from .potentials import PotentialFamily, family_label, fprime_jet, prepare_point
 from .records import Record
@@ -32,9 +38,17 @@ from .scalars import (
     Scalar,
     ScalarLike,
     Sign,
+    _cook,
+    _norm,
+    _raw,
+    _raw_add,
+    _raw_mul,
+    _raw_neg,
     as_scalar,
     int_pow,
 )
+
+_ONE = _raw(1)
 
 SCOPE_NOTE = (
     "necessary-condition check up to order (lmax, hmax): positivity of these "
@@ -62,12 +76,14 @@ def _inner_bijet(x0: Scalar, order: int) -> HermitianBiJet:
     return HermitianBiJet.make(x0, rows)
 
 
-def diastasis_germ_at_x(fam: PotentialFamily, fp: Jet, order: int) -> DiastasisGerm:
-    """The germ at x0 = fp.x0 from the f' jet fp, of order >= 2 * order - 1."""
-    x0 = fp.x0
+def diastasis_germ_at_x(
+    fam: PotentialFamily, fp: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...]
+) -> DiastasisGerm:
+    """The germ of order L at x0 = fp.x0 from the f' jet fp, of order >= 2L - 1,
+    for inner = _inner_bijet(x0, L) and powers = nilpotent_powers(inner)."""
+    x0, order = fp.x0, inner.order
     fj = fp.antiderive(0).truncate(2 * order)  # f anchored to f(x0) = 0
-    inner = _inner_bijet(x0, order)
-    radial_part = bijet_compose_univariate(fj, inner)
+    radial_part = bijet_compose_univariate(fj, inner, powers)
     # f(s z1) = f(x0 (1 + u_hat)): univariate row/column contributions; the
     # constants f(x0) + f(s^2) - f(s*s) ... cancel: fj is anchored to 0
     axis = fj.scale_var(x0).coeffs
@@ -82,33 +98,41 @@ def diastasis_germ(fam: PotentialFamily, s: ScalarLike, order: int) -> Diastasis
     s = as_scalar(s)
     if s.sign() == Sign.ZERO:
         raise ValueError("diastasis germ needs s != 0")
-    x0 = s * s
-    g = diastasis_germ_at_x(fam, fprime_jet(fam, x0, max(2 * order - 1, 0)), order)
+    fp = fprime_jet(fam, s * s, max(2 * order - 1, 0))
+    inner = _inner_bijet(fp.x0, order)
+    g = diastasis_germ_at_x(fam, fp, inner, nilpotent_powers(inner))
     return DiastasisGerm(family=g.family, s=s, x0=g.x0, order=order, bijet=g.bijet)
 
 
 def det_scalar(matrix: list[list[Scalar]]) -> Scalar:
-    """Division-free determinant (Laplace expansion with column-subset memo)."""
+    """Division-free determinant: Laplace expansion along the rows, memoised
+    on the set of columns left, on kernel raws as the Scalar operators
+    compute them, so it is bit for bit the expansion in Scalar operations."""
     m = len(matrix)
-    memo: dict[frozenset, Scalar] = {}
+    raws = [[_raw(v) for v in row] for row in matrix]
+    memo: dict[int, tuple] = {}
 
-    def rec(cols: frozenset) -> Scalar:
+    def rec(cols: int) -> tuple:
+        # cols: bit c set while column c is left; the row is the next one down
         if not cols:
-            return as_scalar(1)
+            return _ONE
         got = memo.get(cols)
         if got is not None:
             return got
-        row = m - len(cols)
-        acc: Scalar | None = None
-        for pos, c in enumerate(sorted(cols)):
-            term = matrix[row][c] * rec(cols - {c})
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
+        row = raws[m - cols.bit_count()]
+        acc = None
+        pos = 0
+        for c in range(m):
+            if cols >> c & 1:
+                term = _norm(_raw_mul(row[c], rec(cols & ~(1 << c))))
+                if pos % 2:
+                    term = _raw_neg(term)
+                acc = term if acc is None else _norm(_raw_add(acc, term))
+                pos += 1
         memo[cols] = acc
         return acc
 
-    return rec(frozenset(range(m)))
+    return _cook(rec((1 << m) - 1))
 
 
 class ResolvabilityCertificate(Record):
@@ -155,15 +179,17 @@ def minor_matrix(
     # one f' jet serves the germ (order 2*lmax - 1) and the g_h jets at x0 of
     # order >= 2*lmax (order hmax + 2*lmax - 1); g_0 = 1 needs none
     fp = fprime_jet(fam, x0, max(hmax + 2 * lmax - 1, 0))
-    germ = diastasis_germ_at_x(fam, fp, lmax)
-    expd = bijet_exp(germ.bijet)
+    # the germ's radial part and every g_h compose with one inner series
     inner = _inner_bijet(x0, lmax)
+    powers = nilpotent_powers(inner)
+    germ = diastasis_germ_at_x(fam, fp, inner, powers)
+    expd = bijet_exp(germ.bijet)
     gh = gh_jets(fp, hmax) if hmax else [Jet.constant(x0, 1, 2 * lmax)]
 
     minors: list[list[Scalar]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     signs: list[list[Sign]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     for h in range(hmax + 1):
-        gh_bij = bijet_compose_univariate(gh[h].truncate(2 * lmax), inner)
+        gh_bij = bijet_compose_univariate(gh[h].truncate(2 * lmax), inner, powers)
         entries = expd * gh_bij  # scaled-variable coefficients
         for l in range(lmax + 1):
             sub = [[entries.coeff(i, j) for j in range(l + 1)] for i in range(l + 1)]

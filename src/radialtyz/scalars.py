@@ -815,6 +815,12 @@ def _raw_dot(
     as it is, an exact zero times a ball is [0, 0] at the ball's precision,
     and any other exact operand meeting a ball is promoted as to_ball would at
     the ball's precision. Two distinct root extensions raise ExactnessError.
+
+    A term with an exact-zero factor x or y is exact 0, or the ball [0, 0] at
+    the widest precision q of its ball factors. It is skipped where the fold
+    would leave the sum as it is: when it is exact, or when the sum is a ball
+    of precision at least q whose endpoints fit that precision. Otherwise it
+    is added, so it still raises the sum's precision or promotes an exact sum.
     """
     for i, (x, y) in enumerate(zip(xs, ys)):
         # ball * ball and ball + ball inline
@@ -822,6 +828,17 @@ def _raw_dot(
             p = x[2] if x[2] >= y[2] else y[2]
             t = None, _iv_mul(x[1], y[1], p), p
         else:
+            if x[0] is not None and not any(x[1]) or y[0] is not None and not any(y[1]):
+                q = 0
+                for f in (x, y) if ws is None else (x, y, ws[i]):
+                    if f[0] is None and f[2] > q:
+                        q = f[2]
+                if not q:
+                    continue
+                if acc[0] is None:
+                    (lo, _, hi, _), p = acc[1], acc[2]
+                    if q <= p and lo.bit_length() <= p and hi.bit_length() <= p:
+                        continue
             t = _raw_mul(x, y)
         if ws is not None:
             t = _raw_mul(t, ws[i])

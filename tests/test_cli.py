@@ -158,6 +158,15 @@ def test_resolvability_json_schema(capsys):
     assert len(payload["minors"]) == 2 and len(payload["minors"][0]) == 4
 
 
+def test_resolvability_reads_a_negative_fraction_after_s(capsys):
+    common = ("resolvability", "--family", "epsilon", "--eps=1", "--n", "2",
+              "--lmax", "1", "--hmax", "2")
+    code, spaced, err = run_cli(capsys, *common, "--s", "-1/2")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *common, "--s=-1/2") == (0, spaced, "")
+    assert json.loads(spaced)["x"] == "1/4"
+
+
 def test_embedding_check(capsys):
     code, out, _ = run_cli(capsys, "embedding-check", "--max-degree", "6")
     assert code == 0

@@ -4,8 +4,8 @@ Static checks on the source with the stdlib ast module: no import is left
 unused, no private module-level helper is left unreferenced and no attribute
 set on self is left unread, as deletions tend to leave them behind, and
 scalars.py takes nothing from libmpi but division, exp and log. One
-runtime check: evaluations leave every module-level container as it was, so
-evaluations share no mutable state."""
+runtime check: evaluations leave every module-level container and function
+cache as it was, so evaluations share no mutable state."""
 import ast
 import importlib
 import pkgutil
@@ -16,8 +16,9 @@ import pytest
 
 import radialtyz
 from radialtyz.curvature import lu_coefficients
-from radialtyz.obstruction import gh_reports
+from radialtyz.obstruction import gh_reports, obstruction_scan
 from radialtyz.potentials import EpsilonFamily
+from radialtyz.resolvability import minor_matrix
 from radialtyz.scalars import RootScalar, Sign
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,13 +124,16 @@ def test_scalars_takes_only_division_exp_and_log_from_libmpi():
 
 
 def _module_container_sizes() -> dict[str, int]:
-    """The size of every module-level dict, list and set of every module."""
+    """The size of every module-level dict, list, set and functools cache of
+    every module."""
     sizes = {}
     for info in pkgutil.iter_modules(radialtyz.__path__):
         module = importlib.import_module(f"radialtyz.{info.name}")
         for name, value in vars(module).items():
             if isinstance(value, (dict, list, set)) and not name.startswith("__"):
                 sizes[f"{info.name}.{name}"] = len(value)
+            elif callable(getattr(value, "cache_info", None)):
+                sizes[f"{info.name}.{name}"] = value.cache_info().currsize
     return sizes
 
 
@@ -141,4 +145,10 @@ def test_evaluations_grow_no_module_level_state():
         assert RootScalar(2, 2, (F(-(2**k) - 1), F(2**k))).sign() == Sign.POSITIVE
     lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4), exact=False, precision_bits=96)
     gh_reports(EpsilonFamily(1, F(1), 3), F(3, 4), 5, exact=False, precision_bits=80)
+    # the certify path: minors exact (in Q(sqrt 5)) and on balls, and a scan
+    # whose undetermined signs at x = 3/2 send it from 16 to 32 bits
+    minor_matrix(EpsilonFamily(-1, F(1), 2), x=F(3, 2), lmax=2, hmax=3)
+    minor_matrix(EpsilonFamily(1, F(1), 4), x=F(3, 4), lmax=2, hmax=3, precision_bits=64)
+    hits = obstruction_scan(EpsilonFamily(1, F(1), 6), [F(1), F(3, 2)], 7, precision_bits=16)
+    assert hits[-1].value.precision_bits == 32
     assert _module_container_sizes() == before

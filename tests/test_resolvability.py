@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from radialtyz.resolvability import (
     minor_matrix,
     simanca_embedding_check,
 )
-from radialtyz.scalars import Sign, as_scalar
+from radialtyz.scalars import BallScalar, Sign, as_scalar, nth_root
 
 from helpers import (
     assert_exact_zero,
@@ -138,6 +139,57 @@ def test_certificate_has_scope_note():
 def test_det_scalar():
     m = [[as_scalar(v) for v in row] for row in [[2, 1, 0], [1, 3, 1], [0, 1, 4]]]
     assert det_scalar(m).text() == "18"
+
+
+def _laplace_det(matrix):
+    """The reference for det_scalar: the memoised Laplace expansion along the
+    rows in Scalar operations."""
+    m = len(matrix)
+    memo = {}
+
+    def rec(cols):
+        if not cols:
+            return as_scalar(1)
+        if cols not in memo:
+            acc = None
+            for pos, c in enumerate(sorted(cols)):
+                term = matrix[m - len(cols)][c] * rec(cols - {c})
+                if pos % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return rec(frozenset(range(m)))
+
+
+def _bits(v):
+    if isinstance(v, BallScalar):
+        return "ball", v.iv, v.precision_bits
+    return type(v).__name__, v
+
+
+SQRT5 = nth_root(as_scalar(5), 2)
+
+
+def _entry(rng, kind):
+    q = F(rng.randint(-9, 9), rng.randint(1, 7))
+    if kind == "sqrt5":
+        return as_scalar(q) + SQRT5 * F(rng.randint(-3, 3), rng.randint(1, 3))
+    if kind in ("ball256", "ball16"):
+        return as_scalar(q).to_ball(int(kind[4:]))
+    # exact zeros next to exact rationals and balls of two precisions
+    return rng.choice([as_scalar(0), as_scalar(0), as_scalar(q),
+                       as_scalar(q).to_ball(16), as_scalar(q).to_ball(256)])
+
+
+@pytest.mark.parametrize("kind", ["sqrt5", "ball256", "ball16", "zeros"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_det_scalar_is_the_scalar_laplace_expansion_bit_for_bit(size, kind):
+    rng = random.Random(f"{kind}-{size}")
+    for _ in range(6):
+        m = [[_entry(rng, kind) for _ in range(size)] for _ in range(size)]
+        assert _bits(det_scalar(m)) == _bits(_laplace_det(m))
 
 
 def test_embedding_identity_small_cases():

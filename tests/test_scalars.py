@@ -603,6 +603,15 @@ def _fold(acc, xs, ys, ws, neg):
 @example(ZERO, [(SQRT2, ZERO, 1), (CBRT3, as_scalar(1).to_ball(53), 1)], False, True)
 @example(as_scalar(F(1, 3)), [(SQRT2, SQRT2, F(1, 2)), (CBRT3, as_scalar(1), 0)], True, False)
 @example(ZERO, [(as_scalar(F(1, 3)).to_ball(16), as_scalar(3), 0)], False, True)
+# terms with an exact-zero factor that still change the sum: the precision
+# rises to the zero ball's, an exact sum is promoted, and a sum of zero balls
+# is the ball [0, 0], not exact 0
+@example(as_scalar(F(1, 3)).to_ball(53), [(ZERO, as_scalar(F(1, 7)).to_ball(256), 1)], False, False)
+@example(as_scalar(F(1, 3)), [(ZERO, as_scalar(F(1, 7)).to_ball(16), 1)], False, True)
+@example(ZERO, [(as_scalar(F(1, 3)).to_ball(16), ZERO, 1), (ZERO, as_scalar(2), as_scalar(F(1, 7)).to_ball(53))], True, False)
+# and one whose sum's endpoints are wider than its precision, which the
+# zero ball's addition rounds
+@example(BallScalar(((0, 2**40 + 1, 0, 41), (0, 2**40 + 3, 0, 41)), 16), [(ZERO, as_scalar(F(1, 7)).to_ball(16), 1)], False, False)
 @settings(max_examples=300, deadline=None)
 def test_scalar_dot_matches_the_scalar_fold(acc, terms, weighted, neg):
     xs, ys, ws = [t[0] for t in terms], [t[1] for t in terms], [t[2] for t in terms]
