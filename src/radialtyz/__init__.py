@@ -43,7 +43,6 @@ from .obstruction import (
     obstruction_scan,
     rational_grid,
     small_x_divergence_check,
-    structural_form_gap,
 )
 from .curvature import (
     LuReport,
@@ -56,9 +55,7 @@ from .curvature import (
     radial_laplacian_jet,
 )
 from .resolvability import (
-    DiastasisGerm,
     ResolvabilityCertificate,
-    diastasis_germ,
     minor_matrix,
     simanca_embedding_check,
 )
@@ -75,11 +72,10 @@ __all__ = [
     "prepare_point", "ricci_flat_residual",
     "DivergenceReport", "ObstructionReport", "g3_closed_eps_minus1", "g4_at_1_closed",
     "gh_reports", "gh_sequence", "obstruction_scan", "rational_grid",
-    "small_x_divergence_check", "structural_form_gap",
+    "small_x_divergence_check",
     "LuReport", "RadialTensorFrame", "closed_forms_eps",
     "curvature_norm2", "frame_at_x", "invariants_from_frame", "lu_coefficients",
     "radial_laplacian_jet",
-    "DiastasisGerm", "ResolvabilityCertificate", "diastasis_germ", "minor_matrix",
-    "simanca_embedding_check",
+    "ResolvabilityCertificate", "minor_matrix", "simanca_embedding_check",
     "PaperReproductionReport", "run_items",
 ]

@@ -37,7 +37,6 @@ from .potentials import (
     load_custom_potential,
     ricci_flat_residual,
 )
-from .records import Record
 from .reports import dumps, scalar_to_decimal, scalar_to_json, scalar_to_text
 from .reproduction import run_items
 from .resolvability import minor_matrix, simanca_embedding_check
@@ -47,101 +46,57 @@ PRECISION_ENV = "RADIALTYZ_PRECISION_BITS"
 EXIT_INPUT_ERROR = 3
 
 
-class RunConfig(Record):
-    """Validated, JSON-round-trippable description of one CLI invocation.
+def _validate(args) -> PotentialFamily | None:
+    """Reject an inconsistent invocation before any computation starts and
+    return its family, None for a command without the family flags.
 
-    validate() rejects inconsistent combinations (unknown family, eps = -1
-    with x <= 1, --eps or --lam for a family other than epsilon, --n for a
-    family whose dimension is fixed or for a custom family where no
-    dimension is read, a custom lu-coeffs with neither --n nor --dim,
-    malformed rationals, an --out that is a directory or
-    whose directory does not exist) before any computation starts, and
-    returns the family it built.
+    Rejected: an --out that is a directory or whose directory does not exist,
+    fewer than 16 bits of precision, eps = -1 with x <= 1, --eps or --lam for
+    a family other than epsilon, --n for a family whose dimension is fixed or
+    for a custom family where no dimension is read, a custom lu-coeffs with
+    neither --n nor --dim, and malformed rationals.
     """
+    if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ValueError(f"--out {args.out} is not a file path in an existing directory")
+    if args.precision_bits < 16:
+        raise ValueError("precision_bits must be at least 16")
+    opts = vars(args)
+    if "family" not in opts:
+        return None
+    fam = _build_family(args)
+    points: list[Fraction] = []
+    if opts.get("x") is not None:
+        points.append(Fraction(args.x))
+    if opts.get("s") is not None:
+        points.append(Fraction(args.s) ** 2)
+    if "x_grid" in opts:
+        points.extend(rational_grid(args.x_grid))
+    if "samples" in opts:
+        points.extend(Fraction(tok) for tok in args.samples.split(","))
+    for p in points:
+        check_admissible(fam, as_scalar(p))
+    return fam
 
-    subcommand: str
-    family: str | None = None
-    eps: int | None = None
-    lam: str | None = None
-    n: int | None = None
-    dim: int | None = None
-    x: str | None = None
-    s: str | None = None
-    x_grid: str | None = None
-    hmax: int | None = None
-    lmax: int | None = None
-    jet_order: int | None = None
-    max_degree: int | None = None
-    samples: str | None = None
-    item: str | None = None
-    custom_json: str | None = None
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    exact: bool = False
-    format: str = "json"
-    out: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in zip(self._fields, self._values()) if v is not None}
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        data = {}
-        for k, v in vars(args).items():
-            if k in RunConfig._fields and v is not None:
-                data[k] = v
-        return RunConfig(**data)
-
-    def build_family(self) -> PotentialFamily:
-        if self.family in (None, "epsilon"):
-            if self.eps is None or self.n is None:
-                raise ValueError("epsilon family needs --eps and --n")
-            return EpsilonFamily(self.eps, Fraction(self.lam or "1"), self.n)
-        for flag, value in (("--eps", self.eps), ("--lam", self.lam)):
-            if value is not None:
-                raise ValueError(f"{flag} applies only to the epsilon family, not {self.family}")
-        if self.family in ("simanca", "eguchi-hanson") and self.n is not None:
-            raise ValueError(f"--n does not apply to family {self.family}, whose dimension is 2")
-        if (self.family == "custom" and self.n is not None
-                and self.subcommand not in ("lu-coeffs", "ricci-flat-check")):
-            raise ValueError(f"--n does not apply to {self.subcommand}, which reads no dimension")
-        if (self.family == "custom" and self.subcommand == "lu-coeffs"
-                and self.n is None and self.dim is None):
-            raise ValueError("dimension required for a custom potential: pass --n or --dim")
-        if self.family == "simanca":
-            return Simanca()
-        if self.family == "eguchi-hanson":
-            return EguchiHanson()
-        if self.family == "custom":
-            if self.custom_json is None:
-                raise ValueError("custom family needs custom_json")
-            return load_custom_potential(self.custom_json)
-        raise ValueError(f"unknown family {self.family!r}")
-
-    def validate(self) -> PotentialFamily | None:
-        if self.out is not None and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
-            raise ValueError(f"--out {self.out} is not a file path in an existing directory")
-        if self.format not in ("json", "csv", "table"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.precision_bits < 16:
-            raise ValueError("precision_bits must be at least 16")
-        needs_family = self.subcommand in (
-            "gh-eval", "scan", "lu-coeffs", "resolvability", "ricci-flat-check"
-        )
-        if not needs_family:
-            return None
-        fam = self.build_family()
-        points: list[Fraction] = []
-        if self.x is not None:
-            points.append(Fraction(self.x))
-        if self.s is not None:
-            points.append(Fraction(self.s) ** 2)
-        if self.x_grid is not None:
-            points.extend(rational_grid(self.x_grid))
-        if self.samples is not None:
-            points.extend(Fraction(tok) for tok in self.samples.split(","))
-        for p in points:
-            check_admissible(fam, as_scalar(p))
-        return fam
+def _build_family(args) -> PotentialFamily:
+    if args.family == "epsilon":
+        if args.eps is None or args.n is None:
+            raise ValueError("epsilon family needs --eps and --n")
+        return EpsilonFamily(args.eps, Fraction(args.lam or "1"), args.n)
+    for flag, value in (("--eps", args.eps), ("--lam", args.lam)):
+        if value is not None:
+            raise ValueError(f"{flag} applies only to the epsilon family, not {args.family}")
+    if args.family != "custom":
+        if args.n is not None:
+            raise ValueError(f"--n does not apply to family {args.family}, whose dimension is 2")
+        return Simanca() if args.family == "simanca" else EguchiHanson()
+    if args.n is not None and args.subcommand not in ("lu-coeffs", "ricci-flat-check"):
+        raise ValueError(f"--n does not apply to {args.subcommand}, which reads no dimension")
+    if args.subcommand == "lu-coeffs" and args.n is None and args.dim is None:
+        raise ValueError("dimension required for a custom potential: pass --n or --dim")
+    if args.custom_json is None:
+        raise ValueError("custom family needs custom_json")
+    return load_custom_potential(args.custom_json)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -474,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.precision_bits = int(env)
             except ValueError:
                 raise ValueError(f"{PRECISION_ENV}={env!r} is not an integer") from None
-        fam = RunConfig.from_args(args).validate()
+        fam = _validate(args)
         return args.fn(args, fam)
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

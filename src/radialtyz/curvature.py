@@ -209,7 +209,6 @@ class PhiPartialTable:
                 f"partials to total order {max_order} over jets of order {jet_order} "
                 f"need a u' jet of order {need}, got {du.order}"
             )
-        self.n = n
         self.max_order = max_order
         self.ring = ring
         self.du = du
@@ -289,10 +288,7 @@ def _entries(t: list, idx: tuple = ()) -> list:
 
 
 class RadialTensorFrame(Record):
-    # a mutable record, so not hashable: callers may set s
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     n: int
-    s: Scalar | None
     jet_order: int
     ring: RadialRing
     table: PhiPartialTable
@@ -398,7 +394,7 @@ def frame_at_x(
                     R[i][j][k][l] = acc
 
     return RadialTensorFrame(
-        n=n, s=None, jet_order=jet_order, ring=ring, table=table, g=g, gi=gi, gamma=gamma, R=R,
+        n=n, jet_order=jet_order, ring=ring, table=table, g=g, gi=gi, gamma=gamma, R=R,
     )
 
 
@@ -470,7 +466,7 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
     n, table = frame.n, frame.table
     ring = RadialRing(frame.ring.x.truncate(0))
     return RadialTensorFrame(
-        n=n, s=frame.s, jet_order=0, ring=ring,
+        n=n, jet_order=0, ring=ring,
         table=PhiPartialTable(table.du, n, table.max_order, ring),
         g=_cut(frame.g, ring), gi=_cut(frame.gi, ring), gamma=_cut(frame.gamma, ring),
         R=_cut(frame.R, ring),

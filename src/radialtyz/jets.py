@@ -358,22 +358,20 @@ class HermitianBiJet(Record):
 def bijet_exp(a: HermitianBiJet) -> HermitianBiJet:
     """exp of a bivariate jet: scalar_exp(c00) * sum N**k / k!, N the nilpotent part."""
     scale = scalar_exp(a.coeff(0, 0))
-    n = a.nilpotent_part()
-    acc = power = HermitianBiJet.constant(a.base, 1, a.order)
+    acc = HermitianBiJet.constant(a.base, 1, a.order)
     fact = Fraction(1)
-    for k in range(1, 2 * a.order + 1):
-        power = power * n
+    for k, power in enumerate(nilpotent_powers(a), 1):
         fact /= k
         acc = acc + _bijet_scale(power, _raw(fact))
     return _bijet_scale(acc, _raw(scale))
 
 
-def nilpotent_powers(inner: HermitianBiJet) -> tuple[HermitianBiJet, ...]:
-    """N, N**2, ..., N**(2L) for N the nilpotent part of inner and L its order."""
-    n = inner.nilpotent_part()
-    power = HermitianBiJet.constant(inner.base, 1, inner.order)
+def nilpotent_powers(a: HermitianBiJet) -> tuple[HermitianBiJet, ...]:
+    """N, N**2, ..., N**(2L) for N the nilpotent part of a and L its order."""
+    n = a.nilpotent_part()
+    power = HermitianBiJet.constant(a.base, 1, a.order)
     out = []
-    for _ in range(2 * inner.order):
+    for _ in range(2 * a.order):
         power = power * n
         out.append(power)
     return tuple(out)

@@ -29,6 +29,7 @@ from .scalars import (
     PRECISION_CAP_BITS,
     BallScalar,
     DomainError,
+    RationalScalar,
     Scalar,
     ScalarLike,
     Sign,
@@ -171,11 +172,16 @@ def obstruction_scan(
     PRECISION_CAP_BITS; points that remain undetermined are reported as such
     (never as a verdict). The minimal negative h per x is the first hit
     listed for that x.
+
+    Grid points are rationals (int, Fraction, "p/q" or RationalScalar); a
+    ball or root point is refused, never rounded to a rational.
     """
-    points = sorted((Fraction(as_scalar(p).text()) for p in x_grid))
+    grid = [as_scalar(p) for p in x_grid]
+    for x in grid:
+        if not isinstance(x, RationalScalar):
+            raise TypeError(f"scan grid points must be rational, not {x.backend} scalars")
     hits: list[ObstructionReport] = []
-    for p in points:
-        x = as_scalar(p)
+    for x in sorted(grid, key=lambda x: x.value):
         prec = precision_bits
         while True:
             x0 = prepare_point(fam, x, exact=exact, precision_bits=prec)
@@ -244,26 +250,6 @@ def small_x_divergence_check(
         all_negative=all_negative,
         growth_certified=growth,
     )
-
-
-def structural_form_gap(
-    lam: Fraction, n: int, h: int, x: ScalarLike, *, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> Scalar:
-    """x**h g_h(x)/lam - Psi(x) prod_{j=1..h-1}(lam Psi(x) - j), Psi = (x^n+1)^(1/n).
-
-    The eps = 1 structural form says this gap equals phi_h(x) * x with phi_h
-    smooth at 0, so gap/x should stay bounded on meshes x -> 0+.
-    """
-    lam = Fraction(lam)
-    fam = EpsilonFamily(1, lam, n)
-    x = as_scalar(x)
-    x0 = prepare_point(fam, x, exact=None if n <= 2 else False, precision_bits=precision_bits)
-    gh = gh_sequence(fam, x0, h)[h]
-    psi = scalar_pow(int_pow(x0, n) + 1, Fraction(1, n))
-    prod: Scalar = psi
-    for j in range(1, h):
-        prod = prod * (psi * lam - j)
-    return int_pow(x0, h) * gh / as_scalar(lam) - prod
 
 
 def rational_grid(spec: str) -> list[Fraction]:

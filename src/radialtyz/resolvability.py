@@ -56,14 +56,6 @@ SCOPE_NOTE = (
 )
 
 
-class DiastasisGerm(Record):
-    family: str
-    s: Scalar | None
-    x0: Scalar
-    order: int
-    bijet: HermitianBiJet  # in scaled offsets u_hat, v_hat
-
-
 def _inner_bijet(x0: Scalar, order: int) -> HermitianBiJet:
     """x = s^2 (1 + u_hat)(1 + v_hat) as a bivariate jet: x0(1 + u + v + uv)."""
     zero = as_scalar(0)
@@ -77,10 +69,11 @@ def _inner_bijet(x0: Scalar, order: int) -> HermitianBiJet:
 
 
 def diastasis_germ_at_x(
-    fam: PotentialFamily, fp: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...]
-) -> DiastasisGerm:
-    """The germ of order L at x0 = fp.x0 from the f' jet fp, of order >= 2L - 1,
-    for inner = _inner_bijet(x0, L) and powers = nilpotent_powers(inner)."""
+    fp: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...]
+) -> HermitianBiJet:
+    """The germ of order L at x0 = fp.x0, in the scaled offsets u_hat, v_hat,
+    from the f' jet fp, of order >= 2L - 1, for inner = _inner_bijet(x0, L)
+    and powers = nilpotent_powers(inner)."""
     x0, order = fp.x0, inner.order
     fj = fp.antiderive(0).truncate(2 * order)  # f anchored to f(x0) = 0
     radial_part = bijet_compose_univariate(fj, inner, powers)
@@ -88,20 +81,7 @@ def diastasis_germ_at_x(
     # constants f(x0) + f(s^2) - f(s*s) ... cancel: fj is anchored to 0
     axis = fj.scale_var(x0).coeffs
     edge = [[axis[i + j] if i * j == 0 else 0 for j in range(order + 1)] for i in range(order + 1)]
-    germ = radial_part - HermitianBiJet.make(x0, edge)
-    return DiastasisGerm(
-        family=family_label(fam), s=None, x0=x0, order=order, bijet=germ
-    )
-
-
-def diastasis_germ(fam: PotentialFamily, s: ScalarLike, order: int) -> DiastasisGerm:
-    s = as_scalar(s)
-    if s.sign() == Sign.ZERO:
-        raise ValueError("diastasis germ needs s != 0")
-    fp = fprime_jet(fam, s * s, max(2 * order - 1, 0))
-    inner = _inner_bijet(fp.x0, order)
-    g = diastasis_germ_at_x(fam, fp, inner, nilpotent_powers(inner))
-    return DiastasisGerm(family=g.family, s=s, x0=g.x0, order=order, bijet=g.bijet)
+    return radial_part - HermitianBiJet.make(x0, edge)
 
 
 def det_scalar(matrix: list[list[Scalar]]) -> Scalar:
@@ -138,7 +118,6 @@ def det_scalar(matrix: list[list[Scalar]]) -> Scalar:
 class ResolvabilityCertificate(Record):
     family: str
     x0: Scalar
-    s: Scalar | None
     lmax: int
     hmax: int
     minors: tuple[tuple[Scalar, ...], ...]  # minors[l][h]
@@ -168,13 +147,10 @@ def minor_matrix(
         raise ValueError("give exactly one of s or x (= s^2)")
     if lmax < 0 or hmax < 0:
         raise ValueError("lmax and hmax must be >= 0")
-    s_scalar: Scalar | None = None
     if x is None:
-        s_scalar = as_scalar(s)
-        x0 = s_scalar * s_scalar
-    else:
-        x0 = as_scalar(x)
-    x0 = prepare_point(fam, x0, exact=exact, precision_bits=precision_bits)
+        s = as_scalar(s)
+        x = s * s
+    x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
 
     # one f' jet serves the germ (order 2*lmax - 1) and the g_h jets at x0 of
     # order >= 2*lmax (order hmax + 2*lmax - 1); g_0 = 1 needs none
@@ -182,8 +158,7 @@ def minor_matrix(
     # the germ's radial part and every g_h compose with one inner series
     inner = _inner_bijet(x0, lmax)
     powers = nilpotent_powers(inner)
-    germ = diastasis_germ_at_x(fam, fp, inner, powers)
-    expd = bijet_exp(germ.bijet)
+    expd = bijet_exp(diastasis_germ_at_x(fp, inner, powers))
     gh = gh_jets(fp, hmax) if hmax else [Jet.constant(x0, 1, 2 * lmax)]
 
     minors: list[list[Scalar]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
@@ -209,7 +184,6 @@ def minor_matrix(
     return ResolvabilityCertificate(
         family=family_label(fam),
         x0=x0,
-        s=s_scalar,
         lmax=lmax,
         hmax=hmax,
         minors=tuple(tuple(r) for r in minors),

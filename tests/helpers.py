@@ -4,9 +4,9 @@ import sys
 from fractions import Fraction
 
 from radialtyz import potentials
-from radialtyz.curvature import frame_at_x
-
+from radialtyz.jets import nilpotent_powers
 from radialtyz.reports import scalar_to_json
+from radialtyz.resolvability import _inner_bijet, diastasis_germ_at_x
 from radialtyz.scalars import BallScalar, Scalar, Sign, abs_le, as_scalar, int_pow
 
 
@@ -49,20 +49,20 @@ def count_fprime_calls(monkeypatch) -> list:
     return calls
 
 
-def frame_at_s(fam, n: int, s, jet_order: int = 0):
-    """The frame at x = s*s, with s recorded for full_value."""
-    s = as_scalar(s)
-    frame = frame_at_x(fam, n, s * s, jet_order)
-    frame.s = s
-    return frame
-
-
 def is_hermitian_symmetric(bijet) -> bool:
     """c_ij = c_ji exactly for every coefficient of a HermitianBiJet."""
     c = bijet.coeffs
     return all((c[i][j] - c[j][i]).sign() == Sign.ZERO for i in range(len(c)) for j in range(i))
 
 
-def coeff_unscaled(germ, i: int, j: int) -> Scalar:
+def germ_at_s(fam, s, order: int):
+    """The diastasis germ of the given order at x0 = s*s, in the scaled offsets."""
+    s = as_scalar(s)
+    fp = potentials.fprime_jet(fam, s * s, max(2 * order - 1, 0))
+    inner = _inner_bijet(fp.x0, order)
+    return diastasis_germ_at_x(fp, inner, nilpotent_powers(inner))
+
+
+def coeff_unscaled(germ, s, i: int, j: int) -> Scalar:
     """A diastasis germ coefficient in the unscaled offsets (z1 - s, z̄1 - s)."""
-    return germ.bijet.coeff(i, j) / int_pow(germ.s, i + j)
+    return germ.coeff(i, j) / int_pow(as_scalar(s), i + j)

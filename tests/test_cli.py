@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from radialtyz.cli import RunConfig, main
+from radialtyz.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -260,22 +260,6 @@ def test_exact_flag_forces_exact_backend(capsys):
     assert payload["values"][2]["backend"] == "root"
 
 
-def test_runconfig_round_trip():
-    cfg = RunConfig(
-        subcommand="gh-eval", family="epsilon", eps=1, lam="1", n=2,
-        x="3/4", hmax=7, precision_bits=256,
-    )
-    again = RunConfig(**json.loads(json.dumps(cfg.to_json_dict())))
-    assert again == cfg
-    cfg.validate()
-
-
-def test_runconfig_rejects_inconsistent_combination():
-    cfg = RunConfig(subcommand="gh-eval", family="epsilon", eps=-1, n=2, x="1/2", hmax=3)
-    with pytest.raises(Exception):
-        cfg.validate()
-
-
 def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.setenv("RADIALTYZ_PRECISION_BITS", "128")
     code, out, _ = run_cli(
@@ -284,6 +268,17 @@ def test_precision_env_override(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["values"][2]["precision_bits"] == 128
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_precision_below_16_bits_is_an_input_error(source, capsys, monkeypatch):
+    argv = ["gh-eval", "--eps", "1", "--n", "3", "--x", "3/4", "--hmax", "2"]
+    if source == "flag":
+        argv += ["--precision-bits", "15"]
+    else:
+        monkeypatch.setenv("RADIALTYZ_PRECISION_BITS", "15")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: precision_bits must be at least 16\n")
 
 
 def test_reproduce_low_precision_never_wrong_sign(capsys):

@@ -34,7 +34,6 @@ from helpers import (
     assert_exact_zero,
     assert_within,
     count_fprime_calls,
-    frame_at_s,
     scalars_digest,
 )
 
@@ -316,11 +315,11 @@ def test_norms_are_nonnegative():
 
 def test_plus_minus_s_consistency():
     fam = Simanca()
-    s = F(6, 5)
-    fp = frame_at_s(fam, 2, s)
-    fm = frame_at_s(fam, 2, -s)
-    v_plus = fp.ric_cov1[0][0][0].full_value(fp.s)
-    v_minus = fm.ric_cov1[0][0][0].full_value(fm.s)
+    s = as_scalar(F(6, 5))
+    fp = frame_at_x(fam, 2, s * s)
+    fm = frame_at_x(fam, 2, -s * -s)
+    v_plus = fp.ric_cov1[0][0][0].full_value(s)
+    v_minus = fm.ric_cov1[0][0][0].full_value(-s)
     assert (v_plus + v_minus).sign() == Sign.ZERO  # odd component flips
     assert (fp.ric[0][0].ev.value() - fm.ric[0][0].ev.value()).sign() == Sign.ZERO
 

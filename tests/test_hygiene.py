@@ -1,9 +1,10 @@
 """Hygiene checks on the package.
 
 Static checks on the source with the stdlib ast module: no import is left
-unused, no private module-level helper is left unreferenced and no attribute
-set on self is left unread, as deletions tend to leave them behind, and
-scalars.py takes nothing from libmpi but division, exp and log. One
+unused, no private module-level helper is left unreferenced, no export is
+used by the tests alone and no attribute set on self is left unread, as
+deletions tend to leave them behind, and scalars.py takes nothing from
+libmpi but division, exp and log. One
 runtime check: evaluations leave every module-level container and function
 cache as it was, so evaluations share no mutable state."""
 import ast
@@ -85,6 +86,25 @@ def test_every_private_helper_is_referenced():
         if not any(name in names for other, names in refs if other is not stmt):
             orphans.append(f"{path.name}:{stmt.lineno} {name}")
     assert not orphans, f"unreferenced private helpers: {orphans}"
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # an export that only tests call is an API to delete; a reference from
+    # inside its own definition does not count, and the benchmark patches
+    # some names (f_jet) by their strings
+    used = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            for stmt in _tree(path).body:
+                used |= _referenced(stmt) - {getattr(stmt, "name", None)}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = _tree(path)
+        used |= _referenced(tree) | {
+            sub.value for sub in ast.walk(tree)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        }
+    unused = sorted(set(radialtyz.__all__) - used)
+    assert not unused, f"exports no code outside the tests uses: {unused}"
 
 
 def test_every_attribute_set_on_self_is_read():

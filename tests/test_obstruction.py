@@ -10,10 +10,19 @@ from radialtyz.obstruction import (
     obstruction_scan,
     rational_grid,
     small_x_divergence_check,
-    structural_form_gap,
 )
 from radialtyz.potentials import EpsilonFamily, Simanca, prepare_point
-from radialtyz.scalars import DomainError, Sign, abs_le, as_scalar
+from radialtyz.scalars import (
+    DEFAULT_PRECISION_BITS,
+    DomainError,
+    Scalar,
+    Sign,
+    abs_le,
+    as_scalar,
+    int_pow,
+    nth_root,
+    scalar_pow,
+)
 
 from helpers import assert_within, count_fprime_calls
 
@@ -103,6 +112,25 @@ def test_scan_flat_no_hits():
     assert obstruction_scan(EpsilonFamily(0, F(1), 3), rational_grid("1/2:3:6"), 6) == []
 
 
+def test_scan_takes_every_rational_form():
+    fam = EpsilonFamily(-1, F(1), 2)
+    hits = obstruction_scan(fam, [F(3031, 3000), 2], 3)
+    assert [(h.x.text(), h.h) for h in hits] == [("3031/3000", 3)]
+    assert obstruction_scan(fam, ["3031/3000", as_scalar(2)], 3) == hits
+    with pytest.raises(ValueError):
+        obstruction_scan(fam, ["3031/"], 3)
+
+
+@pytest.mark.parametrize("point", [
+    as_scalar(F(3031, 3000)).to_ball(64),  # 1.0103333... +- 5e-20
+    nth_root(as_scalar(3), 2),
+], ids=["ball", "root"])
+def test_scan_refuses_a_ball_or_root_point(point):
+    # a ball's printed midpoint is a rational the point does not equal
+    with pytest.raises(TypeError, match="scan grid points must be rational"):
+        obstruction_scan(EpsilonFamily(-1, F(1), 2), [point], 3)
+
+
 def test_scan_is_sorted_and_reports_minimal_h_first():
     fam = EpsilonFamily(1, F(1), 2)
     hits = obstruction_scan(fam, [F(3, 4), F(1, 2)], 8)
@@ -134,6 +162,24 @@ def test_additive_constant_invariance():
     for h in range(1, 8):
         diff = base.derivative(h) - shifted.derivative(h) / scale
         assert abs_le(diff, F(1, 10**55))
+
+
+def structural_form_gap(lam, n: int, h: int, x, precision_bits=DEFAULT_PRECISION_BITS) -> Scalar:
+    """x**h g_h(x)/lam - Psi(x) prod_{j=1..h-1}(lam Psi(x) - j), Psi = (x^n+1)^(1/n).
+
+    The eps = 1 structural form says this gap equals phi_h(x) * x with phi_h
+    smooth at 0, so gap/x should stay bounded on meshes x -> 0+.
+    """
+    lam = F(lam)
+    fam = EpsilonFamily(1, lam, n)
+    x0 = prepare_point(fam, as_scalar(x), exact=None if n <= 2 else False,
+                       precision_bits=precision_bits)
+    gh = gh_sequence(fam, x0, h)[h]
+    psi = scalar_pow(int_pow(x0, n) + 1, F(1, n))
+    prod: Scalar = psi
+    for j in range(1, h):
+        prod = prod * (psi * lam - j)
+    return int_pow(x0, h) * gh / as_scalar(lam) - prod
 
 
 def test_structural_form_gap_bounded_near_zero():

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from radialtyz.cli import RunConfig
 from radialtyz.curvature import frame_at_x
 from radialtyz.jets import HermitianBiJet, Jet
 from radialtyz.obstruction import gh_reports, small_x_divergence_check
@@ -13,7 +12,6 @@ from radialtyz.potentials import CustomPotential, EguchiHanson, EpsilonFamily, S
 from radialtyz.reproduction import ItemResult, PaperReproductionReport
 from radialtyz.resolvability import (
     SCOPE_NOTE,
-    diastasis_germ,
     minor_matrix,
     simanca_embedding_check,
 )
@@ -27,13 +25,11 @@ RECORDS = {
     "HermitianBiJet": lambda: HermitianBiJet.make(1, [[1, 2], [2, 3]]),
     "ObstructionReport": lambda: gh_reports(EpsilonFamily(1, 1, 2), F(3, 4), 2)[2],
     "DivergenceReport": lambda: small_x_divergence_check(F(1, 2), 2, [1, 2]),
-    "DiastasisGerm": lambda: diastasis_germ(Simanca(), 1, 1),
     "ResolvabilityCertificate": lambda: minor_matrix(
         EpsilonFamily(1, 1, 2), x=F(3, 4), lmax=1, hmax=1, exact=False, precision_bits=64),
     "EmbeddingCheckReport": lambda: simanca_embedding_check(3),
     "ItemResult": lambda: ItemResult("embedding-identity", "1/2", "derived", "1/2", "pass", 0.25),
     "PaperReproductionReport": lambda: PaperReproductionReport((RECORDS["ItemResult"](),)),
-    "RunConfig": lambda: RunConfig(subcommand="gh-eval", family="simanca", x="1", hmax=3),
 }
 
 
@@ -59,12 +55,10 @@ def test_record_repr_and_defaults():
     assert repr(Simanca()) == "Simanca()"
     assert EpsilonFamily(eps=1, lam="3/2", n=2) == EpsilonFamily(1, F(3, 2), 2)
     assert RECORDS["ResolvabilityCertificate"]().scope_note == SCOPE_NOTE
-    cfg = RunConfig(subcommand="scan")
-    assert (cfg.precision_bits, cfg.format, cfg.x) == (256, "json", None)
     with pytest.raises(TypeError):
-        RunConfig()
+        EpsilonFamily(1, 1)
     with pytest.raises(TypeError):
-        RunConfig(subcommand="scan", colour="red")
+        Simanca(colour="red")
     with pytest.raises(TypeError):
         EpsilonFamily(1, 1, 2, 3)
 
@@ -79,10 +73,12 @@ def test_epsilon_family_validates_its_fields(args, message):
         EpsilonFamily(*args)
 
 
-def test_radial_tensor_frame_is_a_mutable_record():
+def test_radial_tensor_frame_is_a_frozen_record():
     frame = frame_at_x(Simanca(), 2, F(1, 2), 0)
-    frame.s = F(1, 3)
-    assert frame.s == F(1, 3) and frame.ric is frame.ric  # a cached property
-    assert frame == frame and repr(frame).startswith("RadialTensorFrame(n=2, s=Fraction(1, 3), ")
+    assert frame.ric is frame.ric  # a cached property, written past the frozen __setattr__
+    assert frame == frame and repr(frame).startswith("RadialTensorFrame(n=2, jet_order=0, ")
+    for field in ("n", "g", "ric"):
+        with pytest.raises(AttributeError):
+            setattr(frame, field, None)
     with pytest.raises(TypeError):
-        hash(frame)
+        hash(frame)  # its tensors are lists

@@ -8,7 +8,6 @@ from radialtyz.obstruction import g3_closed_eps_minus1, gh_sequence
 from radialtyz.potentials import CustomPotential, EpsilonFamily, Simanca
 from radialtyz.resolvability import (
     det_scalar,
-    diastasis_germ,
     first_row_matches_gh,
     minor_matrix,
     simanca_embedding_check,
@@ -19,6 +18,7 @@ from helpers import (
     assert_exact_zero,
     coeff_unscaled,
     count_fprime_calls,
+    germ_at_s,
     is_hermitian_symmetric,
     scalars_digest,
 )
@@ -26,26 +26,26 @@ from helpers import (
 
 def test_germ_constant_is_zero():
     for fam, s in ((Simanca(), F(1)), (EpsilonFamily(1, F(1), 2), F(2, 3))):
-        g = diastasis_germ(fam, s, 3)
-        assert_exact_zero(g.bijet.coeff(0, 0), "D_p(p)")
+        g = germ_at_s(fam, s, 3)
+        assert_exact_zero(g.coeff(0, 0), "D_p(p)")
 
 
 def test_germ_normalization_rows_vanish():
-    g = diastasis_germ(Simanca(), F(3, 2), 3)
+    g = germ_at_s(Simanca(), F(3, 2), 3)
     for k in range(1, 4):
-        assert_exact_zero(g.bijet.coeff(k, 0), f"c_{k}0")
-        assert_exact_zero(g.bijet.coeff(0, k), f"c_0{k}")
-    assert is_hermitian_symmetric(g.bijet)
+        assert_exact_zero(g.coeff(k, 0), f"c_{k}0")
+        assert_exact_zero(g.coeff(0, k), f"c_0{k}")
+    assert is_hermitian_symmetric(g)
 
 
 def test_flat_germ_is_uv():
     # f = x, s = 1: D = (z1-1)(z̄1-1), so c_11 = 1 and everything else 0
-    g = diastasis_germ(EpsilonFamily(0, F(1), 2), 1, 2)
-    assert coeff_unscaled(g, 1, 1).text() == "1"
+    g = germ_at_s(EpsilonFamily(0, F(1), 2), 1, 2)
+    assert coeff_unscaled(g, 1, 1, 1).text() == "1"
     for i in range(3):
         for j in range(3):
             if (i, j) != (1, 1):
-                assert_exact_zero(g.bijet.coeff(i, j), f"c_{i}{j}")
+                assert_exact_zero(g.coeff(i, j), f"c_{i}{j}")
 
 
 def test_simanca_germ_against_sympy_expansion():
@@ -58,11 +58,11 @@ def test_simanca_germ_against_sympy_expansion():
         sp.series(sp.series(expr, a, 0, 3).removeO(), b, 0, 3).removeO()
     )
     poly = sp.Poly(ser, a, b)
-    germ = diastasis_germ(Simanca(), s, 2)
+    germ = germ_at_s(Simanca(), s, 2)
     for i in range(3):
         for j in range(3):
             want = poly.coeff_monomial(a**i * b**j) if i + j else 0
-            got = coeff_unscaled(germ, i, j)
+            got = coeff_unscaled(germ, s, i, j)
             assert F(str(sp.nsimplify(want))) == F(got.text()), (i, j)
 
 
