@@ -55,10 +55,14 @@ def test_record_repr_and_defaults():
     assert repr(Simanca()) == "Simanca()"
     assert EpsilonFamily(eps=1, lam="3/2", n=2) == EpsilonFamily(1, F(3, 2), 2)
     assert RECORDS["ResolvabilityCertificate"]().scope_note == SCOPE_NOTE
-    with pytest.raises(TypeError):
-        EpsilonFamily(1, 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="is missing field 'expected'"):
+        ItemResult("embedding-identity")
+    with pytest.raises(TypeError, match="has no field 'colour'"):
         Simanca(colour="red")
+    with pytest.raises(TypeError, match="takes at most 0 fields"):
+        Simanca(1)
+    with pytest.raises(TypeError, match="got a field twice"):
+        ItemResult("embedding-identity", item_id="embedding-identity")
     with pytest.raises(TypeError):
         EpsilonFamily(1, 1, 2, 3)
 
