@@ -11,8 +11,9 @@ contradicts its stated value); 2 inconclusive results present (undetermined
 signs at the configured precision, among them a1, a2 or a3 of lu-coeffs, also
 a sign the computation itself needed);
 3 input error (a usage error, a non-integer RADIALTYZ_PRECISION_BITS, a
-missing or malformed --custom-json file, an unwritable --out path, or an
-input that validation or the computation rejects), so no result was computed;
+missing or malformed --custom-json file, an unwritable --out path, an unknown
+reproduce-paper --item, or an input that validation or the computation
+rejects), so no result was computed;
 each prints one "error:" line on stderr.
 """
 from __future__ import annotations
@@ -292,6 +293,10 @@ def _cmd_embedding_check(args, fam: None) -> int:
     }
     if args.format == "json":
         _emit(dumps(payload), args.out)
+    elif args.format == "csv":
+        _emit(_csv("max_degree,checked,mismatches,status", [
+            [rep.max_degree, rep.checked, len(rep.mismatches), payload["status"]]
+        ]), args.out)
     else:
         _emit(
             f"embedding identity to degree {rep.max_degree}: "
@@ -319,6 +324,10 @@ def _cmd_ricci_flat_check(args, fam: PotentialFamily) -> int:
     }
     if args.format == "json":
         _emit(dumps(payload), args.out)
+    elif args.format == "csv":
+        _emit(_csv("x,residual,radius,sign", (
+            [r["x"], scalar_to_decimal(v), _radius(v), r["sign"]] for r, v in zip(rows, residuals)
+        )), args.out)
     else:
         lines = [f"d/dx log det g for {family_label(fam)}"]
         lines += [f"  x={r['x']:<10} residual={scalar_to_text(v)} [{r['sign']}]"
@@ -335,6 +344,10 @@ def _cmd_reproduce(args, fam: None) -> int:
         payload = {"subcommand": "reproduce-paper"}
         payload.update(report.to_json_dict())
         _emit(dumps(payload), args.out)
+    elif args.format == "csv":
+        _emit(_csv("item,status,runtime_s", (
+            [it.item_id, it.status, round(it.runtime_s, 3)] for it in report.items
+        )), args.out)
     else:
         lines = []
         for it in report.items:

@@ -174,14 +174,15 @@ def obstruction_scan(
     listed for that x.
 
     Grid points are rationals (int, Fraction, "p/q" or RationalScalar); a
-    ball or root point is refused, never rounded to a rational.
+    ball or root point is refused, never rounded to a rational. A value given
+    more than once, in any of these forms, is scanned once.
     """
     grid = [as_scalar(p) for p in x_grid]
     for x in grid:
         if not isinstance(x, RationalScalar):
             raise TypeError(f"scan grid points must be rational, not {x.backend} scalars")
     hits: list[ObstructionReport] = []
-    for x in sorted(grid, key=lambda x: x.value):
+    for x in sorted(set(grid), key=lambda x: x.value):
         prec = precision_bits
         while True:
             x0 = prepare_point(fam, x, exact=exact, precision_bits=prec)

@@ -199,4 +199,6 @@ def load_custom_potential(path: str | Path) -> CustomPotential:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "coefficients" not in data or "x0" not in data:
         raise ValueError(f"custom potential {path} needs the keys \"x0\" and \"coefficients\"")
+    if not isinstance(data["coefficients"], list):
+        raise ValueError(f"custom potential {path}: \"coefficients\" must be a JSON list")
     return CustomPotential.make(str(data["x0"]), [str(c) for c in data["coefficients"]])

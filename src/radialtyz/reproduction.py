@@ -488,6 +488,8 @@ def _properties(precision_bits: int):
 def run_items(
     only: str | None = None, precision_bits: int = 256
 ) -> PaperReproductionReport:
+    if only is not None and all(item_id != only for item_id, _, _ in _REGISTRY):
+        raise ValueError(f"unknown reproduction item {only!r}")
     results = []
     for item_id, provenance, fn in _REGISTRY:
         if only is not None and item_id != only:

@@ -74,12 +74,24 @@ def test_gh_eval_text_formats_pinned(capsys, fmt, want):
     assert out == want
 
 
+CSV_HEADERS = {
+    "gh-eval": "family,x,h,value,radius,sign,backend,precision_bits",
+    "scan": "family,x,h,value,radius,sign,backend,precision_bits",
+    "ricci-flat-check": "x,residual,radius,sign",
+    "embedding-check": "max_degree,checked,mismatches,status",
+    "reproduce-paper": "item,status,runtime_s",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("gh-eval", "--eps", "1", "--n", "2", "--x", "3/4", "--hmax", "3"),
     ("gh-eval", "--eps", "1", "--lam", "3/2", "--n", "3", "--x", "3/4", "--hmax", "2",
      "--precision-bits", "64"),
     ("scan", "--eps", "1", "--n", "5", "--x-grid", "6/5:6/5:1", "--hmax", "4"),
     ("gh-eval", "--family", "custom", "--x", "4/5", "--hmax", "2"),
+    ("ricci-flat-check", "--eps", "1", "--n", "3", "--samples", "1/2,3/4"),
+    ("embedding-check", "--max-degree", "4"),
+    ("reproduce-paper", "--item", "table-n2-h7"),
 ])
 def test_obstruction_csv_rows_have_as_many_cells_as_the_header(argv, tmp_path, capsys):
     pot = tmp_path / "pot.json"
@@ -89,10 +101,12 @@ def test_obstruction_csv_rows_have_as_many_cells_as_the_header(argv, tmp_path, c
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) > 1 and all(len(row) == len(rows[0]) == 8 for row in rows)
-    main([*argv, "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert {row[0] for row in rows[1:]} == {payload["family"]}
+    assert rows[0] == CSV_HEADERS[argv[0]].split(",")
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    if rows[0][0] == "family":
+        main([*argv, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert {row[0] for row in rows[1:]} == {payload["family"]}
 
 
 def test_lu_coeffs_simanca_zero_a2_a3(capsys):
@@ -250,6 +264,11 @@ def test_reproduce_single_item(capsys):
     assert payload["items"][0]["item"] == "table-n2-h7"
 
 
+def test_reproduce_unknown_item_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "reproduce-paper", "--item", "no-such-item")
+    assert (code, out, err) == (3, "", "error: unknown reproduction item 'no-such-item'\n")
+
+
 def test_exact_flag_forces_exact_backend(capsys):
     code, out, _ = run_cli(
         capsys, "gh-eval", "--family", "epsilon", "--eps", "1", "--n", "3",
@@ -377,7 +396,8 @@ def test_eps_or_lam_for_another_family_is_an_input_error(family, flag, tmp_path,
     assert err == f"error: {name} applies only to the epsilon family, not {family}\n"
 
 
-@pytest.mark.parametrize("case", ["precision-env", "custom-missing", "custom-keys", "out-dir"])
+@pytest.mark.parametrize("case", ["precision-env", "custom-missing", "custom-keys", "custom-number",
+                                  "custom-string", "out-dir"])
 def test_input_errors_exit_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     argv = ["gh-eval", "--family", "custom", "--custom-json", str(tmp_path / "pot.json"),
             "--x", "4/5", "--hmax", "2"]
@@ -386,6 +406,8 @@ def test_input_errors_exit_with_one_error_line(case, tmp_path, capsys, monkeypat
         monkeypatch.setenv("RADIALTYZ_PRECISION_BITS", "abc")
     elif case == "custom-keys":
         del pot["coefficients"]
+    elif case in ("custom-number", "custom-string"):
+        pot["coefficients"] = 5 if case == "custom-number" else "23"  # "23" is no list of 2, 3
     elif case == "out-dir":
         argv += ["--out", str(tmp_path / "missing-dir" / "report.json")]
     if case != "custom-missing":

@@ -116,7 +116,8 @@ def test_scan_takes_every_rational_form():
     fam = EpsilonFamily(-1, F(1), 2)
     hits = obstruction_scan(fam, [F(3031, 3000), 2], 3)
     assert [(h.x.text(), h.h) for h in hits] == [("3031/3000", 3)]
-    assert obstruction_scan(fam, ["3031/3000", as_scalar(2)], 3) == hits
+    for grid in (["3031/3000", as_scalar(2)], [F(3031, 3000), "3031/3000", 2]):
+        assert obstruction_scan(fam, grid, 3) == hits
     with pytest.raises(ValueError):
         obstruction_scan(fam, ["3031/"], 3)
 

@@ -6,14 +6,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
     finf, fnan, fninf, fone, from_int, from_man_exp, fzero, mpf_cmp, round_ceiling, round_floor,
 )
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_sub
 from sympy import factorint
 
-from radialtyz.jets import Jet
 from radialtyz.scalars import (
     BallScalar,
     DomainError,
@@ -24,7 +22,6 @@ from radialtyz.scalars import (
     Sign,
     SignUndeterminedError,
     _ball,
-    _ball_of,
     _canonical_root,
     _cook,
     _factor,
@@ -201,33 +198,10 @@ def test_canonical_root_matches_sympy_reference(n):
         assert _canonical_root(fr, n) == _canonical_root_reference(fr, n), fr
 
 
-# -- ball arithmetic on the stored endpoints ------------------------------
+# -- ball strategies ---------------------------------------------------------
 #
-# The computations of mpmath's interval context below are the reference that
-# every ball operation must match bit for bit.
-
-
-def _ctx(precision_bits: int) -> MPIntervalContext:
-    ctx = MPIntervalContext()
-    ctx.prec = precision_bits
-    return ctx
-
-
-def _ctx_iv_to_ball(fr: F, prec: int) -> BallScalar:
-    ctx = _ctx(prec)
-    return BallScalar((ctx.mpf(fr.numerator) / ctx.mpf(fr.denominator))._mpi_, prec)
-
-
-def _ctx_iv_binary(op, a: BallScalar, b: BallScalar) -> BallScalar:
-    prec = max(a.precision_bits, b.precision_bits)
-    ctx = _ctx(prec)
-    return BallScalar(op(ctx.make_mpf(a.mpi), ctx.make_mpf(b.mpi))._mpi_, prec)
-
-
-def _ctx_iv_inverse(b: BallScalar) -> BallScalar:
-    ctx = _ctx(b.precision_bits)
-    return BallScalar((ctx.mpf(1) / ctx.make_mpf(b.mpi))._mpi_, b.precision_bits)
-
+# Balls are built by the kernel: a rational promoted with to_ball, whose
+# endpoints test_promotion_matches_libmpi checks against libmpi.
 
 precisions = st.sampled_from([4, 16, 53, 256])
 wide_rationals = st.builds(
@@ -235,45 +209,21 @@ wide_rationals = st.builds(
 ) | rationals
 
 
+def _span(lo, hi, prec):
+    lo, hi = sorted((lo, hi))
+    lo_iv, hi_iv = RationalScalar(lo).to_ball(prec).iv, RationalScalar(hi).to_ball(prec).iv
+    return _ball(lo_iv[:2] + hi_iv[2:], prec)
+
+
 def _balls(values, precs):
     """A ball from two values lo <= hi, or around one value."""
-    return st.builds(
-        lambda lo, hi, prec: BallScalar(
-            (_ctx_iv_to_ball(min(lo, hi), prec).mpi[0], _ctx_iv_to_ball(max(lo, hi), prec).mpi[1]),
-            prec,
-        ),
-        values, values, precs,
-    ) | st.builds(_ctx_iv_to_ball, values, precs)
+    return st.builds(_span, values, values, precs) | st.builds(
+        lambda v, prec: RationalScalar(v).to_ball(prec), values, precs
+    )
 
 
 # a point, a wide ball, or one straddling 0
 balls = _balls(wide_rationals, precisions)
-
-
-@given(wide_rationals, precisions)
-@example(F(2**300 + 1, 3), 53)
-@example(F(-(2**300 + 1), 3), 53)
-@example(F(0), 4)
-@example(F(3**200, 7**150), 16)
-@settings(max_examples=300, deadline=None)
-def test_rational_to_ball_matches_interval_context(fr, prec):
-    assert RationalScalar(fr).to_ball(prec).mpi == _ctx_iv_to_ball(fr, prec).mpi
-
-
-@given(balls, balls)
-@example(as_scalar(F(2**300 + 1, 3)).to_ball(53), as_scalar(F(-1, 3)).to_ball(256))
-@example(as_scalar(0).to_ball(4), as_scalar(F(1, 3)).to_ball(16))
-@settings(max_examples=400, deadline=None)
-def test_ball_ops_match_interval_context(a, b):
-    assert (a + b).mpi == _ctx_iv_binary(lambda x, y: x + y, a, b).mpi
-    assert (a * b).mpi == _ctx_iv_binary(lambda x, y: x * y, a, b).mpi
-    assert (-a).mpi == (-_ctx(a.precision_bits).make_mpf(a.mpi))._mpi_
-    if b.sign() in (Sign.POSITIVE, Sign.NEGATIVE):
-        # a / b promotes b to the wider precision before inverting it
-        inverse = _ctx_iv_inverse(b.to_ball(max(a.precision_bits, b.precision_bits)))
-        want = _ctx_iv_binary(lambda x, y: x * y, a, inverse)
-        got = a / b
-        assert (got.mpi, got.precision_bits) == (want.mpi, want.precision_bits)
 
 
 def test_is_zero_agrees_with_sign():
@@ -333,18 +283,6 @@ def test_exact_zero_times_finite_ball_promotes_nothing(monkeypatch):
     assert isinstance(ZERO * root, RationalScalar) and isinstance(root * ZERO, RationalScalar)
 
 
-@given(balls, balls)
-@example(as_scalar(F(1, 3)).to_ball(16), as_scalar(F(2**300 + 1, 3)).to_ball(256))
-@settings(max_examples=400, deadline=None)
-def test_ball_minus_ball_is_add_of_negation(a, b):
-    got, want = a - b, a + (-b)
-    assert (got.mpi, got.precision_bits) == (want.mpi, want.precision_bits)
-    # Jet.__sub__ subtracts coefficient by coefficient
-    ja, jb = Jet.make(0, [a, b, ZERO]), Jet.make(0, [b, a, b])
-    ends = lambda j: [(c.mpi, c.precision_bits) for c in j.coeffs]
-    assert ends(ja - jb) == ends(ja + (-jb))
-
-
 # -- the integer lane against libmpi ----------------------------------------
 #
 # A ball holds integer mantissa/exponent endpoints, which its raw shares, and
@@ -390,6 +328,10 @@ def _man_exp(f):
     return (-f[1] if f[0] else f[1]), f[2]
 
 
+def _ends(b: BallScalar):
+    return b.mpi, b.precision_bits
+
+
 def _lane_op(op, *raws):
     return _ends(_cook(op(*raws)))
 
@@ -428,14 +370,18 @@ wide_ints = st.integers(-(2**800), 2**800) | st.integers(-(2**40), 2**40)
 @example(15, 16, 4)
 @example(17, 2**16 + 1, 4)
 @example(0, 7, 16)
+@example(2**300 + 1, 3, 53)
+@example(-(2**300 + 1), 3, 53)
+@example(0, 1, 4)
+@example(3**200, 7**150, 16)
 @settings(max_examples=600, deadline=None)
 def test_promotion_matches_libmpi(p, q, prec):
     g = math.gcd(p, q)
     want = _ref_rat_iv(p // g, q // g, prec)
-    got = _ball_of(_raw(F(p, q)), prec)
-    assert _cook((None, got, prec)).mpi == want
+    got = RationalScalar(F(p, q)).to_ball(prec)
+    assert _ends(got) == (want, prec)
     if q == 1 and p.bit_length() <= prec:
-        assert got == (p, 0, p, 0)  # exact endpoints, no rounding
+        assert got.iv == (p, 0, p, 0)  # exact endpoints, no rounding
     # the operators promote the same way at the ball's precision
     ball = as_scalar(F(1, 3)).to_ball(prec)
     assert (ball * F(p, q)).mpi == mpi_mul(ball.mpi, want, prec)
@@ -478,19 +424,15 @@ def signed_iv_balls(draw):
 @example(_ball((8, -3, 8, -3), 16))  # 1 with trailing zero bits: an exact inverse
 @example(_ball((-12, 5, -4, 5), 1024))
 @example(_ball((3, 0, 2**1100 + 1, -40), 1024))  # endpoints wider than the precision
-@settings(max_examples=600, deadline=None)
-def test_ball_inverse_matches_libmpi_division(b):
-    prec = b.precision_bits
-    assert _ends(b._inverse()) == (mpi_div((fone, fone), b.mpi, prec), prec)
-
-
-@given(signed_iv_balls())
 @example(_ball((0, 7, 0, -3), 16))  # a zero mantissa keeps whatever exponent it had
 @example(_ball((-(2**64), 0, 2**64 - 1, 0), 64))
 @settings(max_examples=600, deadline=None)
-def test_ball_mpi_matches_from_man_exp(b):
+def test_ball_mpi_and_inverse_match_libmpi(b):
     lm, le, hm, he = b.iv
     assert b.mpi == (from_man_exp(lm, le), from_man_exp(hm, he))
+    if b.sign() in (Sign.POSITIVE, Sign.NEGATIVE):
+        prec = b.precision_bits
+        assert _ends(b._inverse()) == (mpi_div((fone, fone), b.mpi, prec), prec)
 
 
 # -- a reference arithmetic ------------------------------------------------
@@ -628,6 +570,8 @@ def test_scalar_dot_matches_the_scalar_fold(acc, terms, weighted, neg):
 @example(as_scalar(F(1, 3)).to_ball(16), as_scalar(F(2**300 + 1, 3)).to_ball(256))
 @example(as_scalar(F(1, 3)), ZERO)
 @example(SQRT2, as_scalar(F(1, 3)).to_ball(4))
+@example(as_scalar(F(2**300 + 1, 3)).to_ball(53), as_scalar(F(-1, 3)).to_ball(256))
+@example(as_scalar(0).to_ball(4), as_scalar(F(1, 3)).to_ball(16))
 @settings(max_examples=400, deadline=None)
 def test_operators_match_the_reference_arithmetic(a, b):
     for op, ref in ((operator.add, _ref_add), (operator.sub, _ref_sub),
@@ -640,7 +584,10 @@ def test_every_backend_shares_the_kernel_operators():
     assert RationalScalar._mul is RootScalar._mul is BallScalar._mul
 
 
-# -- exp, log, roots and powers against the interval context ----------------
+# -- exp, log, roots and powers against libmpi --------------------------------
+#
+# The interval context's computations, as the libmpi calls it makes: an
+# integer operand is rounded outward to the precision (_ref_rat_iv).
 
 oracle_precisions = st.sampled_from([8, 16, 53, 64, 256, 694])
 positive_rationals = st.builds(F, st.integers(1, 2**300), st.integers(1, 2**300)) | rationals.filter(
@@ -649,26 +596,21 @@ positive_rationals = st.builds(F, st.integers(1, 2**300), st.integers(1, 2**300)
 positive_balls = _balls(positive_rationals, oracle_precisions)
 
 
-def _ends(b: BallScalar):
-    return b.mpi, b.precision_bits
-
-
 @given(positive_balls, st.integers(2, 7), st.integers(-7, 7).filter(bool))
-@example(_ctx_iv_to_ball(F(2), 8), 2, 1)
-@example(_ctx_iv_to_ball(F(1, 3), 694), 5, -3)
+@example(as_scalar(2).to_ball(8), 2, 1)
+@example(as_scalar(F(1, 3)).to_ball(694), 5, -3)
 @settings(max_examples=200, deadline=None)
 def test_ball_exp_log_root_pow_match_interval_context(b, n, k):
-    ctx = _ctx(b.precision_bits)
-    x = ctx.make_mpf(b.mpi)
-    want = lambda v: (v._mpi_, b.precision_bits)
-    assert _ends(scalar_exp(b)) == want(ctx.exp(x))
-    assert _ends(scalar_exp(-b)) == want(ctx.exp(-x))
-    assert _ends(scalar_log(b)) == want(ctx.log(x))
-    assert _ends(nth_root(b, n)) == want(ctx.exp(ctx.log(x) / n))
+    p, x = b.precision_bits, b.mpi
+    log = mpi_log(x, p)
+    assert _ends(scalar_exp(b)) == (mpi_exp(x, p), p)
+    assert _ends(scalar_exp(-b)) == (mpi_exp(mpi_neg(x, p), p), p)
+    assert _ends(scalar_log(b)) == (log, p)
+    assert _ends(nth_root(b, n)) == (mpi_exp(mpi_div(log, _ref_rat_iv(n, 1, p), p), p), p)
     e = F(k, n)
     if e.denominator != 1:
-        ctx_e = ctx.mpf(e.numerator) / ctx.mpf(e.denominator)
-        assert _ends(scalar_pow(b, e)) == want(ctx.exp(ctx_e * ctx.log(x)))
+        e_iv = _ref_rat_iv(e.numerator, e.denominator, p)
+        assert _ends(scalar_pow(b, e)) == (mpi_exp(mpi_mul(e_iv, log, p), p), p)
 
 
 root_coeffs = st.lists(wide_rationals, min_size=5, max_size=5)
@@ -684,12 +626,13 @@ def test_root_to_ball_matches_interval_context(degree, radicand, coeffs, prec):
     if not any(coeffs[1:]):
         coeffs = coeffs[:1] + (F(1),) + coeffs[2:]
     v = RootScalar(degree, radicand, coeffs)
-    ctx = _ctx(prec)
-    theta = ctx.exp(ctx.log(ctx.mpf(radicand)) / degree)
-    acc = ctx.mpf(0)
+    log = mpi_log(_ref_rat_iv(radicand, 1, prec), prec)
+    theta = mpi_exp(mpi_div(log, _ref_rat_iv(degree, 1, prec), prec), prec)
+    acc = (fzero, fzero)
     for c in reversed(coeffs):
-        acc = acc * theta + ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-    assert _ends(v.to_ball(prec)) == (acc._mpi_, prec)
+        c_iv = _ref_rat_iv(c.numerator, c.denominator, prec)
+        acc = mpi_add(mpi_mul(acc, theta, prec), c_iv, prec)
+    assert _ends(v.to_ball(prec)) == (acc, prec)
 
 
 @pytest.mark.parametrize("prec", [8, 53, 256])
