@@ -22,6 +22,7 @@ from radialtyz.scalars import (
     Sign,
     SignUndeterminedError,
     _ball,
+    _ball_of,
     _canonical_root,
     _cook,
     _factor,
@@ -201,7 +202,7 @@ def test_canonical_root_matches_sympy_reference(n):
 # -- ball strategies ---------------------------------------------------------
 #
 # Balls are built by the kernel: a rational promoted with to_ball, whose
-# endpoints test_promotion_matches_libmpi checks against libmpi.
+# endpoints test_rational_to_ball_matches_interval_context checks against libmpi.
 
 precisions = st.sampled_from([4, 16, 53, 256])
 wide_rationals = st.builds(
@@ -370,22 +371,30 @@ wide_ints = st.integers(-(2**800), 2**800) | st.integers(-(2**40), 2**40)
 @example(15, 16, 4)
 @example(17, 2**16 + 1, 4)
 @example(0, 7, 16)
-@example(2**300 + 1, 3, 53)
-@example(-(2**300 + 1), 3, 53)
-@example(0, 1, 4)
-@example(3**200, 7**150, 16)
 @settings(max_examples=600, deadline=None)
 def test_promotion_matches_libmpi(p, q, prec):
     g = math.gcd(p, q)
     want = _ref_rat_iv(p // g, q // g, prec)
-    got = RationalScalar(F(p, q)).to_ball(prec)
-    assert _ends(got) == (want, prec)
+    got = _ball_of(_raw(F(p, q)), prec)
+    assert _cook((None, got, prec)).mpi == want
     if q == 1 and p.bit_length() <= prec:
-        assert got.iv == (p, 0, p, 0)  # exact endpoints, no rounding
+        assert got == (p, 0, p, 0)  # exact endpoints, no rounding
     # the operators promote the same way at the ball's precision
     ball = as_scalar(F(1, 3)).to_ball(prec)
     assert (ball * F(p, q)).mpi == mpi_mul(ball.mpi, want, prec)
     assert (ball + F(p, q)).mpi == (mpi_add(ball.mpi, want, prec) if p else ball.mpi)
+
+
+@given(wide_rationals, precisions)
+@example(F(2**300 + 1, 3), 53)
+@example(F(-(2**300 + 1), 3), 53)
+@example(F(0), 4)
+@example(F(3**200, 7**150), 16)
+@settings(max_examples=300, deadline=None)
+def test_rational_to_ball_matches_interval_context(fr, prec):
+    # the interval context's mpf(p) / mpf(q), as the libmpi calls it makes
+    want = _ref_rat_iv(fr.numerator, fr.denominator, prec)
+    assert _ends(RationalScalar(fr).to_ball(prec)) == (want, prec)
 
 
 @given(lane_balls())
@@ -424,15 +433,19 @@ def signed_iv_balls(draw):
 @example(_ball((8, -3, 8, -3), 16))  # 1 with trailing zero bits: an exact inverse
 @example(_ball((-12, 5, -4, 5), 1024))
 @example(_ball((3, 0, 2**1100 + 1, -40), 1024))  # endpoints wider than the precision
+@settings(max_examples=600, deadline=None)
+def test_ball_inverse_matches_libmpi_division(b):
+    prec = b.precision_bits
+    assert _ends(b._inverse()) == (mpi_div((fone, fone), b.mpi, prec), prec)
+
+
+@given(signed_iv_balls())
 @example(_ball((0, 7, 0, -3), 16))  # a zero mantissa keeps whatever exponent it had
 @example(_ball((-(2**64), 0, 2**64 - 1, 0), 64))
 @settings(max_examples=600, deadline=None)
-def test_ball_mpi_and_inverse_match_libmpi(b):
+def test_ball_mpi_matches_from_man_exp(b):
     lm, le, hm, he = b.iv
     assert b.mpi == (from_man_exp(lm, le), from_man_exp(hm, he))
-    if b.sign() in (Sign.POSITIVE, Sign.NEGATIVE):
-        prec = b.precision_bits
-        assert _ends(b._inverse()) == (mpi_div((fone, fone), b.mpi, prec), prec)
 
 
 # -- a reference arithmetic ------------------------------------------------
