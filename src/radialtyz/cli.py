@@ -51,12 +51,22 @@ def _validate(args) -> PotentialFamily | None:
     """Reject an inconsistent invocation before any computation starts and
     return its family, None for a command without the family flags.
 
-    Rejected: an --out that is a directory or whose directory does not exist,
+    Rejected: --precision-bits or --exact for a command that does not read it,
+    an --out that is a directory or whose directory does not exist,
     fewer than 16 bits of precision, eps = -1 with x <= 1, --eps or --lam for
     a family other than epsilon, --n for a family whose dimension is fixed or
     for a custom family where no dimension is read, a custom lu-coeffs with
     neither --n nor --dim, and malformed rationals.
     """
+    for flag in args.unread:
+        if vars(args)[flag[2:].replace("-", "_")] not in (None, False):
+            raise ValueError(f"{flag} does not apply to {args.subcommand}, which does not read it")
+    if args.precision_bits is None:
+        env = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION_BITS))
+        try:
+            args.precision_bits = int(env)
+        except ValueError:
+            raise ValueError(f"{PRECISION_ENV}={env!r} is not an integer") from None
     if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ValueError(f"--out {args.out} is not a file path in an existing directory")
     if args.precision_bits < 16:
@@ -379,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
             "for radial Kahler metrics"
         ),
     )
+    ap.set_defaults(unread=())  # the common flags a command does not read
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gh-eval", help="g_0..g_hmax at one point")
@@ -417,18 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embedding-check", help="flat-embedding coefficient identity")
     p.add_argument("--max-degree", type=int, default=10)
     _add_common(p)
-    p.set_defaults(fn=_cmd_embedding_check)
+    p.set_defaults(fn=_cmd_embedding_check, unread=("--precision-bits", "--exact"))
 
     p = sub.add_parser("ricci-flat-check", help="d/dx log det g at sample points")
     _add_family(p)
     p.add_argument("--samples", required=True, help='comma-separated rationals, e.g. "1/2,1,2"')
     _add_common(p)
-    p.set_defaults(fn=_cmd_ricci_flat_check)
+    p.set_defaults(fn=_cmd_ricci_flat_check, unread=("--precision-bits", "--exact"))
 
     p = sub.add_parser("reproduce-paper", help="run every reproduction item")
     p.add_argument("--item", default=None, help="run a single item by id")
     _add_common(p)
-    p.set_defaults(fn=_cmd_reproduce)
+    p.set_defaults(fn=_cmd_reproduce, unread=("--exact",))
 
     return ap
 
@@ -436,12 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.precision_bits is None:
-            env = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION_BITS))
-            try:
-                args.precision_bits = int(env)
-            except ValueError:
-                raise ValueError(f"{PRECISION_ENV}={env!r} is not an integer") from None
         fam = _validate(args)
         return args.fn(args, fam)
     except (ValueError, ArithmeticError, OSError) as exc:

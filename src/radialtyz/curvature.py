@@ -35,6 +35,19 @@ operand, so a skipped term changed no coefficient; the non-zero terms are
 added in the dense loops' lexicographic order. A term whose own sum is zero
 is still added, because a ball [0, 0] is not the exact zero.
 
+Each entry is computed once per symmetry class and the one RV is stored under
+every index tuple of the class: entries built from the same operands by the
+same operations in the same order have the same bits. The partials table keys
+a value by (min(p, q), max(p, q), M, prod alpha_a!), all its formula reads, so
+transposes, permutations of z_2..z_n (the U(n-1) classes) and all mismatched
+(alpha, beta) share one RV; g^{aā} is one RV for a >= 2, and a weight
+g^{iī} g^{jj̄} ... depends only on which indices are 1. Then R_{ij̄kl̄} depends
+on {i, k} and {j, l} only, Gamma^p_{ki} and Ric_{ij̄,k} on {i, k}, and nabla R
+on {i, k} and {j, l}: for i != k at most one of Gamma^q_{mi}, Gamma^q_{mk} is
+non-zero, so swapping i and k reorders no subtraction. Ric_{ij̄,kl̄} depends on
+{i, k}, but its commutator term g^{pp̄} R_{ip̄kl̄} Ric_{pj̄} is not symmetric in
+(j, l), so j and l stay dense. Sums still visit every index tuple in order.
+
 Ricci and its plain derivatives are partials of one more radial function,
 U(z) = u(|z|^2) with u = log det g = (n-1) log f' + log(f' + x f''): since
 Ric_{ij̄} = -d_i dbar_j U, a second partials table built from the jet of
@@ -106,18 +119,24 @@ class RadialRing:
 
 
 class RV:
-    __slots__ = ("ring", "ev", "od", "_ev_zero", "_od_zero")
+    __slots__ = ("ring", "ev", "od", "_z")
 
     def __init__(self, ring: RadialRing, ev: Jet, od: Jet):
         self.ring = ring
         self.ev = ev
         self.od = od
-        zero = ring.zero_jet  # the common zero part, known without a scan
-        self._ev_zero = ev is zero or _jet_is_zero(ev)
-        self._od_zero = od is zero or _jet_is_zero(od)
+        self._z = None  # (even part is zero, odd part is zero), tested on first read
+
+    def _zeros(self) -> tuple[bool, bool]:
+        if self._z is None:  # most accumulator intermediates are never tested
+            zero = self.ring.zero_jet  # the common zero part, known without a scan
+            self._z = (self.ev is zero or _jet_is_zero(self.ev),
+                       self.od is zero or _jet_is_zero(self.od))
+        return self._z
 
     def is_zero(self) -> bool:
-        return self._ev_zero and self._od_zero
+        ez, oz = self._zeros()
+        return ez and oz
 
     def __neg__(self) -> "RV":
         return RV(self.ring, -self.ev, -self.od)
@@ -131,16 +150,17 @@ class RV:
     def __mul__(self, other) -> "RV":
         if isinstance(other, (int, Fraction)) or isinstance(other, Scalar):
             return RV(self.ring, self.ev * other, self.od * other)
-        if self.is_zero() or other.is_zero():
+        (se, so), (oe, oo) = self._zeros(), other._zeros()
+        if (se and so) or (oe and oo):
             return self.ring.zero
         r = self.ring
         ev = self.ev * other.ev
-        if not (self._od_zero or other._od_zero):
+        if not (so or oo):
             ev = ev + (self.od * other.od) * r.x
         od = r.zero_jet
-        if not (self._ev_zero or other._od_zero):
+        if not (se or oo):
             od = od + self.ev * other.od
-        if not (self._od_zero or other._ev_zero):
+        if not (so or oe):
             od = od + self.od * other.ev
         return RV(r, ev, od)
 
@@ -156,7 +176,7 @@ class RV:
         return self * other.inverse()
 
     def even_jet(self, what: str = "invariant") -> Jet:
-        if not self._od_zero:
+        if not self._zeros()[1]:
             raise ArithmeticError(f"{what} has a nonvanishing odd-in-s part")
         return self.ev
 
@@ -168,7 +188,7 @@ class RV:
     def full_value(self, s: Scalar) -> Scalar:
         """even(x0) + odd(x0) * s; may require a ball backend for irrational s."""
         v = self.ev.value()
-        if self._od_zero:
+        if self._zeros()[1]:
             return v
         return v + self.od.value() * s
 
@@ -222,36 +242,39 @@ class PhiPartialTable:
         self._val: dict[tuple, RV] = {}
 
     def partial(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> RV:
-        # the formula is symmetric in (alpha, beta) (C(p, j) q!/(q-j)! is
-        # p! q! / (j! (p-j)! (q-j)!)), so a transpose is the same value
-        key = (alpha, beta) if alpha <= beta else (beta, alpha)
-        cached = self._val.get(key)
-        if cached is not None:
-            return cached
+        """One RV per class (see the module docstring); only requests within
+        max_order are cached, so every other one raises."""
+        rv = self._val.get((alpha, beta))
+        if rv is not None:
+            return rv
         total = sum(alpha) + sum(beta)
         if total > self.max_order:
             raise ValueError(
                 f"table built to total order {self.max_order}, requested {total}"
             )
-        ring = self.ring
-        rv = ring.zero
-        if alpha[1:] == beta[1:]:
-            p, q, rest = alpha[0], beta[0], alpha[1:]
-            top = p + q + sum(rest)  # the derivative order of the j = 0 term
-            weight = prod(factorial(a) for a in rest)
-            ev = od = ring.zero_jet
-            for j in range(min(p, q) + 1):
-                m = p + q - 2 * j
-                term = self._uderiv[top - j] * Fraction(weight * comb(p, j) * perm(q, j))
-                if m >= 2:
-                    term = term * ring.x_power(m // 2)
-                if m % 2:
-                    od = od + term
-                else:
-                    ev = ev + term
-            rv = RV(ring, ev, od)
-        self._val[key] = rv
+        rest = alpha[1:]
+        key = None  # the class of every mismatched pair, the exact zero
+        if rest == beta[1:]:
+            key = (*sorted((alpha[0], beta[0])), sum(rest), prod(factorial(a) for a in rest))
+        rv = self._val.get(key)
+        if rv is None:
+            rv = self._val[key] = self.ring.zero if key is None else self._value(*key)
+        self._val[alpha, beta] = rv
         return rv
+
+    def _value(self, p: int, q: int, m_rest: int, weight: int) -> RV:
+        ring, top = self.ring, p + q + m_rest  # top: the j = 0 term's derivative order
+        ev = od = ring.zero_jet
+        for j in range(p + 1):
+            m = p + q - 2 * j
+            term = self._uderiv[top - j] * Fraction(weight * comb(p, j) * perm(q, j))
+            if m >= 2:
+                term = term * ring.x_power(m // 2)
+            if m % 2:
+                od = od + term
+            else:
+                ev = ev + term
+        return RV(ring, ev, od)
 
 
 # -- the tensor frame --------------------------------------------------------
@@ -265,6 +288,22 @@ def _units(n: int) -> tuple[list, list]:
 
 def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """(i, k) with i <= k: one index pair per symmetry class {i, k}."""
+    return [(i, k) for i in range(n) for k in range(i, n)]
+
+
+def _map_once(f, t, memo: dict):
+    """f over the leaves of a nested list, called once per distinct leaf object
+    (memo maps id to result; the leaves outlive it): aliases stay aliases."""
+    if isinstance(t, list):
+        return [_map_once(f, u, memo) for u in t]
+    v = memo.get(id(t))
+    if v is None:
+        v = memo[id(t)] = f(t)
+    return v
 
 
 def _nz(v: RV) -> RV | None:
@@ -330,20 +369,6 @@ class RadialTensorFrame(Record):
     ric_cov1 = property(lambda self: self._ricci_cov[0])  # ric_cov1[i][j][k] = Ric_{ij̄,k}
     ric_cov2 = property(lambda self: self._ricci_cov[1])  # ric_cov2[i][j][k][l] = Ric_{ij̄,kl̄}
 
-    def curvature_symmetry_violations(self) -> list[tuple]:
-        """Index tuples violating R_{ij̄kl̄} = R_{kj̄il̄} = R_{il̄kj̄}."""
-        bad = []
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        a = self.R[i][j][k][l]
-                        for other in (self.R[k][j][i][l], self.R[i][l][k][j]):
-                            if not (a - other).is_zero():
-                                bad.append((i, j, k, l))
-        return bad
-
 
 def frame_at_x(
     fam: PotentialFamily, n: int, x0: ScalarLike, jet_order: int = 0
@@ -363,35 +388,32 @@ def frame_at_x(
                 raise ArithmeticError("radial metric must be diagonal at a radial point")
         if g[i][i].ev.value().require_sign("metric diagonal") != Sign.POSITIVE:
             raise DomainError("singular metric: a diagonal entry is not certified positive")
-    gi = [g[i][i].inverse() for i in range(n)]
-    # dg[i][k][q] = d_k g_{iq̄}
-    dg = [[[_nz(partial(e2[i][k], e[q])) for q in range(n)] for k in range(n)] for i in range(n)]
+    gi = _map_once(RV.inverse, [g[i][i] for i in range(n)], {})
+    # dg[i][k][q] = d_k g_{iq̄}, one list per {i, k}; the table keeps one entry
+    # per transpose, so dg[j][l][q] is also dbar_j g_{ql̄}
+    dg = [[None] * n for _ in range(n)]
+    for i, k in _pairs(n):
+        dg[i][k] = dg[k][i] = [_nz(partial(e2[i][k], e[q])) for q in range(n)]
 
     # Christoffels: Gamma^p_{ki} = g^{pp̄} d_k g_{ip̄} (g^-1 is diagonal)
-    gamma = [
-        [
-            [ring.zero if dg[i][k][p] is None else gi[p] * dg[i][k][p] for i in range(n)]
-            for k in range(n)
-        ]
-        for p in range(n)
-    ]
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for p in range(n):
+        for i, k in _pairs(n):
+            b = dg[i][k][p]
+            gamma[p][k][i] = gamma[p][i][k] = ring.zero if b is None else gi[p] * b
 
     # curvature: R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pp̄} (d_k g_{ip̄})(dbar_j g_{pl̄}),
-    # with g^{pp̄} d_k g_{ip̄} formed once per (i, k)
-    dbar = [[[_nz(partial(e[q], e2[l][j])) for q in range(n)] for l in range(n)] for j in range(n)]
+    # where g^{pp̄} d_k g_{ip̄} is the product Gamma^p_{ki} already holds
     R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            b = dg[i][k]
-            gb = [(p, gi[p] * b[p]) for p in range(n) if b[p] is not None]
-            for j in range(n):
-                for l in range(n):
-                    acc = partial(e2[i][k], e2[j][l])
-                    c = dbar[j][l]
-                    for q, t in gb:
-                        if c[q] is not None:
-                            acc = acc - t * c[q]
-                    R[i][j][k][l] = acc
+    for i, k in _pairs(n):
+        gb = [(p, gamma[p][k][i]) for p, b in enumerate(dg[i][k]) if b is not None]
+        for j, l in _pairs(n):
+            acc = partial(e2[i][k], e2[j][l])
+            c = dg[j][l]
+            for q, t in gb:
+                if c[q] is not None:
+                    acc = acc - t * c[q]
+            R[i][j][k][l] = R[k][j][i][l] = R[i][l][k][j] = R[k][l][i][j] = acc
 
     return RadialTensorFrame(
         n=n, jet_order=jet_order, ring=ring, table=table, g=g, gi=gi, gamma=gamma, R=R,
@@ -404,54 +426,38 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
     n, ring, ric, R, gi = frame.n, frame.ring, frame.ric, frame.R, frame.gi
     upartial = frame.log_det.partial
     e, e2 = _units(n)
-    dric = [
-        [[-upartial(e2[i][k], e[j]) for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]  # dric[k][i][j] = d_k Ric_{ij̄}
-    dric_bar = [
-        [[-upartial(e[i], e2[j][l]) for j in range(n)] for i in range(n)]
-        for l in range(n)
-    ]  # dric_bar[l][i][j] = dbar_l Ric_{ij̄}
+    # dric[k][i][j] = d_k Ric_{ij̄}, one list per {i, k}; the table keeps one
+    # entry per transpose, so dric[l][j][i] is also dbar_l Ric_{ij̄}
+    dric = [[None] * n for _ in range(n)]
+    for i, k in _pairs(n):
+        dric[i][k] = dric[k][i] = [-upartial(e2[i][k], e[j]) for j in range(n)]
 
     # gam[k][i] = [(p, Gamma^p_{ki}) for each non-zero Gamma^p_{ki}]
     gamma = frame.gamma
     gam = [[[(p, gamma[p][k][i]) for p in range(n) if not gamma[p][k][i].is_zero()]
             for i in range(n)] for k in range(n)]
-    ric_cov1 = [
-        [
-            [
-                dric[k][i][j]
-                - _sum(ring, (ric[p][j] * gp for p, gp in gam[k][i] if not ric[p][j].is_zero()))
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
+    # both are symmetric in (i, k) only (see the module docstring)
+    ric_cov1 = [[[None] * n for _ in range(n)] for _ in range(n)]
     ric_cov2 = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
+    for i, k in _pairs(n):
+        gki = gam[k][i]
         for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    gki, glj = gam[k][i], gam[l][j]
-                    ric_cov2[i][j][k][l] = (
-                        -upartial(e2[i][k], e2[j][l])  # dbar_l d_k Ric_{ij̄}
-                        + _sum(ring, (gq * gp * ric[q][p] for q, gq in gki for p, gp in glj
-                                      if not ric[q][p].is_zero()))
-                        - _sum(ring, (gp * dric_bar[l][p][j] for p, gp in gki
-                                      if not dric_bar[l][p][j].is_zero()))
-                        - _sum(ring, (gi[p] * R[i][p][k][l] * ric[p][j] for p in range(n)
-                                      if not (R[i][p][k][l].is_zero() or ric[p][j].is_zero())))
-                        - _sum(ring, (gp * dric[k][i][p] for p, gp in glj
-                                      if not dric[k][i][p].is_zero()))
-                    )
+            ric_cov1[i][j][k] = ric_cov1[k][j][i] = dric[k][i][j] - _sum(
+                ring, (ric[p][j] * gp for p, gp in gki if not ric[p][j].is_zero()))
+            for l in range(n):
+                glj = gam[l][j]
+                ric_cov2[i][j][k][l] = ric_cov2[k][j][i][l] = (
+                    -upartial(e2[i][k], e2[j][l])  # dbar_l d_k Ric_{ij̄}
+                    + _sum(ring, (gq * gp * ric[q][p] for q, gq in gki for p, gp in glj
+                                  if not ric[q][p].is_zero()))
+                    - _sum(ring, (gp * dric[l][j][p] for p, gp in gki
+                                  if not dric[l][j][p].is_zero()))
+                    - _sum(ring, (gi[p] * R[i][p][k][l] * ric[p][j] for p in range(n)
+                                  if not (R[i][p][k][l].is_zero() or ric[p][j].is_zero())))
+                    - _sum(ring, (gp * dric[k][i][p] for p, gp in glj
+                                  if not dric[k][i][p].is_zero()))
+                )
     return ric_cov1, ric_cov2
-
-
-def _cut(t, ring: RadialRing):
-    """A nested tensor of RVs truncated to the ring's jet order."""
-    return [_cut(u, ring) for u in t] if isinstance(t, list) else t.truncate(ring)
 
 
 def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
@@ -461,15 +467,16 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
     Jet arithmetic is causal: coefficient 0 of a sum, product or quotient comes
     from the constant terms alone, by the same scalar operations. So every
     value computed here is the constant term of the same quantity computed over
-    the frame's jets, bit for bit.
+    the frame's jets, bit for bit. Each distinct entry is cut once, so the
+    tensors keep their aliases.
     """
     n, table = frame.n, frame.table
     ring = RadialRing(frame.ring.x.truncate(0))
+    cut, memo = (lambda v: v.truncate(ring)), {}
+    g, gi, gamma, R = (_map_once(cut, t, memo) for t in (frame.g, frame.gi, frame.gamma, frame.R))
     return RadialTensorFrame(
         n=n, jet_order=0, ring=ring,
-        table=PhiPartialTable(table.du, n, table.max_order, ring),
-        g=_cut(frame.g, ring), gi=_cut(frame.gi, ring), gamma=_cut(frame.gamma, ring),
-        R=_cut(frame.R, ring),
+        table=PhiPartialTable(table.du, n, table.max_order, ring), g=g, gi=gi, gamma=gamma, R=R,
     )
 
 
@@ -487,7 +494,8 @@ def _dginv(gi: list, d: list) -> list:
 
 def _nabla_R(frame: RadialTensorFrame) -> list:
     """R_{ij̄kl̄,m} = d_m R_{ij̄kl̄} - Gamma^q_{mi} R_{qj̄kl̄} - Gamma^q_{mk} R_{ij̄ql̄},
-    with d_m R differentiated term by term from the formula for R; out[m][i][j][k][l]."""
+    with d_m R differentiated term by term from the formula for R; out[m][i][j][k][l],
+    one entry per {i, k} and {j, l} (see the module docstring)."""
     n, table = frame.n, frame.table
     gi, gamma, R = frame.gi, frame.gamma, frame.R
     partial = table.partial
@@ -503,45 +511,44 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
         dgz = _dginv(gi, d)
         dmdbar = [[[_nz(partial(e2[q][m], e2[l][j])) for q in range(n)] for l in range(n)]
                   for j in range(n)]  # dmdbar[j][l][q] = d_m dbar_j g_{ql̄}
-        for i in range(n):
-            for k in range(n):
-                aik = e2[i][k]
-                aikm = _add(aik, e[m])
-                # (q, (d_m g^{pq̄}) d_k g_{ip̄}, g^{pq̄}, d_k g_{ip̄}, d_m d_k g_{ip̄}),
-                # in (p, q) order
-                terms = []
-                for p in range(n):
-                    bp, dbp = _nz(partial(aik, e[p])), _nz(partial(aikm, e[p]))
-                    if bp is None and dbp is None:
-                        continue
-                    for q in range(n):
-                        dgb = None if bp is None or dgz[p][q] is None else _nz(dgz[p][q] * bp)
-                        gpq = gi[p] if p == q else None
-                        if dgb is not None or gpq is not None:
-                            terms.append((q, dgb, gpq, bp, dbp))
-                gam = [(q, _nz(gamma[q][m][i]), _nz(gamma[q][m][k])) for q in range(n)]
-                gam = [t for t in gam if t[1] is not None or t[2] is not None]
-                for j in range(n):
-                    for l in range(n):
-                        acc = partial(aikm, e2[j][l])
-                        c, dc = dbar[j][l], dmdbar[j][l]
-                        for q, dgb, gpq, bp, dbp in terms:
-                            cq = c[q]
-                            if dgb is not None and cq is not None:
-                                acc = acc - dgb * cq
-                            if gpq is not None:
-                                t = None if dbp is None or cq is None else dbp * cq
-                                if bp is not None and dc[q] is not None:
-                                    u = bp * dc[q]
-                                    t = u if t is None else t + u
-                                if t is not None and not t.is_zero():
-                                    acc = acc - gpq * t
-                        for q, gmi, gmk in gam:
-                            if gmi is not None and Rz[q][j][k][l] is not None:
-                                acc = acc - gmi * Rz[q][j][k][l]
-                            if gmk is not None and Rz[i][j][q][l] is not None:
-                                acc = acc - gmk * Rz[i][j][q][l]
-                        out[m][i][j][k][l] = acc
+        o = out[m]
+        for i, k in _pairs(n):
+            aik = e2[i][k]
+            aikm = _add(aik, e[m])
+            # (q, (d_m g^{pq̄}) d_k g_{ip̄}, g^{pq̄}, d_k g_{ip̄}, d_m d_k g_{ip̄}),
+            # in (p, q) order
+            terms = []
+            for p in range(n):
+                bp, dbp = _nz(partial(aik, e[p])), _nz(partial(aikm, e[p]))
+                if bp is None and dbp is None:
+                    continue
+                for q in range(n):
+                    dgb = None if bp is None or dgz[p][q] is None else _nz(dgz[p][q] * bp)
+                    gpq = gi[p] if p == q else None
+                    if dgb is not None or gpq is not None:
+                        terms.append((q, dgb, gpq, bp, dbp))
+            gam = [(q, _nz(gamma[q][m][i]), _nz(gamma[q][m][k])) for q in range(n)]
+            gam = [t for t in gam if t[1] is not None or t[2] is not None]
+            for j, l in _pairs(n):
+                acc = partial(aikm, e2[j][l])
+                c, dc = dbar[j][l], dmdbar[j][l]
+                for q, dgb, gpq, bp, dbp in terms:
+                    cq = c[q]
+                    if dgb is not None and cq is not None:
+                        acc = acc - dgb * cq
+                    if gpq is not None:
+                        t = None if dbp is None or cq is None else dbp * cq
+                        if bp is not None and dc[q] is not None:
+                            u = bp * dc[q]
+                            t = u if t is None else t + u
+                        if t is not None and not t.is_zero():
+                            acc = acc - gpq * t
+                for q, gmi, gmk in gam:
+                    if gmi is not None and Rz[q][j][k][l] is not None:
+                        acc = acc - gmi * Rz[q][j][k][l]
+                    if gmk is not None and Rz[i][j][q][l] is not None:
+                        acc = acc - gmk * Rz[i][j][q][l]
+                o[i][j][k][l] = o[k][j][i][l] = o[i][l][k][j] = o[k][l][i][j] = acc
     return out
 
 
@@ -549,18 +556,21 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
 
 
 class _Weights:
-    """w(i, j, ...) = g^{iī} g^{jj̄} ... as the left-associated product, memoised
-    by index prefix: one table per frame, shared by its contractions. (A class,
-    not a recursive closure, so the table is freed by reference counting.)"""
+    """w(i, j, ...) = g^{iī} g^{jj̄} ... as the left-associated product, one table
+    per frame, shared by its contractions and memoised by which indices are 0,
+    as gi[a] is one RV for a >= 1. (A class, not a recursive closure, so the
+    table is freed by reference counting.)"""
 
     def __init__(self, frame: RadialTensorFrame):
         self.gi = frame.gi
-        self.memo = {(i,): v for i, v in enumerate(self.gi)}
+        self.memo = {}
 
     def __call__(self, *idx: int) -> RV:
-        v = self.memo.get(idx)
+        key = tuple(i == 0 for i in idx)
+        v = self.memo.get(key)
         if v is None:
-            v = self.memo[idx] = self(*idx[:-1]) * self.gi[idx[-1]]
+            last = self.gi[idx[-1]]
+            v = self.memo[key] = self(*idx[:-1]) * last if len(idx) > 1 else last
         return v
 
 
@@ -584,11 +594,8 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     built at order 0 only. Its value is the constant term the frame's order
     would give, bit for bit.
 
-    The inverse metric is diagonal at radial points (asserted at build time),
-    so contractions run over the non-zero entries of the free tensor indices,
-    in index order, with diagonal weights from one memoised table per frame.
-    A term with a zero factor would be the exact zero and leave the sum as it
-    is, so leaving it out changes no bit; see the module docstring.
+    g^-1 is diagonal (asserted at build time), so contractions run over the
+    non-zero entries in index order with weights from one table per frame.
     """
     # radial-function derivatives of rho; these genuinely need x-jets
     if frame.jet_order < 2:

@@ -117,7 +117,7 @@ class Jet(Record):
 
     def _lift(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.x0 != self.x0:
+            if other.x0 is not self.x0 and other.x0 != self.x0:
                 raise ValueError("jet base points differ")
             return other
         return Jet.constant(self.x0, other, self.order)
@@ -316,7 +316,7 @@ class HermitianBiJet(Record):
         return _cook(self.raws[i][j])
 
     def _check_base(self, other: "HermitianBiJet") -> None:
-        if other.base != self.base:
+        if other.base is not self.base and other.base != self.base:
             raise ValueError("bivariate jet base points differ")
 
     def __neg__(self) -> "HermitianBiJet":

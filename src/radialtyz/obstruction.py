@@ -263,6 +263,8 @@ def rational_grid(spec: str) -> list[Fraction]:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps == 1:
+        if a != b:
+            raise ValueError(f"one grid step is one point: {spec} has a != b")
         return [a]
     delta = Fraction(b - a, steps - 1)
     return [a + delta * i for i in range(steps)]

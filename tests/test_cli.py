@@ -396,11 +396,24 @@ def test_eps_or_lam_for_another_family_is_an_input_error(family, flag, tmp_path,
     assert err == f"error: {name} applies only to the epsilon family, not {family}\n"
 
 
+RICCI = ["ricci-flat-check", "--eps", "1", "--lam", "3/2", "--n", "3", "--samples", "3/4"]
+# commands given a flag they do not read, and a one-step grid with distinct endpoints
+OWN_ARGV = {
+    "ricci-precision-bits": RICCI + ["--precision-bits", "16"],
+    "ricci-exact": RICCI + ["--exact"],
+    "embedding-precision-bits": ["embedding-check", "--precision-bits", "64"],
+    "embedding-exact": ["embedding-check", "--exact"],
+    "reproduce-exact": ["reproduce-paper", "--item", "table-n2-h7", "--exact"],
+    "grid-one-step": ["scan", "--eps=-1", "--n", "2", "--x-grid", "3031/3000:2:1", "--hmax", "3"],
+}
+
+
 @pytest.mark.parametrize("case", ["precision-env", "custom-missing", "custom-keys", "custom-number",
-                                  "custom-string", "out-dir"])
+                                  "custom-string", "out-dir", *OWN_ARGV])
 def test_input_errors_exit_with_one_error_line(case, tmp_path, capsys, monkeypatch):
-    argv = ["gh-eval", "--family", "custom", "--custom-json", str(tmp_path / "pot.json"),
-            "--x", "4/5", "--hmax", "2"]
+    argv = OWN_ARGV.get(case) or [
+        "gh-eval", "--family", "custom", "--custom-json", str(tmp_path / "pot.json"),
+        "--x", "4/5", "--hmax", "2"]
     pot = {"x0": "4/5", "coefficients": ["9/4", "-25/16", "2"]}
     if case == "precision-env":
         monkeypatch.setenv("RADIALTYZ_PRECISION_BITS", "abc")
@@ -415,6 +428,16 @@ def test_input_errors_exit_with_one_error_line(case, tmp_path, capsys, monkeypat
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if case in OWN_ARGV and case != "grid-one-step":
+        flag = "--exact" if case.endswith("exact") else "--precision-bits"
+        assert err == f"error: {flag} does not apply to {argv[0]}, which does not read it\n"
+
+
+def test_precision_env_stays_a_default_for_commands_that_do_not_read_it(capsys, monkeypatch):
+    monkeypatch.setenv("RADIALTYZ_PRECISION_BITS", "64")
+    code, out, err = run_cli(capsys, *RICCI)
+    assert code == 0 and err == ""
+    assert json.loads(out)["ricci_flat_on_samples"] is True
 
 
 @pytest.mark.parametrize("lmax, hmax", [("-1", "2"), ("2", "-1")])

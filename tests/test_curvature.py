@@ -120,14 +120,34 @@ def test_eps_family_curvature_components():
     assert (fr.R[0][0][1][1].ev.value() - want).sign() == Sign.ZERO
 
 
-def test_curvature_symmetries():
-    for fam, n, x in (
-        (EpsilonFamily(1, F(1), 2), 2, F(1)),
-        (EpsilonFamily(-1, F(1), 3), 3, F(3, 2)),
-        (Simanca(), 2, F(2)),
-    ):
-        fr = frame_at_x(fam, n, x, 0)
-        assert fr.curvature_symmetry_violations() == []
+@pytest.mark.parametrize("fam, fprime, n, s", [
+    (Simanca(), lambda x: 1 + 1 / x, 2, sp.Rational(3, 2)),
+    (Simanca(), lambda x: 1 + 1 / x, 3, sp.Rational(3, 2)),
+    (EpsilonFamily(1, F(1), 2), lambda x: sp.sqrt(x**-2 + 1), 2, sp.sqrt(3) / 2),  # f' = 5/3
+], ids=["simanca-n2", "simanca-n3", "eps+1-n2"])
+def test_curvature_matches_sympy(fam, fprime, n, s):
+    # every R_{ij̄kl̄} at (s, 0, ..., 0) against sympy: g_{ij̄} = f' delta_ij +
+    # f'' zbar_i z_j (w stands for zbar), differentiated with the module
+    # docstring's sign convention; R has no odd part at a radial point
+    z, w = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"w1:{n + 1}")
+    t = sp.Symbol("t")
+    x = sum(a * b for a, b in zip(z, w))
+    f1, f2 = (d.subs(t, x) for d in (fprime(t), sp.diff(fprime(t), t)))
+    g = [[(f1 if i == j else 0) + f2 * w[i] * z[j] for j in range(n)] for i in range(n)]
+    at = {v: (s if i == 0 else 0) for vs in (z, w) for i, v in enumerate(vs)}
+    ginv = sp.Matrix(n, n, lambda i, j: g[i][j].subs(at)).inv()
+    dz = [[[sp.diff(g[i][p], z[k]).subs(at) for p in range(n)] for k in range(n)] for i in range(n)]
+    dw = [[[sp.diff(g[q][l], w[j]).subs(at) for l in range(n)] for j in range(n)] for q in range(n)]
+    x0 = s * s
+    fr = frame_at_x(fam, n, F(int(x0.p), int(x0.q)), 0)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        want = sp.diff(g[i][l], z[k], w[j]).subs(at) - sum(
+            ginv[p, q] * dz[i][k][p] * dw[q][j][l] for p in range(n) for q in range(n))
+        want = sp.nsimplify(sp.simplify(want))
+        assert want.is_Rational, (i, j, k, l, want)
+        got = fr.R[i][j][k][l]
+        assert_exact_zero(got.od.value(), f"odd part of R{i}{j}{k}{l}")
+        assert_exact_zero(got.ev.value() - F(int(want.p), int(want.q)), f"R{i}{j}{k}{l}")
 
 
 # f' Taylor data at x0 = 1/2, enough for frames over jets of order 2; its
@@ -226,6 +246,36 @@ def test_ricci_block_pinned_exact():
     # of order 2; every entry not listed is exactly zero
     assert _ricci_block_text(frame_at_x(Simanca(), 2, F(2), 2)) == SIMANCA_RICCI_X2
     assert _ricci_block_text(frame_at_x(CUSTOM, 2, F(1, 2), 2)) == CUSTOM_RICCI
+
+
+def test_tensor_symmetry_classes_share_one_entry():
+    # each index tuple of a symmetry class holds its representative's RV, the
+    # same object, on a 64-bit ball frame and on its order-0 value frame
+    n, e1, e2 = 3, (0, 1, 0), (0, 0, 1)
+    fam = EpsilonFamily(1, F(1), n)
+    frame = frame_at_x(fam, n, prepare_point(fam, as_scalar(F(3, 4)), exact=False,
+                                             precision_bits=64), 2)
+    value = curvature._value_frame(frame)
+    nabla = curvature._nabla_R(value)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        (a, c), (b, d) = sorted((i, k)), sorted((j, l))
+        for R in (frame.R, value.R):
+            assert R[i][j][k][l] is R[a][b][c][d]
+        assert frame.ric_cov2[i][j][k][l] is frame.ric_cov2[a][j][c][l]
+        assert all(nabla[m][i][j][k][l] is nabla[m][a][b][c][d] for m in range(n))
+        assert frame.gamma[j][i][k] is frame.gamma[j][a][c]
+        assert frame.ric_cov1[i][j][k] is frame.ric_cov1[a][j][c]
+    # U(n-1): z_2 and z_3 enter alike
+    table = frame.table
+    assert table.partial(e1, e1) is table.partial(e2, e2)
+    assert frame.gi[1] is frame.gi[2] and value.gi[1] is value.gi[2]
+    # a request beyond the table's order raises, also once its class is cached
+    assert table.partial((1, 0, 0), (0, 0, 1)).is_zero()
+    with pytest.raises(ValueError, match="total order 5, requested 6"):
+        table.partial((3, 0, 0), (0, 0, 3))
+    # where Ricci is not zero, Ric_{ij̄,kl̄} is not symmetric in (j, l)
+    custom = frame_at_x(CUSTOM, 2, F(1, 2), 2)
+    assert not (custom.ric_cov2[0][0][1][1] - custom.ric_cov2[0][1][1][0]).is_zero()
 
 
 def test_eps_family_is_ricci_flat_in_frame():

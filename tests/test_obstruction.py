@@ -204,6 +204,9 @@ def test_rational_grid():
         rational_grid("1:2")
     with pytest.raises(ValueError):
         rational_grid("1:2:0")
+    # one step is one point: "a:b:1" would drop b, so it needs a == b
+    with pytest.raises(ValueError, match="one grid step is one point"):
+        rational_grid("3031/3000:2:1")
 
 
 def test_recursion_vs_direct_all_families():
