@@ -251,14 +251,9 @@ def _cmd_lu_coeffs(args, fam: PotentialFamily) -> int:
 
 
 def _cmd_resolvability(args, fam: PotentialFamily) -> int:
-    kwargs = dict(
-        lmax=args.lmax, hmax=args.hmax,
-        exact=_exact_flag(args), precision_bits=args.precision_bits,
-    )
-    if args.x is not None:
-        cert = minor_matrix(fam, x=Fraction(args.x), **kwargs)
-    else:
-        cert = minor_matrix(fam, s=Fraction(args.s), **kwargs)
+    x = Fraction(args.x) if args.x is not None else Fraction(args.s) ** 2
+    cert = minor_matrix(fam, x, lmax=args.lmax, hmax=args.hmax,
+                        exact=_exact_flag(args), precision_bits=args.precision_bits)
     first = (
         {"l": cert.first_flag[0], "h": cert.first_flag[1]} if cert.first_flag else None
     )

@@ -5,11 +5,14 @@ p = (s, 0, ..., 0) come from a closed formula in the derivatives of f
 (PhiPartialTable): by U(n-1) symmetry d^alpha dbar^beta Phi vanishes there
 unless alpha_a = beta_a for every a >= 2, and g is diagonal, so every
 contraction with g^-1 runs over its diagonal. Evaluated quantities live in the
-ring R[s]/(s^2 = x) over x-jets: a value is `even(x) + odd(x) * s`, so no
-square root of x is ever taken, and a frame over jets in x of order m holds m
-x-derivatives of every tensor entry.
+ring R[s]/(s^2 = x) over x-jets. By the U(1) phase rule each of them is even
+or odd in s, so a value (RV) is c(x) * s^eps, held as one jet c and its
+parity eps: no square root of x is ever taken, a sum does its jet work once,
+and a sum of a non-zero even and a non-zero odd value raises ArithmeticError,
+so the rule is checked rather than assumed. A frame over jets in x of order m
+holds m x-derivatives of every tensor entry.
 
-A frame (frame_at_x) computes g, the diagonal of g^-1, Gamma and R when it is
+A frame (frame_at_x) computes the diagonal of g^-1, Gamma and R when it is
 built, and the log det table, Ric, rho and the covariant Ricci block
 Ric_{ij̄,k}, Ric_{ij̄,kl̄} when each is first read, all at the frame's jet
 order; |R|^2 (curvature_norm2) reads none of them. The block's
@@ -20,20 +23,22 @@ dbar_l Gamma^p_{ki} = g^{pq̄} R_{iq̄kl̄}, which is g^{pp̄} R_{ip̄kl̄} here
 lu_coefficients takes radial Laplacians of rho, |R|^2 and |Ric|^2 only, so
 the frame it builds is over jets of order 4. Every other invariant it reads
 at its value alone: the covariant Ricci block, nabla R and the contractions
-that use them are computed on the frame's order-0 truncation. Jet arithmetic
-is causal, so those values are the constant terms the order-4 computation
-would give, bit for bit, with one scalar product where a product of order-4
-jets takes fifteen.
+that use them are computed on the frame's order-0 truncation, whose two
+partials tables are cuts of the full frame's: det g and u' are formed once.
+Jet arithmetic is causal, so those values are the constant terms the order-4
+computation would give, bit for bit, with one scalar product where a product
+of order-4 jets takes fifteen.
 
 The tensor loops (Gamma, R, the covariant Ricci block, nabla R and the
 contractions) visit only the terms whose factors are all non-zero: each
 partial is looked up once, outside the loops it does not depend on, and each
 factor is tested with is_zero() before its product is built. The values are
 bit for bit those of the dense loops. An RV product with a zero factor is the
-ring's exact zero, and adding an exact rational zero returns the other
-operand, so a skipped term changed no coefficient; the non-zero terms are
-added in the dense loops' lexicographic order. A term whose own sum is zero
-is still added, because a ball [0, 0] is not the exact zero.
+ring's exact zero, and adding an exact rational zero, or a zero of the other
+parity, returns the other operand, so a skipped term changed no coefficient;
+the non-zero terms are added in the dense loops' lexicographic order. A term
+whose own sum is zero is still added, because a ball [0, 0] is not the exact
+zero.
 
 Each entry is computed once per symmetry class and the one RV is stored under
 every index tuple of the class: entries built from the same operands by the
@@ -63,6 +68,7 @@ Sign conventions, pinned against the displayed Simanca component values:
 """
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -91,7 +97,7 @@ def _jet_is_zero(j: Jet) -> bool:
 
 
 class RadialRing:
-    """Values even(x) + odd(x)*s with s**2 = x, over jets in x at x0."""
+    """Values c(x) * s**odd with s**2 = x, over jets in x at x0."""
 
     def __init__(self, x_jet: Jet):
         self.x = x_jet
@@ -103,7 +109,7 @@ class RadialRing:
     def zero(self) -> "RV":
         """The exact zero, a new RV on each read: an RV stored on the ring would
         point back at it, a cycle that only the cyclic collector frees."""
-        return RV(self, self.zero_jet, self.zero_jet)
+        return RV(self, self.zero_jet, 0)
 
     def x_power(self, k: int) -> Jet:
         """x**k, cached: every partials table on this ring shares the powers."""
@@ -111,86 +117,78 @@ class RadialRing:
             self._xpow.append(self._xpow[-1] * self.x)
         return self._xpow[k]
 
-    def even(self, jet: Jet) -> "RV":
-        return RV(self, jet, self.zero_jet)
-
-    def odd(self, jet: Jet) -> "RV":
-        return RV(self, self.zero_jet, jet)
-
 
 class RV:
-    __slots__ = ("ring", "ev", "od", "_z")
+    """The value jet(x) * s**odd (see the module docstring)."""
 
-    def __init__(self, ring: RadialRing, ev: Jet, od: Jet):
+    __slots__ = ("ring", "jet", "odd", "_z")
+
+    def __init__(self, ring: RadialRing, jet: Jet, odd: int):
         self.ring = ring
-        self.ev = ev
-        self.od = od
-        self._z = None  # (even part is zero, odd part is zero), tested on first read
-
-    def _zeros(self) -> tuple[bool, bool]:
-        if self._z is None:  # most accumulator intermediates are never tested
-            zero = self.ring.zero_jet  # the common zero part, known without a scan
-            self._z = (self.ev is zero or _jet_is_zero(self.ev),
-                       self.od is zero or _jet_is_zero(self.od))
-        return self._z
+        self.jet = jet
+        self.odd = odd
+        self._z = None  # whether the jet is zero, tested on first read
 
     def is_zero(self) -> bool:
-        ez, oz = self._zeros()
-        return ez and oz
+        if self._z is None:  # most accumulator intermediates are never tested
+            # the common zero jet is known without a scan
+            self._z = self.jet is self.ring.zero_jet or _jet_is_zero(self.jet)
+        return self._z
 
     def __neg__(self) -> "RV":
-        return RV(self.ring, -self.ev, -self.od)
+        return RV(self.ring, -self.jet, self.odd)
 
     def __add__(self, other: "RV") -> "RV":
-        return RV(self.ring, self.ev + other.ev, self.od + other.od)
+        if self.odd == other.odd:
+            return RV(self.ring, self.jet + other.jet, self.odd)
+        return self._mixed(other)
 
     def __sub__(self, other: "RV") -> "RV":
-        return RV(self.ring, self.ev - other.ev, self.od - other.od)
+        if self.odd == other.odd:
+            return RV(self.ring, self.jet - other.jet, self.odd)
+        return self._mixed(-other)
+
+    def _mixed(self, other: "RV") -> "RV":
+        """self + other where the parities differ, which the phase rule allows
+        only when one of them is zero."""
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        raise ArithmeticError("an even and an odd value in s meet in a sum")
 
     def __mul__(self, other) -> "RV":
-        if isinstance(other, (int, Fraction)) or isinstance(other, Scalar):
-            return RV(self.ring, self.ev * other, self.od * other)
-        (se, so), (oe, oo) = self._zeros(), other._zeros()
-        if (se and so) or (oe and oo):
+        if not isinstance(other, RV):  # an int, Fraction or Scalar
+            return RV(self.ring, self.jet * other, self.odd)
+        if self.is_zero() or other.is_zero():
             return self.ring.zero
-        r = self.ring
-        ev = self.ev * other.ev
-        if not (so or oo):
-            ev = ev + (self.od * other.od) * r.x
-        od = r.zero_jet
-        if not (se or oo):
-            od = od + self.ev * other.od
-        if not (so or oe):
-            od = od + self.od * other.ev
-        return RV(r, ev, od)
+        jet = self.jet * other.jet
+        if self.odd and other.odd:
+            return RV(self.ring, jet * self.ring.x, 0)
+        return RV(self.ring, jet, self.odd | other.odd)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RV":
-        # (e + o s)^-1 = (e - o s) / (e^2 - o^2 x)
-        den = self.ev * self.ev - (self.od * self.od) * self.ring.x
-        inv = self.ring.one_jet / den
-        return RV(self.ring, self.ev * inv, -(self.od * inv))
-
-    def __truediv__(self, other: "RV") -> "RV":
-        return self * other.inverse()
+        # (c s^odd)^-1 = c s^odd / (c^2 x^odd)
+        den = self.jet * self.jet
+        if self.odd:
+            den = den * self.ring.x
+        return RV(self.ring, self.jet * (self.ring.one_jet / den), self.odd)
 
     def even_jet(self, what: str = "invariant") -> Jet:
-        if not self._zeros()[1]:
+        if self.odd and not self.is_zero():
             raise ArithmeticError(f"{what} has a nonvanishing odd-in-s part")
-        return self.ev
+        return self.jet
 
     def truncate(self, ring: RadialRing) -> "RV":
         """This value on a ring over jets of lower order (its leading coefficients)."""
-        order = ring.x.order
-        return RV(ring, self.ev.truncate(order), self.od.truncate(order))
+        return RV(ring, self.jet.truncate(ring.x.order), self.odd)
 
     def full_value(self, s: Scalar) -> Scalar:
-        """even(x0) + odd(x0) * s; may require a ball backend for irrational s."""
-        v = self.ev.value()
-        if self._zeros()[1]:
-            return v
-        return v + self.od.value() * s
+        """c(x0) * s**odd; may require a ball backend for irrational s."""
+        v = self.jet.value()
+        return v * s if self.odd else v
 
 
 # -- mixed partials of Phi = f(|z|^2) at the radial point --------------------
@@ -209,11 +207,12 @@ class PhiPartialTable:
         prod_{a>=2} alpha_a! * sum_{j=0}^{min(p,q)} C(p, j) q!/(q-j)!
                                   * s^(p+q-2j) * u^(p+q-j+M)(x).
 
-    s^m is x^(m//2), times s when m is odd, so a term lands in the even or the
-    odd part. The terms are added in ascending j, which is descending
-    derivative order k = p+q-j+M, each as u^(k) * c * x^(m//2) added to an
-    exact zero: on balls a sum's endpoints depend on that order, and this is
-    the order the pinned ball digests were taken in.
+    s^m is x^(m//2), times s when m is odd; m = p+q-2j has the parity of p+q,
+    so every term lands in one jet of that parity. The terms are added in
+    ascending j, which is descending derivative order k = p+q-j+M, each as
+    u^(k) * c * x^(m//2) added to an exact zero: on balls a sum's endpoints
+    depend on that order, and this is the order the pinned ball digests were
+    taken in.
 
     The frame builds one for the potential (u = f) and one for log det g; both
     live on the frame's ring. du must have order ring jet order + max_order - 1.
@@ -264,17 +263,22 @@ class PhiPartialTable:
 
     def _value(self, p: int, q: int, m_rest: int, weight: int) -> RV:
         ring, top = self.ring, p + q + m_rest  # top: the j = 0 term's derivative order
-        ev = od = ring.zero_jet
+        acc = ring.zero_jet
         for j in range(p + 1):
             m = p + q - 2 * j
             term = self._uderiv[top - j] * Fraction(weight * comb(p, j) * perm(q, j))
             if m >= 2:
                 term = term * ring.x_power(m // 2)
-            if m % 2:
-                od = od + term
-            else:
-                ev = ev + term
-        return RV(ring, ev, od)
+            acc = acc + term
+        return RV(ring, acc, (p + q) % 2)
+
+    def truncate(self, ring: RadialRing) -> "PhiPartialTable":
+        """This table on a ring over jets of lower order: its u-derivative jets
+        cut to that order, its entries computed there on first request."""
+        cut = copy(self)
+        cut.ring, cut._val = ring, {}
+        cut._uderiv = [d.truncate(ring.x.order) for d in self._uderiv]
+        return cut
 
 
 # -- the tensor frame --------------------------------------------------------
@@ -328,11 +332,9 @@ def _entries(t: list, idx: tuple = ()) -> list:
 
 class RadialTensorFrame(Record):
     n: int
-    jet_order: int
-    ring: RadialRing
+    ring: RadialRing  # its x jet's order is the frame's jet order
     table: PhiPartialTable
-    g: list  # metric entries as RVs, diagonal at radial points
-    gi: list  # gi[i] = g^{iī}, the diagonal of g^-1
+    gi: list  # gi[i] = g^{iī}, the diagonal of g^-1 (g is diagonal at radial points)
     gamma: list  # gamma[p][k][i]
     R: list  # R[i][j][k][l] ~ R_{i j̄ k l̄}
 
@@ -341,11 +343,10 @@ class RadialTensorFrame(Record):
         """Partials of U = log det g(|z|^2), from u' = (det g)' / det g.
 
         Ric_{ij̄} = -d_i dbar_j U for this radial U, so Ric and its plain
-        derivatives are partials of U; no log is taken. The f' jet is cut to
-        the order this frame needs, which a value frame (_value_frame) keeps
-        cheap; jet arithmetic is causal, so the coefficients are the same.
+        derivatives are partials of U; no log is taken. A value frame
+        (_value_frame) holds a cut of its full frame's table instead.
         """
-        det = det_jet_from_fprime(self.table.du.truncate(self.jet_order + TABLE_ORDER), self.n)
+        det = det_jet_from_fprime(self.table.du.truncate(self.ring.x.order + TABLE_ORDER), self.n)
         return PhiPartialTable(det.derive() / det.truncate(det.order - 1), self.n, 4, self.ring)
 
     @cached_property
@@ -381,14 +382,12 @@ def frame_at_x(
     partial = table.partial
     e, e2 = _units(n)
 
-    g = [[partial(e[i], e[j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and not g[i][j].is_zero():
-                raise ArithmeticError("radial metric must be diagonal at a radial point")
-        if g[i][i].ev.value().require_sign("metric diagonal") != Sign.POSITIVE:
+    # g_{ij̄} for i != j is zero by the table's U(n-1) rule
+    g = [partial(e[i], e[i]) for i in range(n)]
+    for v in g:
+        if v.jet.value().require_sign("metric diagonal") != Sign.POSITIVE:
             raise DomainError("singular metric: a diagonal entry is not certified positive")
-    gi = _map_once(RV.inverse, [g[i][i] for i in range(n)], {})
+    gi = _map_once(RV.inverse, g, {})
     # dg[i][k][q] = d_k g_{iq̄}, one list per {i, k}; the table keeps one entry
     # per transpose, so dg[j][l][q] is also dbar_j g_{ql̄}
     dg = [[None] * n for _ in range(n)]
@@ -415,9 +414,7 @@ def frame_at_x(
                     acc = acc - t * c[q]
             R[i][j][k][l] = R[k][j][i][l] = R[i][l][k][j] = R[k][l][i][j] = acc
 
-    return RadialTensorFrame(
-        n=n, jet_order=jet_order, ring=ring, table=table, g=g, gi=gi, gamma=gamma, R=R,
-    )
+    return RadialTensorFrame(n=n, ring=ring, table=table, gi=gi, gamma=gamma, R=R)
 
 
 def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
@@ -461,8 +458,9 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
 
 
 def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
-    """The frame's order-0 truncation; its log det table, Ric and covariant
-    Ricci block are built at order 0 when first read.
+    """The frame's order-0 truncation: both partials tables are cuts of the
+    frame's, and Ric and the covariant Ricci block are built at order 0 when
+    first read.
 
     Jet arithmetic is causal: coefficient 0 of a sum, product or quotient comes
     from the constant terms alone, by the same scalar operations. So every
@@ -470,14 +468,14 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
     the frame's jets, bit for bit. Each distinct entry is cut once, so the
     tensors keep their aliases.
     """
-    n, table = frame.n, frame.table
     ring = RadialRing(frame.ring.x.truncate(0))
     cut, memo = (lambda v: v.truncate(ring)), {}
-    g, gi, gamma, R = (_map_once(cut, t, memo) for t in (frame.g, frame.gi, frame.gamma, frame.R))
-    return RadialTensorFrame(
-        n=n, jet_order=0, ring=ring,
-        table=PhiPartialTable(table.du, n, table.max_order, ring), g=g, gi=gi, gamma=gamma, R=R,
+    gi, gamma, R = (_map_once(cut, t, memo) for t in (frame.gi, frame.gamma, frame.R))
+    value = RadialTensorFrame(
+        n=frame.n, ring=ring, table=frame.table.truncate(ring), gi=gi, gamma=gamma, R=R,
     )
+    vars(value)["log_det"] = frame.log_det.truncate(ring)  # the cached property's slot
+    return value
 
 
 def _dginv(gi: list, d: list) -> list:
@@ -594,11 +592,11 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     built at order 0 only. Its value is the constant term the frame's order
     would give, bit for bit.
 
-    g^-1 is diagonal (asserted at build time), so contractions run over the
+    g^-1 is diagonal (by the U(n-1) rule), so contractions run over the
     non-zero entries in index order with weights from one table per frame.
     """
     # radial-function derivatives of rho; these genuinely need x-jets
-    if frame.jet_order < 2:
+    if frame.ring.x.order < 2:
         raise ValueError(
             "invariants_from_frame needs jet_order >= 2 for |D'rho|^2 and the "
             "rho Hessian; build the frame over jets in x"
@@ -652,13 +650,13 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     rho_x = frame.rho.even_jet("scalar curvature").derive()
     rho_xx = rho_x.derive()
     rho_x, rho_xx = rho_x.truncate(0), rho_xx.truncate(0)
-    drho = ring.odd(rho_x)
+    drho = RV(ring, rho_x, 1)
     drho2 = ring.zero if drho.is_zero() else w(0) * drho * drho
     # complex Hessian of a radial function: u'' zbar_a z_b + u' delta_ab
     hess = [[ring.zero] * n for _ in range(n)]
-    hess[0][0] = ring.even(rho_xx * ring.x + rho_x)
+    hess[0][0] = RV(ring, rho_xx * ring.x + rho_x, 0)
     for i in range(1, n):
-        hess[i][i] = ring.even(rho_x)
+        hess[i][i] = RV(ring, rho_x, 0)
     ric_hess = ring.zero
     for (i, j), rij in ric_entries:
         if not hess[j][i].is_zero():
@@ -735,8 +733,7 @@ class LuReport:
 def lu_coefficients(
     fam: PotentialFamily,
     n: int,
-    x: ScalarLike | None = None,
-    s: ScalarLike | None = None,
+    x: ScalarLike,
     jet_order: int = 4,
     *,
     exact: bool | None = None,
@@ -750,11 +747,6 @@ def lu_coefficients(
     """
     if jet_order < 4:
         raise ValueError("lu_coefficients needs jet_order >= 4 for the double Laplacian")
-    if (x is None) == (s is None):
-        raise ValueError("give exactly one of x or s")
-    if x is None:
-        s = as_scalar(s)
-        x = s * s
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
     frame = frame_at_x(fam, n, x0, jet_order)
     inv = invariants_from_frame(frame)

@@ -261,11 +261,7 @@ def _ricci_flat(precision_bits: int):
             fr = frame_at_x(fam, n, x0, 0)
             for i in range(n):
                 for j in range(n):
-                    rv = fr.ric[i][j]
-                    sub = _combine(
-                        (_tri_within(rv.ev.value(), 0, tol),
-                         _tri_within(rv.od.value(), 0, tol))
-                    )
+                    sub = _tri_within(fr.ric[i][j].jet.value(), 0, tol)
                     statuses.append(sub)
                     if sub != PASS:
                         bad.append(f"ric[{i}][{j}] eps={eps} n={n}:{sub}")
@@ -401,7 +397,7 @@ def _embedding(precision_bits: int):
 def _resolvability(precision_bits: int):
     bad = []
     flat = EpsilonFamily(0, F(1), 2)
-    cert = minor_matrix(flat, s=1, lmax=3, hmax=5)
+    cert = minor_matrix(flat, x=1, lmax=3, hmax=5)
     if cert.verdict != "all-positive":
         bad.append(f"flat verdict {cert.verdict}")
     for fam, x in (
@@ -465,17 +461,8 @@ def _properties(precision_bits: int):
         diff = base.derivative(h) - shifted.derivative(h) / scale
         if not abs_le(diff, F(1, 10**60)):
             bad.append(f"additive-constant h={h}")
-    # +/- s consistency
-    s = F(6, 5)
-    rp = lu_coefficients(EpsilonFamily(1, F(1), 2), 2, s=s)
-    rm = lu_coefficients(EpsilonFamily(1, F(1), 2), 2, s=-s)
-    if not all(
-        (getattr(rp, k) - getattr(rm, k)).is_zero() for k in ("a1", "a2", "a3", "R2")
-    ):
-        bad.append("plus/minus s invariants")
     return (
-        "1000 jet-oracle cases, dual-route g_h, additive-constant invariance, "
-        "+/- s consistency: zero failures",
+        "1000 jet-oracle cases, dual-route g_h, additive-constant invariance: zero failures",
         f"failures: {bad or 'none'}",
         PASS if not bad else FAIL,
     )

@@ -129,11 +129,10 @@ class ResolvabilityCertificate(Record):
 
 def minor_matrix(
     fam: PotentialFamily,
-    s: ScalarLike | None = None,
+    x: ScalarLike,
     lmax: int = 2,
     hmax: int = 4,
     *,
-    x: ScalarLike | None = None,
     exact: bool | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> ResolvabilityCertificate:
@@ -143,13 +142,8 @@ def minor_matrix(
     negative anywhere yields "obstructed" (at the first such position); exact
     zeros or undetermined signs yield "inconclusive" when nothing is negative.
     """
-    if (x is None) == (s is None):
-        raise ValueError("give exactly one of s or x (= s^2)")
     if lmax < 0 or hmax < 0:
         raise ValueError("lmax and hmax must be >= 0")
-    if x is None:
-        s = as_scalar(s)
-        x = s * s
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
 
     # one f' jet serves the germ (order 2*lmax - 1) and the g_h jets at x0 of

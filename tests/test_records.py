@@ -80,8 +80,8 @@ def test_epsilon_family_validates_its_fields(args, message):
 def test_radial_tensor_frame_is_a_frozen_record():
     frame = frame_at_x(Simanca(), 2, F(1, 2), 0)
     assert frame.ric is frame.ric  # a cached property, written past the frozen __setattr__
-    assert frame == frame and repr(frame).startswith("RadialTensorFrame(n=2, jet_order=0, ")
-    for field in ("n", "g", "ric"):
+    assert frame == frame and repr(frame).startswith("RadialTensorFrame(n=2, ring=")
+    for field in ("n", "gi", "ric"):
         with pytest.raises(AttributeError):
             setattr(frame, field, None)
     with pytest.raises(TypeError):

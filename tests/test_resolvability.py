@@ -82,7 +82,7 @@ def test_first_row_equals_gh():
 
 
 def test_flat_certificate_all_positive():
-    cert = minor_matrix(EpsilonFamily(0, F(1), 2), s=1, lmax=3, hmax=3)
+    cert = minor_matrix(EpsilonFamily(0, F(1), 2), x=1, lmax=3, hmax=3)
     assert cert.verdict == "all-positive"
     assert all(s == Sign.POSITIVE for row in cert.signs for s in row)
 
@@ -106,7 +106,7 @@ def test_obstruction_at_x_101_over_100():
          "inconclusive", (1, 4)),
         # negative at (1, 1) and (0, 3): row l = 0 comes first
         (EpsilonFamily(-1, F(1), 2), 1, 3, {"x": F(101, 100)}, "obstructed", (0, 3)),
-        (EpsilonFamily(0, F(1), 2), 3, 3, {"s": 1}, "all-positive", None),
+        (EpsilonFamily(0, F(1), 2), 3, 3, {"x": 1}, "all-positive", None),
     ],
 )
 def test_minor_verdict_scan_order(fam, lmax, hmax, kwargs, verdict, first):
@@ -115,8 +115,8 @@ def test_minor_verdict_scan_order(fam, lmax, hmax, kwargs, verdict, first):
 
 
 def test_monotone_information():
-    small = minor_matrix(Simanca(), s=1, lmax=1, hmax=2)
-    big = minor_matrix(Simanca(), s=1, lmax=3, hmax=5)
+    small = minor_matrix(Simanca(), x=1, lmax=1, hmax=2)
+    big = minor_matrix(Simanca(), x=1, lmax=3, hmax=5)
     for l in range(2):
         for h in range(3):
             assert (small.minors[l][h] - big.minors[l][h]).sign() == Sign.ZERO
@@ -125,14 +125,14 @@ def test_monotone_information():
 def test_scaled_route_matches_direct_first_rows():
     # M(0,h) carries no scaling at all; double-check against gh at a second point
     fam = EpsilonFamily(1, F(1), 2)
-    cert = minor_matrix(fam, s=F(1, 2), lmax=0, hmax=6)
+    cert = minor_matrix(fam, x=F(1, 4), lmax=0, hmax=6)
     seq = gh_sequence(fam, F(1, 4), 6)
     for h in range(7):
         assert (cert.minors[0][h] - seq[h]).sign() == Sign.ZERO
 
 
 def test_certificate_has_scope_note():
-    cert = minor_matrix(EpsilonFamily(0, F(1), 2), s=1, lmax=0, hmax=0)
+    cert = minor_matrix(EpsilonFamily(0, F(1), 2), x=1, lmax=0, hmax=0)
     assert "necessary-condition" in cert.scope_note
 
 
@@ -200,13 +200,6 @@ def test_embedding_identity_small_cases():
     assert rep1.passed and rep1.checked == 2
     with pytest.raises(ValueError):
         simanca_embedding_check(0)
-
-
-def test_minor_matrix_requires_one_point_argument():
-    with pytest.raises(ValueError):
-        minor_matrix(Simanca(), s=1, x=F(1), lmax=0, hmax=0)
-    with pytest.raises(ValueError):
-        minor_matrix(Simanca(), lmax=0, hmax=0)
 
 
 @pytest.mark.parametrize("lmax, hmax", [(-1, 2), (2, -1)])
