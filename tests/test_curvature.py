@@ -415,6 +415,27 @@ def test_lu_report_balls_pinned():
     )
 
 
+@pytest.mark.parametrize("fam, x, exact, digest", [
+    (EpsilonFamily(1, F(1), 2), F(3, 4), None,
+     "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
+    (EpsilonFamily(-1, F(1), 2), F(3, 2), False,
+     "459c4c3a2ad7f7c1460200716849c48a1e79f619efd58f4596f689f898c635f2"),
+    # Eguchi-Hanson's f' is that of eps=1, n=2, so its report is the same
+    (EguchiHanson(), F(3, 4), None,
+     "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
+    (Simanca(), F(2), None,
+     "0377aecd62d79588c06ddc5d9a012b08772c3dd5d3d50a1837f135a1ad360911"),
+], ids=["eps+1-exact", "eps-1-ball", "eguchi-hanson-exact", "simanca-exact"])
+def test_lu_report_pinned_at_dimension_two(fam, x, exact, digest):
+    # every LuReport field bit for bit, backends and ball endpoints included,
+    # on each dim-2 lane of the benchmark's lu-sweep; with the n=3 ball case
+    # above, every lane is pinned
+    rep = lu_coefficients(fam, 2, x=x, exact=exact, precision_bits=256)
+    assert all(v.backend == ("ball" if exact is False else "rational")
+               for v in rep.as_dict().values())
+    assert scalars_digest(rep.as_dict().values()) == digest
+
+
 # f' Taylor data to order 9, for frames over jets of order 4
 CUSTOM_9 = CustomPotential.make(
     F(1, 2), [F(2), F(1), F(-1, 3), F(1, 5), F(0), F(1, 7), F(-1), F(1, 2), F(3), F(-2)]
