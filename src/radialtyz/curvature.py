@@ -12,22 +12,39 @@ and a sum of a non-zero even and a non-zero odd value raises ArithmeticError,
 so the rule is checked rather than assumed. A frame over jets in x of order m
 holds m x-derivatives of every tensor entry.
 
-A frame (frame_at_x) computes the diagonal of g^-1, Gamma and R when it is
-built, and the log det table, Ric, rho and the covariant Ricci block
+A frame (frame_at_x) computes the diagonal of g^-1 when it is built, and
+Gamma, R, the log det table, Ric, rho and the covariant Ricci block
 Ric_{ij̄,k}, Ric_{ij̄,kl̄} when each is first read, all at the frame's jet
-order; |R|^2 (curvature_norm2) reads none of them. The block's
+order; |R|^2 (curvature_norm2) reads Gamma and R only. The block's
 dbar Gamma term is read off R: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}, and by
 dbar g^-1 = -g^-1 (dbar g) g^-1 and the Kähler symmetry of d dbar g,
 dbar_l Gamma^p_{ki} = g^{pq̄} R_{iq̄kl̄}, which is g^{pp̄} R_{ip̄kl̄} here.
 
-lu_coefficients takes radial Laplacians of rho, |R|^2 and |Ric|^2 only, so
-the frame it builds is over jets of order 4. Every other invariant it reads
-at its value alone: the covariant Ricci block, nabla R and the contractions
-that use them are computed on the frame's order-0 truncation, whose two
-partials tables are cuts of the full frame's: det g and u' are formed once.
-Jet arithmetic is causal, so those values are the constant terms the order-4
-computation would give, bit for bit, with one scalar product where a product
-of order-4 jets takes fifteen.
+Each quantity lives at the jet order Lu's formula reads it to. lu_coefficients
+takes Delta Delta rho, so rho (g^-1, the log det table and the Ric diagonal)
+is a jet of order 4. |R|^2 - 4|Ric|^2 + 8 rho^2 enters one Laplacian, read at
+its value, so Gamma, R, |R|^2, |Ric|^2 and rho^2 are jets of order 2, built
+on the frame's cut to order 2 (_value_frame). The covariant Ricci block,
+nabla R and the contractions that use them are read at their value alone and
+are computed on the cut to order 0. A cut's two partials tables and g^-1 are
+cuts of the full frame's, and R built on the order-2 cut is cut again for
+order 0, so det g and u' are formed once. Jet arithmetic is causal, so every
+value on a cut is the leading part of the same quantity at order 4, bit for
+bit. A product of jets takes 15 scalar products at order 4, 6 at order 2 and
+one at order 0.
+
+A cut tests an entry for zero on its leading coefficients only, so it could
+skip a term whose leading coefficients are zero where order 4, seeing a
+non-zero coefficient further on, adds it. No bit moves. On exact values (every
+rational or root point, and every custom potential) that term's leading
+coefficients are exact zeros, and adding an exact zero returns the other
+operand. Balls run on the built-in families only. For the eps family and
+Eguchi-Hanson every coefficient of Gamma, R and Ric is a ball of non-zero
+width (an n-th root enters f'), unless the entry is an exact U(n-1) zero; the
+flat family's entries are zero at every order; Simanca's non-zero entries of
+d g, R and Ric are products of powers of 1/x and 1/(x+1), non-zero at every
+x > 0, and its other entries vanish identically. So there no entry is zero to
+order 2 and non-zero beyond, and the zero tests agree at every order.
 
 The tensor loops (Gamma, R, the covariant Ricci block, nabla R and the
 contractions) visit only the terms whose factors are all non-zero: each
@@ -335,19 +352,25 @@ class RadialTensorFrame(Record):
     ring: RadialRing  # its x jet's order is the frame's jet order
     table: PhiPartialTable
     gi: list  # gi[i] = g^{iī}, the diagonal of g^-1 (g is diagonal at radial points)
-    gamma: list  # gamma[p][k][i]
-    R: list  # R[i][j][k][l] ~ R_{i j̄ k l̄}
 
     @cached_property
     def log_det(self) -> PhiPartialTable:
         """Partials of U = log det g(|z|^2), from u' = (det g)' / det g.
 
         Ric_{ij̄} = -d_i dbar_j U for this radial U, so Ric and its plain
-        derivatives are partials of U; no log is taken. A value frame
-        (_value_frame) holds a cut of its full frame's table instead.
+        derivatives are partials of U; no log is taken. A cut frame
+        (_value_frame) holds a cut of its source frame's table instead.
         """
         det = det_jet_from_fprime(self.table.du.truncate(self.ring.x.order + TABLE_ORDER), self.n)
         return PhiPartialTable(det.derive() / det.truncate(det.order - 1), self.n, 4, self.ring)
+
+    @cached_property
+    def _curvature(self) -> tuple[list, list]:
+        """(gamma, R) at the frame's order, built on first read."""
+        return _attach_curvature(self)
+
+    gamma = property(lambda self: self._curvature[0])  # gamma[p][k][i] = Gamma^p_{ki}
+    R = property(lambda self: self._curvature[1])  # R[i][j][k][l] ~ R_{i j̄ k l̄}
 
     @cached_property
     def ric(self) -> list:
@@ -379,15 +402,20 @@ def frame_at_x(
     # one order above what the Phi table needs: det g reads f'' off it
     fp = fprime_jet(fam, x0, jet_order + TABLE_ORDER)
     table = PhiPartialTable(fp, n, TABLE_ORDER, ring)
-    partial = table.partial
-    e, e2 = _units(n)
-
+    e, _ = _units(n)
     # g_{ij̄} for i != j is zero by the table's U(n-1) rule
-    g = [partial(e[i], e[i]) for i in range(n)]
+    g = [table.partial(e[i], e[i]) for i in range(n)]
     for v in g:
         if v.jet.value().require_sign("metric diagonal") != Sign.POSITIVE:
             raise DomainError("singular metric: a diagonal entry is not certified positive")
-    gi = _map_once(RV.inverse, g, {})
+    return RadialTensorFrame(n=n, ring=ring, table=table, gi=_map_once(RV.inverse, g, {}))
+
+
+def _attach_curvature(frame: RadialTensorFrame) -> tuple[list, list]:
+    """(gamma, R) at the frame's jet order, the frame's tensors on their first read."""
+    n, ring, gi = frame.n, frame.ring, frame.gi
+    partial = frame.table.partial
+    e, e2 = _units(n)
     # dg[i][k][q] = d_k g_{iq̄}, one list per {i, k}; the table keeps one entry
     # per transpose, so dg[j][l][q] is also dbar_j g_{ql̄}
     dg = [[None] * n for _ in range(n)]
@@ -413,8 +441,7 @@ def frame_at_x(
                 if c[q] is not None:
                     acc = acc - t * c[q]
             R[i][j][k][l] = R[k][j][i][l] = R[i][l][k][j] = R[k][l][i][j] = acc
-
-    return RadialTensorFrame(n=n, ring=ring, table=table, gi=gi, gamma=gamma, R=R)
+    return gamma, R
 
 
 def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
@@ -457,24 +484,28 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
     return ric_cov1, ric_cov2
 
 
-def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
-    """The frame's order-0 truncation: both partials tables are cuts of the
-    frame's, and Ric and the covariant Ricci block are built at order 0 when
-    first read.
+def _value_frame(frame: RadialTensorFrame, order: int = 0) -> RadialTensorFrame:
+    """The frame cut to a lower jet order, by default 0 (its value frame): both
+    partials tables, g^-1 and any Gamma and R already built are cuts of the
+    frame's; Gamma and R if not yet built, Ric and the covariant Ricci block
+    are built at the cut's order when first read.
 
-    Jet arithmetic is causal: coefficient 0 of a sum, product or quotient comes
-    from the constant terms alone, by the same scalar operations. So every
-    value computed here is the constant term of the same quantity computed over
-    the frame's jets, bit for bit. Each distinct entry is cut once, so the
-    tensors keep their aliases.
+    Jet arithmetic is causal: coefficients 0..order of a sum, product or
+    quotient come from coefficients 0..order alone, by the same scalar
+    operations. So every value computed on the cut is the leading part of the
+    same quantity computed over the frame's jets, bit for bit (the zero tests
+    read fewer coefficients here; see the module docstring). Each distinct
+    entry is cut once, so the tensors keep their aliases.
     """
-    ring = RadialRing(frame.ring.x.truncate(0))
+    ring = RadialRing(frame.ring.x.truncate(order))
     cut, memo = (lambda v: v.truncate(ring)), {}
-    gi, gamma, R = (_map_once(cut, t, memo) for t in (frame.gi, frame.gamma, frame.R))
     value = RadialTensorFrame(
-        n=frame.n, ring=ring, table=frame.table.truncate(ring), gi=gi, gamma=gamma, R=R,
+        n=frame.n, ring=ring, table=frame.table.truncate(ring), gi=_map_once(cut, frame.gi, memo),
     )
-    vars(value)["log_det"] = frame.log_det.truncate(ring)  # the cached property's slot
+    built = vars(value)  # the cached properties' slots
+    built["log_det"] = frame.log_det.truncate(ring)
+    if "_curvature" in vars(frame):
+        built["_curvature"] = tuple(_map_once(cut, t, memo) for t in frame._curvature)
     return value
 
 
@@ -572,25 +603,40 @@ class _Weights:
         return v
 
 
-def _norm2_R(frame: RadialTensorFrame, w: _Weights) -> RV:
-    """|R|^2 = sum of g^{iī} g^{jj̄} g^{kk̄} g^{ll̄} R_{ij̄kl̄}^2 (g^-1 is diagonal);
-    w is the frame's weight table."""
-    acc = frame.ring.zero
-    for (i, j, k, l), v in _entries(frame.R):
-        acc = acc + w(i, j, k, l) * v * v
+def _norm2(ring: RadialRing, entries, w: _Weights) -> RV:
+    """The sum of w(*idx) * v * v over (idx, v) in the order given: a squared
+    norm, g^-1 being diagonal. An aliased entry and a memoised weight are one
+    RV each, so each product is formed once per distinct (weight, entry) pair
+    and added once per index tuple."""
+    acc, memo = ring.zero, {}  # id pairs; the table and the tensor keep both alive
+    for idx, v in entries:
+        wv = w(*idx)
+        t = memo.get((id(wv), id(v)))
+        if t is None:
+            t = memo[id(wv), id(v)] = wv * v * v
+        acc = acc + t
     return acc
+
+
+def _norm2_R(frame: RadialTensorFrame, w: _Weights) -> RV:
+    """|R|^2 = sum of g^{iī} g^{jj̄} g^{kk̄} g^{ll̄} R_{ij̄kl̄}^2; w is the
+    frame's weight table."""
+    return _norm2(frame.ring, _entries(frame.R), w)
 
 
 def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     """All contraction invariants of the TYZ coefficient formulas (no
     Laplacian-of-invariant fields), as even jets in x.
 
-    Only rho, R2 and Ric2 enter a radial Laplacian in lu_coefficients, so only
-    they are jets of the frame's order. Every other invariant is read at its
-    value alone and is an order-0 jet, computed on the frame's order-0
-    truncation (_value_frame); there the covariant Ricci block and nabla R are
-    built at order 0 only. Its value is the constant term the frame's order
-    would give, bit for bit.
+    Only rho, R2 and Ric2 enter a radial Laplacian in lu_coefficients. rho,
+    read through two of them, is a jet of the frame's order (from g^-1 and the
+    log det table). R2 and Ric2, read through one at its value, are jets of
+    two orders less, built on the frame's cut to that order (_value_frame),
+    where Gamma and R are built. Every other invariant is read at its value
+    alone and is an order-0 jet, computed on the order-0 cut of that cut;
+    there R is cut again, and the covariant Ricci block and nabla R are built
+    at order 0 only. Each value is the leading part the frame's order would
+    give, bit for bit.
 
     g^-1 is diagonal (by the U(n-1) rule), so contractions run over the
     non-zero entries in index order with weights from one table per frame.
@@ -601,15 +647,14 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
             "invariants_from_frame needs jet_order >= 2 for |D'rho|^2 and the "
             "rho Hessian; build the frame over jets in x"
         )
-    n, ring = frame.n, frame.ring
-    w = _Weights(frame)
-    r2 = _norm2_R(frame, w)
-    ric2 = ring.zero
-    for (i, j), v in _entries(frame.ric):
-        ric2 = ric2 + w(i, j) * v * v
+    n = frame.n
+    cut = _value_frame(frame, frame.ring.x.order - 2)
+    w = _Weights(cut)
+    r2 = _norm2_R(cut, w)
+    ric2 = _norm2(cut.ring, _entries(cut.ric), w)
 
     # from here on, values only
-    value = _value_frame(frame)
+    value = _value_frame(cut)
     ring = value.ring
     w = _Weights(value)
     R, ric = value.R, value.ric
@@ -639,13 +684,10 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
             if not t2.is_zero():
                 ric_r_r = ric_r_r + w(i, j, k, p, q) * rij * t1 * t2
 
-    dric2 = ring.zero
-    for (i, j, k), v in _entries(value.ric_cov1):
-        dric2 = dric2 + w(i, j, k) * v * v
-
-    dr2 = ring.zero
-    for (p, i, j, k, l), v in _entries(_nabla_R(value)):
-        dr2 = dr2 + w(i, j, k, l, p) * v * v
+    dric2 = _norm2(ring, _entries(value.ric_cov1), w)
+    # nabla R is stored out[m][i][j][k][l]; its weight reads the index m last
+    nabla = _entries(_nabla_R(value))
+    dr2 = _norm2(ring, (((i, j, k, l, m), v) for (m, i, j, k, l), v in nabla), w)
 
     rho_x = frame.rho.even_jet("scalar curvature").derive()
     rho_xx = rho_x.derive()
@@ -754,7 +796,11 @@ def lu_coefficients(
     rho, fp = inv["rho"], frame.table.du
     lap_rho = radial_laplacian_jet(rho, fp, n)
     laplap_rho = radial_laplacian_jet(lap_rho, fp, n)
-    combo8 = inv["R2"] - inv["Ric2"] * 4 + rho * rho * 8
+    # rho^2, formed once for its three uses, is read to order jet_order - 2,
+    # the order of R2 and Ric2
+    r = rho.truncate(jet_order - 2)
+    rho2 = r * r
+    combo8 = inv["R2"] - inv["Ric2"] * 4 + rho2 * 8
     lap_combo8 = radial_laplacian_jet(combo8, fp, n)
 
     divdiv_rho_ric = inv["DRho2"] * 2 + inv["ricHessRho"] + rho * lap_rho
@@ -767,13 +813,13 @@ def lu_coefficients(
     )
 
     a1 = rho * Fraction(1, 2)
-    a2 = lap_rho * Fraction(1, 3) + (inv["R2"] - inv["Ric2"] * 4 + rho * rho * 3) * Fraction(1, 24)
+    a2 = lap_rho * Fraction(1, 3) + (inv["R2"] - inv["Ric2"] * 4 + rho2 * 3) * Fraction(1, 24)
     a3 = (
         laplap_rho * Fraction(1, 8)
         + divdiv_r_ric * Fraction(1, 24)
         - divdiv_rho_ric * Fraction(1, 6)
         + lap_combo8 * Fraction(1, 48)
-        + rho * (rho * rho - inv["Ric2"] * 4 + inv["R2"]) * Fraction(1, 48)
+        + rho * (rho2 - inv["Ric2"] * 4 + inv["R2"]) * Fraction(1, 48)
         + (inv["sigma3Ric"] - inv["RicRR"] - inv["RRicRic"]) * Fraction(1, 24)
     )
 

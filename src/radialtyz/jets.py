@@ -185,8 +185,9 @@ class Jet(Record):
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square after the base's last bit is used
+                base = base * base
         return result
 
     # -- calculus -----------------------------------------------------------

@@ -155,6 +155,9 @@ def minor_matrix(
     expd = bijet_exp(diastasis_germ_at_x(fp, inner, powers))
     gh = gh_jets(fp, hmax) if hmax else [Jet.constant(x0, 1, 2 * lmax)]
 
+    # undo the u_hat = u/s scaling: the order-l minor picks up
+    # s^(l(l+1)) = x0^(l(l+1)/2), one divisor per l
+    scale = [int_pow(x0, l * (l + 1) // 2) for l in range(lmax + 1)]
     minors: list[list[Scalar]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     signs: list[list[Sign]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     for h in range(hmax + 1):
@@ -162,9 +165,7 @@ def minor_matrix(
         entries = expd * gh_bij  # scaled-variable coefficients
         for l in range(lmax + 1):
             sub = [[entries.coeff(i, j) for j in range(l + 1)] for i in range(l + 1)]
-            det = det_scalar(sub)
-            # undo the u_hat = u/s scaling: det picks up s^(l(l+1)) = x0^(l(l+1)/2)
-            minors[l][h] = det / int_pow(x0, l * (l + 1) // 2)
+            minors[l][h] = det_scalar(sub) / scale[l]
             signs[l][h] = minors[l][h].sign()
 
     verdict, first = "all-positive", None

@@ -866,8 +866,9 @@ def int_pow(value: Scalar, exponent: int) -> Scalar:
     while e:
         if e & 1:
             result = result * base
-        base = base * base
         e >>= 1
+        if e:  # no square after the base's last bit is used
+            base = base * base
     return result
 
 

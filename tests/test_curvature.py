@@ -364,14 +364,16 @@ def test_norms_are_nonnegative():
 
 
 def test_plus_minus_s_consistency():
-    fam = Simanca()
+    # a value c(x) s^odd at x = s^2: an odd one flips sign with s, an even one
+    # does not
     s = as_scalar(F(6, 5))
-    fp = frame_at_x(fam, 2, s * s)
-    fm = frame_at_x(fam, 2, -s * -s)
-    v_plus = fp.ric_cov1[0][0][0].full_value(s)
-    v_minus = fm.ric_cov1[0][0][0].full_value(-s)
-    assert (v_plus + v_minus).sign() == Sign.ZERO  # odd component flips
-    assert (fp.ric[0][0].jet.value() - fm.ric[0][0].jet.value()).sign() == Sign.ZERO
+    fr = frame_at_x(Simanca(), 2, s * s)
+    odd, even = fr.ric_cov1[0][0][0], fr.ric[0][0]
+    assert (odd.odd, even.odd) == (1, 0)
+    assert odd.full_value(s).sign() == Sign.POSITIVE
+    assert (odd.full_value(s) + odd.full_value(-s)).sign() == Sign.ZERO
+    assert even.full_value(s).sign() == Sign.NEGATIVE
+    assert (even.full_value(s) - even.full_value(-s)).sign() == Sign.ZERO
 
 
 def test_simanca_full_value_at_irrational_s():
@@ -478,16 +480,68 @@ def test_value_frame_matches_constant_terms(fam, n, x, exact):
     )
 
 
-def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch):
+# f' = 2 + t^4 + ... at x0 = 1/2: f'' vanishes to order 2 and not to order 3,
+# so d_a g_{1ā} = s f'' and Gamma^a_{1a} are zero on an order-2 cut and not
+# over jets of order 4
+FLAT_TO_ORDER_3 = CustomPotential.make(
+    F(1, 2), [F(2), F(0), F(0), F(0), F(1), F(1, 3), F(-1), F(1, 2), F(3), F(-2)]
+)
+
+
+def _leading(rvs, order: int) -> tuple:
+    return [rv.odd for rv in rvs], scalars_digest(
+        [c for rv in rvs for c in rv.jet.coeffs[: order + 1]]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fam, x, exact", [
+    (EpsilonFamily(1, F(1), 2), F(3, 4), True),
+    (EpsilonFamily(1, F(1), 2), F(3, 4), False),
+    (EpsilonFamily(-1, F(1), 2), F(3, 2), True),
+    (EpsilonFamily(-1, F(1), 2), F(3, 2), False),
+    (Simanca(), F(2), True),
+    (Simanca(), F(2), False),
+    (EguchiHanson(), F(3, 4), True),
+    (EguchiHanson(), F(3, 4), False),
+    (CUSTOM_9, F(1, 2), True),  # a custom potential has no ball point
+    (FLAT_TO_ORDER_3, F(1, 2), True),
+])
+def test_order_two_cut_matches_leading_terms(fam, n, x, exact):
+    # on the order-2 cut of an order-4 frame, R, Ric, rho and |R|^2 are
+    # coefficients 0..2 of the order-4 ones, bit for bit, backends and ball
+    # endpoints included; the cut builds its own Gamma and R
+    x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=256)
+    full = frame_at_x(fam, n, x0, 4)
+    cut = curvature._value_frame(full, 2)
+    assert cut.ring.x.order == 2
+    for name in ("R", "ric"):
+        assert _leading(_leaves(getattr(cut, name)), 2) == _leading(
+            _leaves(getattr(full, name)), 2
+        ), name
+    assert _leading([cut.rho], 2) == _leading([full.rho], 2)
+    norms = [curvature._norm2_R(f, curvature._Weights(f)) for f in (full, cut)]
+    assert _leading(norms[1:], 2) == _leading(norms[:1], 2)
+    if fam is FLAT_TO_ORDER_3:
+        # a term the cut skips and order 4 adds
+        assert cut.gamma[1][0][1].is_zero() and not full.gamma[1][0][1].is_zero()
+
+
+@pytest.mark.parametrize("jet_order", [4, 5])
+def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch, jet_order):
+    # Gamma and R are built once, two orders below the frame's, and cut to
+    # order 0; the covariant Ricci block and nabla R are built at order 0 only
     orders = []
-    for name in ("_attach_ricci_cov", "_nabla_R"):
+    for name in ("_attach_curvature", "_attach_ricci_cov", "_nabla_R"):
         original = getattr(curvature, name)
         monkeypatch.setattr(
             curvature, name,
             lambda frame, name=name, f=original: orders.append((name, frame.ring.x.order)) or f(frame),
         )
-    lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4))
-    assert orders == [("_attach_ricci_cov", 0), ("_nabla_R", 0)]
+    lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4), jet_order=jet_order)
+    assert orders == [
+        ("_attach_curvature", jet_order - 2), ("_attach_ricci_cov", 0), ("_nabla_R", 0),
+    ]
 
 
 def test_lu_coefficients_leaves_no_reference_cycles():

@@ -74,6 +74,30 @@ def test_pow_constant_exact_case():
     assert all(v.sign() == Sign.ZERO for v in c.coeffs[1:])
 
 
+@pytest.mark.parametrize("e, products", [
+    (0, 0), (1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (7, 5), (8, 4), (9, 5), (-3, 3),
+])
+def test_int_power_makes_one_product_per_bit_used(monkeypatch, e, products):
+    # one product per set bit (the first, 1 * base, included) and one square
+    # per bit after the first: no square once the base's last bit is used
+    j = Jet.make(F(1, 2), [F(3, 2), 1, F(-1, 3), 2])
+    want = Jet.constant(j.x0, 1, j.order)
+    for _ in range(abs(e)):
+        want = want * j
+    if e < 0:
+        want = Jet.constant(j.x0, 1, j.order) / want
+    count = [0]
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        count[0] += isinstance(other, Jet)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    assert exact_eq(j ** e, want)
+    assert count[0] == products
+
+
 def test_power_rule_and_antiderive():
     d = Jet.make(0, [1, 2, 3]).derive()
     assert [c.text() for c in d.coeffs] == ["2", "6"]
