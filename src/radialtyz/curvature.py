@@ -498,15 +498,15 @@ def _value_frame(frame: RadialTensorFrame, order: int = 0) -> RadialTensorFrame:
     entry is cut once, so the tensors keep their aliases.
     """
     ring = RadialRing(frame.ring.x.truncate(order))
-    cut, memo = (lambda v: v.truncate(ring)), {}
-    value = RadialTensorFrame(
-        n=frame.n, ring=ring, table=frame.table.truncate(ring), gi=_map_once(cut, frame.gi, memo),
+    trunc, memo = (lambda v: v.truncate(ring)), {}
+    cut = RadialTensorFrame(
+        n=frame.n, ring=ring, table=frame.table.truncate(ring), gi=_map_once(trunc, frame.gi, memo),
     )
-    built = vars(value)  # the cached properties' slots
+    built = vars(cut)  # the cached properties' slots
     built["log_det"] = frame.log_det.truncate(ring)
     if "_curvature" in vars(frame):
-        built["_curvature"] = tuple(_map_once(cut, t, memo) for t in frame._curvature)
-    return value
+        built["_curvature"] = tuple(_map_once(trunc, t, memo) for t in frame._curvature)
+    return cut
 
 
 def _dginv(gi: list, d: list) -> list:
