@@ -1,16 +1,17 @@
 """Curvature tensors, contraction invariants and TYZ coefficients at radial points.
 
-The potential is Phi(z) = f(|z|^2). Its mixed partials at the radial point
-p = (s, 0, ..., 0) come from a closed formula in the derivatives of f
-(PhiPartialTable): by U(n-1) symmetry d^alpha dbar^beta Phi vanishes there
-unless alpha_a = beta_a for every a >= 2, and g is diagonal, so every
-contraction with g^-1 runs over its diagonal. Evaluated quantities live in the
-ring R[s]/(s^2 = x) over x-jets. By the U(1) phase rule each of them is even
-or odd in s, so a value (RV) is c(x) * s^eps, held as one jet c and its
-parity eps: no square root of x is ever taken, a sum does its jet work once,
-and a sum of a non-zero even and a non-zero odd value raises ArithmeticError,
-so the rule is checked rather than assumed. A frame over jets in x of order m
-holds m x-derivatives of every tensor entry.
+The potential is Phi(z) = f(|z|^2). Its mixed partials d_I dbar_J Phi at the
+radial point p = (s, 0, ..., 0), I and J the indices differentiated in z and
+in zbar, come from a closed formula in the derivatives of f (PhiPartialTable):
+by U(n-1) symmetry they vanish there unless I and J hold each of z_2..z_n
+equally often, and g is diagonal, so every contraction with g^-1 runs over
+its diagonal. Evaluated quantities live in the ring R[s]/(s^2 = x) over
+x-jets. By the U(1) phase rule each of them is even or odd in s, so a value
+(RV) is c(x) * s^eps, held as one jet c and its parity eps: no square root of
+x is ever taken, a sum does its jet work once, and a sum of a non-zero even
+and a non-zero odd value raises ArithmeticError, so the rule is checked
+rather than assumed. A frame over jets in x of order m holds m x-derivatives
+of every tensor entry.
 
 A frame (frame_at_x) computes the diagonal of g^-1 when it is built, and
 Gamma, R, the log det table, Ric, rho and the covariant Ricci block
@@ -61,14 +62,15 @@ Each entry is computed once per symmetry class and the one RV is stored under
 every index tuple of the class: entries built from the same operands by the
 same operations in the same order have the same bits. The partials table keys
 a value by (min(p, q), max(p, q), M, prod alpha_a!), all its formula reads, so
-transposes, permutations of z_2..z_n (the U(n-1) classes) and all mismatched
-(alpha, beta) share one RV; g^{aā} is one RV for a >= 2, and a weight
-g^{iī} g^{jj̄} ... depends only on which indices are 1. Then R_{ij̄kl̄} depends
-on {i, k} and {j, l} only, Gamma^p_{ki} and Ric_{ij̄,k} on {i, k}, and nabla R
-on {i, k} and {j, l}: for i != k at most one of Gamma^q_{mi}, Gamma^q_{mk} is
-non-zero, so swapping i and k reorders no subtraction. Ric_{ij̄,kl̄} depends on
-{i, k}, but its commutator term g^{pp̄} R_{ip̄kl̄} Ric_{pj̄} is not symmetric in
-(j, l), so j and l stay dense. Sums still visit every index tuple in order.
+transposes, reorderings of an index tuple, permutations of z_2..z_n (the
+U(n-1) classes) and all mismatched pairs share one RV; g^{aā} is one RV for
+a >= 2, and a weight g^{iī} g^{jj̄} ... depends only on which indices are 1.
+Then R_{ij̄kl̄} depends on {i, k} and {j, l} only, Gamma^p_{ki} and
+Ric_{ij̄,k} on {i, k}, and nabla R on {i, k} and {j, l}: for i != k at most
+one of Gamma^q_{mi}, Gamma^q_{mk} is non-zero, so swapping i and k reorders
+no subtraction. Ric_{ij̄,kl̄} depends on {i, k}, but its commutator term
+g^{pp̄} R_{ip̄kl̄} Ric_{pj̄} is not symmetric in (j, l), so j and l stay
+dense. Sums still visit every index tuple in order.
 
 Ricci and its plain derivatives are partials of one more radial function,
 U(z) = u(|z|^2) with u = log det g = (n-1) log f' + log(f' + x f''): since
@@ -86,7 +88,7 @@ Sign conventions, pinned against the displayed Simanca component values:
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, perm, prod
@@ -212,17 +214,22 @@ class RV:
 
 
 class PhiPartialTable:
-    """Evaluated mixed partials d^alpha dbar^beta U at (s, 0, ..., 0) as RVs, for
-    a radial function U(z) = u(|z|^2) given by the jet du of u' at x0 = s^2.
+    """Evaluated mixed partials d_hol dbar_anti U at (s, 0, ..., 0) as RVs, for
+    a radial function U(z) = u(|z|^2) given by the jet du of u' at x0 = s^2;
+    hol and anti list the indices differentiated in z and in zbar, 0 for z_1.
 
-    Write p = alpha_1, q = beta_1 and M = sum_{a>=2} alpha_a. Each z_a with
-    a >= 2 enters U only through z_a zbar_a, which vanishes at the point, so the
-    partial is zero unless alpha_a = beta_a for every a >= 2 (the U(n-1) zero
-    rule); each such pair then contributes alpha_a! and alpha_a more
-    derivatives of u. In z_1, dbar^q u = u^(q) z_1^q, and Leibniz gives
+    Let p and q count the 0s in hol and in anti, M the other indices of hol,
+    and alpha_a how often hol holds a >= 1. Each z_a with a >= 1 enters U only
+    through z_a zbar_a, which vanishes at the point, so the partial is zero
+    unless anti holds each a >= 1 as often as hol (the U(n-1) zero rule); each
+    such index contributes alpha_a! and alpha_a more derivatives of u. In z_1,
+    dbar^q u = u^(q) z_1^q, and Leibniz gives
 
-        prod_{a>=2} alpha_a! * sum_{j=0}^{min(p,q)} C(p, j) q!/(q-j)!
-                                  * s^(p+q-2j) * u^(p+q-j+M)(x).
+        prod_{a>=1} alpha_a! * sum_{j=0}^{min(p,q)} C(p, j) q!/(q-j)!
+                                  * s^(p+q-2j) * u^(p+q-j+M)(x),
+
+    which depends on (min(p, q), max(p, q), M, prod alpha_a!) alone, its
+    class, and not on the dimension n: the table takes none.
 
     s^m is x^(m//2), times s when m is odd; m = p+q-2j has the parity of p+q,
     so every term lands in one jet of that parity. The terms are added in
@@ -235,9 +242,7 @@ class PhiPartialTable:
     live on the frame's ring. du must have order ring jet order + max_order - 1.
     """
 
-    def __init__(self, du: Jet, n: int, max_order: int, ring: RadialRing):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+    def __init__(self, du: Jet, max_order: int, ring: RadialRing):
         jet_order = ring.x.order
         need = jet_order + max(max_order - 1, 0)
         if du.order < need:
@@ -257,25 +262,31 @@ class PhiPartialTable:
         self._uderiv = uderiv
         self._val: dict[tuple, RV] = {}
 
-    def partial(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> RV:
-        """One RV per class (see the module docstring); only requests within
-        max_order are cached, so every other one raises."""
-        rv = self._val.get((alpha, beta))
+    def partial(self, hol: tuple[int, ...], anti: tuple[int, ...]) -> RV:
+        """d_hol dbar_anti U, one RV per class (see the module docstring);
+        only requests within max_order are cached, so every other one raises."""
+        rv = self._val.get((hol, anti))
         if rv is not None:
             return rv
-        total = sum(alpha) + sum(beta)
+        total = len(hol) + len(anti)
         if total > self.max_order:
             raise ValueError(
                 f"table built to total order {self.max_order}, requested {total}"
             )
-        rest = alpha[1:]
+        p, q = hol.count(0), anti.count(0)
+        m = len(hol) - p
         key = None  # the class of every mismatched pair, the exact zero
-        if rest == beta[1:]:
-            key = (*sorted((alpha[0], beta[0])), sum(rest), prod(factorial(a) for a in rest))
+        if m == len(anti) - q:
+            rest = sorted(hol)[p:]  # the indices a >= 1, as a multiset
+            if rest == sorted(anti)[q:]:
+                distinct = set(rest)
+                weight = 1 if len(distinct) == m else prod(
+                    factorial(rest.count(a)) for a in distinct)
+                key = (p, q, m, weight) if p <= q else (q, p, m, weight)
         rv = self._val.get(key)
         if rv is None:
             rv = self._val[key] = self.ring.zero if key is None else self._value(*key)
-        self._val[alpha, beta] = rv
+        self._val[hol, anti] = rv
         return rv
 
     def _value(self, p: int, q: int, m_rest: int, weight: int) -> RV:
@@ -299,16 +310,6 @@ class PhiPartialTable:
 
 
 # -- the tensor frame --------------------------------------------------------
-
-
-def _units(n: int) -> tuple[list, list]:
-    """The exponent tuples e_i and e_i + e_k, built once per tensor pass."""
-    e = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return e, [[_add(a, b) for b in e] for a in e]
-
-
-def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -362,7 +363,7 @@ class RadialTensorFrame(Record):
         (_value_frame) holds a cut of its source frame's table instead.
         """
         det = det_jet_from_fprime(self.table.du.truncate(self.ring.x.order + TABLE_ORDER), self.n)
-        return PhiPartialTable(det.derive() / det.truncate(det.order - 1), self.n, 4, self.ring)
+        return PhiPartialTable(det.derive() / det.truncate(det.order - 1), 4, self.ring)
 
     @cached_property
     def _curvature(self) -> tuple[list, list]:
@@ -375,9 +376,8 @@ class RadialTensorFrame(Record):
     @cached_property
     def ric(self) -> list:
         """ric[i][j] ~ Ric_{ij̄}."""
-        e, _ = _units(self.n)
         partial = self.log_det.partial
-        return [[-partial(e[i], e[j]) for j in range(self.n)] for i in range(self.n)]
+        return [[-partial((i,), (j,)) for j in range(self.n)] for i in range(self.n)]
 
     @cached_property
     def rho(self) -> RV:
@@ -401,10 +401,9 @@ def frame_at_x(
     ring = RadialRing(Jet.variable(x0, jet_order))
     # one order above what the Phi table needs: det g reads f'' off it
     fp = fprime_jet(fam, x0, jet_order + TABLE_ORDER)
-    table = PhiPartialTable(fp, n, TABLE_ORDER, ring)
-    e, _ = _units(n)
+    table = PhiPartialTable(fp, TABLE_ORDER, ring)
     # g_{ij̄} for i != j is zero by the table's U(n-1) rule
-    g = [table.partial(e[i], e[i]) for i in range(n)]
+    g = [table.partial((i,), (i,)) for i in range(n)]
     for v in g:
         if v.jet.value().require_sign("metric diagonal") != Sign.POSITIVE:
             raise DomainError("singular metric: a diagonal entry is not certified positive")
@@ -415,12 +414,11 @@ def _attach_curvature(frame: RadialTensorFrame) -> tuple[list, list]:
     """(gamma, R) at the frame's jet order, the frame's tensors on their first read."""
     n, ring, gi = frame.n, frame.ring, frame.gi
     partial = frame.table.partial
-    e, e2 = _units(n)
     # dg[i][k][q] = d_k g_{iq̄}, one list per {i, k}; the table keeps one entry
     # per transpose, so dg[j][l][q] is also dbar_j g_{ql̄}
     dg = [[None] * n for _ in range(n)]
     for i, k in _pairs(n):
-        dg[i][k] = dg[k][i] = [_nz(partial(e2[i][k], e[q])) for q in range(n)]
+        dg[i][k] = dg[k][i] = [_nz(partial((i, k), (q,))) for q in range(n)]
 
     # Christoffels: Gamma^p_{ki} = g^{pp̄} d_k g_{ip̄} (g^-1 is diagonal)
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -435,7 +433,7 @@ def _attach_curvature(frame: RadialTensorFrame) -> tuple[list, list]:
     for i, k in _pairs(n):
         gb = [(p, gamma[p][k][i]) for p, b in enumerate(dg[i][k]) if b is not None]
         for j, l in _pairs(n):
-            acc = partial(e2[i][k], e2[j][l])
+            acc = partial((i, k), (j, l))
             c = dg[j][l]
             for q, t in gb:
                 if c[q] is not None:
@@ -449,12 +447,11 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
     first read; dbar_l Gamma^p_{ki} is g^{pp̄} R_{ip̄kl̄} (see the module docstring)."""
     n, ring, ric, R, gi = frame.n, frame.ring, frame.ric, frame.R, frame.gi
     upartial = frame.log_det.partial
-    e, e2 = _units(n)
     # dric[k][i][j] = d_k Ric_{ij̄}, one list per {i, k}; the table keeps one
     # entry per transpose, so dric[l][j][i] is also dbar_l Ric_{ij̄}
     dric = [[None] * n for _ in range(n)]
     for i, k in _pairs(n):
-        dric[i][k] = dric[k][i] = [-upartial(e2[i][k], e[j]) for j in range(n)]
+        dric[i][k] = dric[k][i] = [-upartial((i, k), (j,)) for j in range(n)]
 
     # gam[k][i] = [(p, Gamma^p_{ki}) for each non-zero Gamma^p_{ki}]
     gamma = frame.gamma
@@ -471,7 +468,7 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
             for l in range(n):
                 glj = gam[l][j]
                 ric_cov2[i][j][k][l] = ric_cov2[k][j][i][l] = (
-                    -upartial(e2[i][k], e2[j][l])  # dbar_l d_k Ric_{ij̄}
+                    -upartial((i, k), (j, l))  # dbar_l d_k Ric_{ij̄}
                     + _sum(ring, (gq * gp * ric[q][p] for q, gq in gki for p, gp in glj
                                   if not ric[q][p].is_zero()))
                     - _sum(ring, (gp * dric[l][j][p] for p, gp in gki
@@ -528,27 +525,24 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
     n, table = frame.n, frame.table
     gi, gamma, R = frame.gi, frame.gamma, frame.R
     partial = table.partial
-    e, e2 = _units(n)
     Rz = [[[[_nz(v) for v in r3] for r3 in r2] for r2 in r1] for r1 in R]
-    # dbar[j][l][q] = dbar_j g_{ql̄}
-    dbar = [[[_nz(partial(e[q], e2[l][j])) for q in range(n)] for l in range(n)] for j in range(n)]
+    # dbar[j, l][q] = dbar_j g_{ql̄}, for the pairs j <= l the loop below reads
+    dbar = {(j, l): [_nz(partial((q,), (j, l))) for q in range(n)] for j, l in _pairs(n)}
     out = [[[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for m in range(n):
-        # d_m g^{pq̄}, built from partial(e_a + e_m, e_b): this is transposed
+        # d_m g^{pq̄}, built from partial((a, m), (b,)): this is transposed
         # against the contraction below, which makes DR2 wrong; a1-a3 do not read it
-        d = [[_nz(partial(e2[a][m], e[b])) for b in range(n)] for a in range(n)]
+        d = [[_nz(partial((a, m), (b,))) for b in range(n)] for a in range(n)]
         dgz = _dginv(gi, d)
-        dmdbar = [[[_nz(partial(e2[q][m], e2[l][j])) for q in range(n)] for l in range(n)]
-                  for j in range(n)]  # dmdbar[j][l][q] = d_m dbar_j g_{ql̄}
+        # dmdbar[j, l][q] = d_m dbar_j g_{ql̄}
+        dmdbar = {(j, l): [_nz(partial((q, m), (j, l))) for q in range(n)] for j, l in _pairs(n)}
         o = out[m]
         for i, k in _pairs(n):
-            aik = e2[i][k]
-            aikm = _add(aik, e[m])
             # (q, (d_m g^{pq̄}) d_k g_{ip̄}, g^{pq̄}, d_k g_{ip̄}, d_m d_k g_{ip̄}),
             # in (p, q) order
             terms = []
             for p in range(n):
-                bp, dbp = _nz(partial(aik, e[p])), _nz(partial(aikm, e[p]))
+                bp, dbp = _nz(partial((i, k), (p,))), _nz(partial((i, k, m), (p,)))
                 if bp is None and dbp is None:
                     continue
                 for q in range(n):
@@ -559,8 +553,8 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
             gam = [(q, _nz(gamma[q][m][i]), _nz(gamma[q][m][k])) for q in range(n)]
             gam = [t for t in gam if t[1] is not None or t[2] is not None]
             for j, l in _pairs(n):
-                acc = partial(aikm, e2[j][l])
-                c, dc = dbar[j][l], dmdbar[j][l]
+                acc = partial((i, k, m), (j, l))
+                c, dc = dbar[j, l], dmdbar[j, l]
                 for q, dgb, gpq, bp, dbp in terms:
                     cq = c[q]
                     if dgb is not None and cq is not None:
@@ -762,14 +756,9 @@ class LuReport:
     laplapRho: Scalar
     lapCombo8: Scalar
 
-    FIELD_ORDER = (
-        "a1", "a2", "a3", "rho", "R2", "Ric2", "DRho2", "DRic2", "DR2",
-        "sigma3Ric", "RRicRic", "RicRR", "divdivRRic", "divdivRhoRic",
-        "lapRho", "laplapRho", "lapCombo8",
-    )
-
     def as_dict(self) -> dict[str, Scalar]:
-        return {k: getattr(self, k) for k in self.FIELD_ORDER}
+        """The fields in their declared order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def lu_coefficients(
@@ -823,16 +812,11 @@ def lu_coefficients(
         + (inv["sigma3Ric"] - inv["RicRR"] - inv["RRicRic"]) * Fraction(1, 24)
     )
 
-    val = lambda j: j.value()
-    return LuReport(
-        a1=val(a1), a2=val(a2), a3=val(a3), rho=val(rho),
-        R2=val(inv["R2"]), Ric2=val(inv["Ric2"]),
-        DRho2=val(inv["DRho2"]), DRic2=val(inv["DRic2"]), DR2=val(inv["DR2"]),
-        sigma3Ric=val(inv["sigma3Ric"]), RRicRic=val(inv["RRicRic"]),
-        RicRR=val(inv["RicRR"]),
-        divdivRRic=val(divdiv_r_ric), divdivRhoRic=val(divdiv_rho_ric),
-        lapRho=val(lap_rho), laplapRho=val(laplap_rho), lapCombo8=val(lap_combo8),
-    )
+    # every field's jet by name: the invariants keep theirs (two are not fields)
+    out = dict(inv, a1=a1, a2=a2, a3=a3, divdivRRic=divdiv_r_ric,
+               divdivRhoRic=divdiv_rho_ric, lapRho=lap_rho, laplapRho=laplap_rho,
+               lapCombo8=lap_combo8)
+    return LuReport(**{f.name: out[f.name].value() for f in fields(LuReport)})
 
 
 def curvature_norm2(

@@ -379,20 +379,18 @@ def nilpotent_powers(a: HermitianBiJet) -> tuple[HermitianBiJet, ...]:
 
 
 def bijet_compose_univariate(
-    g: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...] | None = None
+    g: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...]
 ) -> HermitianBiJet:
     """g composed with a bivariate inner series whose constant term is g.x0.
 
-    powers, when given, must be nilpotent_powers(inner): a caller composing
-    several jets with one inner series builds them once and passes them in."""
+    powers must be nilpotent_powers(inner): a caller composing several jets
+    with one inner series builds them once and passes them in."""
     if inner.coeff(0, 0) != g.x0:
         raise ValueError("inner constant coefficient must equal the outer base point")
     if g.order < 2 * inner.order:
         raise ValueError(
             f"outer jet order {g.order} is short of 2*L = {2 * inner.order}"
         )
-    if powers is None:
-        powers = nilpotent_powers(inner)
     acc = HermitianBiJet.constant(inner.base, g.value(), inner.order)
     for k, power in enumerate(powers, 1):
         acc = acc + _bijet_scale(power, g.raws[k])

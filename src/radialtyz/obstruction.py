@@ -215,7 +215,6 @@ def small_x_divergence_check(
     n: int,
     k_list: Sequence[int],
     *,
-    exact: bool | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> DivergenceReport:
     """g_{floor(lam)+2}(10^-k) for each k: certified negative and blowing up,
@@ -234,7 +233,7 @@ def small_x_divergence_check(
     values: list[Scalar] = []
     for k in k_list:
         x = as_scalar(Fraction(1, 10**k))
-        x0 = prepare_point(fam, x, exact=exact, precision_bits=precision_bits)
+        x0 = prepare_point(fam, x, precision_bits=precision_bits)
         values.append(gh_sequence(fam, x0, h)[h])
     all_negative = all(v.sign() == Sign.NEGATIVE for v in values)
     # successive points live in different root extensions; compare via balls

@@ -147,13 +147,13 @@ def minor_matrix(
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
 
     # one f' jet serves the germ (order 2*lmax - 1) and the g_h jets at x0 of
-    # order >= 2*lmax (order hmax + 2*lmax - 1); g_0 = 1 needs none
+    # order >= 2*lmax (order hmax + 2*lmax - 1)
     fp = fprime_jet(fam, x0, max(hmax + 2 * lmax - 1, 0))
     # the germ's radial part and every g_h compose with one inner series
     inner = _inner_bijet(x0, lmax)
     powers = nilpotent_powers(inner)
     expd = bijet_exp(diastasis_germ_at_x(fp, inner, powers))
-    gh = gh_jets(fp, hmax) if hmax else [Jet.constant(x0, 1, 2 * lmax)]
+    gh = gh_jets(fp, hmax)
 
     # undo the u_hat = u/s scaling: the order-l minor picks up
     # s^(l(l+1)) = x0^(l(l+1)/2), one divisor per l

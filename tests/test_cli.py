@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,7 +84,7 @@ CSV_HEADERS = {
 }
 
 
-@pytest.mark.parametrize("argv", [
+TEXT_ARGV = [
     ("gh-eval", "--eps", "1", "--n", "2", "--x", "3/4", "--hmax", "3"),
     ("gh-eval", "--eps", "1", "--lam", "3/2", "--n", "3", "--x", "3/4", "--hmax", "2",
      "--precision-bits", "64"),
@@ -92,12 +93,20 @@ CSV_HEADERS = {
     ("ricci-flat-check", "--eps", "1", "--n", "3", "--samples", "1/2,3/4"),
     ("embedding-check", "--max-degree", "4"),
     ("reproduce-paper", "--item", "table-n2-h7"),
-])
-def test_obstruction_csv_rows_have_as_many_cells_as_the_header(argv, tmp_path, capsys):
+]
+
+
+def _with_custom_json(argv: tuple, tmp_path) -> tuple:
+    if "custom" not in argv:
+        return argv
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps({"x0": "4/5", "coefficients": ["9/4", "-25/16", "2", "1", "1"]}))
-    if "custom" in argv:
-        argv += ("--custom-json", str(pot))
+    return argv + ("--custom-json", str(pot))
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGV)
+def test_obstruction_csv_rows_have_as_many_cells_as_the_header(argv, tmp_path, capsys):
+    argv = _with_custom_json(argv, tmp_path)
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -108,6 +117,41 @@ def test_obstruction_csv_rows_have_as_many_cells_as_the_header(argv, tmp_path, c
         payload = json.loads(capsys.readouterr().out)
         assert {row[0] for row in rows[1:]} == {payload["family"]}
 
+
+# exit code and leading lines of each command's table, a run time shown as
+# " <runtime>": TEXT_ARGV, then a scan with no hits, resolvability (absent
+# from TEXT_ARGV, as it writes no obstruction rows) and an undetermined sign
+TABLE_CASES = list(zip(TEXT_ARGV, [
+    (0, ["g_h at x = 3/4 for epsilon(eps=1,lambda=1,n=2)"]),
+    (0, ["g_h at x = 3/4 for epsilon(eps=1,lambda=3/2,n=3)"]),
+    (0, ["certified-negative g_h over 6/5:6/5:1 (hmax=4)"]),
+    (0, ["g_h at x = 4/5 for custom(x0=4/5,order=4)"]),
+    (0, ["d/dx log det g for epsilon(eps=1,lambda=1,n=3)", "  x=1/2        residual=0 [zero]"]),
+    (0, ["embedding identity to degree 4: pass (14 coefficients)"]),
+    (0, ["PASS   table-n2-h7 <runtime>", "overall: pass"]),
+])) + [
+    (("scan", "--eps", "1", "--n", "6", "--x-grid", "1:3/2:2", "--hmax", "7",
+      "--precision-bits", "16"),
+     (0, ["certified-negative g_h over 1:3/2:2 (hmax=7)"])),
+    (("scan", "--eps", "0", "--n", "2", "--x-grid", "1/2:3:5", "--hmax", "6"),
+     (0, ["certified-negative g_h over 1/2:3:5 (hmax=6)", "  no hits"])),
+    (("ricci-flat-check", "--eps", "1", "--n", "2", "--samples", "1/2,1"),
+     (0, ["d/dx log det g for epsilon(eps=1,lambda=1,n=2)", "  x=1/2        residual=0 [zero]"])),
+    (("resolvability", "--eps", "-1", "--n", "2", "--x", "101/100", "--lmax", "1", "--hmax", "3"),
+     (0, ["minors for epsilon(eps=-1,lambda=1,n=2) at x = 101/100: obstructed"])),
+    (("resolvability", "--eps", "1", "--n", "3", "--x", "2", "--lmax", "1", "--hmax", "4",
+      "--precision-bits", "16"),
+     (0, ["minors for epsilon(eps=1,lambda=1,n=3) at x = 2.0: all-positive"])),
+    (("gh-eval", "--eps", "1", "--n", "4", "--x", "3/4", "--hmax", "12", "--precision-bits", "16"),
+     (2, ["g_h at x = 3/4 for epsilon(eps=1,lambda=1,n=4)"])),
+]
+
+
+@pytest.mark.parametrize("argv, want", TABLE_CASES)
+def test_table_format_heading_and_exit_code(argv, want, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, *_with_custom_json(argv, tmp_path), "--format", "table")
+    lines = [re.sub(r"\s+\d+\.\d+s$", " <runtime>", line) for line in out.splitlines()]
+    assert (code, lines[:len(want[1])]) == want
 
 def test_lu_coeffs_simanca_zero_a2_a3(capsys):
     code, out, _ = run_cli(

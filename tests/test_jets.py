@@ -12,6 +12,7 @@ from radialtyz.jets import (
     _bijet_scale,
     bijet_compose_univariate,
     bijet_exp,
+    nilpotent_powers,
 )
 from radialtyz.scalars import (
     ONE,
@@ -156,7 +157,7 @@ def test_bijet_compose_identity():
         [F(3, 4), F(1)],
     ])  # x = (3/4 + u)(3/4 + v)
     ident = Jet.variable(F(9, 16), 2)
-    out = bijet_compose_univariate(ident, inner)
+    out = bijet_compose_univariate(ident, inner, nilpotent_powers(inner))
     assert all(
         (out.coeff(i, j) - inner.coeff(i, j)).sign() == Sign.ZERO
         for i in range(2) for j in range(2)
@@ -175,7 +176,7 @@ def test_bijet_exp_of_zero():
 def test_bijet_compose_square_against_brute_force():
     # g(x) = x^2 with x = (1+u)(1+v): ((1+u)(1+v))^2 truncated to L = 1
     inner = HermitianBiJet.make(1, [[1, 1], [1, 1]])
-    comp = bijet_compose_univariate(Jet.variable(1, 2) ** 2, inner)
+    comp = bijet_compose_univariate(Jet.variable(1, 2) ** 2, inner, nilpotent_powers(inner))
     expect = {(0, 0): "1", (0, 1): "2", (1, 0): "2", (1, 1): "4"}
     for (i, j), want in expect.items():
         assert comp.coeff(i, j).text() == want
@@ -185,7 +186,7 @@ def test_bijet_compose_square_against_brute_force():
 def test_bijet_order_shortfall():
     inner = HermitianBiJet.make(1, [[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="short of 2\\*L"):
-        bijet_compose_univariate(Jet.variable(1, 1), inner)
+        bijet_compose_univariate(Jet.variable(1, 1), inner, nilpotent_powers(inner))
 
 
 def test_bijet_products_and_symmetry():
@@ -202,7 +203,7 @@ def test_bijet_mixed_partial_convention():
     # x = (1+u)(1+v), against sympy's derivatives of ((1+u)(1+v))^3 at 0
     u, v = sp.symbols("u v")
     inner = HermitianBiJet.make(1, [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-    comp = bijet_compose_univariate(Jet.variable(1, 4) ** 3, inner)
+    comp = bijet_compose_univariate(Jet.variable(1, 4) ** 3, inner, nilpotent_powers(inner))
     for i in range(3):
         for j in range(3):
             want = sp.diff(((1 + u) * (1 + v)) ** 3, u, i, v, j).subs({u: 0, v: 0})
@@ -501,7 +502,8 @@ def test_bijet_operations_match_the_scalar_reference(case, zero_c00):
         (lambda: ba - bb, lambda: _ref_bi_add(a, neg_b)),
         (lambda: ba * bb, lambda: _ref_bi_mul(a, b)),
         (lambda: bijet_exp(ba), lambda: _ref_bi_exp(a)),
-        (lambda: bijet_compose_univariate(gj, ba), lambda: _ref_bi_series(a, g[0], g[1:])),
+        (lambda: bijet_compose_univariate(gj, ba, nilpotent_powers(ba)),
+         lambda: _ref_bi_series(a, g[0], g[1:])),
         (lambda: _bijet_scale(ba, _raw(g[0])), lambda: _ref_bi_scale(a, g[0])),
     ]
     for i, (got, want) in enumerate(cases):

@@ -1,18 +1,19 @@
 import random
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 import sympy as sp
 
 from radialtyz.obstruction import g3_closed_eps_minus1, gh_sequence
-from radialtyz.potentials import CustomPotential, EpsilonFamily, Simanca
+from radialtyz.potentials import CustomPotential, EpsilonFamily, Simanca, prepare_point
 from radialtyz.resolvability import (
     det_scalar,
     first_row_matches_gh,
     minor_matrix,
     simanca_embedding_check,
 )
-from radialtyz.scalars import BallScalar, Sign, as_scalar, nth_root
+from radialtyz.scalars import BallScalar, Sign, as_scalar, int_pow, nth_root
 
 from helpers import (
     assert_exact_zero,
@@ -130,6 +131,58 @@ def test_scaled_route_matches_direct_first_rows():
     for h in range(7):
         assert (cert.minors[0][h] - seq[h]).sign() == Sign.ZERO
 
+
+
+def _uv_coeff(k, p, q):
+    """The coefficient of u^p v^q in (u + v + uv)^k = ((1 + u)(1 + v) - 1)^k."""
+    return sum(comb(k, m) * (-1) ** (k - m) * comb(m, p) * comb(m, q) for m in range(k + 1))
+
+
+def _minor_from_gh(fam, x0, lmax, hmax):
+    """M(l, h) from g_0..g_{hmax+2 lmax} alone, off the germ route: in the
+    scaled offsets e^D g_h(x) = e^-F(u) e^-F(v) g_h(x0 (1 + u + v + uv)) with
+    F(u) = f(x0 (1 + u)) - f(x0), and the e^-F factors, unit-triangular in u
+    and in v, drop out of every leading minor. So M(l, h) is
+    det[sum_k x0^k g_{h+k} T(k, p, q) / k!]_{p,q<=l} / x0^(l(l+1)/2), T(k, p, q)
+    the coefficient of u^p v^q in (u + v + uv)^k."""
+    g = gh_sequence(fam, x0, hmax + 2 * lmax)
+    minors = [[None] * (hmax + 1) for _ in range(lmax + 1)]
+    for h in range(hmax + 1):
+        for l in range(lmax + 1):
+            rows = [[sum((int_pow(x0, k) * g[h + k] * F(_uv_coeff(k, p, q), factorial(k))
+                          for k in range(max(p, q), p + q + 1)), as_scalar(0))
+                     for q in range(l + 1)] for p in range(l + 1)]
+            minors[l][h] = det_scalar(rows) / int_pow(x0, l * (l + 1) // 2)
+    return minors
+
+
+@pytest.mark.parametrize("fam, x", [
+    (EpsilonFamily(1, F(1), 2), F(3, 4)),
+    (EpsilonFamily(-1, F(1), 2), F(3, 2)),
+    (Simanca(), F(3, 2)),
+], ids=["eps+1-n2", "eps-1-n2", "simanca"])
+def test_minor_rows_match_the_gh_oracle_exactly(fam, x):
+    # every row l, not only M(0, h) = g_h, against an independent route
+    cert = minor_matrix(fam, x=x, lmax=2, hmax=4)
+    want = _minor_from_gh(fam, cert.x0, 2, 4)
+    assert cert.x0.exact
+    for l in range(3):
+        for h in range(5):
+            assert_exact_zero(cert.minors[l][h] - want[l][h], f"M({l},{h})")
+
+
+def test_minor_rows_match_the_gh_oracle_on_balls():
+    # on 64-bit balls the two routes round differently: no entry may be
+    # certified unequal
+    fam, x = EpsilonFamily(1, F(1), 4), F(3, 4)
+    cert = minor_matrix(fam, x=x, lmax=2, hmax=4, exact=False, precision_bits=64)
+    x0 = prepare_point(fam, as_scalar(x), exact=False, precision_bits=64)
+    want = _minor_from_gh(fam, x0, 2, 4)
+    assert cert.minors[2][4].backend == "ball"
+    for l in range(3):
+        for h in range(5):
+            diff = (cert.minors[l][h] - want[l][h]).sign()
+            assert diff in (Sign.ZERO, Sign.UNDETERMINED), (l, h)
 
 def test_certificate_has_scope_note():
     cert = minor_matrix(EpsilonFamily(0, F(1), 2), x=1, lmax=0, hmax=0)
