@@ -75,6 +75,85 @@ def test_gh_eval_text_formats_pinned(capsys, fmt, want):
     assert out == want
 
 
+SCAN_HIT = "-0.141572775244049466991832183240948829871385275767993366586059510103738241158"
+LU_SIMANCA = [("a1", "0"), ("a2", "0"), ("a3", "0"), ("rho", "0"), ("R2", "1/2"),
+              ("Ric2", "1/8"), ("DRho2", "0"), ("DRic2", "3/16"), ("DR2", "9/8"),
+              ("sigma3Ric", "0"), ("RRicRic", "-1/16"), ("RicRR", "1/16"), ("divdivRRic", "0"),
+              ("divdivRhoRic", "0"), ("lapRho", "0"), ("laplapRho", "0"), ("lapCombo8", "0")]
+LU_DECIMAL = {"0": "0.0", "1/2": "0.5", "1/8": "0.125", "3/16": "0.1875", "9/8": "1.125",
+              "-1/16": "-0.0625", "1/16": "0.0625"}
+MINORS = [
+    ["1", "0.1403707611758200515144120647792928507536",
+     "6.934179157519834024152162695350118306669", "-358.2212728649288735187659457549643296044"],
+    ["7.123990720171842514917997377181922241479", "-98.37694365683314502409762675104258784478",
+     "241828.3778403661773034707913969312495557", "1916162221.521310480970291940982596566193"],
+]
+MINOR_CSV = ["1.0", "0.140370761175820051514412064779", "6.93417915751983402415216269535",
+             "-358.221272864928873518765945755", "7.12399072017184251491799737718",
+             "-98.376943656833145024097626751", "241828.377840366177303470791397",
+             "1916162221.52131048097029194098"]
+MINOR_SIGNS = ["positive"] * 3 + ["negative", "positive", "negative", "positive", "positive"]
+# the full CSV and table of one input per command, a run time shown as <runtime>
+FORMAT_PINS = [
+    (("scan", "--eps", "1", "--n", "5", "--x-grid", "6/5:6/5:1", "--hmax", "4"),
+     "family,x,h,value,radius,sign,backend,precision_bits\n"
+     '"epsilon(eps=1,lambda=1,n=5)",6/5,4,-0.141572775244049466991832183241,2.19e-74,'
+     "negative,ball,256\n",
+     "certified-negative g_h over 6/5:6/5:1 (hmax=4)\n"
+     f"  x=6/5          h=4   {SCAN_HIT} ± 2.19e-74 [negative]\n"),
+    (("scan", "--eps", "0", "--n", "2", "--x-grid", "1/2:3:5", "--hmax", "6"),
+     "family,x,h,value,radius,sign,backend,precision_bits\n",
+     "certified-negative g_h over 1/2:3:5 (hmax=6)\n  no hits\n"),
+    (("lu-coeffs", "--family", "simanca", "--x", "1"),
+     "name,value,radius\n" + "".join(f"{k},{LU_DECIMAL[v]},\n" for k, v in LU_SIMANCA),
+     "Lu coefficients for simanca at x = 1 (dim 2)\n"
+     + "".join(f"  {k:<14} {v}\n" for k, v in LU_SIMANCA)),
+    (("resolvability", "--eps=-1", "--n", "2", "--x", "101/100", "--lmax", "1", "--hmax", "3"),
+     "l,h,minor,radius,sign\n" + "".join(
+         f"{i // 4},{i % 4},{m},,{s}\n" for i, (m, s) in enumerate(zip(MINOR_CSV, MINOR_SIGNS))),
+     "minors for epsilon(eps=-1,lambda=1,n=2) at x = 101/100: obstructed\n"
+     + "".join("  " + "  ".join(f"{m:>20}" for m in row) + "\n" for row in MINORS)
+     + "note: necessary-condition check up to order (lmax, hmax): positivity of these "
+       "finitely many minors does not certify projective inducedness\n"),
+    (("ricci-flat-check", "--eps", "1", "--n", "3", "--samples", "1/2,3/4"),
+     "x,residual,radius,sign\n1/2,0.0,,zero\n3/4,0.0,,zero\n",
+     "d/dx log det g for epsilon(eps=1,lambda=1,n=3)\n"
+     "  x=1/2        residual=0 [zero]\n  x=3/4        residual=0 [zero]\n"),
+    (("embedding-check", "--max-degree", "4"),
+     "max_degree,checked,mismatches,status\n4,14,0,pass\n",
+     "embedding identity to degree 4: pass (14 coefficients)\n"),
+    (("reproduce-paper", "--item", "table-n2-h7"),
+     "item,status,runtime_s\ntable-n2-h7,pass,<runtime>\n",
+     "PASS   table-n2-h7                     <runtime>\noverall: pass\n"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_want, table_want", FORMAT_PINS, ids=[
+    "scan-hits", "scan-no-hits", "lu-coeffs", "resolvability", "ricci-flat-check",
+    "embedding-check", "reproduce-paper"])
+def test_csv_and_table_formats_pinned(argv, csv_want, table_want, capsys):
+    for fmt, want in (("csv", csv_want), ("table", table_want)):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        if argv[0] == "reproduce-paper":
+            out = re.sub(r"(?m)(?<=[ ,])\d+\.\d+s?$", "<runtime>", out)
+        assert (code, out, err) == (0, want, "")
+
+
+def test_a_json_run_builds_no_other_format(capsys, monkeypatch):
+    # the decimal and text forms of a root value each take a ball exp and log
+    from radialtyz import cli
+
+    def refuse(value):
+        raise AssertionError("a JSON run built a CSV or table cell")
+
+    monkeypatch.setattr(cli, "scalar_to_decimal", refuse)
+    monkeypatch.setattr(cli, "scalar_to_text", refuse)
+    code, out, _ = run_cli(capsys, "gh-eval", "--eps", "1", "--n", "3", "--x", "3/4",
+                           "--hmax", "3", "--exact")
+    assert code == 0
+    assert json.loads(out)["values"][2]["backend"] == "root"
+
+
 CSV_HEADERS = {
     "gh-eval": "family,x,h,value,radius,sign,backend,precision_bits",
     "scan": "family,x,h,value,radius,sign,backend,precision_bits",
