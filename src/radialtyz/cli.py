@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .curvature import lu_coefficients
@@ -47,9 +48,10 @@ PRECISION_ENV = "RADIALTYZ_PRECISION_BITS"
 EXIT_INPUT_ERROR = 3
 
 
-def _validate(args) -> PotentialFamily | None:
+def _validate(args) -> tuple[PotentialFamily | None, list[Fraction]]:
     """Reject an inconsistent invocation before any computation starts and
-    return its family, None for a command without the family flags.
+    return its family and its parsed points (--x, --s squared, the --x-grid
+    points or the --samples), (None, []) for a command without the family flags.
 
     Rejected: --precision-bits or --exact for a command that does not read it,
     an --out that is a directory or whose directory does not exist,
@@ -73,7 +75,7 @@ def _validate(args) -> PotentialFamily | None:
         raise ValueError("precision_bits must be at least 16")
     opts = vars(args)
     if "family" not in opts:
-        return None
+        return None, []
     fam = _build_family(args)
     points: list[Fraction] = []
     if opts.get("x") is not None:
@@ -86,7 +88,7 @@ def _validate(args) -> PotentialFamily | None:
         points.extend(Fraction(tok) for tok in args.samples.split(","))
     for p in points:
         check_admissible(fam, as_scalar(p))
-    return fam
+    return fam, points
 
 
 def _build_family(args) -> PotentialFamily:
@@ -140,13 +142,6 @@ def _add_family(p: argparse.ArgumentParser) -> None:
     p.add_argument("--custom-json", default=None, help="custom potential JSON path")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _exact_flag(args) -> bool | None:
     return True if args.exact else None
 
@@ -156,109 +151,105 @@ def _radius(value) -> str:
     return value.radius_str() if isinstance(value, BallScalar) else ""
 
 
-def _csv(header: str, rows) -> str:
-    """A CSV table under the header; a cell holding a comma (a family label) is quoted."""
-    import csv  # only the CSV format pays its import
+def _write(args, payload, header: str, rows, lines) -> None:
+    """Build the report in the one format asked for and write it to --out or
+    stdout: payload() returns the JSON object, rows yields the CSV cells under
+    the comma-separated header (a cell holding a comma, a family label, is
+    quoted), lines yields the table's lines."""
+    if args.format == "json":
+        text = dumps(payload())
+    elif args.format == "csv":
+        import csv  # only the CSV format pays its import
 
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([header.split(","), *rows])
-    return out.getvalue()
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header.split(","), *rows])
+        text = out.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _obstruction_csv(reports: list[ObstructionReport]) -> str:
-    return _csv("family,x,h,value,radius,sign,backend,precision_bits", (
+def _inconclusive(signs) -> int:
+    """Exit code 2 if any sign is undetermined, else 0."""
+    return 2 if any(s == Sign.UNDETERMINED for s in signs) else 0
+
+
+_OBSTRUCTION_HEADER = "family,x,h,value,radius,sign,backend,precision_bits"
+
+
+def _obstruction_rows(reports: list[ObstructionReport]):
+    return (
         [r.family, r.x.text(), r.h, scalar_to_decimal(r.value), _radius(r.value),
          r.sign.value, r.backend, r.precision_bits or ""]
         for r in reports
-    ))
+    )
 
 
-def _cmd_gh_eval(args, fam: PotentialFamily) -> int:
+def _cmd_gh_eval(args, fam: PotentialFamily, points: list[Fraction]) -> int:
     reports = gh_reports(
-        fam, Fraction(args.x), args.hmax,
-        exact=_exact_flag(args), precision_bits=args.precision_bits,
+        fam, points[0], args.hmax, exact=_exact_flag(args), precision_bits=args.precision_bits,
     )
-    rows = [r.to_json_dict() for r in reports]
-    if args.format == "json":
-        _emit(dumps({"subcommand": "gh-eval", "family": family_label(fam), "x": args.x,
-                     "values": rows}), args.out)
-    elif args.format == "csv":
-        _emit(_obstruction_csv(reports), args.out)
-    else:
-        lines = [f"g_h at x = {args.x} for {family_label(fam)}"]
-        for r in reports:
-            lines.append(f"  h={r.h:<3} {scalar_to_text(r.value):<46} [{r.sign.value}]")
-        _emit("\n".join(lines) + "\n", args.out)
-    if any(r.sign == Sign.UNDETERMINED for r in reports):
-        return 2
-    return 0
+    _write(
+        args,
+        lambda: {"subcommand": "gh-eval", "family": family_label(fam), "x": args.x,
+                 "values": [r.to_json_dict() for r in reports]},
+        _OBSTRUCTION_HEADER, _obstruction_rows(reports),
+        chain([f"g_h at x = {args.x} for {family_label(fam)}"], (
+            f"  h={r.h:<3} {scalar_to_text(r.value):<46} [{r.sign.value}]" for r in reports
+        )),
+    )
+    return _inconclusive(r.sign for r in reports)
 
 
-def _cmd_scan(args, fam: PotentialFamily) -> int:
-    grid = rational_grid(args.x_grid)
+def _cmd_scan(args, fam: PotentialFamily, points: list[Fraction]) -> int:
     hits = obstruction_scan(
-        fam, grid, args.hmax, exact=_exact_flag(args), precision_bits=args.precision_bits
+        fam, points, args.hmax, exact=_exact_flag(args), precision_bits=args.precision_bits
     )
-    rows = [r.to_json_dict() for r in hits]
-    if args.format == "json":
-        _emit(dumps({"subcommand": "scan", "family": family_label(fam),
-                     "x_grid": args.x_grid, "hmax": args.hmax, "hits": rows}), args.out)
-    elif args.format == "csv":
-        _emit(_obstruction_csv(hits), args.out)
-    else:
-        lines = [f"certified-negative g_h over {args.x_grid} (hmax={args.hmax})"]
-        for r in hits:
-            lines.append(
-                f"  x={r.x.text():<12} h={r.h:<3} {scalar_to_text(r.value):<40} [{r.sign.value}]"
-            )
-        if not hits:
-            lines.append("  no hits")
-        _emit("\n".join(lines) + "\n", args.out)
-    if any(r.sign == Sign.UNDETERMINED for r in hits):
-        return 2
-    return 0
+    _write(
+        args,
+        lambda: {"subcommand": "scan", "family": family_label(fam), "x_grid": args.x_grid,
+                 "hmax": args.hmax, "hits": [r.to_json_dict() for r in hits]},
+        _OBSTRUCTION_HEADER, _obstruction_rows(hits),
+        chain([f"certified-negative g_h over {args.x_grid} (hmax={args.hmax})"], (
+            f"  x={r.x.text():<12} h={r.h:<3} {scalar_to_text(r.value):<40} [{r.sign.value}]"
+            for r in hits
+        ), [] if hits else ["  no hits"]),
+    )
+    return _inconclusive(r.sign for r in hits)
 
 
-def _cmd_lu_coeffs(args, fam: PotentialFamily) -> int:
+def _cmd_lu_coeffs(args, fam: PotentialFamily, points: list[Fraction]) -> int:
     # --dim, else --n (the epsilon family's n or a custom potential's dimension,
     # which validation requires), else 2 (Simanca and Eguchi-Hanson)
     dim = args.dim if args.dim is not None else args.n if args.n is not None else 2
     rep = lu_coefficients(
-        fam, dim, x=Fraction(args.x), jet_order=args.jet_order,
+        fam, dim, x=points[0], jet_order=args.jet_order,
         exact=_exact_flag(args), precision_bits=args.precision_bits,
     )
     fields = rep.as_dict()
-    if args.format == "json":
-        payload = {
-            "subcommand": "lu-coeffs",
-            "family": family_label(fam),
-            "dim": dim,
-            "x": args.x,
-        }
-        payload.update({k: scalar_to_json(v) for k, v in fields.items()})
-        _emit(dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv("name,value,radius", (
-            [k, scalar_to_decimal(v), _radius(v)] for k, v in fields.items()
-        )), args.out)
-    else:
-        lines = [f"Lu coefficients for {family_label(fam)} at x = {args.x} (dim {dim})"]
-        lines += [f"  {k:<14} {scalar_to_text(v)}" for k, v in fields.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    if any(fields[k].sign() == Sign.UNDETERMINED for k in ("a1", "a2", "a3")):
-        return 2
-    return 0
-
-
-def _cmd_resolvability(args, fam: PotentialFamily) -> int:
-    x = Fraction(args.x) if args.x is not None else Fraction(args.s) ** 2
-    cert = minor_matrix(fam, x, lmax=args.lmax, hmax=args.hmax,
-                        exact=_exact_flag(args), precision_bits=args.precision_bits)
-    first = (
-        {"l": cert.first_flag[0], "h": cert.first_flag[1]} if cert.first_flag else None
+    _write(
+        args,
+        lambda: {"subcommand": "lu-coeffs", "family": family_label(fam), "dim": dim, "x": args.x,
+                 **{k: scalar_to_json(v) for k, v in fields.items()}},
+        "name,value,radius",
+        ([k, scalar_to_decimal(v), _radius(v)] for k, v in fields.items()),
+        chain([f"Lu coefficients for {family_label(fam)} at x = {args.x} (dim {dim})"], (
+            f"  {k:<14} {scalar_to_text(v)}" for k, v in fields.items()
+        )),
     )
-    if args.format == "json":
-        payload = {
+    return _inconclusive(fields[k].sign() for k in ("a1", "a2", "a3"))
+
+
+def _cmd_resolvability(args, fam: PotentialFamily, points: list[Fraction]) -> int:
+    cert = minor_matrix(fam, points[0], lmax=args.lmax, hmax=args.hmax,
+                        exact=_exact_flag(args), precision_bits=args.precision_bits)
+    first = {"l": cert.first_flag[0], "h": cert.first_flag[1]} if cert.first_flag else None
+    _write(
+        args,
+        lambda: {
             "subcommand": "resolvability",
             "family": cert.family,
             "x": cert.x0.text(),
@@ -269,96 +260,65 @@ def _cmd_resolvability(args, fam: PotentialFamily) -> int:
             "first_negative": first if cert.verdict == "obstructed" else None,
             "first_flag": first,
             "scope_note": cert.scope_note,
-        }
-        _emit(dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv("l,h,minor,radius,sign", (
-            [l, h, scalar_to_decimal(m), _radius(m), cert.signs[l][h].value]
-            for l, row in enumerate(cert.minors) for h, m in enumerate(row)
-        )), args.out)
-    else:
-        lines = [f"minors for {cert.family} at x = {cert.x0.text()}: {cert.verdict}"]
-        for l, row in enumerate(cert.minors):
-            lines.append("  " + "  ".join(f"{scalar_to_text(m):>20}" for m in row))
-        lines.append(f"note: {cert.scope_note}")
-        _emit("\n".join(lines) + "\n", args.out)
-    if cert.verdict == "inconclusive":
-        return 2
-    return 0
+        },
+        "l,h,minor,radius,sign",
+        ([l, h, scalar_to_decimal(m), _radius(m), cert.signs[l][h].value]
+         for l, row in enumerate(cert.minors) for h, m in enumerate(row)),
+        chain([f"minors for {cert.family} at x = {cert.x0.text()}: {cert.verdict}"], (
+            "  " + "  ".join(f"{scalar_to_text(m):>20}" for m in row) for row in cert.minors
+        ), [f"note: {cert.scope_note}"]),
+    )
+    return 2 if cert.verdict == "inconclusive" else 0
 
 
-def _cmd_embedding_check(args, fam: None) -> int:
+def _cmd_embedding_check(args, fam: None, points: list[Fraction]) -> int:
     rep = simanca_embedding_check(args.max_degree)
-    payload = {
-        "subcommand": "embedding-check",
-        "max_degree": rep.max_degree,
-        "checked": rep.checked,
-        "mismatches": [list(m) for m in rep.mismatches],
-        "status": "pass" if rep.passed else "fail",
-    }
-    if args.format == "json":
-        _emit(dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv("max_degree,checked,mismatches,status", [
-            [rep.max_degree, rep.checked, len(rep.mismatches), payload["status"]]
-        ]), args.out)
-    else:
-        _emit(
-            f"embedding identity to degree {rep.max_degree}: "
-            f"{payload['status']} ({rep.checked} coefficients)\n",
-            args.out,
-        )
+    status = "pass" if rep.passed else "fail"
+    _write(
+        args,
+        lambda: {"subcommand": "embedding-check", "max_degree": rep.max_degree,
+                 "checked": rep.checked, "mismatches": [list(m) for m in rep.mismatches],
+                 "status": status},
+        "max_degree,checked,mismatches,status",
+        [[rep.max_degree, rep.checked, len(rep.mismatches), status]],
+        [f"embedding identity to degree {rep.max_degree}: {status} ({rep.checked} coefficients)"],
+    )
     return 0 if rep.passed else 1
 
 
-def _cmd_ricci_flat_check(args, fam: PotentialFamily) -> int:
-    samples = [Fraction(tok) for tok in args.samples.split(",")]
+def _cmd_ricci_flat_check(args, fam: PotentialFamily, points: list[Fraction]) -> int:
     # --n is the epsilon family's own n, a custom potential's dimension, or absent
-    residuals = ricci_flat_residual(fam, samples, args.n)
-    rows = []
-    flat = True
-    for x, r in zip(samples, residuals):
-        s = r.sign()
-        flat &= s == Sign.ZERO
-        rows.append({"x": str(x), "residual": scalar_to_json(r), "sign": s.value})
-    payload = {
-        "subcommand": "ricci-flat-check",
-        "family": family_label(fam),
-        "samples": rows,
-        "ricci_flat_on_samples": flat,
-    }
-    if args.format == "json":
-        _emit(dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv("x,residual,radius,sign", (
-            [r["x"], scalar_to_decimal(v), _radius(v), r["sign"]] for r, v in zip(rows, residuals)
-        )), args.out)
-    else:
-        lines = [f"d/dx log det g for {family_label(fam)}"]
-        lines += [f"  x={r['x']:<10} residual={scalar_to_text(v)} [{r['sign']}]"
-                  for r, v in zip(rows, residuals)]
-        _emit("\n".join(lines) + "\n", args.out)
-    if any(r["sign"] == "undetermined" for r in rows):
-        return 2
-    return 0
+    residuals = ricci_flat_residual(fam, points, args.n)
+    signs = [r.sign() for r in residuals]
+    samples = list(zip(points, residuals, signs))
+    _write(
+        args,
+        lambda: {
+            "subcommand": "ricci-flat-check",
+            "family": family_label(fam),
+            "samples": [{"x": str(x), "residual": scalar_to_json(r), "sign": s.value}
+                        for x, r, s in samples],
+            "ricci_flat_on_samples": all(s == Sign.ZERO for s in signs),
+        },
+        "x,residual,radius,sign",
+        ([str(x), scalar_to_decimal(r), _radius(r), s.value] for x, r, s in samples),
+        chain([f"d/dx log det g for {family_label(fam)}"], (
+            f"  x={str(x):<10} residual={scalar_to_text(r)} [{s.value}]" for x, r, s in samples
+        )),
+    )
+    return _inconclusive(signs)
 
 
-def _cmd_reproduce(args, fam: None) -> int:
+def _cmd_reproduce(args, fam: None, points: list[Fraction]) -> int:
     report = run_items(args.item, precision_bits=args.precision_bits)
-    if args.format == "json":
-        payload = {"subcommand": "reproduce-paper"}
-        payload.update(report.to_json_dict())
-        _emit(dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv("item,status,runtime_s", (
-            [it.item_id, it.status, round(it.runtime_s, 3)] for it in report.items
-        )), args.out)
-    else:
-        lines = []
-        for it in report.items:
-            lines.append(f"{it.status.upper():<6} {it.item_id:<28} {it.runtime_s:7.2f}s")
-        lines.append(f"overall: {report.status}")
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(
+        args,
+        lambda: {"subcommand": "reproduce-paper", **report.to_json_dict()},
+        "item,status,runtime_s",
+        ([it.item_id, it.status, round(it.runtime_s, 3)] for it in report.items),
+        chain((f"{it.status.upper():<6} {it.item_id:<28} {it.runtime_s:7.2f}s"
+               for it in report.items), [f"overall: {report.status}"]),
+    )
     return report.exit_code
 
 
@@ -442,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        fam = _validate(args)
-        return args.fn(args, fam)
+        return args.fn(args, *_validate(args))
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, SignUndeterminedError) else EXIT_INPUT_ERROR

@@ -35,3 +35,12 @@ def test_bit_identity_prints_one_digest_for_cli_inputs():
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     assert len(line) == 64 and int(line, 16) >= 0
+
+
+def test_bit_identity_digests_the_format_asked_for_cli_inputs():
+    tool = _tool()
+    csv = tool.digest(ROOT, "cli-oneshot", 0, 2, "csv")
+    assert csv == tool.digest(ROOT, "cli-oneshot", 0, 2, "csv")
+    # the CSV of both inputs goes in, not their JSON
+    assert csv != tool.digest(ROOT, "cli-oneshot", 0, 2)
+    assert csv != tool.digest(ROOT, "cli-oneshot", 0, 1, "csv")

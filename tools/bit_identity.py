@@ -1,6 +1,7 @@
 """One SHA-256 over the outputs of a benchmark workload's first inputs.
 
     python3 tools/bit_identity.py --workload lu-sweep --seed 0 --count 160
+    python3 tools/bit_identity.py --workload cli-oneshot --count 100 --format csv
 
 Run from the root of a checkout: it imports radialtyz from ./src and the
 workload generator from ./perfbench/workloads.py, and changes neither. Run
@@ -8,7 +9,8 @@ the same file from the root of two checkouts (a parent commit and a change)
 and compare the lines: equal digests mean every output is bit for bit the
 same. An in-process input (lu-sweep, certify) adds the canonical JSON of its
 output, keys sorted, and every ball's integer endpoints and precision; a CLI
-input (cli-oneshot) adds the process's stdout, stderr and exit code; an input
+input (cli-oneshot) adds the process's stdout, stderr and exit code, the
+report asked for in --format (default json, the workload's own); an input
 that raises adds the exception's type and message.
 """
 from __future__ import annotations
@@ -31,9 +33,10 @@ def _balls(value) -> list:
     return []
 
 
-def _record(workloads, root: Path, workload: str, inp: dict) -> dict:
+def _record(workloads, root: Path, workload: str, inp: dict, fmt: str) -> dict:
     if workload == "cli-oneshot":  # every CLI-only op is in this workload
-        proc = workloads.run_cli(str(root), workloads.cli_argv(inp))
+        argv = workloads.cli_argv(inp)[:-1] + [fmt]  # in place of its trailing "json"
+        proc = workloads.run_cli(str(root), argv)
         return {"stdout": proc.stdout, "stderr": proc.stderr, "exit": proc.returncode}
     try:
         out = workloads.evaluate(inp)
@@ -43,7 +46,7 @@ def _record(workloads, root: Path, workload: str, inp: dict) -> dict:
             "balls": _balls(workloads.result_of(inp, out))}
 
 
-def digest(root: Path, workload: str, seed: int, count: int) -> str:
+def digest(root: Path, workload: str, seed: int, count: int, fmt: str = "json") -> str:
     """The hex SHA-256 over one record per input, in input order."""
     for path in (str(root / "perfbench"), str(root / "src")):
         if path not in sys.path:
@@ -52,7 +55,7 @@ def digest(root: Path, workload: str, seed: int, count: int) -> str:
 
     h = hashlib.sha256()
     for inp in workloads.generate(workload, seed, count):
-        record = _record(workloads, root, workload, inp)
+        record = _record(workloads, root, workload, inp, fmt)
         h.update(json.dumps(record, sort_keys=True).encode())
         h.update(b"\n")
     return h.hexdigest()
@@ -63,8 +66,10 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--workload", required=True, choices=("lu-sweep", "certify", "cli-oneshot"))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--count", type=int, required=True)
+    ap.add_argument("--format", choices=("json", "csv", "table"), default="json",
+                    help="the report format of cli-oneshot inputs")
     args = ap.parse_args(argv)
-    print(digest(Path.cwd(), args.workload, args.seed, args.count))
+    print(digest(Path.cwd(), args.workload, args.seed, args.count, args.format))
 
 
 if __name__ == "__main__":
