@@ -58,10 +58,7 @@ def gh_sequence(fam: PotentialFamily, x0: ScalarLike, hmax: int) -> list[Scalar]
     """g_0 .. g_hmax at x0, recursion- and direct-route agreement enforced."""
     if hmax < 0:
         raise ValueError("hmax must be nonnegative")
-    if hmax == 0:
-        return [as_scalar(1)]
-
-    fp = fprime_jet(fam, x0, hmax - 1)
+    fp = fprime_jet(fam, x0, max(hmax - 1, 0))
     values = [g.value() for g in gh_jets(fp, hmax)]
 
     direct = fp.antiderive(0).exp()  # e^f with f(x0) = 0

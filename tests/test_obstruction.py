@@ -228,3 +228,19 @@ def test_gh_sequence_builds_fprime_once(monkeypatch, hmax):
     calls = count_fprime_calls(monkeypatch)
     gh_sequence(EpsilonFamily(1, F(1), 2), F(3, 4), hmax)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("hmax", [0, 1, 3])
+def test_every_hmax_checks_the_domain(hmax):
+    fam = EpsilonFamily(-1, F(1), 2)
+    scan_one = lambda fam, x, hmax: obstruction_scan(fam, [x], hmax)  # noqa: E731
+    for call in (gh_sequence, gh_reports, scan_one):
+        with pytest.raises(DomainError, match="x > 1"):
+            call(fam, F(1, 2), hmax)
+
+
+def test_g0_is_the_exact_one_on_exact_and_ball_points():
+    fam = EpsilonFamily(1, F(1), 3)
+    for x0 in (F(3, 4), prepare_point(fam, as_scalar(F(3, 4)), exact=False, precision_bits=64)):
+        (g0,) = gh_sequence(fam, x0, 0)
+        assert (g0.backend, g0.text()) == ("rational", "1")
