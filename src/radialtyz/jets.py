@@ -308,11 +308,6 @@ class HermitianBiJet(Record):
     def order(self) -> int:
         return len(self.raws) - 1
 
-    @property
-    def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The coefficients as Scalars, built on each read."""
-        return tuple(tuple(_cook(c) for c in r) for r in self.raws)
-
     def coeff(self, i: int, j: int) -> Scalar:
         return _cook(self.raws[i][j])
 

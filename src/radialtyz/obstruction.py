@@ -199,12 +199,7 @@ class DivergenceReport(Record):
     h: int
     k_values: tuple[int, ...]
     values: tuple[Scalar, ...]
-    all_negative: bool
     growth_certified: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.all_negative and self.growth_certified
 
 
 def small_x_divergence_check(
@@ -232,7 +227,6 @@ def small_x_divergence_check(
         x = as_scalar(Fraction(1, 10**k))
         x0 = prepare_point(fam, x, precision_bits=precision_bits)
         values.append(gh_sequence(fam, x0, h)[h])
-    all_negative = all(v.sign() == Sign.NEGATIVE for v in values)
     # successive points live in different root extensions; compare via balls
     balls = [v.to_ball(precision_bits) for v in values]
     growth = all(
@@ -244,7 +238,6 @@ def small_x_divergence_check(
         h=h,
         k_values=tuple(k_list),
         values=tuple(values),
-        all_negative=all_negative,
         growth_certified=growth,
     )
 

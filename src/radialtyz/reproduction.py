@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from typing import Callable
+from functools import partial
 
 from .curvature import (
     closed_forms_eps,
@@ -39,6 +39,7 @@ from .scalars import (
 )
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+
 
 def _combine(statuses) -> str:
     statuses = list(statuses)
@@ -111,26 +112,9 @@ class PaperReproductionReport(Record):
         }
 
 
-# precision_bits (of ball-backed items) -> (expected, computed, status)
-ItemFn = Callable[[int], tuple[str, str, str]]
-_REGISTRY: list[tuple[str, str, ItemFn]] = []
-
-
-def _item(item_id: str, provenance: str):
-    def deco(fn: ItemFn):
-        _REGISTRY.append((item_id, provenance, fn))
-        return fn
-
-    return deco
-
-
-
-
-
 F = Fraction
 
 
-@_item("table-n2-h7", "golden value, exact fraction")
 def _table_n2_h7(precision_bits: int):
     t0 = time.time()
     got = gh_sequence(EpsilonFamily(1, F(1), 2), F(3, 4), 7)[7]
@@ -158,22 +142,6 @@ def _table_float(
     )
 
 
-@_item("table-n3-h5", "golden value, 2 decimals")
-def _table_n3(precision_bits: int):
-    return _table_float(3, F(3, 4), 5, F(-281, 100), F(1, 100), precision_bits)
-
-
-@_item("table-n4-h5", "golden value, 1 decimal")
-def _table_n4(precision_bits: int):
-    return _table_float(4, F(3, 4), 5, F(-103, 10), F(5, 100), precision_bits)
-
-
-@_item("table-n5-h4", "golden value, 2 decimals")
-def _table_n5(precision_bits: int):
-    return _table_float(5, F(6, 5), 4, F(-14, 100), F(5, 1000), precision_bits)
-
-
-@_item("g4-at-1-signs", "closed form vs jet engine; sign flips at n = 6")
 def _g4_signs(precision_bits: int):
     t0 = time.time()
     bad = []
@@ -196,7 +164,6 @@ def _g4_signs(precision_bits: int):
     )
 
 
-@_item("eps-minus1-divergence", "g_3 -> -inf as x -> 1+")
 def _eps_minus1(precision_bits: int):
     fam = EpsilonFamily(-1, F(1), 2)
     values = []
@@ -224,7 +191,6 @@ def _eps_minus1(precision_bits: int):
     )
 
 
-@_item("noninteger-lambda-blowup", "g_[lam]+2 -> -inf as x -> 0+")
 def _lambda_blowup(precision_bits: int):
     statuses = []
     notes = []
@@ -244,7 +210,6 @@ def _lambda_blowup(precision_bits: int):
     )
 
 
-@_item("ricci-flat-family", "det g identity and vanishing Ricci tensor")
 def _ricci_flat(precision_bits: int):
     pts = [F(5, 4), F(3, 2), F(2), F(7, 3), F(3)]  # admissible for eps = -1 too
     bad = []
@@ -272,7 +237,6 @@ def _ricci_flat(precision_bits: int):
     )
 
 
-@_item("curvature-norm-closed-form", "closed-form |R|^2 for the Ricci-flat family")
 def _r2_closed(precision_bits: int):
     rng = random.Random(1007)
     tol = F(1, 10**25)
@@ -300,7 +264,6 @@ def _r2_closed(precision_bits: int):
     )
 
 
-@_item("a3-vanishing-locus", "single root of a3 at x = (2/5)^(1/2) for n = 2")
 def _a3_locus(precision_bits: int):
     fam = EpsilonFamily(1, F(1), 2)
 
@@ -341,7 +304,6 @@ def _a3_locus(precision_bits: int):
     )
 
 
-@_item("simanca-suite", "scalar-flat surface: components, a2 = a3 = 0")
 def _simanca(precision_bits: int):
     bad = []
     statuses = [PASS]
@@ -383,7 +345,6 @@ def _simanca(precision_bits: int):
     )
 
 
-@_item("embedding-identity", "coefficients (j+k)/(j!k!) of (a+b)e^(a+b)")
 def _embedding(precision_bits: int):
     rep = simanca_embedding_check(10)
     return (
@@ -393,7 +354,6 @@ def _embedding(precision_bits: int):
     )
 
 
-@_item("resolvability-criterion", "flat certificate, first-row identity, obstruction")
 def _resolvability(precision_bits: int):
     bad = []
     flat = EpsilonFamily(0, F(1), 2)
@@ -418,7 +378,6 @@ def _resolvability(precision_bits: int):
     )
 
 
-@_item("property-suite", "randomized arithmetic oracles and engine identities")
 def _properties(precision_bits: int):
     bad = []
     # jet arithmetic vs naive convolution, 1000 randomized cases
@@ -468,13 +427,37 @@ def _properties(precision_bits: int):
     )
 
 
+# (id, provenance, fn) in report order; fn(precision_bits), the precision of
+# ball-backed items, returns (expected, computed, status)
+ITEMS = (
+    ("table-n2-h7", "golden value, exact fraction", _table_n2_h7),
+    ("table-n3-h5", "golden value, 2 decimals",
+     partial(_table_float, 3, F(3, 4), 5, F(-281, 100), F(1, 100))),
+    ("table-n4-h5", "golden value, 1 decimal",
+     partial(_table_float, 4, F(3, 4), 5, F(-103, 10), F(5, 100))),
+    ("table-n5-h4", "golden value, 2 decimals",
+     partial(_table_float, 5, F(6, 5), 4, F(-14, 100), F(5, 1000))),
+    ("g4-at-1-signs", "closed form vs jet engine; sign flips at n = 6", _g4_signs),
+    ("eps-minus1-divergence", "g_3 -> -inf as x -> 1+", _eps_minus1),
+    ("noninteger-lambda-blowup", "g_[lam]+2 -> -inf as x -> 0+", _lambda_blowup),
+    ("ricci-flat-family", "det g identity and vanishing Ricci tensor", _ricci_flat),
+    ("curvature-norm-closed-form", "closed-form |R|^2 for the Ricci-flat family", _r2_closed),
+    ("a3-vanishing-locus", "single root of a3 at x = (2/5)^(1/2) for n = 2", _a3_locus),
+    ("simanca-suite", "scalar-flat surface: components, a2 = a3 = 0", _simanca),
+    ("embedding-identity", "coefficients (j+k)/(j!k!) of (a+b)e^(a+b)", _embedding),
+    ("resolvability-criterion", "flat certificate, first-row identity, obstruction",
+     _resolvability),
+    ("property-suite", "randomized arithmetic oracles and engine identities", _properties),
+)
+
+
 def run_items(
     only: str | None = None, precision_bits: int = 256
 ) -> PaperReproductionReport:
-    if only is not None and all(item_id != only for item_id, _, _ in _REGISTRY):
+    if only is not None and all(item_id != only for item_id, _, _ in ITEMS):
         raise ValueError(f"unknown reproduction item {only!r}")
     results = []
-    for item_id, provenance, fn in _REGISTRY:
+    for item_id, provenance, fn in ITEMS:
         if only is not None and item_id != only:
             continue
         t0 = time.time()

@@ -51,8 +51,9 @@ def count_fprime_calls(monkeypatch) -> list:
 
 def is_hermitian_symmetric(bijet) -> bool:
     """c_ij = c_ji exactly for every coefficient of a HermitianBiJet."""
-    c = bijet.coeffs
-    return all((c[i][j] - c[j][i]).sign() == Sign.ZERO for i in range(len(c)) for j in range(i))
+    c = bijet.coeff
+    return all((c(i, j) - c(j, i)).sign() == Sign.ZERO
+               for i in range(bijet.order + 1) for j in range(i))
 
 
 def germ_at_s(fam, s, order: int):

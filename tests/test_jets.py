@@ -385,8 +385,10 @@ def _outcome(f):
         v = f()
     except (ArithmeticError, ValueError) as exc:
         return type(exc).__name__
-    if isinstance(v, (Jet, HermitianBiJet)):
+    if isinstance(v, Jet):
         v = v.coeffs
+    elif isinstance(v, HermitianBiJet):
+        v = [[v.coeff(i, j) for j in range(v.order + 1)] for i in range(v.order + 1)]
     return [[_bits(c) for c in r] if isinstance(r, (list, tuple)) else _bits(r) for r in v]
 
 

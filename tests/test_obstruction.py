@@ -85,7 +85,8 @@ def test_g4_at_1():
 
 def test_small_x_divergence():
     rep = small_x_divergence_check(F(1, 2), 2, [3, 4])
-    assert rep.h == 2 and rep.passed
+    assert rep.h == 2 and rep.growth_certified
+    assert all(v.sign() == Sign.NEGATIVE for v in rep.values)
     v3 = rep.values[0].to_ball(128)
     assert (v3 + as_scalar(10**5)).sign() == Sign.NEGATIVE  # g_2(1e-3) < -1e5
     ratio = (rep.values[1].to_ball(128)) / v3
