@@ -4,7 +4,8 @@ Subcommands: gh-eval, scan, lu-coeffs, resolvability, embedding-check,
 ricci-flat-check, reproduce-paper. All numeric inputs are rationals in "p/q"
 form so exact backends stay usable; output is JSON (default), CSV (decimal,
 documented lossy, with a ball's radius beside its value) or an aligned text
-table. Identical configurations produce byte-identical JSON.
+table; only the format asked for is built. Identical configurations produce
+byte-identical JSON.
 
 Exit codes: 0 success / all-pass; 1 certified failure (a reproduction item
 contradicts its stated value); 2 inconclusive results present (undetermined

@@ -224,7 +224,7 @@ def test_recursion_vs_direct_all_families():
         gh_sequence(fam, prepare_point(fam, as_scalar(x), exact=False, precision_bits=256), 10)
 
 
-@pytest.mark.parametrize("hmax", [1, 4])
+@pytest.mark.parametrize("hmax", [0, 1, 4])
 def test_gh_sequence_builds_fprime_once(monkeypatch, hmax):
     calls = count_fprime_calls(monkeypatch)
     gh_sequence(EpsilonFamily(1, F(1), 2), F(3, 4), hmax)
@@ -234,8 +234,7 @@ def test_gh_sequence_builds_fprime_once(monkeypatch, hmax):
 @pytest.mark.parametrize("hmax", [0, 1, 3])
 def test_every_hmax_checks_the_domain(hmax):
     fam = EpsilonFamily(-1, F(1), 2)
-    scan_one = lambda fam, x, hmax: obstruction_scan(fam, [x], hmax)  # noqa: E731
-    for call in (gh_sequence, gh_reports, scan_one):
+    for call in (gh_sequence, gh_reports, lambda fam, x, h: obstruction_scan(fam, [x], h)):
         with pytest.raises(DomainError, match="x > 1"):
             call(fam, F(1, 2), hmax)
 
