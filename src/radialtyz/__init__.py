@@ -1,81 +1,37 @@
 """radialtyz: projective-inducibility obstructions, curvature invariants and
-TYZ coefficients for radial Kahler metrics, over certified scalar backends."""
+TYZ coefficients for radial Kahler metrics, over certified scalar backends.
 
-from .scalars import (
-    BallScalar,
-    DomainError,
-    ExactnessError,
-    RationalScalar,
-    RootScalar,
-    Scalar,
-    Sign,
-    SignUndeterminedError,
-    as_scalar,
-    nth_root,
-    scalar_pow,
-)
-from .jets import (
-    HermitianBiJet,
-    Jet,
-    bijet_compose_univariate,
-    bijet_exp,
-)
-from .potentials import (
-    CustomPotential,
-    EguchiHanson,
-    EpsilonFamily,
-    PotentialFamily,
-    Simanca,
-    f_jet,
-    family_label,
-    fprime_jet,
-    load_custom_potential,
-    prepare_point,
-    ricci_flat_residual,
-)
-from .obstruction import (
-    DivergenceReport,
-    ObstructionReport,
-    g3_closed_eps_minus1,
-    g4_at_1_closed,
-    gh_reports,
-    gh_sequence,
-    obstruction_scan,
-    rational_grid,
-    small_x_divergence_check,
-)
-from .curvature import (
-    LuReport,
-    RadialTensorFrame,
-    closed_forms_eps,
-    curvature_norm2,
-    frame_at_x,
-    invariants_from_frame,
-    lu_coefficients,
-    radial_laplacian_jet,
-)
-from .resolvability import (
-    ResolvabilityCertificate,
-    minor_matrix,
-    simanca_embedding_check,
-)
-from .reproduction import PaperReproductionReport, run_items
+Importing the package loads none of its modules: each exported name is read
+from the module that defines it when the name is first read."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallScalar", "DomainError", "ExactnessError", "RationalScalar", "RootScalar",
-    "Scalar", "Sign", "SignUndeterminedError", "as_scalar", "nth_root", "scalar_pow",
-    "HermitianBiJet", "Jet", "bijet_compose_univariate", "bijet_exp",
-    "CustomPotential", "EguchiHanson", "EpsilonFamily", "PotentialFamily", "Simanca",
-    "f_jet", "family_label", "fprime_jet", "load_custom_potential",
-    "prepare_point", "ricci_flat_residual",
-    "DivergenceReport", "ObstructionReport", "g3_closed_eps_minus1", "g4_at_1_closed",
-    "gh_reports", "gh_sequence", "obstruction_scan", "rational_grid",
-    "small_x_divergence_check",
-    "LuReport", "RadialTensorFrame", "closed_forms_eps",
-    "curvature_norm2", "frame_at_x", "invariants_from_frame", "lu_coefficients",
-    "radial_laplacian_jet",
-    "ResolvabilityCertificate", "minor_matrix", "simanca_embedding_check",
-    "PaperReproductionReport", "run_items",
-]
+# every exported name, by the module that defines it
+_EXPORTS = {name: module for module, names in (
+    ("scalars", "BallScalar DomainError ExactnessError RationalScalar RootScalar Scalar Sign "
+                "SignUndeterminedError as_scalar nth_root scalar_pow"),
+    ("jets", "HermitianBiJet Jet bijet_compose_univariate bijet_exp"),
+    ("potentials", "CustomPotential EguchiHanson EpsilonFamily PotentialFamily Simanca f_jet "
+                   "family_label fprime_jet load_custom_potential prepare_point "
+                   "ricci_flat_residual"),
+    ("obstruction", "DivergenceReport ObstructionReport g3_closed_eps_minus1 g4_at_1_closed "
+                    "gh_reports gh_sequence obstruction_scan rational_grid "
+                    "small_x_divergence_check"),
+    ("curvature", "LuReport RadialTensorFrame closed_forms_eps curvature_norm2 frame_at_x "
+                  "invariants_from_frame lu_coefficients radial_laplacian_jet"),
+    ("resolvability", "ResolvabilityCertificate minor_matrix simanca_embedding_check"),
+    ("reproduction", "PaperReproductionReport run_items"),
+) for name in names.split()}
+
+__all__ = [*_EXPORTS]
+
+
+def __getattr__(name: str):
+    # read through on every access and never stored here, so a function
+    # patched in its own module (as the benchmark's tracer does) is seen here
+    # while patched and after it is restored
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)

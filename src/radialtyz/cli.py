@@ -28,7 +28,6 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from .curvature import lu_coefficients
 from .obstruction import ObstructionReport, gh_reports, obstruction_scan, rational_grid
 from .potentials import (
     EguchiHanson,
@@ -41,7 +40,6 @@ from .potentials import (
     ricci_flat_residual,
 )
 from .reports import dumps, scalar_to_decimal, scalar_to_json, scalar_to_text
-from .reproduction import run_items
 from .resolvability import minor_matrix, simanca_embedding_check
 from .scalars import DEFAULT_PRECISION_BITS, BallScalar, Sign, SignUndeterminedError, as_scalar
 
@@ -223,6 +221,8 @@ def _cmd_scan(args, fam: PotentialFamily, points: list[Fraction]) -> int:
 
 
 def _cmd_lu_coeffs(args, fam: PotentialFamily, points: list[Fraction]) -> int:
+    from .curvature import lu_coefficients  # only lu-coeffs pays the curvature import
+
     # --dim, else --n (the epsilon family's n or a custom potential's dimension,
     # which validation requires), else 2 (Simanca and Eguchi-Hanson)
     dim = args.dim if args.dim is not None else args.n if args.n is not None else 2
@@ -311,6 +311,8 @@ def _cmd_ricci_flat_check(args, fam: PotentialFamily, points: list[Fraction]) ->
 
 
 def _cmd_reproduce(args, fam: None, points: list[Fraction]) -> int:
+    from .reproduction import run_items  # only reproduce-paper pays its import
+
     report = run_items(args.item, precision_bits=args.precision_bits)
     _write(
         args,

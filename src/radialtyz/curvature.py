@@ -397,6 +397,8 @@ class RadialTensorFrame(Record):
 def frame_at_x(
     fam: PotentialFamily, n: int, x0: ScalarLike, jet_order: int = 0
 ) -> RadialTensorFrame:
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, not {n}")
     x0 = as_scalar(x0)
     ring = RadialRing(Jet.variable(x0, jet_order))
     # one order above what the Phi table needs: det g reads f'' off it
@@ -836,14 +838,12 @@ def curvature_norm2(
     return _norm2_R(frame, _Weights(frame)).even_jet("|R|^2")
 
 
-def closed_forms_eps(n: int, eps: int, x: ScalarLike, lam: Fraction = Fraction(1)) -> dict[str, Scalar]:
+def closed_forms_eps(n: int, eps: int, x: ScalarLike) -> dict[str, Scalar]:
     """Displayed closed forms for the Ricci-flat family at lam = 1:
 
     R2 = n(n-1)(n+1)(n+2) eps^2 (x^n + eps)^(-2(n+1)/n)
     a3_proportional = 2n(n-1)(n+2)(n+1)^2 eps^2 (x^n+eps)^(-3(n+1)/n) (x^n(n+3) - n eps)
     """
-    if Fraction(lam) != 1:
-        raise ValueError("the displayed closed forms are stated for lambda = 1")
     x = as_scalar(x)
     if eps == 0 or n == 1:
         return {"R2": as_scalar(0), "a3_proportional": as_scalar(0)}

@@ -195,9 +195,7 @@ def obstruction_scan(
 
 
 class DivergenceReport(Record):
-    family: str
     h: int
-    k_values: tuple[int, ...]
     values: tuple[Scalar, ...]
     growth_certified: bool
 
@@ -234,9 +232,7 @@ def small_x_divergence_check(
         for i in range(len(balls) - 1)
     )
     return DivergenceReport(
-        family=family_label(fam),
         h=h,
-        k_values=tuple(k_list),
         values=tuple(values),
         growth_certified=growth,
     )

@@ -161,6 +161,8 @@ def ricci_flat_residual(
         n = 2
     if n is None:
         raise ValueError("dimension n required for a custom potential")
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, not {n}")
     out = []
     for x0 in samples:
         d0, d1 = det_jet_from_fprime(fprime_jet(fam, as_scalar(x0), 2), n).coeffs

@@ -44,11 +44,11 @@ def scalar_to_text(value: Scalar) -> str:
     return f"{value.midpoint_str()} ± {value.radius_str()}"
 
 
-def scalar_to_decimal(value: Scalar, dps: int = 30) -> str:
-    """Decimal rendering for CSV output (lossy for exact backends)."""
+def scalar_to_decimal(value: Scalar) -> str:
+    """30-digit decimal rendering for CSV output (lossy for exact backends)."""
     if isinstance(value, BallScalar):
-        return value.midpoint_str(dps)
-    return value.to_ball(128).midpoint_str(dps)
+        return value.midpoint_str(30)
+    return value.to_ball(128).midpoint_str(30)
 
 
 def dumps(payload: Any) -> str:

@@ -35,7 +35,8 @@ def scalars_digest(values) -> str:
 
 def count_fprime_calls(monkeypatch) -> list:
     """Record the arguments of every fprime_jet call, patched at every module
-    binding, as the benchmark's tracer patches it."""
+    binding, as the benchmark's tracer patches it. A binding is a name in a
+    module's own namespace: the package reads fprime_jet through from potentials."""
     original = potentials.fprime_jet
     calls = []
 
@@ -44,7 +45,7 @@ def count_fprime_calls(monkeypatch) -> list:
         return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "radialtyz" and getattr(mod, "fprime_jet", None) is original:
+        if name.split(".")[0] == "radialtyz" and vars(mod).get("fprime_jet") is original:
             monkeypatch.setattr(mod, "fprime_jet", counted)
     return calls
 

@@ -563,6 +563,21 @@ def test_precision_env_stays_a_default_for_commands_that_do_not_read_it(capsys, 
     assert json.loads(out)["ricci_flat_on_samples"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("lu-coeffs", "--family", "simanca", "--dim", "0", "--x", "1"),
+    ("lu-coeffs", "--family", "simanca", "--dim", "-2", "--x", "1"),
+    ("lu-coeffs", "--family", "custom", "--n", "0", "--x", "4/5"),
+    ("ricci-flat-check", "--family", "custom", "--n", "0", "--samples", "4/5"),
+    ("ricci-flat-check", "--family", "custom", "--n", "-1", "--samples", "4/5"),
+], ids=["lu-dim-0", "lu-dim-negative", "lu-custom-n-0", "ricci-custom-n-0",
+        "ricci-custom-n-negative"])
+def test_a_dimension_below_1_is_an_input_error(argv, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *_with_custom_json(argv, tmp_path))
+    dim = argv[argv.index("--dim" if "--dim" in argv else "--n") + 1]
+    assert code == 3 and out == ""
+    assert err == f"error: dimension n must be at least 1, not {dim}\n"
+
+
 @pytest.mark.parametrize("lmax, hmax", [("-1", "2"), ("2", "-1")])
 def test_resolvability_negative_order_is_an_input_error(lmax, hmax, capsys):
     code, out, err = run_cli(
@@ -578,7 +593,7 @@ def test_unwritable_out_rejected_before_compute(target, tmp_path, capsys, monkey
     def run_items(*args, **kwargs):
         raise AssertionError("reproduce-paper ran before --out was checked")
 
-    monkeypatch.setattr("radialtyz.cli.run_items", run_items)
+    monkeypatch.setattr("radialtyz.reproduction.run_items", run_items)
     code, out, err = run_cli(capsys, "reproduce-paper", "--out", str(tmp_path / target))
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: --out ")
@@ -602,12 +617,21 @@ def test_import_does_not_load_sympy():
     ["lu-coeffs", "--family", "simanca", "--dim", "2", "--x", "1"],
 ], ids=["import", "gh-eval", "lu-coeffs"])
 def test_exact_runs_do_not_load_mpmath(argv):
-    # mpmath loads at the first ball exp, log or decimal printing, which exact runs never reach
+    # mpmath loads at the first ball exp, log or decimal printing, which exact
+    # runs never reach; the package loads a layer only when a command reads it
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = f"assert radialtyz.cli.main({argv!r}) == 0\n" if argv else ""
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, radialtyz, radialtyz.cli\n{run}print('mpmath' in sys.modules)"],
+         "import sys, radialtyz\n"
+         "print(*[m for m in sys.modules if m.startswith('radialtyz.')])\n"
+         f"import radialtyz.cli\n{run}print(*sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "False"
+    lines = proc.stdout.splitlines()  # the report, if any, in between
+    bare, loaded = lines[0], set(lines[-1].split())
+    assert bare == "" and "mpmath" not in loaded
+    if argv and argv[0] == "lu-coeffs":
+        assert "radialtyz.curvature" in loaded
+    else:
+        assert not loaded & {"radialtyz.curvature", "radialtyz.reproduction", "dataclasses"}

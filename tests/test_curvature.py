@@ -402,6 +402,15 @@ def test_lu_rejects_low_jet_order():
         lu_coefficients(Simanca(), 2, x=F(1), jet_order=2)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_a_dimension_below_1_is_rejected_before_any_jet(n, monkeypatch):
+    calls = count_fprime_calls(monkeypatch)
+    for compute in (frame_at_x, lu_coefficients, curvature_norm2):
+        with pytest.raises(ValueError, match=f"^dimension n must be at least 1, not {n}$"):
+            compute(Simanca(), n, F(1))
+    assert calls == []
+
+
 def test_lu_ball_backend_matches_exact():
     exact = lu_coefficients(EguchiHanson(), 2, x=F(3, 4))
     ball = lu_coefficients(EguchiHanson(), 2, x=F(3, 4), exact=False, precision_bits=256)

@@ -2,11 +2,12 @@
 
 Static checks on the source with the stdlib ast module: no import is left
 unused, no private module-level helper is left unreferenced, no export is
-used by the tests alone and no attribute set on self is left unread, as
-deletions tend to leave them behind, and scalars.py takes nothing from
-libmpi but division, exp and log. One
-runtime check: evaluations leave every module-level container and function
-cache as it was, so evaluations share no mutable state."""
+used by the tests alone and no attribute set on self or record field is left
+unread, as deletions tend to leave them behind, and scalars.py takes nothing
+from libmpi but division, exp and log. Two runtime checks: the package's
+names read through to their modules and are never stored in the package,
+and evaluations leave every module-level container and function cache as it
+was, so evaluations share no mutable state."""
 import ast
 import importlib
 import pkgutil
@@ -107,14 +108,35 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert not unused, f"exports no code outside the tests uses: {unused}"
 
 
-def test_every_attribute_set_on_self_is_read():
-    # an attribute counts as read where any code loads an attribute of that name
-    read = {
+def test_package_names_read_through_to_their_modules(monkeypatch):
+    # never cached in the package, so a name follows a patch of its module
+    # and its undo, as the benchmark's tracer patches and restores
+    patched = object()
+    monkeypatch.setattr(radialtyz.curvature, "lu_coefficients", patched)
+    assert radialtyz.lu_coefficients is patched
+    monkeypatch.undo()
+    assert radialtyz.lu_coefficients is lu_coefficients
+    values = {name: getattr(radialtyz, name) for name in radialtyz.__all__}
+    assert not vars(radialtyz).keys() & values.keys()
+    star = {}
+    exec("from radialtyz import *", star)
+    assert {name: star[name] for name in values} == values
+    assert not hasattr(radialtyz, "no_such_name")
+
+
+def _attributes_read() -> set[str]:
+    """Every attribute name that code in src/, tests/ or perfbench/ loads: an
+    attribute counts as read where any code loads an attribute of that name."""
+    return {
         sub.attr
         for path in READERS
         for sub in ast.walk(_tree(path))
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
     }
+
+
+def test_every_attribute_set_on_self_is_read():
+    read = _attributes_read()
     unread = []
     for path in MODULES:
         for cls in ast.walk(_tree(path)):
@@ -130,6 +152,26 @@ def test_every_attribute_set_on_self_is_read():
                 ):
                     unread.append(f"{path.name}:{sub.lineno} {cls.name}.{sub.attr}")
     assert not unread, f"attributes set on self and never read: {unread}"
+
+
+def test_every_record_field_is_read():
+    # a field is a class-level annotation; a class with an as_dict method
+    # (LuReport) reads every field there
+    read = _attributes_read()
+    unread = []
+    for path in MODULES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef) or any(
+                isinstance(f, ast.FunctionDef) and f.name == "as_dict" for f in cls.body
+            ):
+                continue
+            unread += [
+                f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in read
+            ]
+    assert not unread, f"record fields never read: {unread}"
 
 
 def test_scalars_takes_only_division_exp_and_log_from_libmpi():

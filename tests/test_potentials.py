@@ -67,6 +67,14 @@ def test_ricci_flat_residuals():
     assert_exact_zero(res[0])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_ricci_flat_residual_rejects_a_dimension_below_1(n):
+    custom = CustomPotential.make(F(4, 5), [F(9, 4), F(-25, 16), 2])
+    for fam in (custom, Simanca()):
+        with pytest.raises(ValueError, match=f"^dimension n must be at least 1, not {n}$"):
+            ricci_flat_residual(fam, [F(4, 5)], n)
+
+
 def test_eguchi_hanson_matches_eps_112():
     for x0 in (F(3, 4), F(1), F(5, 2), F(13, 7)):
         a = fprime_jet(EguchiHanson(), x0, 6)
