@@ -9,21 +9,25 @@ pow route through exp(r*log(a/a0)) * a0**r is kept for cross-checks.
 
 Coefficients are stored as the scalar kernel's raw values (scalars._raw), each
 worth exactly the Scalar an operator would return. Each coefficient of a product,
-a quotient, exp and pow, and of the bivariate product, is one kernel sum of
-products (scalars._raw_dot); sums and scalings by a constant go coefficient by
-coefficient. Results are bit for bit those of the same steps taken one Scalar
-operation at a time, but only value(), derivative(k), coeff(i, j) and the
-read-only `coeffs` views build Scalars. The kernel skips a term with an
-exact-zero factor where the fold would leave the sum as it is (most terms of
-a product with a bivariate power N**k, whose low-order coefficients are exact
-zeros). pow forms its weights (r+1)j - k as integer raws and, on a jet of
+a quotient, exp and pow, and of the bivariate product, exp and composition, is
+one kernel sum of products (scalars._raw_dot); sums and scalings by a constant
+go coefficient by coefficient. Results are bit for bit those of the same steps
+taken one Scalar operation at a time, but only value(), derivative(k),
+coeff(i, j) and the read-only `coeffs` views build Scalars. The kernel skips a
+term with an exact-zero factor where the fold would leave the sum as it is
+(most terms of a product with a bivariate power N**k, whose low-order
+coefficients are exact zeros). pow forms its weights (r+1)j - k as integer raws and, on a jet of
 balls at one precision, promotes each distinct weight once per call rather
 than once per term. bijet_compose_univariate takes the powers of the inner
 series' nilpotent part from a caller that composes several jets with one.
 
 HermitianBiJet is the bivariate counterpart in offsets (u, v) of (z1, z̄1)
 around a radial axis point, with real coefficients and the Hermitian symmetry
-c_ij = c_ji; mixed partials at the base point are i! j! c_ij.
+c_ij = c_ji; mixed partials at the base point are i! j! c_ij. Its one
+operation is the product. bijet_exp and bijet_compose_univariate sum the
+powers N, N**2, ... of the nilpotent part N with their series weights: each
+c_ij with i <= j is one kernel dot over the powers' (i, j) entries, stored at
+(i, j) and (j, i), as the product stores its own.
 """
 from __future__ import annotations
 
@@ -280,7 +284,9 @@ class HermitianBiJet(Record):
     """Bivariate truncated series sum c_ij u**i v**j around a radial point.
 
     u, v are the offsets of (z1, z̄1) from the base point; for the germs in
-    scope all coefficients are real and c_ij == c_ji.
+    scope all coefficients are real and c_ij == c_ji, which make checks. The
+    product and both series form each c_ij with i <= j as one kernel dot and
+    store it at (i, j) and (j, i), so the symmetry stays exact even for balls.
     """
 
     __slots__ = ("base", "raws")
@@ -293,16 +299,13 @@ class HermitianBiJet(Record):
 
     @staticmethod
     def make(base: ScalarLike, rows: Sequence[Sequence[ScalarLike]]) -> "HermitianBiJet":
-        b = as_scalar(base)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("coefficient matrix must be square")
-        return HermitianBiJet(b, tuple(tuple(_raw(c) for c in r) for r in rows))
-
-    @staticmethod
-    def constant(base: ScalarLike, value: ScalarLike, order: int) -> "HermitianBiJet":
-        rows = [[value if i == j == 0 else 0 for j in range(order + 1)] for i in range(order + 1)]
-        return HermitianBiJet.make(base, rows)
+        rows = [[as_scalar(c) for c in r] for r in rows]
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("coefficient matrix must be Hermitian: c_ij == c_ji")
+        return HermitianBiJet(as_scalar(base), tuple(tuple(_raw(c) for c in r) for r in rows))
 
     @property
     def order(self) -> int:
@@ -311,65 +314,54 @@ class HermitianBiJet(Record):
     def coeff(self, i: int, j: int) -> Scalar:
         return _cook(self.raws[i][j])
 
-    def _check_base(self, other: "HermitianBiJet") -> None:
+    def __mul__(self, other: "HermitianBiJet") -> "HermitianBiJet":
         if other.base is not self.base and other.base != self.base:
             raise ValueError("bivariate jet base points differ")
-
-    def __neg__(self) -> "HermitianBiJet":
-        return HermitianBiJet(self.base, tuple(tuple(_raw_neg(c) for c in r) for r in self.raws))
-
-    def __add__(self, other: "HermitianBiJet") -> "HermitianBiJet":
-        self._check_base(other)
-        n = min(self.order, other.order) + 1
-        a, b = self.raws, other.raws
-        rows = tuple(tuple(_add(a[i][j], b[i][j]) for j in range(n)) for i in range(n))
-        return HermitianBiJet(self.base, rows)
-
-    def __sub__(self, other: "HermitianBiJet") -> "HermitianBiJet":
-        return self + (-other)
-
-    def __mul__(self, other: "HermitianBiJet") -> "HermitianBiJet":
-        self._check_base(other)
         n = min(self.order, other.order) + 1
         a, b = self.raws, other.raws
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 pairs = [(i1, j1) for i1 in range(i + 1) for j1 in range(j + 1)]
-                acc = _raw_dot(
+                rows[i][j] = rows[j][i] = _raw_dot(
                     _ZERO, [a[p][q] for p, q in pairs], [b[i - p][j - q] for p, q in pairs]
                 )
-                rows[i][j] = acc
-                if j != i:
-                    # mirror keeps the Hermitian symmetry exact even for balls
-                    rows[j][i] = acc
         return HermitianBiJet(self.base, tuple(tuple(r) for r in rows))
 
-    def nilpotent_part(self) -> "HermitianBiJet":
-        rows = [list(r) for r in self.raws]
-        rows[0][0] = _ZERO
-        return HermitianBiJet(self.base, tuple(tuple(r) for r in rows))
+
+def _bijet_series(
+    a: HermitianBiJet, first: tuple, powers: Sequence[HermitianBiJet], coeffs: Sequence[tuple]
+) -> HermitianBiJet:
+    """first + sum_k coeffs[k-1] * powers[k-1], for powers the nilpotent
+    powers of a: each c_ij with i <= j is one kernel dot, mirrored to (j, i).
+    The base and order come from a, since at order 0 there are no powers."""
+    n = a.order + 1
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = _raw_dot(
+                first if i == j == 0 else _ZERO, [p.raws[i][j] for p in powers], coeffs
+            )
+    return HermitianBiJet(a.base, tuple(tuple(r) for r in rows))
 
 
 def bijet_exp(a: HermitianBiJet) -> HermitianBiJet:
     """exp of a bivariate jet: scalar_exp(c00) * sum N**k / k!, N the nilpotent part."""
-    scale = scalar_exp(a.coeff(0, 0))
-    acc = HermitianBiJet.constant(a.base, 1, a.order)
-    fact = Fraction(1)
-    for k, power in enumerate(nilpotent_powers(a), 1):
-        fact /= k
-        acc = acc + _bijet_scale(power, _raw(fact))
-    return _bijet_scale(acc, _raw(scale))
+    scale = _raw(scalar_exp(a.coeff(0, 0)))
+    powers = nilpotent_powers(a)
+    facts = [(_Q, (1,), math.factorial(k)) for k in range(1, len(powers) + 1)]
+    series = _bijet_series(a, _ONE, powers, facts)
+    return HermitianBiJet(a.base, tuple(tuple(_mul(c, scale) for c in r) for r in series.raws))
 
 
 def nilpotent_powers(a: HermitianBiJet) -> tuple[HermitianBiJet, ...]:
     """N, N**2, ..., N**(2L) for N the nilpotent part of a and L its order."""
-    n = a.nilpotent_part()
-    power = HermitianBiJet.constant(a.base, 1, a.order)
-    out = []
+    rows = [list(r) for r in a.raws]
+    rows[0][0] = _ZERO
+    n = HermitianBiJet(a.base, tuple(tuple(r) for r in rows))
+    out: list[HermitianBiJet] = []
     for _ in range(2 * a.order):
-        power = power * n
-        out.append(power)
+        out.append(out[-1] * n if out else n)
     return tuple(out)
 
 
@@ -386,12 +378,4 @@ def bijet_compose_univariate(
         raise ValueError(
             f"outer jet order {g.order} is short of 2*L = {2 * inner.order}"
         )
-    acc = HermitianBiJet.constant(inner.base, g.value(), inner.order)
-    for k, power in enumerate(powers, 1):
-        acc = acc + _bijet_scale(power, g.raws[k])
-    return acc
-
-
-def _bijet_scale(a: HermitianBiJet, c: tuple) -> HermitianBiJet:
-    """a with every coefficient times the raw c."""
-    return HermitianBiJet(a.base, tuple(tuple(_mul(v, c) for v in r) for r in a.raws))
+    return _bijet_series(inner, _raw(g.value()), powers, g.raws[1:])

@@ -33,9 +33,10 @@ from .scalars import (
     Scalar,
     ScalarLike,
     Sign,
+    SignUndeterminedError,
     as_scalar,
-    certified_lt,
     int_pow,
+    require_gt,
     scalar_pow,
 )
 
@@ -76,8 +77,7 @@ def g3_closed_eps_minus1(lam: Fraction, n: int, x: ScalarLike) -> Scalar:
     """Closed form of g_3 for the eps = -1 family (potential lam * f_{-1})."""
     lam = Fraction(lam)
     x = as_scalar(x)
-    if not certified_lt(as_scalar(1), x):
-        raise DomainError("eps=-1 closed form needs x > 1")
+    require_gt(x, 1, "eps=-1 closed form needs x > 1")
     t = int_pow(x, n) - 1
     lam_s = as_scalar(lam)
     inner = (
@@ -183,10 +183,16 @@ def obstruction_scan(
         prec = precision_bits
         while True:
             x0 = prepare_point(fam, x, exact=exact, precision_bits=prec)
-            values = gh_sequence(fam, x0, hmax)
-            signs = [v.sign() for v in values]
-            if Sign.UNDETERMINED not in signs or x0.exact or prec >= PRECISION_CAP_BITS:
-                break
+            last = x0.exact or prec >= PRECISION_CAP_BITS
+            try:
+                values = gh_sequence(fam, x0, hmax)
+            except SignUndeterminedError:  # e.g. a ball of x0 reaching the domain's edge
+                if last:
+                    raise
+            else:
+                signs = [v.sign() for v in values]
+                if last or Sign.UNDETERMINED not in signs:
+                    break
             prec *= 2
         for h, (v, s) in enumerate(zip(values, signs)):
             if s in (Sign.NEGATIVE, Sign.UNDETERMINED):

@@ -30,7 +30,7 @@ from .scalars import (
     ScalarLike,
     Sign,
     as_scalar,
-    certified_gt,
+    require_gt,
 )
 
 
@@ -87,17 +87,16 @@ def family_label(fam: PotentialFamily) -> str:
 
 
 def check_admissible(fam: PotentialFamily, x0: Scalar) -> None:
-    """Strict-inequality domain checks with certified signs."""
+    """Strict-inequality domain checks with certified signs: DomainError for
+    a point certified outside, SignUndeterminedError for a ball of x0 that
+    reaches the domain's edge."""
     if isinstance(fam, EpsilonFamily):
         if fam.eps == -1:
-            if not certified_gt(x0, 1):
-                raise DomainError("eps=-1 family needs x > 1")
+            require_gt(x0, 1, "eps=-1 family needs x > 1")
         else:
-            if not certified_gt(x0, 0):
-                raise DomainError("epsilon family needs x > 0")
+            require_gt(x0, 0, "epsilon family needs x > 0")
     elif isinstance(fam, (Simanca, EguchiHanson)):
-        if not certified_gt(x0, 0):
-            raise DomainError(f"{family_label(fam)} needs x > 0")
+        require_gt(x0, 0, f"{family_label(fam)} needs x > 0")
     elif isinstance(fam, CustomPotential):
         if x0 != fam.x0:
             raise DomainError("custom potential is only defined at its own base point")

@@ -19,9 +19,10 @@ condition and is labeled as such.
 
 minor_matrix builds the inner series x0(1 + u + v + uv) and the powers of its
 nilpotent part once per call, and the germ's radial part and every g_h
-compose with them; det_scalar runs on kernel raws and builds one Scalar.
-Results are bit for bit those of the same steps taken one Scalar operation
-at a time.
+compose with them, each coefficient on the upper triangle one kernel dot
+(see jets); the germ takes the axis terms off row 0 and column 0 on raws, and
+det_scalar runs on kernel raws and builds one Scalar. Results are bit for bit
+those of the same steps taken one Scalar operation at a time.
 """
 from __future__ import annotations
 
@@ -58,13 +59,7 @@ SCOPE_NOTE = (
 
 def _inner_bijet(x0: Scalar, order: int) -> HermitianBiJet:
     """x = s^2 (1 + u_hat)(1 + v_hat) as a bivariate jet: x0(1 + u + v + uv)."""
-    zero = as_scalar(0)
-    rows = [[zero] * (order + 1) for _ in range(order + 1)]
-    rows[0][0] = x0
-    if order >= 1:
-        rows[0][1] = x0
-        rows[1][0] = x0
-        rows[1][1] = x0
+    rows = [[x0 if i < 2 and j < 2 else 0 for j in range(order + 1)] for i in range(order + 1)]
     return HermitianBiJet.make(x0, rows)
 
 
@@ -76,12 +71,13 @@ def diastasis_germ_at_x(
     and powers = nilpotent_powers(inner)."""
     x0, order = fp.x0, inner.order
     fj = fp.antiderive(0).truncate(2 * order)  # f anchored to f(x0) = 0
-    radial_part = bijet_compose_univariate(fj, inner, powers)
-    # f(s z1) = f(x0 (1 + u_hat)): univariate row/column contributions; the
-    # constants f(x0) + f(s^2) - f(s*s) ... cancel: fj is anchored to 0
-    axis = fj.scale_var(x0).coeffs
-    edge = [[axis[i + j] if i * j == 0 else 0 for j in range(order + 1)] for i in range(order + 1)]
-    return radial_part - HermitianBiJet.make(x0, edge)
+    rows = [list(r) for r in bijet_compose_univariate(fj, inner, powers).raws]
+    # f(s z1) = f(x0 (1 + u_hat)): univariate terms off row 0 and column 0;
+    # the constants f(x0) + f(s^2) - f(s*s) ... cancel: fj is anchored to 0
+    axis = fj.scale_var(x0).raws
+    for j in range(order + 1):
+        rows[0][j] = rows[j][0] = _norm(_raw_add(rows[0][j], _raw_neg(axis[j])))
+    return HermitianBiJet(x0, tuple(tuple(r) for r in rows))
 
 
 def det_scalar(matrix: list[list[Scalar]]) -> Scalar:

@@ -941,8 +941,14 @@ def certified_lt(a: Scalar, b: ScalarLike) -> bool:
     return (a - as_scalar(b)).sign() == Sign.NEGATIVE
 
 
-def certified_gt(a: Scalar, b: ScalarLike) -> bool:
-    return (a - as_scalar(b)).sign() == Sign.POSITIVE
+def require_gt(a: Scalar, b: ScalarLike, message: str) -> None:
+    """DomainError(message) unless a > b is certified, but where a is a ball
+    that reaches b, SignUndeterminedError: a higher precision may place it."""
+    s = (a - as_scalar(b)).sign()
+    if s == Sign.UNDETERMINED:
+        raise SignUndeterminedError(f"{message}: the ball of x reaches {b}; raise the precision")
+    if s != Sign.POSITIVE:
+        raise DomainError(message)
 
 
 def abs_le(a: Scalar, bound: ScalarLike) -> bool:
@@ -954,7 +960,7 @@ def abs_le(a: Scalar, bound: ScalarLike) -> bool:
     if s == Sign.UNDETERMINED:
         # fall back to endpoint reasoning for balls
         if isinstance(a, BallScalar):
-            return certified_lt(a, bound) and certified_gt(a, -bound)
+            return certified_lt(a, bound) and certified_lt(-bound, a)
         return False
     mag = a if s == Sign.POSITIVE else -a
     d = (bound - mag).sign()

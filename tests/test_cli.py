@@ -357,6 +357,31 @@ def test_sign_needed_by_the_computation_undetermined_exits_inconclusive(capsys):
     assert "undetermined" in err
 
 
+EDGE_POINT = ["--eps=-1", "--n", "3", "--x", "65537/65536", "--precision-bits", "16"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gh-eval", *EDGE_POINT, "--hmax", "3"], ["lu-coeffs", *EDGE_POINT], ["resolvability", *EDGE_POINT],
+], ids=["gh-eval", "lu-coeffs", "resolvability"])
+def test_a_point_the_precision_cannot_place_in_the_domain_exits_inconclusive(argv, capsys):
+    # the 16-bit ball of x = 65537/65536 reaches 1: no input error, as at 24
+    # bits the point is placed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: eps=-1 family needs x > 1: the ball of x reaches 1; raise the precision\n"
+
+
+def test_scan_certifies_a_point_near_the_domain_edge_at_a_doubled_precision(capsys):
+    code, out, _ = run_cli(
+        capsys, "scan", "--eps=-1", "--n", "3", "--x-grid", "65537/65536:2:3", "--hmax", "3",
+        "--precision-bits", "16",
+    )
+    hits = json.loads(out)["hits"]
+    assert code == 0
+    assert [(h["x"], h["h"], h["sign"], h["precision_bits"]) for h in hits] == [
+        ("65537/65536", 3, "negative", 32)]
+
+
 def test_output_determinism(capsys):
     args = (
         "gh-eval", "--family", "epsilon", "--eps", "1", "--n", "3",

@@ -2,9 +2,9 @@
 
 Static checks on the source with the stdlib ast module: no import is left
 unused, no private module-level helper is left unreferenced, no export is
-used by the tests alone and no attribute set on self or record field is left
-unread, as deletions tend to leave them behind, and scalars.py takes nothing
-from libmpi but division, exp and log. Two runtime checks: the package's
+used by the tests alone and no attribute set on self, record field or method
+is left unread, as deletions tend to leave them behind, and scalars.py takes
+nothing from libmpi but division, exp and log. Two runtime checks: the package's
 names read through to their modules and are never stored in the package,
 and evaluations leave every module-level container and function cache as it
 was, so evaluations share no mutable state."""
@@ -172,6 +172,33 @@ def test_every_record_field_is_read():
                 and stmt.target.id not in read
             ]
     assert not unread, f"record fields never read: {unread}"
+
+
+def test_every_method_is_read():
+    # a function, staticmethod or property in a class body counts as read
+    # where code loads an attribute of its name or a string names it (the
+    # benchmark patches methods by name); one that overrides an attribute of
+    # a base class (_Parser.error) is read by the base's callers
+    read = _attributes_read() | {
+        sub.value for path in READERS for sub in ast.walk(_tree(path))
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    }
+    unread = []
+    for path in MODULES:
+        module = importlib.import_module(f"radialtyz.{path.stem}")
+        for cls in _tree(path).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(module, cls.name).__mro__[1:]
+            unread += [
+                f"{path.name}:{stmt.lineno} {cls.name}.{stmt.name}"
+                for stmt in cls.body
+                if isinstance(stmt, ast.FunctionDef)
+                and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+                and stmt.name not in read
+                and not any(hasattr(base, stmt.name) for base in bases)
+            ]
+    assert not unread, f"methods never read: {unread}"
 
 
 def test_scalars_takes_only_division_exp_and_log_from_libmpi():

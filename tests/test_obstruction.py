@@ -11,12 +11,14 @@ from radialtyz.obstruction import (
     rational_grid,
     small_x_divergence_check,
 )
-from radialtyz.potentials import EpsilonFamily, Simanca, prepare_point
+from radialtyz.potentials import EpsilonFamily, Simanca, check_admissible, prepare_point
 from radialtyz.scalars import (
     DEFAULT_PRECISION_BITS,
+    PRECISION_CAP_BITS,
     DomainError,
     Scalar,
     Sign,
+    SignUndeterminedError,
     abs_le,
     as_scalar,
     int_pow,
@@ -237,6 +239,34 @@ def test_every_hmax_checks_the_domain(hmax):
     for call in (gh_sequence, gh_reports, lambda fam, x, h: obstruction_scan(fam, [x], h)):
         with pytest.raises(DomainError, match="x > 1"):
             call(fam, F(1, 2), hmax)
+
+
+EDGE = F(65537, 65536)  # its 16-bit ball reaches 1, its 32-bit one does not
+
+
+def test_a_ball_reaching_the_domain_edge_is_undetermined_not_out_of_domain():
+    fam = EpsilonFamily(-1, F(1), 3)
+    x16 = prepare_point(fam, as_scalar(EDGE), precision_bits=16)
+    for call in (lambda: check_admissible(fam, x16), lambda: gh_sequence(fam, x16, 3),
+                 lambda: g3_closed_eps_minus1(F(1), 3, x16)):
+        with pytest.raises(SignUndeterminedError, match="x > 1: the ball of x reaches 1"):
+            call()
+    # 24 bits place it, and g_3 is certified negative there
+    x24 = prepare_point(fam, as_scalar(EDGE), precision_bits=24)
+    assert gh_sequence(fam, x24, 3)[3].sign() == Sign.NEGATIVE
+    # a ball certified outside the domain is still a domain error
+    with pytest.raises(DomainError, match="x > 1"):
+        gh_sequence(fam, prepare_point(fam, as_scalar(F(1, 2)), precision_bits=16), 3)
+
+
+def test_scan_doubles_the_precision_of_a_point_its_ball_cannot_place():
+    fam = EpsilonFamily(-1, F(1), 3)
+    first = obstruction_scan(fam, [EDGE, 2], 3, precision_bits=16)[0]
+    assert (first.x.value, first.h, first.sign, first.precision_bits) == (
+        EDGE, 3, Sign.NEGATIVE, 32)
+    # a point that even the cap cannot place raises there
+    with pytest.raises(SignUndeterminedError, match="x > 1"):
+        obstruction_scan(fam, [1 + F(1, 2 ** (2 * PRECISION_CAP_BITS))], 3, precision_bits=16)
 
 
 def test_g0_is_the_exact_one_on_exact_and_ball_points():

@@ -184,6 +184,20 @@ def test_minor_rows_match_the_gh_oracle_on_balls():
             diff = (cert.minors[l][h] - want[l][h]).sign()
             assert diff in (Sign.ZERO, Sign.UNDETERMINED), (l, h)
 
+@pytest.mark.parametrize("exact, backend", [(None, "root"), (False, "ball")], ids=["exact", "ball64"])
+def test_minor_matrix_at_lmax_0_is_the_gh_row(exact, backend):
+    # order 0: no nilpotent powers, the germ is 0 and its exp the exact 1, so
+    # the one row is g_h, endpoints and precision alike
+    fam = EpsilonFamily(-1, F(1), 2)
+    cert = minor_matrix(fam, x=F(101, 100), lmax=0, hmax=4, exact=exact, precision_bits=64)
+    seq = gh_sequence(fam, cert.x0, 4)
+    assert len(cert.minors) == len(cert.signs) == 1
+    assert [m.backend for m in cert.minors[0]] == ["rational"] + [backend] * 4
+    assert [(m, getattr(m, "precision_bits", None)) for m in cert.minors[0]] == [
+        (g, getattr(g, "precision_bits", None)) for g in seq]
+    assert (cert.verdict, cert.first_flag) == ("obstructed", (0, 3))
+
+
 def test_certificate_has_scope_note():
     cert = minor_matrix(EpsilonFamily(0, F(1), 2), x=1, lmax=0, hmax=0)
     assert "necessary-condition" in cert.scope_note
