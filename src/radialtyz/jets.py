@@ -8,18 +8,23 @@ binomial recurrence k*a0*p_k = sum_{j=1..k} ((r+1)j - k) a_j p_{k-j}; a second
 pow route through exp(r*log(a/a0)) * a0**r is kept for cross-checks.
 
 Coefficients are stored as the scalar kernel's raw values (scalars._raw), each
-worth exactly the Scalar an operator would return. Each coefficient of a product,
-a quotient, exp and pow, and of the bivariate product, exp and composition, is
-one kernel sum of products (scalars._raw_dot); sums and scalings by a constant
-go coefficient by coefficient. Results are bit for bit those of the same steps
-taken one Scalar operation at a time, but only value(), derivative(k),
-coeff(i, j) and the read-only `coeffs` views build Scalars. The kernel skips a
-term with an exact-zero factor where the fold would leave the sum as it is
-(most terms of a product with a bivariate power N**k, whose low-order
-coefficients are exact zeros). pow forms its weights (r+1)j - k as integer raws and, on a jet of
-balls at one precision, promotes each distinct weight once per call rather
-than once per term. bijet_compose_univariate takes the powers of the inner
-series' nilpotent part from a caller that composes several jets with one.
+worth exactly the Scalar an operator would return. Each coefficient of a
+product, a quotient, exp and pow, and of the bivariate product, exp and
+composition, is one kernel sum of products (scalars._raw_dot); sums and
+scalings by a constant go coefficient by coefficient. A product with a
+one-coefficient operand is one kernel product. An exact value has no rounding, so
+the order of its operations cannot change its bits: a product of two exact jets
+in one field (Q or one Q(theta)) with at least _CONVOLVE_FROM coefficients is
+an integer convolution over each jet's lcm denominator instead. Results are bit
+for bit those of the same steps taken one Scalar operation at a time, but only
+value(), derivative(k), coeff(i, j) and the read-only `coeffs` views build
+Scalars. The kernel skips a term with an exact-zero factor where the fold would
+leave the sum as it is (most terms of a product with a bivariate power N**k,
+whose low-order coefficients are exact zeros). pow forms its weights (r+1)j - k
+as integer raws and, on a jet of balls at one precision, promotes each distinct
+weight once per call rather than once per term. bijet_compose_univariate takes
+the powers of the inner series' nilpotent part from a caller that composes
+several jets with one.
 
 HermitianBiJet is the bivariate counterpart in offsets (u, v) of (z1, z̄1)
 around a radial axis point, with real coefficients and the Hermitian symmetry
@@ -32,6 +37,7 @@ c_ij with i <= j is one kernel dot over the powers' (i, j) entries, stored at
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,6 +51,7 @@ from .scalars import (
     _Q,
     _ball_of,
     _cook,
+    _exact,
     _norm,
     _raw,
     _raw_add,
@@ -66,6 +73,40 @@ def _add(a: tuple, b: tuple) -> tuple:
 
 def _mul(a: tuple, b: tuple) -> tuple:
     return _norm(_raw_mul(a, b))
+
+
+_CONVOLVE_FROM = 6  # measured: on shorter jets the convolution's set-up costs more than the fold
+
+
+def _field(raws: Sequence[tuple]) -> tuple | None:
+    """_Q or the one root extension holding every raw; None for a ball or two roots."""
+    exts = {e for e, _, _ in raws} - {_Q}
+    if len(exts) > 1 or None in exts:
+        return None
+    return exts.pop() if exts else _Q
+
+
+def _numerators(raws: Sequence[tuple], d: int) -> tuple[list[list[int]], int]:
+    """Exact raws as numerators over their lcm denominator, a list per theta power."""
+    den = math.lcm(*(q for _, _, q in raws))
+    return [[nums[i] * (den // q) if i < len(nums) else 0 for _, nums, q in raws]
+            for i in range(d)], den
+
+
+def _convolve(a: Sequence[tuple], b: Sequence[tuple], ext: tuple) -> tuple:
+    """The Cauchy product of exact raws a and b of one length in ext: one
+    integer convolution per pair of theta powers, theta**d folded to r, each
+    coefficient reduced once into RootScalar.make's normal form."""
+    (d, r), n = ext, len(a)
+    (xa, da), (xb, db) = _numerators(a, d), _numerators(b, d)
+    out = [[0] * n for _ in range(d)]
+    for i, u in enumerate(xa):
+        for j, v in enumerate(xb):
+            if any(u) and any(v):
+                o, w = (out[i + j], 1) if i + j < d else (out[i + j - d], r)
+                for k in range(n):
+                    o[k] += w * sum(map(operator.mul, u[: k + 1], v[k::-1]))
+    return tuple(_norm(_exact(ext, tuple(c[k] for c in out), da * db)) for k in range(n))
 
 
 class Jet(Record):
@@ -148,7 +189,11 @@ class Jet(Record):
             return Jet(self.x0, tuple(_mul(a, c) for a in self.raws))
         other = self._lift(other)
         n = min(self.order, other.order) + 1
-        a, b = self.raws, other.raws
+        a, b = self.raws[:n], other.raws[:n]
+        if n == 1:
+            return Jet(self.x0, (_mul(a[0], b[0]),))
+        if n >= _CONVOLVE_FROM and (ext := _field(a + b)) is not None:
+            return Jet(self.x0, _convolve(a, b, ext))
         return Jet(self.x0, tuple(_raw_dot(_ZERO, a[: k + 1], b[k::-1]) for k in range(n)))
 
     __rmul__ = __mul__

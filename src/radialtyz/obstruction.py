@@ -9,9 +9,12 @@ g_h is always computed two independent ways which must agree:
   (i)  the first-order recursion g_{h+1} = g_h' + g_1 g_h over jets, g_1 = f';
   (ii) the h-th Taylor derivative of e^f at the base point (with f anchored to
        f(x0) = 0, so the e^{-f(x0)} normalization is exactly 1).
+The check forms g_h - h! c_h on kernel raws, by the Scalar operators' own
+operations, and builds Scalars only of that difference and of each g_h.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,6 +37,11 @@ from .scalars import (
     ScalarLike,
     Sign,
     SignUndeterminedError,
+    _Q,
+    _cook,
+    _raw_add,
+    _raw_mul,
+    _raw_neg,
     as_scalar,
     int_pow,
     require_gt,
@@ -60,17 +68,16 @@ def gh_sequence(fam: PotentialFamily, x0: ScalarLike, hmax: int) -> list[Scalar]
     if hmax < 0:
         raise ValueError("hmax must be nonnegative")
     fp = fprime_jet(fam, x0, max(hmax - 1, 0))
-    values = [g.value() for g in gh_jets(fp, hmax)]
+    raws = [g.raws[0] for g in gh_jets(fp, hmax)]
 
-    direct = fp.antiderive(0).exp()  # e^f with f(x0) = 0
+    direct = fp.antiderive(0).exp().raws  # e^f with f(x0) = 0
     for h in range(1, hmax + 1):
-        diff = values[h] - direct.derivative(h)
-        s = diff.sign()
-        if s not in (Sign.ZERO, Sign.UNDETERMINED):
+        diff = _cook(_raw_add(raws[h], _raw_neg(_raw_mul(direct[h], (_Q, (math.factorial(h),), 1)))))
+        if diff.sign() not in (Sign.ZERO, Sign.UNDETERMINED):
             raise ArithmeticError(
                 f"g_{h} recursion and direct routes disagree (certified): {diff!r}"
             )
-    return values
+    return [_cook(r) for r in raws]
 
 
 def g3_closed_eps_minus1(lam: Fraction, n: int, x: ScalarLike) -> Scalar:

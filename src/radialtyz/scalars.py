@@ -5,9 +5,10 @@ Three interchangeable backends share one operator protocol:
 * RationalScalar -- exact rationals (fractions.Fraction).
 * RootScalar     -- exact elements of Q(theta), theta = r**(1/d) the real
                     positive root of a d-power-free integer radicand r >= 2.
-                    Sign queries are decided by interval refinement, which
-                    terminates because {1, theta, ..., theta**(d-1)} is a
-                    Q-basis (x**d - r is irreducible for canonical r).
+                    The sign of a + b*theta (d = 2) compares a**2 with b**2 * r;
+                    at d > 2 interval refinement decides it, which terminates
+                    because {1, theta, ..., theta**(d-1)} is a Q-basis
+                    (x**d - r is irreducible for canonical r).
 * BallScalar     -- interval ("ball") arithmetic at the ball's precision,
                     held as finite integer mantissa/exponent endpoints:
                     products, sums, negation, inverses and sign queries work
@@ -17,12 +18,13 @@ Three interchangeable backends share one operator protocol:
                     answers `undetermined` whenever the enclosure straddles
                     zero.
 
-mpmath is imported at the first ball exp, log or decimal printing, not with
-this module: any mpmath.libmp import runs the whole mpmath package, which
-costs more than a CLI call on exact values does.
+mpmath is imported at the first ball exp, log, root ball or decimal printing,
+not with this module: any mpmath.libmp import runs the whole mpmath package,
+which costs more than a CLI call on exact values does.
 
 All values are immutable; mixed-backend operations coerce upward
-(rational -> root -> ball). Two distinct root extensions never mix: that
+(rational -> root -> ball). Two root extensions mix only in one that holds
+the other's root (337**(1/2) in Q(337**(1/4)), see _lift); otherwise that
 raises ExactnessError and callers are expected to fall back to balls.
 
 There is one arithmetic, on raw values (see _raw): _raw_add, _raw_mul,
@@ -316,6 +318,13 @@ class RootScalar(Scalar):
             return Sign.POSITIVE  # theta > 0
         if all(c <= 0 for c in self.coeffs):
             return Sign.NEGATIVE
+        if self.degree == 2:
+            # a + b*theta, a and b of opposite signs: a's sign when a**2 > b**2 * r
+            (a, b), r = self.coeffs, self.radicand
+            d = (a.numerator * b.denominator) ** 2 - (b.numerator * a.denominator) ** 2 * r
+            if not d:
+                return Sign.ZERO  # only for a radicand that is not canonical, such as 4
+            return Sign.POSITIVE if (a if d > 0 else b) > 0 else Sign.NEGATIVE
         bits = max(c.numerator.bit_length() + c.denominator.bit_length() for c in self.coeffs)
         prec = max(64, bits + 32)
         while prec <= (1 << 22):
@@ -471,11 +480,41 @@ _Q = (1, 1)
 _ZERO_IV = (0, 0, 0, 0)
 
 
-def _mixed_roots(ea: tuple[int, int], eb: tuple[int, int]) -> ExactnessError:
-    return ExactnessError(
-        f"cannot mix root extensions {ea[1]}^(1/{ea[0]}) and {eb[1]}^(1/{eb[0]}); "
-        "use a ball backend"
-    )
+def _iroot(x: int, d: int) -> int | None:
+    """The integer y with y**d == x for an integer x >= 1, or None."""
+    y = 1 << -(-x.bit_length() // d)  # above the root; Newton steps fall to its floor
+    while (z := ((d - 1) * y + x // y ** (d - 1)) // d) < y:
+        y = z
+    return y if y**d == x else None
+
+
+def _lift(a: tuple, ext: tuple[int, int]) -> tuple | None:
+    """The exact raw a of Q(s**(1/d)) written in Q(theta), ext = (n, r), if d | n
+    and s**(1/d) = c * theta**(m*n/d) for a rational c (c**d = s / r**m) and an
+    m in [0, d): a_j s**(j/d) is a_j c**j theta**(j*m*n/d), theta**n folded to r."""
+    (d, s), nums, den = a
+    n, r = ext
+    for m in range(0 if n % d else d):
+        f = Fraction(s, r**m)
+        p, q = _iroot(f.numerator, d), _iroot(f.denominator, d)
+        if p and q:
+            out = [0] * n
+            for j, v in enumerate(nums):
+                e, w = divmod(j * m * n // d, n)
+                out[w] += v * p**j * q ** (d - 1 - j) * r**e
+            return ext, tuple(out), den * q ** (d - 1)
+    return None
+
+
+def _same_field(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Exact raws a and b of two root extensions, both written in the one
+    that holds the other's root (see _lift); ExactnessError if neither does."""
+    if (la := _lift(a, b[0])) is not None:
+        return la, b
+    if (lb := _lift(b, a[0])) is not None:
+        return a, lb
+    (d, s), (n, r) = a[0], b[0]
+    raise ExactnessError(f"cannot mix root extensions {s}^(1/{d}) and {r}^(1/{n}); use a ball backend")
 
 
 def _down(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -720,7 +759,7 @@ def _raw_mul(a: tuple, b: tuple) -> tuple:
         c = nb[0]
         return _exact(ea, tuple(v * c for v in na), da * db)
     if ea != eb:
-        raise _mixed_roots(ea, eb)
+        (ea, na, da), (_, nb, db) = _same_field(a, b)
     d, r = ea
     acc = [0] * d
     for i, u in enumerate(na):
@@ -757,7 +796,7 @@ def _raw_add(a: tuple, b: tuple) -> tuple:
         elif eb is _Q:
             nb = nb + (0,) * (len(na) - 1)
         else:
-            raise _mixed_roots(ea, eb)
+            (ea, na, da), (_, nb, db) = _same_field(a, b)
     if da == db:
         return _exact(ea, tuple(u + v for u, v in zip(na, nb)), da)
     g = math.gcd(da, db)
@@ -814,7 +853,7 @@ def _raw_dot(
     wider of the two operands' precisions: an exact zero term leaves the sum
     as it is, an exact zero times a ball is [0, 0] at the ball's precision,
     and any other exact operand meeting a ball is promoted as to_ball would at
-    the ball's precision. Two distinct root extensions raise ExactnessError.
+    the ball's precision. Two root extensions mix as in _raw_mul.
 
     A term with an exact-zero factor x or y is exact 0, or the ball [0, 0] at
     the widest precision q of its ball factors. It is skipped where the fold

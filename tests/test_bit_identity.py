@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from radialtyz.scalars import as_scalar
+from radialtyz.scalars import BallScalar, as_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bit_identity.py"
@@ -22,9 +22,18 @@ def test_bit_identity_digest_covers_each_input_and_ball_endpoints():
     two = tool.digest(ROOT, "lu-sweep", 0, 2)
     assert two == tool.digest(ROOT, "lu-sweep", 0, 2)
     assert two != tool.digest(ROOT, "lu-sweep", 0, 1)
-    # a ball's integer endpoints go in, not only its rounded decimal form
+    # a ball's endpoints go in, not only its rounded decimal form
     ball = as_scalar(F(1, 3)).to_ball(64)
-    assert tool._balls({"a": [ball, as_scalar(1)]}) == [[list(ball.iv), 64]]
+    assert tool._balls({"a": [ball, as_scalar(1)]}) == [[[list(end) for end in ball.mpi], 64]]
+
+
+def test_bit_identity_digests_equal_balls_alike():
+    # (2, 0, 2, 0) and (1, 1, 1, 1) are one ball: trailing zero bits do not count
+    tool = _tool()
+    two = as_scalar(2).to_ball(64)
+    same = BallScalar(two.mpi, 64)
+    assert two.iv != same.iv and two == same
+    assert tool._balls([two]) == tool._balls([same])
 
 
 def test_bit_identity_prints_one_digest_for_cli_inputs():

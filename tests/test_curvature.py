@@ -322,6 +322,17 @@ def test_curvature_norm_closed_form_exact_n2():
     assert closed_forms_eps(2, 1, F(1))["R2"].text() == "3"
 
 
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("x", [F(3, 4), F(5, 2)])
+def test_exact_report_meets_closed_forms_in_nested_root_extensions(n, x):
+    # the engine's values live in Q(c**(1/n)) and the closed forms' in a
+    # subfield, such as 337**(1/2) against 337**(1/4) at n = 4, x = 3/4
+    rep = lu_coefficients(EpsilonFamily(1, F(1), n), n, x, exact=True)
+    closed = closed_forms_eps(n, 1, x)
+    assert_exact_zero(rep.R2 - closed["R2"], "R2")
+    assert_exact_zero(rep.a3 * 48 - closed["a3_proportional"], "48 a3")
+
+
 def test_closed_forms_trivial_and_sign():
     out = closed_forms_eps(4, 0, F(2))
     assert out["R2"].text() == "0" and out["a3_proportional"].text() == "0"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from radialtyz.scalars import (
     ONE,
     ZERO,
     BallScalar,
+    ExactnessError,
     Scalar,
     Sign,
     SignUndeterminedError,
@@ -535,3 +537,67 @@ def test_bijet_operations_match_the_scalar_reference(case, zero_c00):
     ]
     for i, (got, want) in enumerate(cases):
         assert _outcome(got) == _outcome(want), i
+
+
+# -- exact products by integer convolution ---------------------------------------
+
+
+def _fold_raws(a: Jet, b: Jet) -> tuple:
+    """The product's raws as the kernel dot forms them, one per coefficient."""
+    n = min(a.order, b.order) + 1
+    return tuple(jets._raw_dot(jets._ZERO, a.raws[: k + 1], b.raws[k::-1]) for k in range(n))
+
+
+def _exact_coeffs(rng, size: int, root) -> list:
+    out = []
+    for _ in range(size):
+        v = as_scalar(F(rng.randint(-30, 30), rng.randint(1, 9)))
+        if rng.random() < 0.2:
+            v = ZERO
+        elif root is not None and rng.random() < 0.7:
+            v = v + root * F(rng.randint(-9, 9), rng.randint(1, 5))
+        out.append(v)
+    return out
+
+
+ROOTS = {"Q": None, "sqrt5": nth_root(as_scalar(5), 2), "cbrt7": nth_root(as_scalar(7), 3)}
+
+
+@pytest.mark.parametrize("kind_a, kind_b", [("Q", "Q"), ("sqrt5", "sqrt5"), ("cbrt7", "cbrt7"),
+                                            ("Q", "sqrt5"), ("cbrt7", "Q")])
+def test_exact_products_equal_the_kernel_fold(kind_a, kind_b, monkeypatch):
+    convolve, lengths = jets._convolve, []
+    monkeypatch.setattr(jets, "_convolve",
+                        lambda a, b, ext: lengths.append(len(a)) or convolve(a, b, ext))
+    rng = random.Random(6)
+    for size in range(1, 13):
+        for extra in (0, 2):
+            a = Jet.make(F(1, 2), _exact_coeffs(rng, size, ROOTS[kind_a]))
+            b = Jet.make(F(1, 2), _exact_coeffs(rng, size + extra, ROOTS[kind_b]))
+            assert (a * b).raws == _fold_raws(a, b) == (b * a).raws[: size]
+    zeros = Jet.make(F(1, 2), [ZERO] * 8)
+    assert (zeros * a).raws == _fold_raws(zeros, a) == (jets._ZERO,) * 8
+    assert min(lengths) == jets._CONVOLVE_FROM and max(lengths) == 12
+
+
+def test_a_product_with_a_ball_or_two_roots_keeps_the_fold(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jets, "_convolve", lambda *args: calls.append(args))
+    exact = Jet.make(F(1, 2), [F(k + 1, 3) for k in range(8)])
+    ball = Jet.make(F(1, 2), [as_scalar(F(1, k + 2)).to_ball(64) for k in range(8)])
+    assert (ball * exact).raws == _fold_raws(ball, exact)
+    assert (exact * ball).raws == _fold_raws(exact, ball)
+    mixed = Jet.make(F(1, 2), [ROOTS["sqrt5"]] * 4 + [ROOTS["cbrt7"]] * 4)
+    with pytest.raises(ExactnessError):
+        mixed * exact
+    assert calls == []
+    monkeypatch.undo()
+    assert (exact * exact).raws == _fold_raws(exact, exact)
+
+
+@pytest.mark.parametrize("x, y", [(F(2, 3), F(-3, 4)), (ZERO, as_scalar(F(1, 3)).to_ball(16)),
+                                  (as_scalar(F(1, 3)).to_ball(16), as_scalar(F(1, 7)).to_ball(64)),
+                                  (ROOTS["sqrt5"], ZERO), (ROOTS["cbrt7"], F(5))])
+def test_a_one_coefficient_product_is_the_dot_of_one_term(x, y):
+    a, b = Jet.make(0, [x]), Jet.make(0, [y, 1])
+    assert (a * b).raws == (b * a).raws == _fold_raws(a, b)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from radialtyz import obstruction
 from radialtyz.obstruction import (
     g3_closed_eps_minus1,
     g4_at_1_closed,
@@ -274,3 +279,47 @@ def test_g0_is_the_exact_one_on_exact_and_ball_points():
     for x0 in (F(3, 4), prepare_point(fam, as_scalar(F(3, 4)), exact=False, precision_bits=64)):
         (g0,) = gh_sequence(fam, x0, 0)
         assert (g0.backend, g0.text()) == ("rational", "1")
+
+
+@pytest.mark.parametrize("x0, shift, fires", [
+    (as_scalar(F(1, 2)), F(1), True),  # an exact point: g_3 in Q(sqrt 5)
+    (as_scalar(F(1, 2)).to_ball(256), F(1, 2**10), True),
+    (as_scalar(F(1, 2)).to_ball(16), F(1, 2**40), False),  # inside the 16-bit ball's radius
+])
+def test_the_route_check_fires_when_g3_moves(monkeypatch, x0, shift, fires):
+    gh_jets = obstruction.gh_jets
+
+    def moved(fp, hmax):
+        out = gh_jets(fp, hmax)
+        out[3] = out[3] + shift
+        return out
+
+    fam = EpsilonFamily(1, F(1), 2)
+    want = gh_sequence(fam, x0, 4)
+    monkeypatch.setattr(obstruction, "gh_jets", moved)
+    if fires:
+        with pytest.raises(ArithmeticError, match="g_3 recursion and direct routes disagree "
+                                                  r"\(certified\)"):
+            gh_sequence(fam, x0, 4)
+    else:
+        got = gh_sequence(fam, x0, 4)
+        assert got[:3] == want[:3] and got[3] != want[3] and got[4] == want[4]
+
+
+def test_exact_n2_certify_calls_leave_mpmath_unloaded():
+    # quadratic root signs are decided on the rationals, so g_h, scans and
+    # minors at exact n = 2 points (values in Q(sqrt 5)) build no ball
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from radialtyz import EpsilonFamily, gh_reports, minor_matrix, obstruction_scan\n"
+        "fam = EpsilonFamily(1, 1, 2)\n"
+        "assert {r.value.backend for r in gh_reports(fam, F(1, 2), 6)} == {'rational', 'root'}\n"
+        "obstruction_scan(EpsilonFamily(-1, 1, 2), [F(3, 2), F(5, 2)], 6)\n"
+        "minor_matrix(fam, F(1, 2), 2, 3)\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"

@@ -656,3 +656,82 @@ def test_ball_log_keeps_its_errors(prec):
     for ball in (ZERO.to_ball(prec), -third):
         with pytest.raises(DomainError, match="log of a non-positive ball"):
             scalar_log(ball)
+
+
+# -- quadratic root signs on the rationals -------------------------------------
+
+
+def _sympy_sign(a: F, b: F, r: int) -> Sign:
+    import sympy as sp
+
+    s = sp.sign(sp.Rational(a.numerator, a.denominator)
+                + sp.Rational(b.numerator, b.denominator) * sp.sqrt(r))
+    return {1: Sign.POSITIVE, -1: Sign.NEGATIVE, 0: Sign.ZERO}[int(s)]
+
+
+def _sqrt_convergents(r: int, count: int) -> list[tuple[int, int]]:
+    """The first continued-fraction convergents p/q of sqrt(r), r not a square."""
+    a0 = math.isqrt(r)
+    m, d, a = 0, 1, a0
+    (p0, p1), (q0, q1) = (1, a0), (0, 1)
+    out = [(p1, q1)]
+    for _ in range(count):
+        m = d * a - m
+        d = (r - m * m) // d
+        a = (a0 + m) // d
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+SQUARE_FREE = [2, 3, 5, 6, 7, 10, 337, 1351]
+
+
+def test_quadratic_root_sign_matches_sympy_without_a_ball(monkeypatch):
+    def no_ball(self, precision_bits=0):
+        raise AssertionError("a quadratic sign built a ball")
+
+    monkeypatch.setattr(RootScalar, "to_ball", no_ball)
+    rng = random.Random(20)
+    cases = []
+    for r in SQUARE_FREE:
+        for _ in range(12):  # a seeded grid of a, b = +-p/q, opposite signs mostly
+            a, b = (F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12)) for _ in "ab")
+            cases.append((a, b, r))
+        for p, q in _sqrt_convergents(r, 16):  # near ties, each side of sqrt(r)
+            for k in (1, 3):
+                cases += [(F(p * k), F(-q * k), r), (F(-p, k), F(q, k), r)]
+        cases += [(F(0), F(-3, 2), r), (F(5, 7), F(0), r), (F(0), F(0), r)]  # zero parts
+    for a, b, r in cases:
+        assert RootScalar(2, r, (a, b)).sign() == _sympy_sign(a, b, r), (a, b, r)
+
+
+def test_quadratic_tie_is_zero_only_for_a_radicand_that_is_not_canonical():
+    assert RootScalar(2, 4, (F(2), F(-1))).sign() == Sign.ZERO  # 2 - sqrt(4)
+    assert RootScalar(2, 4, (F(-3), F(3, 2))).sign() == Sign.ZERO
+    assert RootScalar(2, 4, (F(2), F(-1, 2))).sign() == Sign.POSITIVE
+
+
+# -- root extensions that hold each other's roots -------------------------------
+
+
+@pytest.mark.parametrize("small, large, c, k", [
+    ((337, 2), (337, 4), F(1), 2),
+    ((186245, 3), (4825, 6), F(1, 5), 4),  # 186245 = 5 * 193**2, 4825 = 5**2 * 193
+    ((193, 2), (4825, 6), F(1, 5), 3),
+    ((9, 3), (3, 3), F(1), 2),
+])
+def test_a_root_mixes_into_an_extension_that_holds_it(small, large, c, k):
+    s, t = nth_root(as_scalar(small[0]), small[1]), nth_root(as_scalar(large[0]), large[1])
+    assert (s - int_pow(t, k) * c).sign() == Sign.ZERO
+    assert (int_pow(t, k) * c - s).sign() == Sign.ZERO
+    # each exact result lies in the ball the same operation gives on the operands' balls
+    sb, tb = s.to_ball(256), t.to_ball(256)
+    for got, want in ((s + t, sb + tb), (t - s, tb - sb), (s * t, sb * tb), (t / s, tb / sb)):
+        assert got.exact and (got.to_ball(256) - want).sign() == Sign.UNDETERMINED
+
+
+def test_roots_that_hold_neither_root_still_raise():
+    for a, b in (((2, 2), (3, 2)), ((2, 2), (2, 3)), ((5, 2), (4825, 6))):
+        with pytest.raises(ExactnessError, match="cannot mix root extensions"):
+            nth_root(as_scalar(a[0]), a[1]) * nth_root(as_scalar(b[0]), b[1])

@@ -8,7 +8,8 @@ workload generator from ./perfbench/workloads.py, and changes neither. Run
 the same file from the root of two checkouts (a parent commit and a change)
 and compare the lines: equal digests mean every output is bit for bit the
 same. An in-process input (lu-sweep, certify) adds the canonical JSON of its
-output, keys sorted, and every ball's integer endpoints and precision; a CLI
+output, keys sorted, and every ball's normalised endpoints (libmpf tuples, so
+trailing zero bits of the integer endpoints do not count) and precision; a CLI
 input (cli-oneshot) adds the process's stdout, stderr and exit code, the
 report asked for in --format (default json, the workload's own); an input
 that raises adds the exception's type and message.
@@ -23,9 +24,10 @@ from pathlib import Path
 
 
 def _balls(value) -> list:
-    """(iv, precision_bits) of every ball in a nested result, in order."""
+    """(normalised endpoints, precision_bits) of every ball in a nested result,
+    in order: equal balls give equal entries."""
     if getattr(value, "backend", None) == "ball":
-        return [[list(value.iv), value.precision_bits]]
+        return [[[list(end) for end in value.mpi], value.precision_bits]]
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
