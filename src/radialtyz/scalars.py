@@ -8,18 +8,19 @@ Three interchangeable backends share one operator protocol:
                     The sign of a + b*theta (d = 2) compares a**2 with b**2 * r;
                     at d > 2 interval refinement decides it, which terminates
                     because {1, theta, ..., theta**(d-1)} is a Q-basis
-                    (x**d - r is irreducible for canonical r).
+                    (x**d - r is irreducible for canonical r; a sign query
+                    on any other r raises ValueError).
 * BallScalar     -- interval ("ball") arithmetic at the ball's precision,
                     held as finite integer mantissa/exponent endpoints:
                     products, sums, negation, inverses and sign queries work
                     on the integers, rounded outward as libmpi rounds them,
-                    while exp, log and decimal printing call mpmath on the
-                    libmpi tuples derived from them (.mpi); a sign query
-                    answers `undetermined` whenever the enclosure straddles
-                    zero.
+                    while exp, log and decimal printing call mpmath's libmp
+                    on the libmpi tuples derived from them (.mpi); a sign
+                    query answers `undetermined` whenever the enclosure
+                    straddles zero.
 
-mpmath is imported at the first ball exp, log, root ball or decimal printing,
-not with this module: any mpmath.libmp import runs the whole mpmath package,
+libmp is loaded at the first ball exp, log, root ball or decimal printing, and
+on its own (see _libmp): an mpmath.libmp import runs the whole mpmath package,
 which costs more than a CLI call on exact values does.
 
 All values are immutable; mixed-backend operations coerce upward
@@ -38,8 +39,11 @@ call the kernel directly.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from enum import Enum
 from fractions import Fraction
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from typing import Sequence, Union
 
 DEFAULT_PRECISION_BITS = 256
@@ -203,16 +207,13 @@ ONE = RationalScalar(Fraction(1))
 
 
 _TRIAL_BOUND = 1 << 16
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # Miller-Rabin on _MR_BASES is exact below it
 
 
 def _factor(m: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of an integer m >= 1.
-
-    Trial division by 2 and the odd numbers below 2**16 factors m completely
-    unless a cofactor >= 2**32 with no prime factor below 2**16 is left; only
-    that cofactor goes to sympy, imported here so that importing the package
-    does not load it (sympy's import costs more than a typical CLI call).
-    """
+    """Prime factorisation {p: e} of an integer m >= 1: trial division by 2 and
+    the odd numbers below 2**16, then _split on the cofactor left, if any."""
     factors: dict[int, int] = {}
     p = 2
     while p < _TRIAL_BOUND and p * p <= m:
@@ -220,13 +221,65 @@ def _factor(m: int) -> dict[int, int]:
             factors[p] = factors.get(p, 0) + 1
             m //= p
         p += 1 if p == 2 else 2
-    if m > 1 and p * p > m:
-        factors[m] = 1
-    elif m > 1:
+    if m > 1:
+        factors.update(_split(m))
+    return factors
+
+
+def _split(m: int) -> dict[int, int]:
+    """{p: e} of an m > 1 with no prime factor below 2**16, so prime below 2**32.
+
+    Perfect powers r**k come first (r >= 2**16, so k <= bit_length // 16); below
+    _MR_BOUND Miller-Rabin and Pollard's rho finish, above it sympy, imported
+    here: its import costs more than a typical CLI call, and it loads mpmath.
+    """
+    if m < _TRIAL_BOUND**2 or m < _MR_BOUND and _is_prime(m):
+        return {m: 1}
+    for k in range(m.bit_length() // 16, 1, -1):
+        if r := _iroot(m, k):
+            return {q: e * k for q, e in _split(r).items()}
+    if m >= _MR_BOUND:
         from sympy import factorint
 
-        factors.update((int(q), int(e)) for q, e in factorint(m).items())
-    return factors
+        return {int(q): int(e) for q, e in factorint(m).items()}
+    d = _rho(m)
+    a, b = _split(d), _split(m // d)
+    return {q: a.get(q, 0) + b.get(q, 0) for q in a | b}
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin for an odd m > 41, m - 1 = d * 2**s with d odd: m passes the
+    base a when a**d == 1 or a**(d * 2**i) == -1 (mod m) for an i < s."""
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s
+    return all(pow(a, d, m) == 1 or any(pow(a, d << i, m) == m - 1 for i in range(s))
+               for a in _MR_BASES)
+
+
+def _rho(m: int) -> int:
+    """A proper factor of an odd composite m that is not a perfect power: Pollard's
+    rho with Brent's cycle search and one gcd per 128 steps; a batch whose gcd
+    is m is retraced one step at a time."""
+    for c in range(1, m):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                if (g := math.gcd(q, m)) != 1:
+                    break
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
+    raise AssertionError("no factor found")
 
 
 def _canonical_root(fr: Fraction, n: int) -> tuple[Fraction, int, int]:
@@ -325,6 +378,9 @@ class RootScalar(Scalar):
             if not d:
                 return Sign.ZERO  # only for a radicand that is not canonical, such as 4
             return Sign.POSITIVE if (a if d > 0 else b) > 0 else Sign.NEGATIVE
+        # the refinement ends only where x**d - r is irreducible: a zero never separates
+        if _canonical_root(Fraction(self.radicand), self.degree) != (1, self.degree, self.radicand):
+            raise ValueError(f"radicand {self.radicand} is not canonical for degree {self.degree}")
         bits = max(c.numerator.bit_length() + c.denominator.bit_length() for c in self.coeffs)
         prec = max(64, bits + 32)
         while prec <= (1 << 22):
@@ -424,20 +480,17 @@ class BallScalar(Scalar):
         return _ball(self.iv, max(precision_bits, self.precision_bits))
 
     def midpoint_str(self, dps: int | None = None) -> str:
-        from mpmath.libmp import fhalf, mpf_add, mpf_mul, to_str
-
+        lib = _libmp()
         lo, hi = self.mpi
-        mid = mpf_mul(mpf_add(lo, hi, self.precision_bits + 8), fhalf)
+        mid = lib.mpf_mul(lib.mpf_add(lo, hi, self.precision_bits + 8), lib.fhalf)
         if dps is None:
             dps = max(5, int(self.precision_bits * 0.30103) - 2)
-        return to_str(mid, dps)
+        return lib.to_str(mid, dps)
 
     def radius_str(self) -> str:
-        from mpmath.libmp import fhalf, mpf_mul, mpf_sub, to_str
-
+        lib = _libmp()
         lo, hi = self.mpi
-        rad = mpf_mul(mpf_sub(hi, lo, 32), fhalf)
-        return to_str(rad, 3)
+        return lib.to_str(lib.mpf_mul(lib.mpf_sub(hi, lo, 32), lib.fhalf), 3)
 
     def text(self) -> str:
         return self.midpoint_str()
@@ -646,19 +699,27 @@ def _ball(iv: tuple, prec: int) -> BallScalar:
     return b
 
 
-def _libmpi() -> tuple:
-    """mpmath's interval division, exp and log, imported at first use."""
-    from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log
-
-    return mpi_div, mpi_exp, mpi_log
+def _libmp():
+    """mpmath's libmp package, loaded at first use as the top-level package
+    _radialtyz_libmp without mpmath/__init__, which builds the mp, fp and iv
+    contexts: libmp's modules import only each other. A process that has
+    imported mpmath gets its mpmath.libmp instead of a second copy."""
+    lib = sys.modules.get("mpmath.libmp") or sys.modules.get("_radialtyz_libmp")
+    if lib is None:
+        path = os.path.join(os.path.dirname(find_spec("mpmath").origin), "libmp")
+        spec = spec_from_file_location("_radialtyz_libmp", os.path.join(path, "__init__.py"),
+                                       submodule_search_locations=[path])
+        lib = sys.modules["_radialtyz_libmp"] = module_from_spec(spec)
+        spec.loader.exec_module(lib)
+    return lib
 
 
 def _root_ball(b: BallScalar, n: int) -> BallScalar:
     """exp(log(b) / n) on libmpi for a positive ball b, n promoted at b's precision."""
-    mpi_div, mpi_exp, mpi_log = _libmpi()
+    lib = _libmp()
     p = b.precision_bits
     n_mpi = _ball(_ball_of(_raw(n), p), p).mpi
-    return BallScalar(mpi_exp(mpi_div(mpi_log(b.mpi, p), n_mpi, p), p), p)
+    return BallScalar(lib.mpi_exp(lib.mpi_div(lib.mpi_log(b.mpi, p), n_mpi, p), p), p)
 
 
 def _raw(v) -> tuple:
@@ -948,16 +1009,14 @@ def scalar_pow(value: Scalar, exponent: Fraction | int) -> Scalar:
         if value.require_sign("power base") != Sign.POSITIVE:
             raise DomainError("fractional power of a non-positive ball")
         p = value.precision_bits
-        _, _, mpi_log = _libmpi()
-        log = BallScalar(mpi_log(value.mpi, p), p)
+        log = BallScalar(_libmp().mpi_log(value.mpi, p), p)
         return scalar_exp(_ball(_iv_mul(_ball_of(_raw(exponent), p), log.iv, p), p))
     return nth_root(int_pow(value, exponent.numerator), exponent.denominator)
 
 
 def scalar_exp(value: Scalar) -> Scalar:
     if isinstance(value, BallScalar):
-        _, mpi_exp, _ = _libmpi()
-        return BallScalar(mpi_exp(value.mpi, value.precision_bits), value.precision_bits)
+        return BallScalar(_libmp().mpi_exp(value.mpi, value.precision_bits), value.precision_bits)
     if isinstance(value, RationalScalar) and value.value == 0:
         return ONE
     raise ExactnessError("exp of a nonzero exact scalar is transcendental")
@@ -967,8 +1026,7 @@ def scalar_log(value: Scalar) -> Scalar:
     if isinstance(value, BallScalar):
         if value.require_sign("log argument") != Sign.POSITIVE:
             raise DomainError("log of a non-positive ball")
-        _, _, mpi_log = _libmpi()
-        return BallScalar(mpi_log(value.mpi, value.precision_bits), value.precision_bits)
+        return BallScalar(_libmp().mpi_log(value.mpi, value.precision_bits), value.precision_bits)
     if isinstance(value, RationalScalar) and value.value == 1:
         return ZERO
     if value.require_sign("log argument") != Sign.POSITIVE:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -660,3 +661,38 @@ def test_exact_runs_do_not_load_mpmath(argv):
         assert "radialtyz.curvature" in loaded
     else:
         assert not loaded & {"radialtyz.curvature", "radialtyz.reproduction", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gh-eval", "--family", "epsilon", "--eps=1", "--lam", "1", "--n", "4", "--x", "1/2",
+     "--hmax", "4"],
+    ["scan", "--family", "epsilon", "--eps=1", "--lam", "1", "--n", "3", "--x-grid",
+     "1/2:3/2:4", "--hmax", "4"],
+    ["resolvability", "--family", "epsilon", "--eps=1", "--lam", "1", "--n", "3", "--x", "3/4",
+     "--lmax", "2", "--hmax", "3"],
+    ["lu-coeffs", "--family", "eguchi-hanson", "--x", "1"],
+], ids=["gh-eval", "scan", "resolvability", "lu-coeffs"])
+def test_ball_runs_load_libmp_without_mpmath(argv):
+    # ball exp and log and every printed decimal (lu-coeffs prints root
+    # decimals) take mpmath's libmp, loaded on its own; a process that imported
+    # mpmath first reuses its libmp and prints the same bytes in each format
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = (
+        "import contextlib, io, sys\n"
+        "import radialtyz.cli\n"
+        "for fmt in ('json', 'csv', 'table'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"        code = radialtyz.cli.main({argv!r} + ['--format', fmt])\n"
+        "    print(repr((fmt, code, out.getvalue())))\n"
+        "print('mpmath' in sys.modules, '_radialtyz_libmp' in sys.modules)"
+    )
+    bare, after_mpmath = (
+        subprocess.run([sys.executable, "-c", first + run], env=env, capture_output=True,
+                       text=True, check=True, timeout=60).stdout.splitlines()
+        for first in ("", "import mpmath\n")
+    )
+    assert bare[-1] == "False True" and after_mpmath[-1] == "True False"
+    assert bare[:-1] == after_mpmath[:-1]
+    reports = [ast.literal_eval(line) for line in bare[:-1]]
+    assert [(fmt, code) for fmt, code, _ in reports] == [("json", 0), ("csv", 0), ("table", 0)]
+    assert json.loads(reports[0][2])["subcommand"] == argv[0]

@@ -4,7 +4,7 @@ Static checks on the source with the stdlib ast module: no import is left
 unused, no private module-level helper is left unreferenced, no export is
 used by the tests alone and no attribute set on self, record field or method
 is left unread, as deletions tend to leave them behind, and scalars.py takes
-nothing from libmpi but division, exp and log. Two runtime checks: the package's
+nothing from libmpi but division, exp and log, through its libmp loader. Two runtime checks: the package's
 names read through to their modules and are never stored in the package,
 and evaluations leave every module-level container and function cache as it
 was, so evaluations share no mutable state."""
@@ -21,7 +21,7 @@ from radialtyz.curvature import lu_coefficients
 from radialtyz.obstruction import gh_reports, obstruction_scan
 from radialtyz.potentials import EpsilonFamily
 from radialtyz.resolvability import minor_matrix
-from radialtyz.scalars import RootScalar, Sign
+from radialtyz.scalars import RootScalar, Sign, _libmp
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "radialtyz"
@@ -201,15 +201,49 @@ def test_every_method_is_read():
     assert not unread, f"methods never read: {unread}"
 
 
+def _taken_from_libmp(tree: ast.Module) -> list[str]:
+    """The names read off the loader _libmp()'s package: off the call itself, or
+    off a local bound to it whose every use reads an attribute; any other use
+    of the loader or of such a local fails."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    taken = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == "_libmp"):
+            continue
+        call = parent[node]
+        assert isinstance(call, ast.Call) and call.func is node, f"line {node.lineno}"
+        use = parent[call]
+        if isinstance(use, ast.Attribute):
+            taken.append(use.attr)
+            continue
+        assert isinstance(use, ast.Assign) and len(use.targets) == 1, f"line {node.lineno}"
+        local, scope = use.targets[0].id, use
+        while not isinstance(scope, ast.FunctionDef):
+            scope = parent[scope]
+        for sub in ast.walk(scope):
+            if isinstance(sub, ast.Name) and sub.id == local and sub is not use.targets[0]:
+                assert isinstance(parent[sub], ast.Attribute), f"line {sub.lineno}"
+                taken.append(parent[sub].attr)
+    return taken
+
+
 def test_scalars_takes_only_division_exp_and_log_from_libmpi():
-    # ball products, sums and negation run on the balls' integer endpoints
-    imported = sorted(
-        a.name
-        for node in ast.walk(_tree(PACKAGE / "scalars.py"))
-        if isinstance(node, ast.ImportFrom) and "libmpi" in (node.module or "")
-        for a in node.names
-    )
-    assert imported == ["mpi_div", "mpi_exp", "mpi_log"]
+    # ball products, sums and negation run on the balls' integer endpoints;
+    # mpmath's libmp comes from the loader _libmp() alone, never from an import
+    tree = _tree(PACKAGE / "scalars.py")
+    assert not [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and "mpmath" in (node.module or "")
+        or isinstance(node, ast.Import) and any("mpmath" in a.name for a in node.names)
+    ]
+    lib = _libmp()
+    taken = _taken_from_libmp(tree)
+    assert all(hasattr(lib, name) for name in taken)
+    from_libmpi = sorted({
+        name for name in taken
+        if getattr(getattr(lib, name), "__module__", "").endswith(".libmpi")
+    })
+    assert from_libmpi == ["mpi_div", "mpi_exp", "mpi_log"]
 
 
 def _module_container_sizes() -> dict[str, int]:

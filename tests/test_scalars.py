@@ -1,7 +1,11 @@
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +30,7 @@ from radialtyz.scalars import (
     _canonical_root,
     _cook,
     _factor,
+    _libmp,
     _raw,
     _raw_add,
     _raw_dot,
@@ -165,11 +170,29 @@ def test_factor_matches_sympy():
     cases = list(range(1, 20001))
     cases += [rng.randrange(1 << (bits - 1), 1 << bits) for bits in range(20, 91)]
     # prime squares on either side of the 2**16 trial bound, the product of
-    # the two primes, and 2**61 - 1, a prime above 2**32 that only the
-    # sympy fallback factors
+    # the two primes, and 2**61 - 1, a prime above 2**32 that Miller-Rabin
+    # certifies
     cases += [65521**2, 65537**2, 65521 * 65537, 2**61 - 1]
+    # powers p**k of primes just above 2**16, up to the k = bit_length // 16
+    # that the perfect-power search starts from; semiprimes of two ~40-bit
+    # primes, which Pollard's rho splits; 92369**9, 149 bits, above the
+    # Miller-Rabin bound, as reproduce-paper meets it
+    cases += [p**k for p in (65537, 65539, 65543) for k in (2, 3, 4, 7, 16)]
+    cases += [p * q for p, q in ((549755813911, 549755813951), (824633720837, 1099511627689))]
+    cases += [92369**9, 65537**3 * 92369**2]
     for m in cases:
         assert _factor(m) == factorint(m), m
+
+
+def test_factor_takes_no_sympy_below_the_miller_rabin_bound(monkeypatch):
+    # Carmichael numbers and strong pseudoprimes to small bases above 2**32
+    # are composite for Miller-Rabin on the bases 2..41
+    monkeypatch.setitem(sys.modules, "sympy", None)  # any sympy import raises
+    assert _factor(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
+    assert _factor(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+    assert _factor(549755813911 * 549755813951) == {549755813911: 1, 549755813951: 1}
+    assert _factor(65537**5) == {65537: 5}
+    assert _factor(92369**9) == {92369: 9}  # a perfect power above the bound
 
 
 def _canonical_root_reference(fr, n):
@@ -710,6 +733,30 @@ def test_quadratic_tie_is_zero_only_for_a_radicand_that_is_not_canonical():
     assert RootScalar(2, 4, (F(2), F(-1))).sign() == Sign.ZERO  # 2 - sqrt(4)
     assert RootScalar(2, 4, (F(-3), F(3, 2))).sign() == Sign.ZERO
     assert RootScalar(2, 4, (F(2), F(-1, 2))).sign() == Sign.POSITIVE
+
+
+def test_libmp_loader_reuses_an_imported_mpmath():
+    # this module imports mpmath.libmp, so no second copy of it loads
+    assert _libmp() is sys.modules["mpmath.libmp"]
+
+
+def test_root_sign_on_a_radicand_that_is_not_canonical_is_an_input_error():
+    # 2 - 8**(1/3) is zero, and no ball separates a zero from it: refinement
+    # would double the precision towards 2**22 bits, so a subprocess bounds it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from fractions import Fraction as F\n"
+         "from radialtyz.scalars import RootScalar\n"
+         "RootScalar(3, 8, (F(2), F(-1), F(0))).sign()"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ValueError: radicand 8 is not canonical for degree 3"
+    # 4**(1/4) is sqrt(2): nonzero, but make() and nth_root never build it
+    with pytest.raises(ValueError, match="radicand 4 is not canonical for degree 4"):
+        RootScalar(4, 4, (F(1), F(-1), F(0), F(0))).sign()
+    assert nth_root(as_scalar(4), 4) - 1 == RootScalar(2, 2, (F(-1), F(1)))
 
 
 # -- root extensions that hold each other's roots -------------------------------
