@@ -4,10 +4,11 @@ Static checks on the source with the stdlib ast module: no import is left
 unused, no private module-level helper is left unreferenced, no export is
 used by the tests alone and no attribute set on self, record field or method
 is left unread, as deletions tend to leave them behind, and scalars.py takes
-nothing from libmpi but division, exp and log, through its libmp loader. Two runtime checks: the package's
-names read through to their modules and are never stored in the package,
-and evaluations leave every module-level container and function cache as it
-was, so evaluations share no mutable state."""
+nothing from libmpi but division, exp and log, through its libmp loader. Two
+runtime checks: the package's names read through to their modules and are
+never stored in the package, and evaluations leave every module-level
+container and function cache as it was, so evaluations share no mutable
+state."""
 import ast
 import importlib
 import pkgutil

@@ -185,8 +185,8 @@ def test_factor_matches_sympy():
 
 
 def test_factor_takes_no_sympy_below_the_miller_rabin_bound(monkeypatch):
-    # Carmichael numbers and strong pseudoprimes to small bases above 2**32
-    # are composite for Miller-Rabin on the bases 2..41
+    # strong pseudoprimes to the bases 2..23 and to 2..37, which the bases up
+    # to 41 still find composite
     monkeypatch.setitem(sys.modules, "sympy", None)  # any sympy import raises
     assert _factor(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
     assert _factor(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
