@@ -7,11 +7,12 @@ by U(n-1) symmetry they vanish there unless I and J hold each of z_2..z_n
 equally often, and g is diagonal, so every contraction with g^-1 runs over
 its diagonal. Evaluated quantities live in the ring R[s]/(s^2 = x) over
 x-jets. By the U(1) phase rule each of them is even or odd in s, so a value
-(RV) is c(x) * s^eps, held as one jet c and its parity eps: no square root of
-x is ever taken, a sum does its jet work once, and a sum of a non-zero even
-and a non-zero odd value raises ArithmeticError, so the rule is checked
-rather than assumed. A frame over jets in x of order m holds m x-derivatives
-of every tensor entry.
+(RV) is c(x) * s^eps, held as the coefficient raws of the jet c and its
+parity eps, and its arithmetic calls the jet kernel (jets._jet_mul, ...) on
+the raws, with no Jet built per operation: no square root of x is ever taken,
+a sum does its jet work once, and a sum of a non-zero even and a non-zero odd
+value raises ArithmeticError, so the rule is checked rather than assumed. A
+frame over jets in x of order m holds m x-derivatives of every tensor entry.
 
 A frame (frame_at_x) computes the diagonal of g^-1 when it is built, and
 Gamma, R, the log det table, Ric, rho and the covariant Ricci block
@@ -93,7 +94,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
-from .jets import Jet
+from .jets import _ONE, _ZERO, Jet, _jet_add, _jet_mul, _jet_neg, _jet_scale, _jet_sub
 from .potentials import PotentialFamily, det_jet_from_fprime, fprime_jet, prepare_point
 from .records import Record
 from .scalars import (
@@ -102,6 +103,9 @@ from .scalars import (
     Scalar,
     ScalarLike,
     Sign,
+    _Q,
+    _cook,
+    _raw,
     _raw_is_zero,
     as_scalar,
     int_pow,
@@ -111,60 +115,60 @@ from .scalars import (
 TABLE_ORDER = 5  # highest total order of Phi mixed partials the frame needs (for nabla R)
 
 
-def _jet_is_zero(j: Jet) -> bool:
-    return all(_raw_is_zero(r) for r in j.raws)
-
-
 class RadialRing:
-    """Values c(x) * s**odd with s**2 = x, over jets in x at x0."""
+    """Values c(x) * s**odd with s**2 = x, over jets in x at x0, with the raws of 0 and x**k."""
 
     def __init__(self, x_jet: Jet):
         self.x = x_jet
-        self.zero_jet = Jet.constant(x_jet.x0, 0, x_jet.order)
-        self.one_jet = Jet.constant(x_jet.x0, 1, x_jet.order)
-        self._xpow = [self.one_jet]
+        self.zero_raws = (_ZERO,) * len(x_jet.raws)
+        self._xpow = [(_ONE,) + self.zero_raws[1:]]
 
     @property
     def zero(self) -> "RV":
         """The exact zero, a new RV on each read: an RV stored on the ring would
         point back at it, a cycle that only the cyclic collector frees."""
-        return RV(self, self.zero_jet, 0)
+        return RV(self, self.zero_raws, 0)
 
-    def x_power(self, k: int) -> Jet:
-        """x**k, cached: every partials table on this ring shares the powers."""
+    def x_power(self, k: int) -> tuple:
+        """The raws of x**k, cached: every partials table on this ring shares them."""
         while len(self._xpow) <= k:
-            self._xpow.append(self._xpow[-1] * self.x)
+            self._xpow.append(_jet_mul(self._xpow[-1], self.x.raws))
         return self._xpow[k]
 
 
 class RV:
-    """The value jet(x) * s**odd (see the module docstring)."""
+    """The value c(x) * s**odd (see the module docstring); the values of one
+    ring share its base point, so no operation on their raws checks it."""
 
-    __slots__ = ("ring", "jet", "odd", "_z")
+    __slots__ = ("ring", "raws", "odd", "_z")
 
-    def __init__(self, ring: RadialRing, jet: Jet, odd: int):
+    def __init__(self, ring: RadialRing, raws: tuple, odd: int):
         self.ring = ring
-        self.jet = jet
+        self.raws = raws
         self.odd = odd
-        self._z = None  # whether the jet is zero, tested on first read
+        self._z = None  # whether c is zero, tested on first read
+
+    @property
+    def jet(self) -> Jet:
+        return Jet(self.ring.x.x0, self.raws)
 
     def is_zero(self) -> bool:
         if self._z is None:  # most accumulator intermediates are never tested
-            # the common zero jet is known without a scan
-            self._z = self.jet is self.ring.zero_jet or _jet_is_zero(self.jet)
+            # the common zero is known without a scan
+            self._z = self.raws is self.ring.zero_raws or all(map(_raw_is_zero, self.raws))
         return self._z
 
     def __neg__(self) -> "RV":
-        return RV(self.ring, -self.jet, self.odd)
+        return RV(self.ring, _jet_neg(self.raws), self.odd)
 
     def __add__(self, other: "RV") -> "RV":
         if self.odd == other.odd:
-            return RV(self.ring, self.jet + other.jet, self.odd)
+            return RV(self.ring, _jet_add(self.raws, other.raws), self.odd)
         return self._mixed(other)
 
     def __sub__(self, other: "RV") -> "RV":
         if self.odd == other.odd:
-            return RV(self.ring, self.jet - other.jet, self.odd)
+            return RV(self.ring, _jet_sub(self.raws, other.raws), self.odd)
         return self._mixed(-other)
 
     def _mixed(self, other: "RV") -> "RV":
@@ -178,22 +182,19 @@ class RV:
 
     def __mul__(self, other) -> "RV":
         if not isinstance(other, RV):  # an int, Fraction or Scalar
-            return RV(self.ring, self.jet * other, self.odd)
+            return RV(self.ring, _jet_scale(self.raws, _raw(other)), self.odd)
         if self.is_zero() or other.is_zero():
             return self.ring.zero
-        jet = self.jet * other.jet
+        raws = _jet_mul(self.raws, other.raws)
         if self.odd and other.odd:
-            return RV(self.ring, jet * self.ring.x, 0)
-        return RV(self.ring, jet, self.odd | other.odd)
-
-    __rmul__ = __mul__
+            return RV(self.ring, _jet_mul(raws, self.ring.x.raws), 0)
+        return RV(self.ring, raws, self.odd | other.odd)
 
     def inverse(self) -> "RV":
         # (c s^odd)^-1 = c s^odd / (c^2 x^odd)
-        den = self.jet * self.jet
-        if self.odd:
-            den = den * self.ring.x
-        return RV(self.ring, self.jet * (self.ring.one_jet / den), self.odd)
+        c = self.jet
+        den = c * c * self.ring.x if self.odd else c * c
+        return RV(self.ring, (c * (1 / den)).raws, self.odd)
 
     def even_jet(self, what: str = "invariant") -> Jet:
         if self.odd and not self.is_zero():
@@ -202,11 +203,11 @@ class RV:
 
     def truncate(self, ring: RadialRing) -> "RV":
         """This value on a ring over jets of lower order (its leading coefficients)."""
-        return RV(ring, self.jet.truncate(ring.x.order), self.odd)
+        return RV(ring, self.raws[: len(ring.zero_raws)], self.odd)
 
     def full_value(self, s: Scalar) -> Scalar:
         """c(x0) * s**odd; may require a ball backend for irrational s."""
-        v = self.jet.value()
+        v = _cook(self.raws[0])
         return v * s if self.odd else v
 
 
@@ -253,13 +254,10 @@ class PhiPartialTable:
         self.max_order = max_order
         self.ring = ring
         self.du = du
-        u0 = du.truncate(max(jet_order - 1, 0)).antiderive(0)
-        uderiv = [u0.truncate(jet_order), du.truncate(jet_order)]
-        d = du
+        uderiv, d = [du.truncate(max(jet_order - 1, 0)).antiderive(0), du], du
         for _ in range(2, max_order + 1):
-            d = d.derive()
-            uderiv.append(d.truncate(jet_order))
-        self._uderiv = uderiv
+            uderiv.append(d := d.derive())
+        self._uderiv = [u.raws[: jet_order + 1] for u in uderiv]  # u, u', u'', ... on the ring
         self._val: dict[tuple, RV] = {}
 
     def partial(self, hol: tuple[int, ...], anti: tuple[int, ...]) -> RV:
@@ -291,13 +289,13 @@ class PhiPartialTable:
 
     def _value(self, p: int, q: int, m_rest: int, weight: int) -> RV:
         ring, top = self.ring, p + q + m_rest  # top: the j = 0 term's derivative order
-        acc = ring.zero_jet
+        acc = ring.zero_raws
         for j in range(p + 1):
             m = p + q - 2 * j
-            term = self._uderiv[top - j] * Fraction(weight * comb(p, j) * perm(q, j))
+            term = _jet_scale(self._uderiv[top - j], (_Q, (weight * comb(p, j) * perm(q, j),), 1))
             if m >= 2:
-                term = term * ring.x_power(m // 2)
-            acc = acc + term
+                term = _jet_mul(term, ring.x_power(m // 2))
+            acc = _jet_add(acc, term)
         return RV(ring, acc, (p + q) % 2)
 
     def truncate(self, ring: RadialRing) -> "PhiPartialTable":
@@ -305,7 +303,7 @@ class PhiPartialTable:
         cut to that order, its entries computed there on first request."""
         cut = copy(self)
         cut.ring, cut._val = ring, {}
-        cut._uderiv = [d.truncate(ring.x.order) for d in self._uderiv]
+        cut._uderiv = [d[: len(ring.zero_raws)] for d in self._uderiv]
         return cut
 
 
@@ -686,13 +684,12 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     dr2 = _norm2(ring, (((i, j, k, l, m), v) for (m, i, j, k, l), v in nabla), w)
 
     rho_x = frame.rho.even_jet("scalar curvature").derive()
-    rho_xx = rho_x.derive()
-    rho_x, rho_xx = rho_x.truncate(0), rho_xx.truncate(0)
+    rho_x, rho_xx = rho_x.raws[:1], rho_x.derive().raws[:1]
     drho = RV(ring, rho_x, 1)
     drho2 = ring.zero if drho.is_zero() else w(0) * drho * drho
     # complex Hessian of a radial function: u'' zbar_a z_b + u' delta_ab
     hess = [[ring.zero] * n for _ in range(n)]
-    hess[0][0] = RV(ring, rho_xx * ring.x + rho_x, 0)
+    hess[0][0] = RV(ring, _jet_add(_jet_mul(rho_xx, ring.x.raws), rho_x), 0)
     for i in range(1, n):
         hess[i][i] = RV(ring, rho_x, 0)
     ric_hess = ring.zero

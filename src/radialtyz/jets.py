@@ -8,23 +8,26 @@ binomial recurrence k*a0*p_k = sum_{j=1..k} ((r+1)j - k) a_j p_{k-j}; a second
 pow route through exp(r*log(a/a0)) * a0**r is kept for cross-checks.
 
 Coefficients are stored as the scalar kernel's raw values (scalars._raw), each
-worth exactly the Scalar an operator would return. Each coefficient of a
-product, a quotient, exp and pow, and of the bivariate product, exp and
-composition, is one kernel sum of products (scalars._raw_dot); sums and
-scalings by a constant go coefficient by coefficient. A product with a
-one-coefficient operand is one kernel product. An exact value has no rounding, so
-the order of its operations cannot change its bits: a product of two exact jets
-in one field (Q or one Q(theta)) with at least _CONVOLVE_FROM coefficients is
-an integer convolution over each jet's lcm denominator instead. Results are bit
-for bit those of the same steps taken one Scalar operation at a time, but only
-value(), derivative(k), coeff(i, j) and the read-only `coeffs` views build
-Scalars. The kernel skips a term with an exact-zero factor where the fold would
-leave the sum as it is (most terms of a product with a bivariate power N**k,
-whose low-order coefficients are exact zeros). pow forms its weights (r+1)j - k
-as integer raws and, on a jet of balls at one precision, promotes each distinct
-weight once per call rather than once per term. bijet_compose_univariate takes
-the powers of the inner series' nilpotent part from a caller that composes
-several jets with one.
+worth exactly the Scalar an operator would return. The ring operations are
+functions of coefficient raws (_jet_add, _jet_sub, _jet_neg, _jet_scale,
+_jet_mul), which Jet's operators call once each and curvature.RV directly.
+Each coefficient of a product, a quotient, exp and pow, and of the bivariate
+product, exp and composition, is one kernel sum of products
+(scalars._raw_dot); sums and scalings by a constant go coefficient by
+coefficient. A product with a one-coefficient operand is one kernel product.
+An exact value has no rounding, so the order of its operations cannot change
+its bits: a product of two exact jets in one field (Q or one Q(theta)) with at
+least _CONVOLVE_FROM coefficients is an integer convolution over each jet's
+lcm denominator instead. Results are bit for bit those of the same steps
+taken one Scalar operation at a time, but only value(), derivative(k),
+coeff(i, j) and the read-only `coeffs` views build Scalars. The kernel skips
+a term with an exact-zero factor where the fold would leave the sum as it is
+(most terms of a product with a bivariate power N**k, whose low-order
+coefficients are exact zeros). pow forms its weights (r+1)j - k as integer
+raws and, on a jet of balls at one precision, promotes each distinct weight
+once per call rather than once per term. bijet_compose_univariate takes the
+powers of the inner series' nilpotent part from a caller that composes several
+jets with one.
 
 HermitianBiJet is the bivariate counterpart in offsets (u, v) of (z1, z̄1)
 around a radial axis point, with real coefficients and the Hermitian symmetry
@@ -67,10 +70,6 @@ from .scalars import (
 _ZERO, _ONE = _raw(0), _raw(1)
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    return _norm(_raw_add(a, b))
-
-
 def _mul(a: tuple, b: tuple) -> tuple:
     return _norm(_raw_mul(a, b))
 
@@ -107,6 +106,32 @@ def _convolve(a: Sequence[tuple], b: Sequence[tuple], ext: tuple) -> tuple:
                 for k in range(n):
                     o[k] += w * sum(map(operator.mul, u[: k + 1], v[k::-1]))
     return tuple(_norm(_exact(ext, tuple(c[k] for c in out), da * db)) for k in range(n))
+
+
+def _jet_neg(a: tuple) -> tuple:
+    return tuple(_raw_neg(c) for c in a)
+
+
+def _jet_add(a: tuple, b: tuple) -> tuple:
+    return tuple(_norm(_raw_add(u, v)) for u, v in zip(a, b))
+
+
+def _jet_sub(a: tuple, b: tuple) -> tuple:
+    return tuple(_norm(_raw_add(u, _raw_neg(v))) for u, v in zip(a, b))
+
+
+def _jet_scale(a: tuple, c: tuple) -> tuple:  # c a raw constant
+    return tuple(_mul(u, c) for u in a)
+
+
+def _jet_mul(a: tuple, b: tuple) -> tuple:  # to the shorter one's order
+    n = min(len(a), len(b))
+    if n == 1:
+        return (_mul(a[0], b[0]),)
+    a, b = a[:n], b[:n]
+    if n >= _CONVOLVE_FROM and (ext := _field(a + b)) is not None:
+        return _convolve(a, b, ext)
+    return tuple(_raw_dot(_ZERO, a[: k + 1], b[k::-1]) for k in range(n))
 
 
 class Jet(Record):
@@ -168,33 +193,23 @@ class Jet(Record):
         return Jet.constant(self.x0, other, self.order)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.x0, tuple(_raw_neg(c) for c in self.raws))
+        return Jet(self.x0, _jet_neg(self.raws))
 
     def __add__(self, other) -> "Jet":
-        other = self._lift(other)
-        return Jet(self.x0, tuple(_add(a, b) for a, b in zip(self.raws, other.raws)))
+        return Jet(self.x0, _jet_add(self.raws, self._lift(other).raws))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
-        other = self._lift(other)
-        return Jet(self.x0, tuple(_add(a, _raw_neg(b)) for a, b in zip(self.raws, other.raws)))
+        return Jet(self.x0, _jet_sub(self.raws, self._lift(other).raws))
 
     def __rsub__(self, other) -> "Jet":
         return self._lift(other) - self
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            c = _raw(other)
-            return Jet(self.x0, tuple(_mul(a, c) for a in self.raws))
-        other = self._lift(other)
-        n = min(self.order, other.order) + 1
-        a, b = self.raws[:n], other.raws[:n]
-        if n == 1:
-            return Jet(self.x0, (_mul(a[0], b[0]),))
-        if n >= _CONVOLVE_FROM and (ext := _field(a + b)) is not None:
-            return Jet(self.x0, _convolve(a, b, ext))
-        return Jet(self.x0, tuple(_raw_dot(_ZERO, a[: k + 1], b[k::-1]) for k in range(n)))
+            return Jet(self.x0, _jet_scale(self.raws, _raw(other)))
+        return Jet(self.x0, _jet_mul(self.raws, self._lift(other).raws))
 
     __rmul__ = __mul__
 

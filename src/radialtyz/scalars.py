@@ -407,14 +407,11 @@ class RootScalar(Scalar):
         return f"({' + '.join(parts)} with r={self.radicand}^(1/{self.degree}))"
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootScalar)
-            and (self.degree, self.radicand) == (other.degree, other.radicand)
-            and self.coeffs == other.coeffs
-        )
+        # by value: arithmetic keeps a subfield's element in the larger field
+        return isinstance(other, RootScalar) and _subfield(_raw(self)) == _subfield(_raw(other))
 
     def __hash__(self):
-        return hash(("root", self.degree, self.radicand, self.coeffs))
+        return hash(("root", _subfield(_raw(self))))
 
     def __repr__(self):
         return f"RootScalar{self.text()}"
@@ -773,6 +770,22 @@ def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
     if ext is not _Q and not any(nums[1:]):
         return _Q, nums[:1], den
     return ext, nums, den
+
+
+def _subfield(r: tuple) -> tuple:
+    """The exact raw r in lowest terms in the smallest field that holds it: if
+    the powers j of theta = t**(1/d) in r share g = gcd(d, j, ...) > 1, in
+    Q(theta**g), theta**g = t**(g/d) = c * s**(1/e) by _canonical_root."""
+    ext, nums, den = r = _norm(_exact(*r))
+    if ext is _Q or ext[0] == 2 or (
+            g := math.gcd(ext[0], *(j for j, v in enumerate(nums) if v))) == 1:
+        return r
+    k = ext[0] // g
+    c, e, s = _canonical_root(Fraction(ext[1]), k)
+    p, q, out = c.numerator, c.denominator, [0] * e
+    for i in range(k):
+        out[i % e] += nums[i * g] * p**i * q ** (k - 1 - i) * s ** (i // e)
+    return _subfield(((e, s) if e > 1 else _Q, tuple(out), den * q ** (k - 1)))
 
 
 def _ball_of(r: tuple, prec: int) -> tuple:

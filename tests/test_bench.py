@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench.py"
@@ -61,3 +64,42 @@ def test_bench_reads_the_context_block_and_the_result_line(monkeypatch):
     assert got == {"correct": True, "attempted": 5, "failed": 0,
                    "metrics": {"setup_s": {"value": 0.1}},
                    "context": {"python": "3.11", "src_lines": 4049}}
+
+
+def test_bench_counts_and_names_the_runs_with_wrong_outputs(monkeypatch, tmp_path, capsys):
+    tool = _tool()
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "evals_per_s", "better": "higher"}]}')
+    monkeypatch.chdir(tmp_path)
+    # the third run.py process (pair 1, head first) and the sixth (pair 2, head) are wrong
+    correct = iter([True, True, False, True, True, False])
+
+    def fake_run(cmd, cwd, **kwargs):
+        ok = next(correct)
+        stdout = ('{"context": {"root": "%s"}}\n{"correct": %s, "attempted": 5, "failed": %d, '
+                  '"metrics": {"evals_per_s": {"value": 1.0}}}\n') % (cwd, str(ok).lower(), 0 if ok else 2)
+        return type("Proc", (), {"stdout": stdout})()
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--against", str(tmp_path / "base"), "--workload", "certify",
+                   "--pairs", "3", "--seconds", "1", "--out", str(out)])
+    assert exc.value.code == "runs with wrong outputs (correct: false): certify head pair 1, certify head pair 2"
+    # the file is written first, with the count per side in the summary
+    report = json.loads(out.read_text())
+    assert report["certify"]["summary"]["incorrect_runs"] == {"base": 0, "head": 2}
+    assert report["certify"]["summary"]["evals_per_s"]["pairs"] == 3
+
+
+def test_bench_exits_zero_when_every_run_is_correct(monkeypatch, tmp_path):
+    tool = _tool()
+    (tmp_path / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    monkeypatch.chdir(tmp_path)
+    stdout = '{"context": {}}\n{"correct": true, "attempted": 5, "failed": 0, "metrics": {}}\n'
+    monkeypatch.setattr(tool.subprocess, "run",
+                        lambda cmd, cwd, **kwargs: type("Proc", (), {"stdout": stdout})())
+    tool.main(["--against", str(tmp_path), "--workload", "lu-sweep", "--pairs", "2",
+               "--seconds", "1", "--out", str(tmp_path / "BENCH.json")])
+    report = json.loads((tmp_path / "BENCH.json").read_text())
+    assert report["lu-sweep"]["summary"] == {"incorrect_runs": {"base": 0, "head": 0}}

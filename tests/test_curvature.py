@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialtyz import curvature
 from radialtyz.curvature import (
@@ -624,15 +626,67 @@ def test_sum_of_even_and_odd_values_raises():
     # the U(1) phase rule is checked: a value is even or odd in s, and only a
     # zero may meet a value of the other parity in a sum
     ring = RadialRing(Jet.variable(F(1, 2), 1))
-    even, odd = curvature.RV(ring, ring.one_jet, 0), curvature.RV(ring, ring.x, 1)
+    even, odd = curvature.RV(ring, ring.x_power(0), 0), curvature.RV(ring, ring.x.raws, 1)
     with pytest.raises(ArithmeticError, match="an even and an odd value"):
         even + odd
     with pytest.raises(ArithmeticError, match="an even and an odd value"):
         odd - even
-    zero_odd = curvature.RV(ring, ring.zero_jet, 1)
+    zero_odd = curvature.RV(ring, ring.zero_raws, 1)
     assert even + zero_odd is even
-    assert (zero_odd - even).odd == 0 and (zero_odd - even).jet == -ring.one_jet
+    assert (zero_odd - even).odd == 0 and (zero_odd - even).jet == -Jet.constant(F(1, 2), 1, 1)
     assert (odd * odd).odd == 0 and (even * odd).odd == 1
+
+
+_rv_rationals = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=30)
+_SQRT5 = nth_root(as_scalar(5), 2)
+_RV_LANES = {  # one coefficient from two rationals, in Q, Q(sqrt 5) and on 64-bit balls
+    "Q": lambda a, b: as_scalar(a),
+    "sqrt5": lambda a, b: _SQRT5 * b + a,
+    "ball64": lambda a, b: (as_scalar(a) + F(b, 7)).to_ball(64),
+}
+
+
+@st.composite
+def _rv_pairs(draw):
+    """Two RVs of random parities on one ring of 1 to 7 coefficients, and
+    their jets: on exact lanes a length of 6 or 7 runs the product through
+    the integer convolution."""
+    lane = draw(st.sampled_from(sorted(_RV_LANES)))
+    size = draw(st.integers(1, 7))
+    x0 = as_scalar(F(3, 4)) if lane != "ball64" else as_scalar(F(3, 4)).to_ball(64)
+    ring = RadialRing(Jet.variable(x0, size - 1))
+    coeffs = st.lists(st.builds(_RV_LANES[lane], _rv_rationals, _rv_rationals),
+                      min_size=size, max_size=size)
+    a, b = Jet.make(x0, draw(coeffs)), Jet.make(x0, draw(coeffs))
+    pa, pb = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return ring, (curvature.RV(ring, a.raws, pa), a), (curvature.RV(ring, b.raws, pb), b)
+
+
+def _same(rv: "curvature.RV", jet: Jet, odd: int) -> bool:
+    return rv.odd == odd and scalars_digest(rv.jet.coeffs) == scalars_digest(jet.coeffs)
+
+
+@given(_rv_pairs(), st.integers(-5, 5), _rv_rationals)
+@settings(max_examples=100, deadline=None)
+def test_rv_arithmetic_is_jet_arithmetic_bit_for_bit(pair, k, q):
+    # an RV is its jet's raws and a parity: every operation is the Jet
+    # operation on those raws, with odd * odd picking up x = s**2
+    ring, (a, ja), (b, jb) = pair
+    assert _same(-a, -ja, a.odd)
+    assert _same(a * k, ja * k, a.odd) and _same(a * q, ja * q, a.odd)
+    if a.odd == b.odd:
+        assert _same(a + b, ja + jb, a.odd) and _same(a - b, ja - jb, a.odd)
+    if a.is_zero() or b.is_zero():
+        assert (a * b).is_zero()
+    elif a.odd and b.odd:
+        assert _same(a * b, ja * jb * ring.x, 0)
+    else:
+        assert _same(a * b, ja * jb, a.odd | b.odd)
+    # a zero of the other parity leaves a non-zero operand as it is
+    zero = curvature.RV(ring, ring.zero_raws, 1 - a.odd)
+    if not a.is_zero():
+        assert a + zero is a and a - zero is a and zero + a is a
+        assert _same(zero - a, -ja, a.odd)
 
 
 def test_frame_rejects_a_metric_not_certified_positive():

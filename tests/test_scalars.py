@@ -778,6 +778,26 @@ def test_a_root_mixes_into_an_extension_that_holds_it(small, large, c, k):
         assert got.exact and (got.to_ball(256) - want).sign() == Sign.UNDETERMINED
 
 
+def test_a_root_value_in_a_subfield_equals_its_subfield_form():
+    # arithmetic may leave an element of a subfield in the larger field (so
+    # that it still meets the field's other elements); == and hash follow value
+    s, t = nth_root(as_scalar(337), 2), nth_root(as_scalar(337), 4)
+    u = s + t - t
+    assert (u.degree, u.radicand) == (4, 337) and (u - s).sign() == Sign.ZERO
+    assert u == s and s == u and hash(u) == hash(s) and len({u, s}) == 1
+    assert u + 1 == s + 1 and u * F(2, 3) == s * F(2, 3) and u != t
+    # 125**(1/4) = 5**(3/4): its square 5 * sqrt(5) lies in Q(sqrt 5)
+    w = nth_root(as_scalar(5**3), 4)
+    assert (w.degree, w.radicand) == (4, 125)
+    assert w * w == nth_root(as_scalar(5), 2) * 5 and hash(w * w) == hash(nth_root(as_scalar(5), 2) * 5)
+    # and through two steps: 2**(4/12) and 2**(6/12) in Q(2**(1/3)) and Q(sqrt 2)
+    c = nth_root(as_scalar(2), 12)
+    assert int_pow(c, 4) == nth_root(as_scalar(2), 3) and int_pow(c, 6) == nth_root(as_scalar(2), 2)
+    assert int_pow(c, 4) != int_pow(c, 8) and int_pow(c, 5) != c
+    with pytest.raises(ExactnessError, match="cannot mix root extensions"):
+        nth_root(as_scalar(2), 2) + nth_root(as_scalar(3), 2)
+
+
 def test_roots_that_hold_neither_root_still_raise():
     for a, b in (((2, 2), (3, 2)), ((2, 2), (2, 3)), ((5, 2), (4825, 6))):
         with pytest.raises(ExactnessError, match="cannot mix root extensions"):

@@ -10,9 +10,12 @@ several) it runs `perfbench/run.py --seed 0 --trace 0` N times from the
 so on, so that neither side always runs second. It reads only run.py's output,
 the context block and the result line, and writes every run's metrics and
 context. Per end-to-end metric of BENCHMARK.json it adds each side's median
-and quartiles and the number of pairs in which head did better than base.
-An existing --out file keeps its other workloads, so each workload can run
-with its own --pairs and --seconds.
+and quartiles and the number of pairs in which head did better than base,
+and per side the number of runs whose outputs run.py found wrong
+("correct": false). An existing --out file keeps its other workloads, so each
+workload can run with its own --pairs and --seconds. After writing --out it
+exits non-zero if any run was wrong, naming its workload, side and pair:
+run.py itself exits 0 however many evals fail.
 """
 from __future__ import annotations
 
@@ -47,8 +50,10 @@ def _spread(values: list[float]) -> dict:
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median and quartiles, and head's wins over base
-    in the pairs, a win being a value on the metric's better side."""
-    out = {}
+    in the pairs, a win being a value on the metric's better side; and per
+    side the number of wrong runs."""
+    out = {"incorrect_runs": {side: sum(r["side"] == side and not r["correct"] for r in runs)
+                              for side in ("base", "head")}}
     for name, way in better.items():
         sides = {side: [r["metrics"][name]["value"] for r in runs if r["side"] == side]
                  for side in ("base", "head")}
@@ -87,6 +92,10 @@ def main(argv: list[str] | None = None) -> None:
                      "seconds": args.seconds,
                      **bench(args.against.resolve(), root, w, args.pairs, args.seconds, better)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    wrong = [f"{w} {r['side']} pair {r['pair']}" for w in args.workload
+             for r in report[w]["runs"] if not r["correct"]]
+    if wrong:
+        sys.exit(f"runs with wrong outputs (correct: false): {', '.join(wrong)}")
 
 
 if __name__ == "__main__":
