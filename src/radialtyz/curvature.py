@@ -14,10 +14,10 @@ a sum does its jet work once, and a sum of a non-zero even and a non-zero odd
 value raises ArithmeticError, so the rule is checked rather than assumed. A
 frame over jets in x of order m holds m x-derivatives of every tensor entry.
 
-A frame (frame_at_x) computes the diagonal of g^-1 when it is built, and
-Gamma, R, the log det table, Ric, rho and the covariant Ricci block
-Ric_{ij̄,k}, Ric_{ij̄,kl̄} when each is first read, all at the frame's jet
-order; |R|^2 (curvature_norm2) reads Gamma and R only. The block's
+A frame (frame_at_x) computes the diagonal of g^-1, one jet quotient 1/g_ii
+each, when it is built, and Gamma, R, the log det table, Ric, rho and the
+covariant Ricci block Ric_{ij̄,k}, Ric_{ij̄,kl̄} when each is first read, all
+at the frame's jet order; |R|^2 (curvature_norm2) reads Gamma and R only. The block's
 dbar Gamma term is read off R: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}, and by
 dbar g^-1 = -g^-1 (dbar g) g^-1 and the Kähler symmetry of d dbar g,
 dbar_l Gamma^p_{ki} = g^{pq̄} R_{iq̄kl̄}, which is g^{pp̄} R_{ip̄kl̄} here.
@@ -191,10 +191,8 @@ class RV:
         return RV(self.ring, raws, self.odd | other.odd)
 
     def inverse(self) -> "RV":
-        # (c s^odd)^-1 = c s^odd / (c^2 x^odd)
-        c = self.jet
-        den = c * c * self.ring.x if self.odd else c * c
-        return RV(self.ring, (c * (1 / den)).raws, self.odd)
+        # only g's diagonal is inverted, and it is even in s
+        return RV(self.ring, (1 / self.even_jet("an inverted value")).raws, 0)
 
     def even_jet(self, what: str = "invariant") -> Jet:
         if self.odd and not self.is_zero():

@@ -25,17 +25,18 @@ a term with an exact-zero factor where the fold would leave the sum as it is
 (most terms of a product with a bivariate power N**k, whose low-order
 coefficients are exact zeros). pow forms its weights (r+1)j - k as integer
 raws and, on a jet of balls at one precision, promotes each distinct weight
-once per call rather than once per term. bijet_compose_univariate takes the
-powers of the inner series' nilpotent part from a caller that composes several
-jets with one.
+once per call rather than once per term.
 
 HermitianBiJet is the bivariate counterpart in offsets (u, v) of (z1, z̄1)
 around a radial axis point, with real coefficients and the Hermitian symmetry
 c_ij = c_ji; mixed partials at the base point are i! j! c_ij. Its one
-operation is the product. bijet_exp and bijet_compose_univariate sum the
-powers N, N**2, ... of the nilpotent part N with their series weights: each
-c_ij with i <= j is one kernel dot over the powers' (i, j) entries, stored at
-(i, j) and (j, i), as the product stores its own.
+operation is the product. bijet_exp sums the powers N, N**2, ... of its
+nilpotent part N with the weights 1/k!. bijet_compose_univariate reads g in
+the relative offset t = x/x0 - 1, where x = x0 (1 + u)(1 + v) makes t**k the
+power (u + v + uv)**k, whose coefficients are integers: each c_ij is one dot
+of g's coefficients with those integers, and x0 enters only through
+g.scale_var(x0). The product, exp and composition form each c_ij with i <= j
+once, as one kernel dot, and store it at (i, j) and (j, i) (_hermitian).
 """
 from __future__ import annotations
 
@@ -344,9 +345,9 @@ class HermitianBiJet(Record):
     """Bivariate truncated series sum c_ij u**i v**j around a radial point.
 
     u, v are the offsets of (z1, z̄1) from the base point; for the germs in
-    scope all coefficients are real and c_ij == c_ji, which make checks. The
-    product and both series form each c_ij with i <= j as one kernel dot and
-    store it at (i, j) and (j, i), so the symmetry stays exact even for balls.
+    scope all coefficients are real and c_ij == c_ji, which make checks. Every
+    operation forms c_ij with i <= j once and stores it at (i, j) and (j, i),
+    so the symmetry stays exact even for balls.
     """
 
     __slots__ = ("base", "raws")
@@ -377,65 +378,53 @@ class HermitianBiJet(Record):
     def __mul__(self, other: "HermitianBiJet") -> "HermitianBiJet":
         if other.base is not self.base and other.base != self.base:
             raise ValueError("bivariate jet base points differ")
-        n = min(self.order, other.order) + 1
         a, b = self.raws, other.raws
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                pairs = [(i1, j1) for i1 in range(i + 1) for j1 in range(j + 1)]
-                rows[i][j] = rows[j][i] = _raw_dot(
-                    _ZERO, [a[p][q] for p, q in pairs], [b[i - p][j - q] for p, q in pairs]
-                )
-        return HermitianBiJet(self.base, tuple(tuple(r) for r in rows))
+
+        def entry(i: int, j: int) -> tuple:
+            pairs = [(p, q) for p in range(i + 1) for q in range(j + 1)]
+            return _raw_dot(_ZERO, [a[p][q] for p, q in pairs], [b[i - p][j - q] for p, q in pairs])
+
+        return _hermitian(self.base, min(self.order, other.order) + 1, entry)
 
 
-def _bijet_series(
-    a: HermitianBiJet, first: tuple, powers: Sequence[HermitianBiJet], coeffs: Sequence[tuple]
-) -> HermitianBiJet:
-    """first + sum_k coeffs[k-1] * powers[k-1], for powers the nilpotent
-    powers of a: each c_ij with i <= j is one kernel dot, mirrored to (j, i).
-    The base and order come from a, since at order 0 there are no powers."""
-    n = a.order + 1
+def _hermitian(base: Scalar, n: int, entry) -> HermitianBiJet:
+    """The n x n HermitianBiJet whose c_ij with i <= j is entry(i, j), formed
+    once and stored at (i, j) and (j, i)."""
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = _raw_dot(
-                first if i == j == 0 else _ZERO, [p.raws[i][j] for p in powers], coeffs
-            )
-    return HermitianBiJet(a.base, tuple(tuple(r) for r in rows))
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return HermitianBiJet(base, tuple(tuple(r) for r in rows))
 
 
 def bijet_exp(a: HermitianBiJet) -> HermitianBiJet:
     """exp of a bivariate jet: scalar_exp(c00) * sum N**k / k!, N the nilpotent part."""
     scale = _raw(scalar_exp(a.coeff(0, 0)))
-    powers = nilpotent_powers(a)
-    facts = [(_Q, (1,), math.factorial(k)) for k in range(1, len(powers) + 1)]
-    series = _bijet_series(a, _ONE, powers, facts)
-    return HermitianBiJet(a.base, tuple(tuple(_mul(c, scale) for c in r) for r in series.raws))
+    n = HermitianBiJet(a.base, ((_ZERO,) + a.raws[0][1:],) + a.raws[1:])
+    powers = [n]  # N, N**2, ..., N**(2L); N**(2L+1) has no term of order <= L in u and v
+    while len(powers) < 2 * a.order:
+        powers.append(powers[-1] * n)
+    facts = [(_Q, (1,), math.factorial(k)) for k in range(1, 2 * a.order + 1)]
+    return _hermitian(a.base, a.order + 1, lambda i, j: _mul(_raw_dot(
+        _ONE if i == j == 0 else _ZERO, [p.raws[i][j] for p in powers], facts), scale))
 
 
-def nilpotent_powers(a: HermitianBiJet) -> tuple[HermitianBiJet, ...]:
-    """N, N**2, ..., N**(2L) for N the nilpotent part of a and L its order."""
-    rows = [list(r) for r in a.raws]
-    rows[0][0] = _ZERO
-    n = HermitianBiJet(a.base, tuple(tuple(r) for r in rows))
-    out: list[HermitianBiJet] = []
-    for _ in range(2 * a.order):
-        out.append(out[-1] * n if out else n)
-    return tuple(out)
+def _trinomial(k: int, i: int, j: int) -> int:
+    """T(k, i, j), the coefficient of u**i v**j in (u + v + uv)**k: choose the i
+    factors that hold u, then the k - j of them that hold no v (the k - i
+    others are v)."""
+    return math.comb(k, i) * math.comb(i, k - j) if k >= j else 0
 
 
-def bijet_compose_univariate(
-    g: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...]
-) -> HermitianBiJet:
-    """g composed with a bivariate inner series whose constant term is g.x0.
-
-    powers must be nilpotent_powers(inner): a caller composing several jets
-    with one inner series builds them once and passes them in."""
-    if inner.coeff(0, 0) != g.x0:
-        raise ValueError("inner constant coefficient must equal the outer base point")
-    if g.order < 2 * inner.order:
-        raise ValueError(
-            f"outer jet order {g.order} is short of 2*L = {2 * inner.order}"
-        )
-    return _bijet_series(inner, _raw(g.value()), powers, g.raws[1:])
+def bijet_compose_univariate(g: Jet, order: int) -> HermitianBiJet:
+    """g(x) at x = x0 (1 + u)(1 + v), to order L = order in u and v, for g the
+    jet of t -> g(x0 (1 + t)) (g.scale_var(x0) of the jet at x0) of order
+    >= 2L: with 1 + t = (1 + u)(1 + v), t**k = (u + v + uv)**k, so c_ij is
+    sum_k g_k T(k, i, j) with integer weights. The zero weights stay in each
+    dot, so a ball g_k makes every c_ij a ball as the powers of t would."""
+    if g.order < 2 * order:
+        raise ValueError(f"outer jet order {g.order} is short of 2*L = {2 * order}")
+    ks = range(1, 2 * order + 1)
+    return _hermitian(g.x0, order + 1, lambda i, j: _raw_dot(
+        g.raws[0] if i == j == 0 else _ZERO, g.raws[1:],
+        [(_Q, (_trinomial(k, i, j),), 1) for k in ks]))

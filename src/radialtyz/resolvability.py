@@ -17,12 +17,12 @@ A certified-negative minor proves the metric is not projectively induced; a
 certificate with every minor positive is only a finite-order necessary
 condition and is labeled as such.
 
-minor_matrix builds the inner series x0(1 + u + v + uv) and the powers of its
-nilpotent part once per call, and the germ's radial part and every g_h
-compose with them, each coefficient on the upper triangle one kernel dot
-(see jets); the germ takes the axis terms off row 0 and column 0 on raws, and
-det_scalar runs on kernel raws and builds one Scalar. Results are bit for bit
-those of the same steps taken one Scalar operation at a time.
+In the scaled offsets x = x0 (1 + u_hat)(1 + v_hat), so f and every g_h
+compose as jets in t = x/x0 - 1 with integer weights (see jets): x0 enters
+each coefficient once, through Jet.scale_var. The germ's row 0 and column 0
+are the exact zeros D(u_hat, 0) = D(0, v_hat) = 0, and det_scalar runs on
+kernel raws and builds one Scalar. Results are bit for bit those of the same
+steps taken one Scalar operation at a time.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp, nilpotent_powers
+from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp
 from .obstruction import gh_jets, gh_sequence
 from .potentials import PotentialFamily, family_label, fprime_jet, prepare_point
 from .records import Record
@@ -49,7 +49,7 @@ from .scalars import (
     int_pow,
 )
 
-_ONE = _raw(1)
+_ZERO, _ONE = _raw(0), _raw(1)
 
 SCOPE_NOTE = (
     "necessary-condition check up to order (lmax, hmax): positivity of these "
@@ -57,27 +57,15 @@ SCOPE_NOTE = (
 )
 
 
-def _inner_bijet(x0: Scalar, order: int) -> HermitianBiJet:
-    """x = s^2 (1 + u_hat)(1 + v_hat) as a bivariate jet: x0(1 + u + v + uv)."""
-    rows = [[x0 if i < 2 and j < 2 else 0 for j in range(order + 1)] for i in range(order + 1)]
-    return HermitianBiJet.make(x0, rows)
-
-
-def diastasis_germ_at_x(
-    fp: Jet, inner: HermitianBiJet, powers: tuple[HermitianBiJet, ...]
-) -> HermitianBiJet:
-    """The germ of order L at x0 = fp.x0, in the scaled offsets u_hat, v_hat,
-    from the f' jet fp, of order >= 2L - 1, for inner = _inner_bijet(x0, L)
-    and powers = nilpotent_powers(inner)."""
-    x0, order = fp.x0, inner.order
-    fj = fp.antiderive(0).truncate(2 * order)  # f anchored to f(x0) = 0
-    rows = [list(r) for r in bijet_compose_univariate(fj, inner, powers).raws]
-    # f(s z1) = f(x0 (1 + u_hat)): univariate terms off row 0 and column 0;
-    # the constants f(x0) + f(s^2) - f(s*s) ... cancel: fj is anchored to 0
-    axis = fj.scale_var(x0).raws
-    for j in range(order + 1):
-        rows[0][j] = rows[j][0] = _norm(_raw_add(rows[0][j], _raw_neg(axis[j])))
-    return HermitianBiJet(x0, tuple(tuple(r) for r in rows))
+def diastasis_germ_at_x(fp: Jet, order: int) -> HermitianBiJet:
+    """The germ of order L = order at x0 = fp.x0, in the scaled offsets u_hat,
+    v_hat, from the f' jet fp, of order >= 2L - 1."""
+    # D = F((1 + u)(1 + v)) - F(1 + u) - F(1 + v), F(1 + t) = f(x0 (1 + t)) - f(x0):
+    # the last two terms are the first's row 0 and column 0, so those are 0
+    fj = fp.antiderive(0).truncate(2 * order).scale_var(fp.x0)
+    c = bijet_compose_univariate(fj, order).raws
+    rows = [(_ZERO,) * (order + 1)] + [(_ZERO,) + r[1:] for r in c[1:]]
+    return HermitianBiJet(fp.x0, tuple(rows))
 
 
 def det_scalar(matrix: list[list[Scalar]]) -> Scalar:
@@ -145,10 +133,7 @@ def minor_matrix(
     # one f' jet serves the germ (order 2*lmax - 1) and the g_h jets at x0 of
     # order >= 2*lmax (order hmax + 2*lmax - 1)
     fp = fprime_jet(fam, x0, max(hmax + 2 * lmax - 1, 0))
-    # the germ's radial part and every g_h compose with one inner series
-    inner = _inner_bijet(x0, lmax)
-    powers = nilpotent_powers(inner)
-    expd = bijet_exp(diastasis_germ_at_x(fp, inner, powers))
+    expd = bijet_exp(diastasis_germ_at_x(fp, lmax))
     gh = gh_jets(fp, hmax)
 
     # undo the u_hat = u/s scaling: the order-l minor picks up
@@ -157,7 +142,7 @@ def minor_matrix(
     minors: list[list[Scalar]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     signs: list[list[Sign]] = [[None] * (hmax + 1) for _ in range(lmax + 1)]
     for h in range(hmax + 1):
-        gh_bij = bijet_compose_univariate(gh[h].truncate(2 * lmax), inner, powers)
+        gh_bij = bijet_compose_univariate(gh[h].truncate(2 * lmax).scale_var(x0), lmax)
         entries = expd * gh_bij  # scaled-variable coefficients
         for l in range(lmax + 1):
             sub = [[entries.coeff(i, j) for j in range(l + 1)] for i in range(l + 1)]

@@ -775,13 +775,18 @@ def _exact(ext: tuple[int, int], nums: tuple[int, ...], den: int) -> tuple:
 def _subfield(r: tuple) -> tuple:
     """The exact raw r in lowest terms in the smallest field that holds it: if
     the powers j of theta = t**(1/d) in r share g = gcd(d, j, ...) > 1, in
-    Q(theta**g), theta**g = t**(g/d) = c * s**(1/e) by _canonical_root."""
+    Q(theta**g), theta**g = t**(g/d) = c * s**(1/e) by _canonical_root. One
+    field has d > 2 canonical generators theta**j, gcd(j, d) = 1 (4**(1/3) and
+    2**(1/3)), so r is then written in the one of least radicand."""
     ext, nums, den = r = _norm(_exact(*r))
-    if ext is _Q or ext[0] == 2 or (
-            g := math.gcd(ext[0], *(j for j, v in enumerate(nums) if v))) == 1:
+    if ext is _Q or ext[0] == 2:
         return r
-    k = ext[0] // g
-    c, e, s = _canonical_root(Fraction(ext[1]), k)
+    d, t = ext
+    if (g := math.gcd(d, *(j for j, v in enumerate(nums) if v))) == 1:
+        s = min(_canonical_root(Fraction(t**j), d)[2] for j in range(1, d) if math.gcd(j, d) == 1)
+        return r if s == t else _norm(_lift(r, (d, s)))
+    k = d // g
+    c, e, s = _canonical_root(Fraction(t), k)
     p, q, out = c.numerator, c.denominator, [0] * e
     for i in range(k):
         out[i % e] += nums[i * g] * p**i * q ** (k - 1 - i) * s ** (i // e)

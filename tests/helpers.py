@@ -4,9 +4,9 @@ import sys
 from fractions import Fraction
 
 from radialtyz import potentials
-from radialtyz.jets import nilpotent_powers
+from radialtyz.jets import HermitianBiJet
 from radialtyz.reports import scalar_to_json
-from radialtyz.resolvability import _inner_bijet, diastasis_germ_at_x
+from radialtyz.resolvability import diastasis_germ_at_x
 from radialtyz.scalars import BallScalar, Scalar, Sign, abs_le, as_scalar, int_pow
 
 
@@ -57,12 +57,34 @@ def is_hermitian_symmetric(bijet) -> bool:
                for i in range(bijet.order + 1) for j in range(i))
 
 
+def compose_through_inner(g, order: int) -> HermitianBiJet:
+    """g(x) at x = x0 (1 + u)(1 + v), for g the jet at x0 = g.x0 of order >= 2L,
+    L = order, by an independent route: the inner series x0 (1 + u + v + uv),
+    the powers N, ..., N**(2L) of its nilpotent part N by products, and each
+    c_ij the left fold g_0 [i = j = 0] + N_ij g_1 + (N**2)_ij g_2 + ... of
+    Scalar operations."""
+    x0 = g.x0
+    n = HermitianBiJet.make(x0, [[x0 if 0 < i + j and i < 2 and j < 2 else 0
+                                  for j in range(order + 1)] for i in range(order + 1)])
+    powers = [n]
+    while len(powers) < 2 * order:
+        powers.append(powers[-1] * n)
+    rows = []
+    for i in range(order + 1):
+        rows.append([])
+        for j in range(order + 1):
+            acc = g.value() if i == j == 0 else as_scalar(0)
+            for p, c in zip(powers, g.coeffs[1:]):
+                acc = acc + p.coeff(i, j) * c
+            rows[i].append(acc)
+    return HermitianBiJet.make(x0, rows)
+
+
 def germ_at_s(fam, s, order: int):
     """The diastasis germ of the given order at x0 = s*s, in the scaled offsets."""
     s = as_scalar(s)
     fp = potentials.fprime_jet(fam, s * s, max(2 * order - 1, 0))
-    inner = _inner_bijet(fp.x0, order)
-    return diastasis_germ_at_x(fp, inner, nilpotent_powers(inner))
+    return diastasis_germ_at_x(fp, order)
 
 
 def coeff_unscaled(germ, s, i: int, j: int) -> Scalar:

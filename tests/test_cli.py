@@ -255,7 +255,7 @@ def test_lu_coeffs_table_shows_ball_radius(capsys):
     code, out, _ = run_cli(capsys, *argv, "--format", "table")
     assert code == 2
     a1 = next(line for line in out.splitlines() if line.split()[:1] == ["a1"])
-    assert a1.split()[1:] == ["-3.3792e-6", "±", "0.00083"]
+    assert a1.split()[1:] == ["-3.3791e-6", "±", "0.00083"]
     code, csv, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 2 and "±" not in csv
     # the CSV radius column is the JSON radius of each ball
@@ -271,7 +271,7 @@ def test_lu_coeffs_table_shows_ball_radius(capsys):
 
 @pytest.mark.parametrize("argv, radius", [
     (("resolvability", "--eps", "1", "--n", "3", "--x", "3/4", "--lmax", "1", "--hmax", "1"),
-     ["0.0", "1.73e-77", "1.25e-76", "2.57e-75"]),
+     ["0.0", "1.73e-77", "1.14e-76", "2.21e-75"]),
     (("resolvability", "--eps", "1", "--n", "2", "--x", "3/4", "--lmax", "1", "--hmax", "1"),
      ["", "", "", ""]),
     (("gh-eval", "--eps", "1", "--n", "3", "--x", "3/4", "--hmax", "1", "--precision-bits", "16"),

@@ -435,7 +435,7 @@ def test_lu_ball_backend_matches_exact():
 
 def test_lu_report_balls_pinned():
     """Every LuReport field on 256-bit balls, bit for bit (digest re-taken when
-    dbar Gamma in ric_cov2 came to be read off R, which moved divdivRRic only)."""
+    g^-1 came to be 1/g rather than g (1/g^2), which made every field tighter)."""
     rep = lu_coefficients(EpsilonFamily(1, F(1), 3), 3, x=F(3, 4), precision_bits=256)
     assert all(v.backend == "ball" for v in rep.as_dict().values())
     # the order every output lists the fields in
@@ -444,7 +444,7 @@ def test_lu_report_balls_pinned():
         "RRicRic", "RicRR", "divdivRRic", "divdivRhoRic", "lapRho", "laplapRho", "lapCombo8",
     ]
     assert scalars_digest(rep.as_dict().values()) == (
-        "715e5474918c96b77991e6f4575e58f6a4f89ece2bafc81d4f69de7a307f983d"
+        "c164956429019ed1407e0448bbadd1ac56be85717262e19ebce746299caae97b"
     )
 
 
@@ -452,7 +452,7 @@ def test_lu_report_balls_pinned():
     (EpsilonFamily(1, F(1), 2), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
     (EpsilonFamily(-1, F(1), 2), F(3, 2), False,
-     "459c4c3a2ad7f7c1460200716849c48a1e79f619efd58f4596f689f898c635f2"),
+     "02cc880a011b05c1845bebf3b6c9ba013835ab4bc38452e6b9bb7e23b06c14b8"),
     # Eguchi-Hanson's f' is that of eps=1, n=2, so its report is the same
     (EguchiHanson(), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
@@ -741,24 +741,26 @@ def _all_coeffs(t) -> list:
 # moved ball meets the one before and a 1024-bit enclosure. The ball ric_cov1
 # and nabla R digests were re-taken when an RV came to hold one jet: the even
 # slot of these odd tensors had held balls [0, 0] from even x odd products, and
-# every entry's own-slot coefficients kept their bits.
+# every entry's own-slot coefficients kept their bits. Every ball digest was
+# re-taken when g^-1 came to be 1/g rather than g (1/g^2): no moved ball is
+# wider than the one before, and each meets a 1024-bit enclosure.
 COVARIANT_DIGESTS = {
     ("eps+1", 2, True): ("d4b53ff7b946835c", "b9ebaf6936c079e1", "4f4cb532545f7cea", "9a8fac48311c9372"),
-    ("eps+1", 2, False): ("f9b6d482206b693b", "b833379ba6f40ea4", "6eb1231daaa7f24d", "9208bce4e52ae293"),
+    ("eps+1", 2, False): ("1a958e2e977cb6af", "d86dd7226752de63", "5689fd00b512eaf8", "b4be18bf660cead2"),
     ("eps+1", 3, True): ("286ef07ee437acb0", "81b2b66b4165f647", "3c91455830f759a4", "fbbb571c896e433a"),
-    ("eps+1", 3, False): ("be39bfe32f65d892", "afcd0f651c2b6bd8", "e8f2db7e2ebc5aa9", "ee70916b00be9f8c"),
+    ("eps+1", 3, False): ("1f1d7520b3be28cd", "e466c81f01c5e138", "4463d0c4eab44b43", "44a9379692fcadc0"),
     ("eps+1", 4, True): ("a4a5ff847792303e", "9303b5ecb7676288", "e8ad8b234d1327c0", "97f3ff1b03caaf43"),
-    ("eps+1", 4, False): ("2c6d0fc82272e79b", "9ca60346924ef036", "6715576026917742", "d90638e4a43d4034"),
+    ("eps+1", 4, False): ("763166668034c954", "a42ea25ae95a2621", "23e1fd880bdaaacb", "561e87bb677c1c98"),
     ("eps-1", 2, True): ("9e41587b0f4ccff6", "b9ebaf6936c079e1", "4f4cb532545f7cea", "6839936fb35d5768"),
-    ("eps-1", 2, False): ("2a159bb71e478e2a", "9ac940da8eaa2cae", "2ed10e73c2023952", "55fb2e0954498586"),
+    ("eps-1", 2, False): ("807e42ac0e8df2b1", "83436a5c4ceda221", "061fe7101c5ee722", "275ec6cc703d140a"),
     ("eps-1", 3, True): ("a6d3d4749076a38c", "81b2b66b4165f647", "3c91455830f759a4", "315a252815135950"),
-    ("eps-1", 3, False): ("aa16fa48d36f575f", "0d631e8eb757b0f5", "ecd3baf0897c776f", "5085aeba2bf00e5e"),
+    ("eps-1", 3, False): ("814113ce402ba9ba", "c87cfb4ed31f0160", "1d35287ece029f53", "a4e27c6c81183cbd"),
     ("eps-1", 4, True): ("460696577294f749", "9303b5ecb7676288", "e8ad8b234d1327c0", "f014bbba31c032ee"),
-    ("eps-1", 4, False): ("190eed5dab9715e4", "8777b6e143d79662", "6b5e812ca8079713", "a47b1f8728303be0"),
+    ("eps-1", 4, False): ("4003434d3ec917a1", "f4da056de9b2ad3f", "39856bc1e8fa07e6", "00d4290a7f65589d"),
     ("simanca", 3, True): ("2fd5557c42d8edf3", "5a6d68a8213bab90", "1641dbab692d3d2f", "ac71c1fa8e1689a6"),
-    ("simanca", 3, False): ("752d5706b0f6f85a", "a47acc90f50eadb3", "538ab45ab1f8ba43", "90adffbf4637dad9"),
+    ("simanca", 3, False): ("48e2a1f9475c12e4", "c6f453f08e36f979", "b082a03e2c086df4", "9da364cc405a7b08"),
     ("eguchi-hanson", 3, True): ("53b57116417d16d1", "86be6500260fcd94", "3e69d15b6473aa88", "2d0c2ef5b656a1f4"),
-    ("eguchi-hanson", 3, False): ("42ba6b79c9268838", "f07fa7c7f12ec696", "d2211a6e819eb219", "ef27206845cb2c67"),
+    ("eguchi-hanson", 3, False): ("4805e9fbdfda9d22", "a68a80ef4425b0aa", "14dd16a32968de37", "4fb66ff5e34302b1"),
     ("flat", 3, True): ("3c91455830f759a4", "81b2b66b4165f647", "3c91455830f759a4", "3c91455830f759a4"),
     ("flat", 3, False): ("0b20428ad74cf5ce", "5aba24403ac997b0", "7af502960314fe4c", "a788be098e94832f"),
 }

@@ -13,7 +13,6 @@ from radialtyz.jets import (
     Jet,
     bijet_compose_univariate,
     bijet_exp,
-    nilpotent_powers,
 )
 from radialtyz.scalars import (
     ONE,
@@ -30,7 +29,7 @@ from radialtyz.scalars import (
     scalar_pow,
 )
 
-from helpers import is_hermitian_symmetric
+from helpers import compose_through_inner, is_hermitian_symmetric
 
 coeff = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12)
 coeff_lists = st.lists(coeff, min_size=1, max_size=7)
@@ -153,16 +152,10 @@ def test_exp_log_inverse(coeffs):
 
 
 def test_bijet_compose_identity():
-    inner = HermitianBiJet.make(F(9, 16), [
-        [F(9, 16), F(3, 4)],
-        [F(3, 4), F(1)],
-    ])  # x = (3/4 + u)(3/4 + v)
-    ident = Jet.variable(F(9, 16), 2)
-    out = bijet_compose_univariate(ident, inner, nilpotent_powers(inner))
-    assert all(
-        (out.coeff(i, j) - inner.coeff(i, j)).sign() == Sign.ZERO
-        for i in range(2) for j in range(2)
-    )
+    # g(x) = x as a jet in t = x/x0 - 1 is x0 (1 + t): x0 (1 + u)(1 + v)
+    x0 = F(9, 16)
+    out = bijet_compose_univariate(Jet.variable(x0, 2).scale_var(x0), 1)
+    assert all(out.coeff(i, j).text() == "9/16" for i in range(2) for j in range(2))
 
 
 def test_bijet_exp_of_zero():
@@ -176,8 +169,7 @@ def test_bijet_exp_of_zero():
 
 def test_bijet_compose_square_against_brute_force():
     # g(x) = x^2 with x = (1+u)(1+v): ((1+u)(1+v))^2 truncated to L = 1
-    inner = HermitianBiJet.make(1, [[1, 1], [1, 1]])
-    comp = bijet_compose_univariate(Jet.variable(1, 2) ** 2, inner, nilpotent_powers(inner))
+    comp = bijet_compose_univariate(Jet.variable(1, 2) ** 2, 1)
     expect = {(0, 0): "1", (0, 1): "2", (1, 0): "2", (1, 1): "4"}
     for (i, j), want in expect.items():
         assert comp.coeff(i, j).text() == want
@@ -194,22 +186,48 @@ def test_bijet_make_rejects_a_matrix_that_is_not_hermitian():
 
 @pytest.mark.parametrize("order", range(4))
 def test_bijet_compose_forms_each_upper_coefficient_in_one_kernel_dot(order, monkeypatch):
-    x0 = F(3, 4)  # inner x0(1 + u + v + uv), as in the minors
-    rows = [[x0 if i < 2 and j < 2 else 0 for j in range(order + 1)] for i in range(order + 1)]
-    inner = HermitianBiJet.make(x0, rows)
-    powers, g = nilpotent_powers(inner), Jet.variable(x0, 2 * order) ** 3
+    x0 = F(3, 4)
+    g = (Jet.variable(x0, 2 * order) ** 3).scale_var(x0)
     calls = []
     dot = jets._raw_dot
     monkeypatch.setattr(jets, "_raw_dot", lambda *args: calls.append(args) or dot(*args))
-    out = bijet_compose_univariate(g, inner, powers)
+    out = bijet_compose_univariate(g, order)
     assert len(calls) == (order + 1) * (order + 2) // 2
     assert is_hermitian_symmetric(out)
 
 
+@pytest.mark.parametrize("order", range(5))
+def test_trinomial_weights_are_the_powers_of_u_plus_v_plus_uv(order):
+    # T(k, i, j) against the (i, j) entries of (u + v + uv)**k by products
+    n = HermitianBiJet.make(1, [[1 if 0 < i + j and i < 2 and j < 2 else 0
+                                 for j in range(order + 1)] for i in range(order + 1)])
+    power = HermitianBiJet.make(1, [[int(i == j == 0) for j in range(order + 1)]
+                                    for i in range(order + 1)])
+    for k in range(2 * order + 1):
+        assert [[jets._trinomial(k, i, j) for j in range(order + 1)] for i in range(order + 1)] == [
+            [int(power.coeff(i, j).text()) for j in range(order + 1)] for i in range(order + 1)], k
+        power = power * n
+
+
+SQRT5 = nth_root(as_scalar(5), 2)
+
+
+@pytest.mark.parametrize("x0", [as_scalar(F(3, 4)), (1 + SQRT5) / 2], ids=["Q", "Q(sqrt5)"])
+@pytest.mark.parametrize("order", range(5))
+def test_bijet_compose_is_the_inner_series_route_bit_for_bit(x0, order):
+    # g.scale_var(x0) with integer weights against the composition with the
+    # inner series x0 (1 + u + v + uv) and its powers, on exact jets
+    rng = random.Random(order)
+    coeffs = [as_scalar(F(rng.randint(-9, 9), rng.randint(1, 5))) + SQRT5 * rng.randint(-3, 3)
+              if x0.backend == "root" else F(rng.randint(-9, 9), rng.randint(1, 5))
+              for _ in range(2 * order + 1)]
+    g = Jet.make(x0, coeffs)
+    assert bijet_compose_univariate(g.scale_var(x0), order).raws == compose_through_inner(g, order).raws
+
+
 def test_bijet_order_shortfall():
-    inner = HermitianBiJet.make(1, [[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="short of 2\\*L"):
-        bijet_compose_univariate(Jet.variable(1, 1), inner, nilpotent_powers(inner))
+        bijet_compose_univariate(Jet.variable(1, 1), 1)
 
 
 def test_bijet_products_and_symmetry():
@@ -226,8 +244,7 @@ def test_bijet_mixed_partial_convention():
     # mixed partials at the base point are i! j! c_ij: x^3 composed with
     # x = (1+u)(1+v), against sympy's derivatives of ((1+u)(1+v))^3 at 0
     u, v = sp.symbols("u v")
-    inner = HermitianBiJet.make(1, [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-    comp = bijet_compose_univariate(Jet.variable(1, 4) ** 3, inner, nilpotent_powers(inner))
+    comp = bijet_compose_univariate(Jet.variable(1, 4) ** 3, 2)
     for i in range(3):
         for j in range(3):
             want = sp.diff(((1 + u) * (1 + v)) ** 3, u, i, v, j).subs({u: 0, v: 0})
@@ -393,6 +410,16 @@ def _ref_bi_series(a, first, scales):
     return acc
 
 
+def _ref_bi_compose(g, n):
+    """c_ij = g_0 [i = j = 0] + sum_k g_k T(k, i, j), zero weights included,
+    T(k, i, j) the coefficient of u**i v**j in (u + v + uv)**k."""
+    def t(k, i, j):
+        return sum(math.comb(k, m) * (-1) ** (k - m) * math.comb(m, i) * math.comb(m, j)
+                   for m in range(k + 1))
+    return [[_fold(g[0] if i == j == 0 else ZERO, g[1:], [F(t(k, i, j)) for k in range(1, len(g))])
+             for j in range(n)] for i in range(n)]
+
+
 def _ref_bi_exp(a):
     scale = scalar_exp(a[0][0])
     facts = [F(1, math.factorial(k)) for k in range(1, 2 * len(a) - 1)]
@@ -528,12 +555,11 @@ def test_bijet_operations_match_the_scalar_reference(case, zero_c00):
     if zero_c00:
         a[0][0] = ZERO  # exp(0) is exact
     ba, bb = HermitianBiJet.make(1, a), HermitianBiJet.make(1, b)
-    gj = Jet.make(a[0][0], g)
+    gj = Jet.make(1, g)
     cases = [
         (lambda: ba * bb, lambda: _ref_bi_mul(a, b)),
         (lambda: bijet_exp(ba), lambda: _ref_bi_exp(a)),
-        (lambda: bijet_compose_univariate(gj, ba, nilpotent_powers(ba)),
-         lambda: _ref_bi_series(a, g[0], g[1:])),
+        (lambda: bijet_compose_univariate(gj, len(a) - 1), lambda: _ref_bi_compose(g, len(a))),
     ]
     for i, (got, want) in enumerate(cases):
         assert _outcome(got) == _outcome(want), i

@@ -5,10 +5,12 @@ from math import comb, factorial
 import pytest
 import sympy as sp
 
-from radialtyz.obstruction import g3_closed_eps_minus1, gh_sequence
-from radialtyz.potentials import CustomPotential, EpsilonFamily, Simanca, prepare_point
+from radialtyz.jets import HermitianBiJet, bijet_exp
+from radialtyz.obstruction import g3_closed_eps_minus1, gh_jets, gh_sequence
+from radialtyz.potentials import CustomPotential, EpsilonFamily, Simanca, fprime_jet, prepare_point
 from radialtyz.resolvability import (
     det_scalar,
+    diastasis_germ_at_x,
     first_row_matches_gh,
     minor_matrix,
     simanca_embedding_check,
@@ -18,6 +20,7 @@ from radialtyz.scalars import BallScalar, Sign, as_scalar, int_pow, nth_root
 from helpers import (
     assert_exact_zero,
     coeff_unscaled,
+    compose_through_inner,
     count_fprime_calls,
     germ_at_s,
     is_hermitian_symmetric,
@@ -37,6 +40,18 @@ def test_germ_normalization_rows_vanish():
         assert_exact_zero(g.coeff(k, 0), f"c_{k}0")
         assert_exact_zero(g.coeff(0, k), f"c_0{k}")
     assert is_hermitian_symmetric(g)
+
+
+def test_germ_axes_are_exact_zeros_on_ball_points():
+    # D(u, 0) = D(0, v) = 0 as exact zeros, not as balls around 0
+    fam = EpsilonFamily(1, F(1), 4)
+    x0 = prepare_point(fam, as_scalar(F(3, 4)), exact=False, precision_bits=64)
+    g = diastasis_germ_at_x(fprime_jet(fam, x0, 5), 3)
+    assert g.coeff(1, 1).backend == "ball"
+    for k in range(4):
+        assert (g.coeff(k, 0).backend, g.coeff(0, k).backend) == ("rational", "rational")
+        assert_exact_zero(g.coeff(k, 0), f"c_{k}0")
+        assert_exact_zero(g.coeff(0, k), f"c_0{k}")
 
 
 def test_flat_germ_is_uv():
@@ -184,6 +199,51 @@ def test_minor_rows_match_the_gh_oracle_on_balls():
             diff = (cert.minors[l][h] - want[l][h]).sign()
             assert diff in (Sign.ZERO, Sign.UNDETERMINED), (l, h)
 
+
+def _inner_route_minors(fam, x0, lmax, hmax):
+    """The minors with every composition through compose_through_inner and
+    the germ's row 0 and column 0 as that composition of f less the axis
+    terms f(x0 (1 + u)) - f(x0): on balls, differences around 0."""
+    fp = fprime_jet(fam, x0, max(hmax + 2 * lmax - 1, 0))
+    fj = fp.antiderive(0).truncate(2 * lmax)
+    germ, axis = compose_through_inner(fj, lmax), fj.scale_var(x0).coeffs
+    expd = bijet_exp(HermitianBiJet.make(x0, [
+        [germ.coeff(i, j) - axis[i + j] if i * j == 0 else germ.coeff(i, j)
+         for j in range(lmax + 1)] for i in range(lmax + 1)]))
+    gh = gh_jets(fp, hmax)
+    minors = [[None] * (hmax + 1) for _ in range(lmax + 1)]
+    for h in range(hmax + 1):
+        e = expd * compose_through_inner(gh[h].truncate(2 * lmax), lmax)
+        for l in range(lmax + 1):
+            sub = [[e.coeff(i, j) for j in range(l + 1)] for i in range(l + 1)]
+            minors[l][h] = det_scalar(sub) / int_pow(x0, l * (l + 1) // 2)
+    return minors
+
+
+def _ends(ball) -> tuple[F, F]:
+    return tuple((-1) ** s * F(m) * F(2) ** e for s, m, e, _ in ball.mpi)
+
+
+@pytest.mark.parametrize("eps, x", [(1, F(3, 4)), (-1, F(3, 2))], ids=["eps+1", "eps-1"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_minor_balls_are_no_wider_than_the_inner_series_route(eps, x, n):
+    # x0 enters each composed coefficient once, through g.scale_var(x0), and
+    # the germ's axes are exact: no minor is wider than through the inner
+    # series, and each holds the 1024-bit enclosure
+    fam = EpsilonFamily(eps, F(1), n)
+    cert = minor_matrix(fam, x=x, lmax=2, hmax=4)
+    ref = minor_matrix(fam, x=x, lmax=2, hmax=4, precision_bits=1024)
+    old = _inner_route_minors(fam, cert.x0, 2, 4)
+    assert cert.x0.backend == "ball"
+    assert _ends(cert.minors[0][0]) == (1, 1)  # the ball [1, 1], as g_0 composed with balls
+    for l in range(3):
+        for h in range(5):
+            (lo, hi), (olo, ohi), (rlo, rhi) = map(_ends, (cert.minors[l][h], old[l][h],
+                                                            ref.minors[l][h]))
+            assert hi - lo <= (ohi - olo) * F(1001, 1000), (l, h)
+            assert lo <= rlo and rhi <= hi, (l, h)
+
+
 @pytest.mark.parametrize("exact, backend", [(None, "root"), (False, "ball")], ids=["exact", "ball64"])
 def test_minor_matrix_at_lmax_0_is_the_gh_row(exact, backend):
     # order 0: no nilpotent powers, the germ is 0 and its exp the exact 1, so
@@ -283,7 +343,7 @@ def test_minor_matrix_balls_pinned():
     assert all(v.backend == "ball" for v in minors)
     assert (cert.verdict, cert.first_flag) == ("obstructed", (1, 2))
     assert scalars_digest(minors) == (
-        "8ed1e8d5332cf6de0fd3cd1c65ef200889ccc8a1a39b69c54e2a6306d5f7a8ff"
+        "efaf7fbec4d3f49b14673e2f441425a6100345b81bc45cdb1c47d64ebdaf9b9b"
     )
 
 

@@ -798,6 +798,22 @@ def test_a_root_value_in_a_subfield_equals_its_subfield_form():
         nth_root(as_scalar(2), 2) + nth_root(as_scalar(3), 2)
 
 
+def test_two_radicands_of_one_field_compare_by_value():
+    # 4**(1/3) and 2**(1/3) generate one field: 4**(1/3) = (2**(1/3))**2
+    a, b = nth_root(as_scalar(4), 3), int_pow(nth_root(as_scalar(2), 3), 2)
+    assert (a.radicand, b.radicand) == (4, 2) and (a - b).sign() == Sign.ZERO
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert 7 + 5 * a == 7 + 5 * b and a * F(2, 3) != b
+    # at d = 5: 9**(1/5) = 3**(2/5)
+    c, d = nth_root(as_scalar(9), 5), int_pow(nth_root(as_scalar(3), 5), 2)
+    assert (c.radicand, d.radicand) == (9, 3) and c == d and hash(c) == hash(d)
+    # 18**(2/3) = 3 * 12**(1/3): one field, but 12**(1/3) and 18**(1/3) differ
+    e, f = nth_root(as_scalar(12), 3), nth_root(as_scalar(18), 3)
+    assert e != f and e * 3 == int_pow(f, 2)
+    with pytest.raises(ExactnessError, match="cannot mix root extensions"):
+        nth_root(as_scalar(2), 2) + nth_root(as_scalar(3), 2)
+
+
 def test_roots_that_hold_neither_root_still_raise():
     for a, b in (((2, 2), (3, 2)), ((2, 2), (2, 3)), ((5, 2), (4825, 6))):
         with pytest.raises(ExactnessError, match="cannot mix root extensions"):
