@@ -15,7 +15,7 @@ value raises ArithmeticError, so the rule is checked rather than assumed. A
 frame over jets in x of order m holds m x-derivatives of every tensor entry.
 
 A frame (frame_at_x) computes the diagonal of g^-1, one jet quotient 1/g_ii
-each, when it is built, and Gamma, R, the log det table, Ric, rho and the
+each, when it is built, and Gamma, R, the log det table, Ric and the
 covariant Ricci block Ric_{ij̄,k}, Ric_{ij̄,kl̄} when each is first read, all
 at the frame's jet order; |R|^2 (curvature_norm2) reads Gamma and R only. The block's
 dbar Gamma term is read off R: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}, and by
@@ -23,30 +23,34 @@ dbar g^-1 = -g^-1 (dbar g) g^-1 and the Kähler symmetry of d dbar g,
 dbar_l Gamma^p_{ki} = g^{pq̄} R_{iq̄kl̄}, which is g^{pp̄} R_{ip̄kl̄} here.
 
 Each quantity lives at the jet order Lu's formula reads it to. lu_coefficients
-takes Delta Delta rho, so rho (g^-1, the log det table and the Ric diagonal)
-is a jet of order 4. |R|^2 - 4|Ric|^2 + 8 rho^2 enters one Laplacian, read at
-its value, so Gamma, R, |R|^2, |Ric|^2 and rho^2 are jets of order 2, built
-on the frame's cut to order 2 (_value_frame). The covariant Ricci block,
-nabla R and the contractions that use them are read at their value alone and
-are computed on the cut to order 0. A cut's two partials tables and g^-1 are
-cuts of the full frame's, and R built on the order-2 cut is cut again for
-order 0, so det g and u' are formed once. Jet arithmetic is causal, so every
-value on a cut is the leading part of the same quantity at order 4, bit for
-bit. A product of jets takes 15 scalar products at order 4, 6 at order 2 and
-one at order 0.
+takes Delta Delta rho, so rho is a jet of order jet_order (4 by default).
+|R|^2 - 4|Ric|^2 + 8 rho^2 enters one Laplacian, read at its value, so Gamma,
+R, |R|^2 and |Ric|^2 are jets of order jet_order - 2, and the one frame is
+built at that order. rho is the radial Laplacian of log det g, from the log
+det table's u' jet, which the table holds three orders above the frame's; the
+Laplacian reads u'' and so loses one, and rho comes out two orders above the
+frame. The covariant Ricci block, nabla R and the contractions that use them
+are read at their value alone and are computed on the frame's cut to order 0
+(_value_frame), whose two partials tables, g^-1, Gamma and R are cuts of the
+frame's, so det g and u' are formed once. Jet arithmetic is causal, so every
+value on the cut is the leading part of the same quantity at the frame's
+order, bit for bit, and a frame of order 2 gives the leading part of an
+order-4 frame's values. A product of jets takes 6 scalar products at order 2
+and one at order 0.
 
-A cut tests an entry for zero on its leading coefficients only, so it could
-skip a term whose leading coefficients are zero where order 4, seeing a
-non-zero coefficient further on, adds it. No bit moves. On exact values (every
-rational or root point, and every custom potential) that term's leading
-coefficients are exact zeros, and adding an exact zero returns the other
-operand. Balls run on the built-in families only. For the eps family and
-Eguchi-Hanson every coefficient of Gamma, R and Ric is a ball of non-zero
-width (an n-th root enters f'), unless the entry is an exact U(n-1) zero; the
-flat family's entries are zero at every order; Simanca's non-zero entries of
-d g, R and Ric are products of powers of 1/x and 1/(x+1), non-zero at every
-x > 0, and its other entries vanish identically. So there no entry is zero to
-order 2 and non-zero beyond, and the zero tests agree at every order.
+A frame of lower order, or a cut, tests an entry for zero on fewer
+coefficients, so it could skip a term whose leading coefficients are zero
+where a higher order, seeing a non-zero coefficient further on, adds it. No
+bit moves. On exact values (every rational or root point, and every custom
+potential) that term's leading coefficients are exact zeros, and adding an
+exact zero returns the other operand. Balls run on the built-in families only.
+For the eps family and Eguchi-Hanson every coefficient of Gamma, R and Ric is
+a ball of non-zero width (an n-th root enters f'), unless the entry is an
+exact U(n-1) zero; the flat family's entries are zero at every order;
+Simanca's non-zero entries of d g, R and Ric are products of powers of 1/x and
+1/(x+1), non-zero at every x > 0, and its other entries vanish identically. So
+there no entry is zero to a lower order and non-zero beyond, and the zero
+tests agree at every order.
 
 The tensor loops (Gamma, R, the covariant Ricci block, nabla R and the
 contractions) visit only the terms whose factors are all non-zero: each
@@ -76,15 +80,16 @@ dense. Sums still visit every index tuple in order.
 Ricci and its plain derivatives are partials of one more radial function,
 U(z) = u(|z|^2) with u = log det g = (n-1) log f' + log(f' + x f''): since
 Ric_{ij̄} = -d_i dbar_j U, a second partials table built from the jet of
-u' = (det g)' / det g gives Ric, d Ric, dbar Ric and d dbar Ric at p. No log
-is taken, so no transcendental constant enters. Covariant derivatives follow
+u' = (det g)' / det g gives Ric, d Ric, dbar Ric and d dbar Ric at p, and
+the trace g^{jī} Ric_{ij̄} is -Delta u, a radial Laplacian of the same u' jet.
+No log is taken, so no transcendental constant enters. Covariant derivatives follow
 the displayed five-term formula.
 
 Sign conventions, pinned against the displayed Simanca component values:
     R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pq̄} (dg_{ip̄}/dz_k)(dg_{ql̄}/dz̄_j)
     Ric_{ij̄}  = -d^2 log det g / dz_i dz̄_j   ( = minus the g-contraction of R)
     rho       = 2 g^{jī} Ric_{ij̄}             (so a1 = rho / 2)
-    Delta u   = g^{11̄}(u' + u''x) + (n-1) g^{iī} u'   for radial u(x)
+    Delta u   = g^{11̄}(u' + u''x) + (n-1) g^{aā} u'   for radial u(x), a >= 2
 """
 from __future__ import annotations
 
@@ -376,12 +381,6 @@ class RadialTensorFrame(Record):
         return [[-partial((i,), (j,)) for j in range(self.n)] for i in range(self.n)]
 
     @cached_property
-    def rho(self) -> RV:
-        gi, ric = self.gi, self.ric
-        diag = (gi[j] * ric[j][j] for j in range(self.n) if not ric[j][j].is_zero())
-        return _sum(self.ring, diag) * 2
-
-    @cached_property
     def _ricci_cov(self) -> tuple[list, list]:
         """The covariant Ricci block at the frame's order, built on first read."""
         return _attach_ricci_cov(self)
@@ -479,20 +478,20 @@ def _attach_ricci_cov(frame: RadialTensorFrame) -> tuple[list, list]:
     return ric_cov1, ric_cov2
 
 
-def _value_frame(frame: RadialTensorFrame, order: int = 0) -> RadialTensorFrame:
-    """The frame cut to a lower jet order, by default 0 (its value frame): both
-    partials tables, g^-1 and any Gamma and R already built are cuts of the
-    frame's; Gamma and R if not yet built, Ric and the covariant Ricci block
-    are built at the cut's order when first read.
+def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
+    """The frame cut to jet order 0, its value frame: both partials tables,
+    g^-1 and any Gamma and R already built are cuts of the frame's; Gamma and R
+    if not yet built, Ric and the covariant Ricci block are built at order 0
+    when first read.
 
-    Jet arithmetic is causal: coefficients 0..order of a sum, product or
-    quotient come from coefficients 0..order alone, by the same scalar
-    operations. So every value computed on the cut is the leading part of the
-    same quantity computed over the frame's jets, bit for bit (the zero tests
-    read fewer coefficients here; see the module docstring). Each distinct
-    entry is cut once, so the tensors keep their aliases.
+    Jet arithmetic is causal: the constant term of a sum, product or quotient
+    comes from the constant terms alone, by the same scalar operations. So
+    every value computed on the cut is the leading part of the same quantity
+    computed over the frame's jets, bit for bit (the zero tests read fewer
+    coefficients here; see the module docstring). Each distinct entry is cut
+    once, so the tensors keep their aliases.
     """
-    ring = RadialRing(frame.ring.x.truncate(order))
+    ring = RadialRing(frame.ring.x.truncate(0))
     trunc, memo = (lambda v: v.truncate(ring)), {}
     cut = RadialTensorFrame(
         n=frame.n, ring=ring, table=frame.table.truncate(ring), gi=_map_once(trunc, frame.gi, memo),
@@ -620,33 +619,25 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     """All contraction invariants of the TYZ coefficient formulas (no
     Laplacian-of-invariant fields), as even jets in x.
 
-    Only rho, R2 and Ric2 enter a radial Laplacian in lu_coefficients. rho,
-    read through two of them, is a jet of the frame's order (from g^-1 and the
-    log det table). R2 and Ric2, read through one at its value, are jets of
-    two orders less, built on the frame's cut to that order (_value_frame),
-    where Gamma and R are built. Every other invariant is read at its value
-    alone and is an order-0 jet, computed on the order-0 cut of that cut;
-    there R is cut again, and the covariant Ricci block and nabla R are built
-    at order 0 only. Each value is the leading part the frame's order would
-    give, bit for bit.
+    rho = -Delta log det g is the radial Laplacian of the frame's u' jet, two
+    orders above the frame's. R2 and Ric2 are jets of the frame's order, built
+    on the frame. Every other invariant is read at its value alone and is an
+    order-0 jet, computed on the frame's order-0 cut (_value_frame): there R
+    is cut, and the covariant Ricci block and nabla R are built at order 0
+    only. Each value is the leading part the frame's order would give, bit for
+    bit.
 
     g^-1 is diagonal (by the U(n-1) rule), so contractions run over the
     non-zero entries in index order with weights from one table per frame.
     """
-    # radial-function derivatives of rho; these genuinely need x-jets
-    if frame.ring.x.order < 2:
-        raise ValueError(
-            "invariants_from_frame needs jet_order >= 2 for |D'rho|^2 and the "
-            "rho Hessian; build the frame over jets in x"
-        )
     n = frame.n
-    cut = _value_frame(frame, frame.ring.x.order - 2)
-    w = _Weights(cut)
-    r2 = _norm2_R(cut, w)
-    ric2 = _norm2(cut.ring, _entries(cut.ric), w)
+    rho = radial_laplacian_jet(frame.log_det.du, frame.table.du, n) * -2
+    w = _Weights(frame)
+    r2 = _norm2_R(frame, w)
+    ric2 = _norm2(frame.ring, _entries(frame.ric), w)
 
     # from here on, values only
-    value = _value_frame(cut)
+    value = _value_frame(frame)
     ring = value.ring
     w = _Weights(value)
     R, ric = value.R, value.ric
@@ -681,7 +672,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     nabla = _entries(_nabla_R(value))
     dr2 = _norm2(ring, (((i, j, k, l, m), v) for (m, i, j, k, l), v in nabla), w)
 
-    rho_x = frame.rho.even_jet("scalar curvature").derive()
+    rho_x = rho.derive()
     rho_x, rho_xx = rho_x.raws[:1], rho_x.derive().raws[:1]
     drho = RV(ring, rho_x, 1)
     drho2 = ring.zero if drho.is_zero() else w(0) * drho * drho
@@ -702,7 +693,6 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
             ric_cov2_r = ric_cov2_r + w(i, j, k, l) * a * b
 
     names = {
-        "rho": frame.rho,
         "R2": r2,
         "Ric2": ric2,
         "sigma3Ric": sigma3,
@@ -714,21 +704,21 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
         "ricHessRho": ric_hess,
         "ricCov2R": ric_cov2_r,
     }
-    return {k: v.even_jet(k) for k, v in names.items()}
+    return {"rho": rho, **{k: v.even_jet(k) for k, v in names.items()}}
 
 
-def radial_laplacian_jet(u: Jet, fp: Jet, n: int) -> Jet:
-    """Delta u as a jet of order u.order - 2 (radial Laplacian formula), from the
-    jet fp of f' at the same point, of order at least u.order - 1."""
-    if u.order < 2:
-        raise ValueError("radial Laplacian needs a jet of order >= 2")
-    du = u.derive()
+def radial_laplacian_jet(du: Jet, fp: Jet, n: int) -> Jet:
+    """Delta u for a radial u(|z|^2), from the jet du of u' and the jet fp of
+    f' at the same point, of order at least du.order: a jet of order
+    du.order - 1. Delta reads only u' and u'', so u itself is never formed."""
+    if du.order < 1:
+        raise ValueError("radial Laplacian needs a u' jet of order >= 1")
     ddu = du.derive()
-    fp = fp.truncate(u.order - 1)
+    fp = fp.truncate(du.order)
     fpp = fp.derive()
-    x = Jet.variable(u.x0, u.order - 2)
-    g11 = fp + x * fpp  # g_{11̄}; certified positive for admissible families
-    return (du + ddu * x) / g11 + (du * (n - 1)) / fp
+    x = Jet.variable(du.x0, ddu.order)
+    # g^{11̄} = 1/(f' + x f''), certified positive for admissible families, and g^{aā} = 1/f'
+    return 1 / (fp + x * fpp) * (du + ddu * x) + 1 / fp * du * (n - 1)
 
 
 # a dataclass, unlike the package's other records: callers derive reports from
@@ -769,25 +759,28 @@ def lu_coefficients(
 ) -> LuReport:
     """a1, a2, a3 and every contraction intermediate at a radial point.
 
-    jet_order >= 4 so that Delta Delta rho closes. The f' jet the engine pulls
-    has order jet_order + TABLE_ORDER >= 9: the Phi table needs order
-    jet_order + 4, and the f'' in det g one more.
+    jet_order >= 4 so that Delta Delta rho closes. rho is a jet of order
+    jet_order, and |R|^2, |Ric|^2 and rho^2, which enter one Laplacian, of
+    order jet_order - 2: the one frame is built at that order, and rho comes
+    out two orders above it. The f' jet the engine pulls has order
+    jet_order - 2 + TABLE_ORDER >= 7: the Phi table needs order jet_order + 2,
+    and the f'' in det g one more.
     """
     if jet_order < 4:
         raise ValueError("lu_coefficients needs jet_order >= 4 for the double Laplacian")
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=precision_bits)
-    frame = frame_at_x(fam, n, x0, jet_order)
+    frame = frame_at_x(fam, n, x0, jet_order - 2)
     inv = invariants_from_frame(frame)
 
     rho, fp = inv["rho"], frame.table.du
-    lap_rho = radial_laplacian_jet(rho, fp, n)
-    laplap_rho = radial_laplacian_jet(lap_rho, fp, n)
+    lap_rho = radial_laplacian_jet(rho.derive(), fp, n)
+    laplap_rho = radial_laplacian_jet(lap_rho.derive(), fp, n)
     # rho^2, formed once for its three uses, is read to order jet_order - 2,
     # the order of R2 and Ric2
     r = rho.truncate(jet_order - 2)
     rho2 = r * r
     combo8 = inv["R2"] - inv["Ric2"] * 4 + rho2 * 8
-    lap_combo8 = radial_laplacian_jet(combo8, fp, n)
+    lap_combo8 = radial_laplacian_jet(combo8.derive(), fp, n)
 
     divdiv_rho_ric = inv["DRho2"] * 2 + inv["ricHessRho"] + rho * lap_rho
     divdiv_r_ric = (

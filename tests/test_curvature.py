@@ -289,7 +289,7 @@ def test_eps_family_is_ricci_flat_in_frame():
     for n in (2, 3):
         fr = frame_at_x(EpsilonFamily(1, F(1), n), n, F(1, 2), 0)
         assert all(fr.ric[i][j].is_zero() for i in range(n) for j in range(n))
-        assert fr.rho.jet.value().sign() == Sign.ZERO
+        assert invariants_from_frame(fr)["rho"].value().sign() == Sign.ZERO
 
 
 def test_simanca_displayed_components_exact():
@@ -344,21 +344,22 @@ def test_closed_forms_trivial_and_sign():
 
 
 def test_radial_laplacian_examples():
+    # the Laplacian reads u': a constant u has u' = 0, and u = x has u' = 1
     fam = EpsilonFamily(1, F(1), 2)
     fp = fprime_jet(fam, F(2, 3), 3)
-    assert radial_laplacian_jet(Jet.constant(F(2, 3), 5, 4), fp, 2).value().text() == "0"
+    assert radial_laplacian_jet(Jet.constant(F(2, 3), 0, 3), fp, 2).value().text() == "0"
     flat = EpsilonFamily(0, F(1), 2)
     flat_fp = fprime_jet(flat, F(1, 2), 1)
-    assert radial_laplacian_jet(Jet.variable(F(1, 2), 2), flat_fp, 2).value().text() == "2"
+    assert radial_laplacian_jet(Jet.constant(F(1, 2), 1, 1), flat_fp, 2).value().text() == "2"
     with pytest.raises(ValueError):
-        radial_laplacian_jet(Jet.variable(F(1, 2), 1), flat_fp, 2)
+        radial_laplacian_jet(Jet.constant(F(1, 2), 1, 0), flat_fp, 2)
 
 
 def test_laplacian_of_r2_matches_closed_form():
     fam = EpsilonFamily(1, F(1), 2)
     for x in (F(1), F(2, 5)):
         r2 = curvature_norm2(fam, 2, x, jet_order=2)
-        lap = radial_laplacian_jet(r2, fprime_jet(fam, x, 1), 2).value()
+        lap = radial_laplacian_jet(r2.derive(), fprime_jet(fam, x, 1), 2).value()
         closed = closed_forms_eps(2, 1, x)["a3_proportional"]
         assert (lap - closed).sign() == Sign.ZERO
 
@@ -435,7 +436,8 @@ def test_lu_ball_backend_matches_exact():
 
 def test_lu_report_balls_pinned():
     """Every LuReport field on 256-bit balls, bit for bit (digest re-taken when
-    g^-1 came to be 1/g rather than g (1/g^2), which made every field tighter)."""
+    g^-1 came to be 1/g rather than g (1/g^2), which made every field tighter,
+    and when rho came to be -Delta log det g, which tightened a3 and laplapRho)."""
     rep = lu_coefficients(EpsilonFamily(1, F(1), 3), 3, x=F(3, 4), precision_bits=256)
     assert all(v.backend == "ball" for v in rep.as_dict().values())
     # the order every output lists the fields in
@@ -444,7 +446,7 @@ def test_lu_report_balls_pinned():
         "RRicRic", "RicRR", "divdivRRic", "divdivRhoRic", "lapRho", "laplapRho", "lapCombo8",
     ]
     assert scalars_digest(rep.as_dict().values()) == (
-        "c164956429019ed1407e0448bbadd1ac56be85717262e19ebce746299caae97b"
+        "d4b17b11e42ae83c5b5e1a863b4f1f850b6d330c094d98d6993bf75a830972a8"
     )
 
 
@@ -452,7 +454,7 @@ def test_lu_report_balls_pinned():
     (EpsilonFamily(1, F(1), 2), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
     (EpsilonFamily(-1, F(1), 2), F(3, 2), False,
-     "02cc880a011b05c1845bebf3b6c9ba013835ab4bc38452e6b9bb7e23b06c14b8"),
+     "7d91c47057c4add001d91423355a8b6b964993f527db6ca9286196db88314016"),
     # Eguchi-Hanson's f' is that of eps=1, n=2, so its report is the same
     (EguchiHanson(), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
@@ -512,8 +514,8 @@ def test_value_frame_matches_constant_terms(fam, n, x, exact):
 
 
 # f' = 2 + t^4 + ... at x0 = 1/2: f'' vanishes to order 2 and not to order 3,
-# so d_a g_{1ā} = s f'' and Gamma^a_{1a} are zero on an order-2 cut and not
-# over jets of order 4
+# so d_a g_{1ā} = s f'' and Gamma^a_{1a} are zero on a frame of order 2 and
+# not over jets of order 4
 FLAT_TO_ORDER_3 = CustomPotential.make(
     F(1, 2), [F(2), F(0), F(0), F(0), F(1), F(1, 3), F(-1), F(1, 2), F(3), F(-2)]
 )
@@ -539,28 +541,29 @@ def _leading(rvs, order: int) -> tuple:
     (FLAT_TO_ORDER_3, F(1, 2), True),
 ])
 def test_order_two_cut_matches_leading_terms(fam, n, x, exact):
-    # on the order-2 cut of an order-4 frame, R, Ric, rho and |R|^2 are
-    # coefficients 0..2 of the order-4 ones, bit for bit, backends and ball
-    # endpoints included; the cut builds its own Gamma and R
+    # on a frame of order 2, R, Ric and |R|^2 are coefficients 0..2 of the
+    # order-4 frame's, and rho, two orders above the frame, coefficients 0..4,
+    # bit for bit, backends and ball endpoints included
     x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=256)
-    full = frame_at_x(fam, n, x0, 4)
-    cut = curvature._value_frame(full, 2)
-    assert cut.ring.x.order == 2
+    full, cut = frame_at_x(fam, n, x0, 4), frame_at_x(fam, n, x0, 2)
     for name in ("R", "ric"):
         assert _leading(_leaves(getattr(cut, name)), 2) == _leading(
             _leaves(getattr(full, name)), 2
         ), name
-    assert _leading([cut.rho], 2) == _leading([full.rho], 2)
+    rhos = [invariants_from_frame(f)["rho"] for f in (full, cut)]
+    assert [r.order for r in rhos] == [6, 4]
+    assert scalars_digest(rhos[1].coeffs) == scalars_digest(rhos[0].coeffs[:5])
     norms = [curvature._norm2_R(f, curvature._Weights(f)) for f in (full, cut)]
     assert _leading(norms[1:], 2) == _leading(norms[:1], 2)
     if fam is FLAT_TO_ORDER_3:
-        # a term the cut skips and order 4 adds
+        # a term order 2 skips and order 4 adds
         assert cut.gamma[1][0][1].is_zero() and not full.gamma[1][0][1].is_zero()
 
 
 def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch):
-    # Gamma and R are built once, two orders below the frame's, and cut to
-    # order 0; the covariant Ricci block and nabla R are built at order 0 only
+    # one frame is built, two orders below jet_order, with its Gamma and R,
+    # which are cut to order 0; the covariant Ricci block and nabla R are
+    # built at order 0 only
     orders = []
     for name in ("_attach_curvature", "_attach_ricci_cov", "_nabla_R"):
         original = getattr(curvature, name)
@@ -568,11 +571,15 @@ def test_lu_builds_covariant_blocks_at_order_zero_only(monkeypatch):
             curvature, name,
             lambda frame, name=name, f=original: orders.append((name, frame.ring.x.order)) or f(frame),
         )
+    build = curvature.frame_at_x
+    monkeypatch.setattr(curvature, "frame_at_x", lambda fam, n, x0, jet_order: orders.append(
+        ("frame_at_x", jet_order)) or build(fam, n, x0, jet_order))
     for jet_order in (4, 5):
         orders.clear()
         lu_coefficients(EpsilonFamily(1, F(1), 2), 2, x=F(3, 4), jet_order=jet_order)
         assert orders == [
-            ("_attach_curvature", jet_order - 2), ("_attach_ricci_cov", 0), ("_nabla_R", 0),
+            ("frame_at_x", jet_order - 2), ("_attach_curvature", jet_order - 2),
+            ("_attach_ricci_cov", 0), ("_nabla_R", 0),
         ], jet_order
 
 
