@@ -88,7 +88,7 @@ the displayed five-term formula.
 Sign conventions, pinned against the displayed Simanca component values:
     R_{ij̄kl̄} = d^2 g_{il̄}/dz_k dz̄_j - g^{pq̄} (dg_{ip̄}/dz_k)(dg_{ql̄}/dz̄_j)
     Ric_{ij̄}  = -d^2 log det g / dz_i dz̄_j   ( = minus the g-contraction of R)
-    rho       = 2 g^{jī} Ric_{ij̄}             (so a1 = rho / 2)
+    rho       = g^{jī} Ric_{ij̄} = -Delta log det g   (so a1 = rho / 2)
     Delta u   = g^{11̄}(u' + u''x) + (n-1) g^{aā} u'   for radial u(x), a >= 2
 """
 from __future__ import annotations
@@ -363,7 +363,7 @@ class RadialTensorFrame(Record):
         derivatives are partials of U; no log is taken. A cut frame
         (_value_frame) holds a cut of its source frame's table instead.
         """
-        det = det_jet_from_fprime(self.table.du.truncate(self.ring.x.order + TABLE_ORDER), self.n)
+        det = det_jet_from_fprime(self.table.du, self.n)
         return PhiPartialTable(det.derive() / det.truncate(det.order - 1), 4, self.ring)
 
     @cached_property
@@ -631,7 +631,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     non-zero entries in index order with weights from one table per frame.
     """
     n = frame.n
-    rho = radial_laplacian_jet(frame.log_det.du, frame.table.du, n) * -2
+    rho = -radial_laplacian_jet(frame.log_det.du, frame.table.du, n)
     w = _Weights(frame)
     r2 = _norm2_R(frame, w)
     ric2 = _norm2(frame.ring, _entries(frame.ric), w)

@@ -249,13 +249,13 @@ def test_lu_coeffs_simanca_zero_a2_a3(capsys):
 
 def test_lu_coeffs_table_shows_ball_radius(capsys):
     # a1 is 0 at this Ricci-flat point; at 24 bits its ball is about 1e-3
-    # wide around a midpoint of -3.4e-6, so the table prints the radius, and
+    # wide around a midpoint of -1.7e-6, so the table prints the radius, and
     # its sign is undetermined, so the CLI exits 2
     argv = ("lu-coeffs", "--eps", "1", "--n", "3", "--x", "3/4", "--precision-bits", "24")
     code, out, _ = run_cli(capsys, *argv, "--format", "table")
     assert code == 2
     a1 = next(line for line in out.splitlines() if line.split()[:1] == ["a1"])
-    assert a1.split()[1:] == ["-3.3791e-6", "±", "0.00083"]
+    assert a1.split()[1:] == ["-1.6896e-6", "±", "0.000415"]
     code, csv, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 2 and "±" not in csv
     # the CSV radius column is the JSON radius of each ball
@@ -266,7 +266,7 @@ def test_lu_coeffs_table_shows_ball_radius(capsys):
     assert {r[0]: r[2] for r in rows[1:]} == {
         k: v["radius"] for k, v in payload.items() if isinstance(v, dict)
     }
-    assert ["a3", "841.0"] == [rows[3][0], rows[3][2]]
+    assert ["a3", "420.0"] == [rows[3][0], rows[3][2]]
 
 
 @pytest.mark.parametrize("argv, radius", [

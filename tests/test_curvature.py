@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from sympy.combinatorics import Permutation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,9 +134,10 @@ def test_eps_family_curvature_components():
     (EpsilonFamily(1, F(1), 2), lambda x: sp.sqrt(x**-2 + 1), 2, sp.sqrt(3) / 2),  # f' = 5/3
 ], ids=["simanca-n2", "simanca-n3", "eps+1-n2"])
 def test_curvature_matches_sympy(fam, fprime, n, s):
-    # every R_{ij̄kl̄} at (s, 0, ..., 0) against sympy: g_{ij̄} = f' delta_ij +
-    # f'' zbar_i z_j (w stands for zbar), differentiated with the module
-    # docstring's sign convention; R has no odd part at a radial point
+    # every R_{ij̄kl̄} and Ric_{ij̄} at (s, 0, ..., 0), and rho, against sympy:
+    # g_{ij̄} = f' delta_ij + f'' zbar_i z_j (w stands for zbar), differentiated
+    # with the module docstring's sign conventions; R and Ric have no odd part
+    # at a radial point
     z, w = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"w1:{n + 1}")
     t = sp.Symbol("t")
     x = sum(a * b for a, b in zip(z, w))
@@ -155,6 +157,23 @@ def test_curvature_matches_sympy(fam, fprime, n, s):
         got = fr.R[i][j][k][l]
         assert not got.odd, f"R{i}{j}{k}{l} is odd in s"
         assert_exact_zero(got.jet.value() - F(int(want.p), int(want.q)), f"R{i}{j}{k}{l}")
+    # Ric_{ij̄} = -d_i dbar_j log det g, and rho = g^{jī} Ric_{ij̄}; det g by
+    # Leibniz's formula (Matrix.det simplifies as it goes, for minutes at n = 3),
+    # with every variable but z_i and w_j set to its value before differentiating
+    det = sum(Permutation(list(p)).signature() * sp.prod(g[i][p[i]] for i in range(n))
+              for p in itertools.permutations(range(n)))
+
+    def ric_entry(i, j):
+        rest = {v: c for v, c in at.items() if v not in (z[i], w[j])}
+        return sp.nsimplify(sp.simplify(-sp.diff(sp.log(det.subs(rest)), z[i], w[j]).subs(at)))
+
+    ric = sp.Matrix(n, n, ric_entry)
+    for i, j in itertools.product(range(n), repeat=2):
+        want, got = ric[i, j], fr.ric[i][j]
+        assert want.is_Rational and not got.odd, (i, j, want)
+        assert_exact_zero(got.jet.value() - F(int(want.p), int(want.q)), f"Ric{i}{j}")
+    rho = sp.nsimplify(sp.simplify((ginv * ric).trace()))
+    assert_exact_zero(invariants_from_frame(fr)["rho"].value() - F(int(rho.p), int(rho.q)), "rho")
 
 
 # f' Taylor data at x0 = 1/2, enough for frames over jets of order 2; its
@@ -405,6 +424,27 @@ def test_simanca_full_value_at_irrational_s():
     assert abs_le(got - want, F(1, 10**30))
 
 
+# f' = 1/(1+x) (Fubini-Study, f = log(1+x)) as Taylor data at x0 = 1/2: its
+# TYZ density is (m+1)...(m+n)/m^n exactly, so a_j = e_j(1, ..., n)
+FUBINI_STUDY = CustomPotential.make(F(1, 2), [F((-2) ** k, 3 ** (k + 1)) * 2 for k in range(10)])
+
+
+@pytest.mark.parametrize("fam, n, x, a", [
+    (FUBINI_STUDY, 2, F(1, 2), (3, 2, 0)),
+    (FUBINI_STUDY, 3, F(1, 2), (6, 11, 6)),
+    (FUBINI_STUDY, 4, F(1, 2), (10, 35, 50)),
+    # a fit of Simanca's TYZ density in 1/m, from its monomial sum, gives
+    # 0.326530612245, -0.213244481466 and -0.0348154255455
+    (Simanca(), 3, F(3, 4), (F(16, 49), F(-512, 2401), F(-4096, 117649))),
+], ids=["fubini-study-2", "fubini-study-3", "fubini-study-4", "simanca-3"])
+def test_lu_coefficients_are_the_tyz_coefficients(fam, n, x, a):
+    # rho != 0 at each point, so each a_j reads Lu's normalisation of rho
+    rep = lu_coefficients(fam, n, x=x)
+    for name, want in zip(("a1", "a2", "a3"), a):
+        assert_exact_zero(getattr(rep, name) - want, name)
+    assert rep.rho.sign() == Sign.POSITIVE
+
+
 def test_lu_dimension_one_is_flat():
     rep = lu_coefficients(EpsilonFamily(1, F(1), 1), 1, x=F(2))
     for name in ("a1", "a2", "a3", "R2", "Ric2"):
@@ -437,7 +477,8 @@ def test_lu_ball_backend_matches_exact():
 def test_lu_report_balls_pinned():
     """Every LuReport field on 256-bit balls, bit for bit (digest re-taken when
     g^-1 came to be 1/g rather than g (1/g^2), which made every field tighter,
-    and when rho came to be -Delta log det g, which tightened a3 and laplapRho)."""
+    when rho came to be -Delta log det g, which tightened a3 and laplapRho, and
+    when rho lost a stray factor 2, which halved the rho and a1 balls)."""
     rep = lu_coefficients(EpsilonFamily(1, F(1), 3), 3, x=F(3, 4), precision_bits=256)
     assert all(v.backend == "ball" for v in rep.as_dict().values())
     # the order every output lists the fields in
@@ -446,7 +487,7 @@ def test_lu_report_balls_pinned():
         "RRicRic", "RicRR", "divdivRRic", "divdivRhoRic", "lapRho", "laplapRho", "lapCombo8",
     ]
     assert scalars_digest(rep.as_dict().values()) == (
-        "d4b17b11e42ae83c5b5e1a863b4f1f850b6d330c094d98d6993bf75a830972a8"
+        "e76543b227f041d63b727ad7d066527004b5bc944ce09402c2c41cb384b97a7c"
     )
 
 
@@ -454,7 +495,7 @@ def test_lu_report_balls_pinned():
     (EpsilonFamily(1, F(1), 2), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
     (EpsilonFamily(-1, F(1), 2), F(3, 2), False,
-     "7d91c47057c4add001d91423355a8b6b964993f527db6ca9286196db88314016"),
+     "5731345a56a2e5885626af436298a714c45c6d080901c6e703e07504b4aa6fdb"),
     # Eguchi-Hanson's f' is that of eps=1, n=2, so its report is the same
     (EguchiHanson(), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
