@@ -744,7 +744,7 @@ def test_frame_rejects_a_metric_not_certified_positive():
         frame_at_x(fam, 2, F(1), 0)
 
 
-NABLA_R_TRANSPOSED = pytest.mark.xfail(reason="ROADMAP item 1: _nabla_R transposes d_m g^{pq̄}")
+NABLA_R_TRANSPOSED = pytest.mark.xfail(reason="ROADMAP item 2: _nabla_R transposes d_m g^{pq̄}")
 
 
 @pytest.mark.parametrize("fam, n, x", [
