@@ -15,9 +15,17 @@ def _tool():
     return mod
 
 
-def test_bench_alternates_the_sides_and_summarises_the_pairs():
+def test_bench_alternates_the_sides_and_summarises_the_pairs(tmp_path):
     tool = _tool()
-    base, head = Path("base-checkout"), Path("head-checkout")
+    base, head = tmp_path / "base-checkout", tmp_path / "head-checkout"
+    # tests/ holds 3 lines at base and 2 + 4 at head, one file in a subfolder;
+    # a file that is not Python does not count
+    for path, text in ((base / "tests" / "test_a.py", "a\nb\nc\n"),
+                       (head / "tests" / "test_a.py", "a\nb"),
+                       (head / "tests" / "sub" / "helpers.py", "1\n2\n3\n4\n"),
+                       (head / "tests" / "notes.txt", "x\n")):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     # evals_per_s: head faster in pairs 0 and 2, slower in pair 1
     values = {base: iter([10.0, 12.0, 11.0]), head: iter([13.0, 11.0, 14.0])}
     calls = []
@@ -44,11 +52,12 @@ def test_bench_alternates_the_sides_and_summarises_the_pairs():
                      (base, 1), (head, 1)]
     assert [(r["pair"], r["side"]) for r in out["runs"]] == [
         (0, "base"), (0, "head"), (1, "head"), (1, "base"), (2, "base"), (2, "head")]
-    assert out["runs"][1]["context"] == {"root": "head-checkout", "src_lines": 4100}
+    assert out["runs"][1]["context"] == {"root": str(head), "src_lines": 4100}
     assert out["trace"] == {
         side: {"correct": True, "metrics": {"jets.bijet_exp_s": {"value": n / 1e6, "unit": "s/eval"}}}
         for side, n in (("base", 4132), ("head", 4100))}
     assert out["summary"]["src_lines"] == {"base": 4132, "head": 4100}
+    assert out["summary"]["tests_lines"] == {"base": 3, "head": 6}
     rate, p50 = out["summary"]["evals_per_s"], out["summary"]["eval_p50_ms"]
     assert rate["base"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
     assert rate["head"] == {"median": 13.0, "q1": 12.0, "q3": 13.5}
@@ -122,4 +131,5 @@ def test_bench_exits_zero_when_every_run_is_correct(monkeypatch, tmp_path):
                "--seconds", "1", "--out", str(tmp_path / "BENCH.json")])
     report = json.loads((tmp_path / "BENCH.json").read_text())
     assert report["lu-sweep"]["summary"] == {"incorrect_runs": {"base": 0, "head": 0},
-                                             "src_lines": {"base": None, "head": None}}
+                                             "src_lines": {"base": None, "head": None},
+                                             "tests_lines": {"base": 0, "head": 0}}

@@ -14,8 +14,9 @@ only run.py's output, the context block and the result line, and writes every
 run's metrics and context. Per end-to-end metric of BENCHMARK.json it adds
 each side's median and quartiles and the number of pairs in which head did
 better than base; per side it adds the number of runs whose outputs run.py
-found wrong ("correct": false) and the `src/` line count of the context
-block. An existing --out file keeps its other workloads, so each workload can
+found wrong ("correct": false), the `src/` line count of the context block
+and the line count of the `tests/` Python files, counted from the checkout's
+root. An existing --out file keeps its other workloads, so each workload can
 run with its own --pairs and --seconds. After writing --out it exits non-zero
 if any run was wrong, naming its workload, side and pair (or "trace"):
 run.py itself exits 0 however many evals fail.
@@ -51,13 +52,21 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+def tests_lines(root: Path) -> int:
+    """The lines of the Python files under the checkout's tests/, counted as
+    run.py counts src/."""
+    return sum(len(p.read_bytes().splitlines()) for p in (root / "tests").rglob("*.py"))
+
+
+def summarise(runs: list[dict], better: dict[str, str], tests: dict[str, int]) -> dict:
     """Per metric: each side's median and quartiles, and head's wins over base
     in the pairs, a win being a value on the metric's better side; and per
-    side the number of wrong runs and the src line count."""
+    side the number of wrong runs, the src line count and the tests line
+    count given."""
     out = {"incorrect_runs": {side: sum(r["side"] == side and not r["correct"] for r in runs)
                               for side in ("base", "head")},
-           "src_lines": {r["side"]: r["context"].get("src_lines") for r in runs}}
+           "src_lines": {r["side"]: r["context"].get("src_lines") for r in runs},
+           "tests_lines": tests}
     for name, way in better.items():
         sides = {side: [r["metrics"][name]["value"] for r in runs if r["side"] == side]
                  for side in ("base", "head")}
@@ -82,7 +91,8 @@ def bench(against: Path, root: Path, workload: str, pairs: int, seconds: float,
         out = run(checkout, workload, seconds, trace=1)
         trace[side] = {"correct": out["correct"],
                        "metrics": {k: out["metrics"][k] for k in layers if k in out["metrics"]}}
-    return {"runs": runs, "summary": summarise(runs, better), "trace": trace}
+    tests = {side: tests_lines(checkout) for side, checkout in order}
+    return {"runs": runs, "summary": summarise(runs, better, tests), "trace": trace}
 
 
 def main(argv: list[str] | None = None) -> None:
