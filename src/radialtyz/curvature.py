@@ -14,11 +14,13 @@ a sum does its jet work once, and a sum of a non-zero even and a non-zero odd
 value raises ArithmeticError, so the rule is checked rather than assumed. A
 frame over jets in x of order m holds m x-derivatives of every tensor entry.
 
-A frame (frame_at_x) computes the diagonal of g^-1, one jet quotient 1/g_ii
-each, when it is built, and Gamma, R, the log det table, Ric and the
-covariant Ricci block Ric_{ij̄,k}, Ric_{ij̄,kl̄} when each is first read, all
-at the frame's jet order; |R|^2 (curvature_norm2) reads Gamma and R only. The block's
-dbar Gamma term is read off R: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}, and by
+A frame (frame_at_x) inverts g's two distinct diagonal entries,
+g_{11̄} = f' + x f'' and g_{aā} = f' (a >= 1), once each when it is built,
+as jets two orders above its own (ginv); gi holds their leading coefficients.
+Gamma, R, the log det table, Ric and the covariant Ricci block Ric_{ij̄,k},
+Ric_{ij̄,kl̄} are built when first read, at the frame's jet order; |R|^2
+(curvature_norm2) reads Gamma and R only. The block's dbar Gamma term is read
+off R: Gamma^p_{ki} = g^{pq̄} d_k g_{iq̄}, and by
 dbar g^-1 = -g^-1 (dbar g) g^-1 and the Kähler symmetry of d dbar g,
 dbar_l Gamma^p_{ki} = g^{pq̄} R_{iq̄kl̄}, which is g^{pp̄} R_{ip̄kl̄} here.
 
@@ -29,14 +31,15 @@ R, |R|^2 and |Ric|^2 are jets of order jet_order - 2, and the one frame is
 built at that order. rho is the radial Laplacian of log det g, from the log
 det table's u' jet, which the table holds three orders above the frame's; the
 Laplacian reads u'' and so loses one, and rho comes out two orders above the
-frame. The covariant Ricci block, nabla R and the contractions that use them
-are read at their value alone and are computed on the frame's cut to order 0
-(_value_frame), whose two partials tables, g^-1, Gamma and R are cuts of the
-frame's, so det g and u' are formed once. Jet arithmetic is causal, so every
-value on the cut is the leading part of the same quantity at the frame's
-order, bit for bit, and a frame of order 2 gives the leading part of an
-order-4 frame's values. A product of jets takes 6 scalar products at order 2
-and one at order 0.
+frame, ginv's order; the lower Laplacians read cuts of ginv. The covariant
+Ricci block, nabla R and the contractions that use them are read at their
+value alone and are computed on the frame's cut to order 0 (_value_frame),
+whose two partials tables, g^-1, Gamma and R are cuts of the frame's, so
+det g and u' are formed once. Jet arithmetic, quotients included, is causal:
+a cut of ginv is the inverse formed at the lower order, every value on the
+cut is the leading part of the same quantity at the frame's order, bit for
+bit, and a frame of order 2 gives the leading part of an order-4 frame's
+values. A product of jets takes 6 scalar products at order 2 and one at 0.
 
 A frame of lower order, or a cut, tests an entry for zero on fewer
 coefficients, so it could skip a term whose leading coefficients are zero
@@ -195,10 +198,6 @@ class RV:
             return RV(self.ring, _jet_mul(raws, self.ring.x.raws), 0)
         return RV(self.ring, raws, self.odd | other.odd)
 
-    def inverse(self) -> "RV":
-        # only g's diagonal is inverted, and it is even in s
-        return RV(self.ring, (1 / self.even_jet("an inverted value")).raws, 0)
-
     def even_jet(self, what: str = "invariant") -> Jet:
         if self.odd and not self.is_zero():
             raise ArithmeticError(f"{what} has a nonvanishing odd-in-s part")
@@ -353,6 +352,7 @@ class RadialTensorFrame(Record):
     n: int
     ring: RadialRing  # its x jet's order is the frame's jet order
     table: PhiPartialTable
+    ginv: tuple[Jet, Jet]  # (g^{11̄}, g^{aā}) for a >= 1, two orders above the frame's
     gi: list  # gi[i] = g^{iī}, the diagonal of g^-1 (g is diagonal at radial points)
 
     @cached_property
@@ -399,12 +399,13 @@ def frame_at_x(
     # one order above what the Phi table needs: det g reads f'' off it
     fp = fprime_jet(fam, x0, jet_order + TABLE_ORDER)
     table = PhiPartialTable(fp, TABLE_ORDER, ring)
-    # g_{ij̄} for i != j is zero by the table's U(n-1) rule
-    g = [table.partial((i,), (i,)) for i in range(n)]
-    for v in g:
-        if v.jet.value().require_sign("metric diagonal") != Sign.POSITIVE:
-            raise DomainError("singular metric: a diagonal entry is not certified positive")
-    return RadialTensorFrame(n=n, ring=ring, table=table, gi=_map_once(RV.inverse, g, {}))
+    # g_{11̄} = f' + x f'' and g_{aā} = f' (a >= 1); g's other entries are U(n-1) zeros
+    g = (fp + Jet.variable(x0, jet_order + 2) * fp.derive(), fp.truncate(jet_order + 2))
+    if any(v.value().require_sign("metric diagonal") != Sign.POSITIVE for v in g[: min(n, 2)]):
+        raise DomainError("singular metric: a diagonal entry is not certified positive")
+    ginv = tuple(1 / v for v in g)
+    g11, gaa = (RV(ring, v.raws[: jet_order + 1], 0) for v in ginv)
+    return RadialTensorFrame(n=n, ring=ring, table=table, ginv=ginv, gi=[g11] + [gaa] * (n - 1))
 
 
 def _attach_curvature(frame: RadialTensorFrame) -> tuple[list, list]:
@@ -482,7 +483,7 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
     """The frame cut to jet order 0, its value frame: both partials tables,
     g^-1 and any Gamma and R already built are cuts of the frame's; Gamma and R
     if not yet built, Ric and the covariant Ricci block are built at order 0
-    when first read.
+    when first read. ginv is the frame's own: the cut runs no Laplacian.
 
     Jet arithmetic is causal: the constant term of a sum, product or quotient
     comes from the constant terms alone, by the same scalar operations. So
@@ -493,9 +494,8 @@ def _value_frame(frame: RadialTensorFrame) -> RadialTensorFrame:
     """
     ring = RadialRing(frame.ring.x.truncate(0))
     trunc, memo = (lambda v: v.truncate(ring)), {}
-    cut = RadialTensorFrame(
-        n=frame.n, ring=ring, table=frame.table.truncate(ring), gi=_map_once(trunc, frame.gi, memo),
-    )
+    cut = RadialTensorFrame(n=frame.n, ring=ring, table=frame.table.truncate(ring),
+                            ginv=frame.ginv, gi=_map_once(trunc, frame.gi, memo))
     built = vars(cut)  # the cached properties' slots
     built["log_det"] = frame.log_det.truncate(ring)
     if "_curvature" in vars(frame):
@@ -631,7 +631,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     non-zero entries in index order with weights from one table per frame.
     """
     n = frame.n
-    rho = -radial_laplacian_jet(frame.log_det.du, frame.table.du, n)
+    rho = -radial_laplacian_jet(frame.log_det.du, frame.ginv, n)
     w = _Weights(frame)
     r2 = _norm2_R(frame, w)
     ric2 = _norm2(frame.ring, _entries(frame.ric), w)
@@ -707,18 +707,18 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     return {"rho": rho, **{k: v.even_jet(k) for k, v in names.items()}}
 
 
-def radial_laplacian_jet(du: Jet, fp: Jet, n: int) -> Jet:
-    """Delta u for a radial u(|z|^2), from the jet du of u' and the jet fp of
-    f' at the same point, of order at least du.order: a jet of order
-    du.order - 1. Delta reads only u' and u'', so u itself is never formed."""
+def radial_laplacian_jet(du: Jet, ginv: tuple[Jet, Jet], n: int) -> Jet:
+    """Delta u for a radial u(|z|^2) from the jet du of u' and a frame's ginv
+    at the same point, each inverse cut to du.order coefficients: a jet of
+    order du.order - 1. It reads only u' and u'', and divides no jet."""
     if du.order < 1:
         raise ValueError("radial Laplacian needs a u' jet of order >= 1")
     ddu = du.derive()
-    fp = fp.truncate(du.order)
-    fpp = fp.derive()
+    if min(v.order for v in ginv) < ddu.order:
+        raise ValueError(f"a u' jet of order {du.order} needs ginv of order {ddu.order}")
+    g11, gaa = (v.truncate(ddu.order) for v in ginv)
     x = Jet.variable(du.x0, ddu.order)
-    # g^{11̄} = 1/(f' + x f''), certified positive for admissible families, and g^{aā} = 1/f'
-    return 1 / (fp + x * fpp) * (du + ddu * x) + 1 / fp * du * (n - 1)
+    return g11 * (du + ddu * x) + gaa * du * (n - 1)
 
 
 # a dataclass, unlike the package's other records: callers derive reports from
@@ -772,15 +772,15 @@ def lu_coefficients(
     frame = frame_at_x(fam, n, x0, jet_order - 2)
     inv = invariants_from_frame(frame)
 
-    rho, fp = inv["rho"], frame.table.du
-    lap_rho = radial_laplacian_jet(rho.derive(), fp, n)
-    laplap_rho = radial_laplacian_jet(lap_rho.derive(), fp, n)
+    rho, ginv = inv["rho"], frame.ginv
+    lap_rho = radial_laplacian_jet(rho.derive(), ginv, n)
+    laplap_rho = radial_laplacian_jet(lap_rho.derive(), ginv, n)
     # rho^2, formed once for its three uses, is read to order jet_order - 2,
     # the order of R2 and Ric2
     r = rho.truncate(jet_order - 2)
     rho2 = r * r
     combo8 = inv["R2"] - inv["Ric2"] * 4 + rho2 * 8
-    lap_combo8 = radial_laplacian_jet(combo8.derive(), fp, n)
+    lap_combo8 = radial_laplacian_jet(combo8.derive(), ginv, n)
 
     divdiv_rho_ric = inv["DRho2"] * 2 + inv["ricHessRho"] + rho * lap_rho
     divdiv_r_ric = (

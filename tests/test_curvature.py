@@ -174,6 +174,17 @@ def test_curvature_matches_sympy(fam, fprime, n, s):
         assert_exact_zero(got.jet.value() - F(int(want.p), int(want.q)), f"Ric{i}{j}")
     rho = sp.nsimplify(sp.simplify((ginv * ric).trace()))
     assert_exact_zero(invariants_from_frame(fr)["rho"].value() - F(int(rho.p), int(rho.q)), "rho")
+    # Delta u = g^{jī} d_i dbar_j u on the whole function u(sum z_k w_k),
+    # against the radial Laplacian of the jet of u' on the frame's inverses
+    xj = Jet.variable(fr.ring.x.x0, 1)
+    for u, du in ((t**2, xj * 2), (t**3, xj * xj * 3), (sp.log(t), 1 / xj)):
+        ux = u.subs(t, x)
+        want = sp.nsimplify(sp.simplify(sum(
+            ginv[j, i] * sp.diff(ux, z[i], w[j]).subs(at)
+            for i in range(n) for j in range(n))))
+        assert want.is_Rational, (u, want)
+        got = radial_laplacian_jet(du, fr.ginv, n).value()
+        assert_exact_zero(got - F(int(want.p), int(want.q)), f"Delta {u}")
 
 
 # f' Taylor data at x0 = 1/2, enough for frames over jets of order 2; its
@@ -365,20 +376,22 @@ def test_closed_forms_trivial_and_sign():
 def test_radial_laplacian_examples():
     # the Laplacian reads u': a constant u has u' = 0, and u = x has u' = 1
     fam = EpsilonFamily(1, F(1), 2)
-    fp = fprime_jet(fam, F(2, 3), 3)
-    assert radial_laplacian_jet(Jet.constant(F(2, 3), 0, 3), fp, 2).value().text() == "0"
-    flat = EpsilonFamily(0, F(1), 2)
-    flat_fp = fprime_jet(flat, F(1, 2), 1)
-    assert radial_laplacian_jet(Jet.constant(F(1, 2), 1, 1), flat_fp, 2).value().text() == "2"
-    with pytest.raises(ValueError):
-        radial_laplacian_jet(Jet.constant(F(1, 2), 1, 0), flat_fp, 2)
+    ginv = frame_at_x(fam, 2, F(2, 3), 0).ginv
+    assert radial_laplacian_jet(Jet.constant(F(2, 3), 0, 3), ginv, 2).value().text() == "0"
+    flat_ginv = frame_at_x(EpsilonFamily(0, F(1), 2), 2, F(1, 2), 0).ginv
+    assert radial_laplacian_jet(Jet.constant(F(1, 2), 1, 1), flat_ginv, 2).value().text() == "2"
+    with pytest.raises(ValueError, match="order >= 1"):
+        radial_laplacian_jet(Jet.constant(F(1, 2), 1, 0), flat_ginv, 2)
+    # an order-0 frame's inverses, of order 2, serve u' jets up to order 3
+    with pytest.raises(ValueError, match="needs ginv of order 3"):
+        radial_laplacian_jet(Jet.constant(F(1, 2), 1, 4), flat_ginv, 2)
 
 
 def test_laplacian_of_r2_matches_closed_form():
     fam = EpsilonFamily(1, F(1), 2)
     for x in (F(1), F(2, 5)):
         r2 = curvature_norm2(fam, 2, x, jet_order=2)
-        lap = radial_laplacian_jet(r2.derive(), fprime_jet(fam, x, 1), 2).value()
+        lap = radial_laplacian_jet(r2.derive(), frame_at_x(fam, 2, x, 0).ginv, 2).value()
         closed = closed_forms_eps(2, 1, x)["a3_proportional"]
         assert (lap - closed).sign() == Sign.ZERO
 
@@ -526,8 +539,8 @@ def _constant_terms(rvs) -> tuple:
     return [rv.odd for rv in rvs], scalars_digest([rv.jet.value() for rv in rvs])
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fam, x, exact", [
+# each family on exact values and on 256-bit balls
+BACKEND_CASES = [
     (EpsilonFamily(1, F(1), 2), F(3, 4), True),
     (EpsilonFamily(1, F(1), 2), F(3, 4), False),
     (EpsilonFamily(-1, F(1), 2), F(3, 2), True),
@@ -537,7 +550,11 @@ def _constant_terms(rvs) -> tuple:
     (EguchiHanson(), F(3, 4), True),
     (EguchiHanson(), F(3, 4), False),
     (CUSTOM_9, F(1, 2), True),  # a custom potential has no ball point
-])
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fam, x, exact", BACKEND_CASES)
 def test_value_frame_matches_constant_terms(fam, n, x, exact):
     # the order-0 Ricci block and nabla R equal the constant terms of the
     # order-4 ones, bit for bit, backends and ball endpoints included
@@ -552,6 +569,84 @@ def test_value_frame_matches_constant_terms(fam, n, x, exact):
     assert _constant_terms(_leaves(curvature._nabla_R(value))) == _constant_terms(
         _leaves(curvature._nabla_R(full))
     )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fam, x, exact", BACKEND_CASES)
+def test_frame_gi_is_the_leading_part_of_ginv(fam, n, x, exact):
+    # g^{11̄} and the one g^{aā} are cuts of the frame's inverse-metric jets,
+    # two orders above it, and equal 1/g_{iī} formed from the Phi table's
+    # metric entries over the frame's jets, bit for bit
+    x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=256)
+    frame = frame_at_x(fam, n, x0, 2)
+    assert [v.order for v in frame.ginv] == [4, 4]
+    assert all(frame.gi[a] is frame.gi[1] for a in range(2, n))
+    for i, gi in enumerate(frame.gi):
+        assert gi.odd == 0 and gi.raws == frame.ginv[min(i, 1)].raws[:3], i
+        g = frame.table.partial((i,), (i,)).jet
+        assert scalars_digest(gi.jet.coeffs) == scalars_digest((1 / g).coeffs), i
+    assert curvature._value_frame(frame).ginv is frame.ginv
+
+
+def _count_divisions(monkeypatch) -> dict:
+    """Jet divisions made, in all and inside radial_laplacian_jet."""
+    counts, inside = {"all": 0, "laplacian": 0}, []
+    divide, laplacian = Jet.__truediv__, curvature.radial_laplacian_jet
+
+    def counted_divide(self, other):
+        counts["all"] += 1
+        counts["laplacian"] += bool(inside)
+        return divide(self, other)
+
+    def counted_laplacian(*args):
+        inside.append(1)
+        try:
+            return laplacian(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Jet, "__truediv__", counted_divide)
+    monkeypatch.setattr(curvature, "radial_laplacian_jet", counted_laplacian)
+    return counts
+
+
+@pytest.mark.parametrize("fam, n, x", [
+    (Simanca(), 2, F(2)),
+    (EpsilonFamily(1, F(1), 3), 3, F(3, 4)),
+], ids=["simanca-n2", "eps+1-n3"])
+def test_lu_coefficients_divides_four_jets(monkeypatch, fam, n, x):
+    # f' (a quotient for both families), g^{11̄}, g^{aā} and
+    # u' = (det g)' / det g; no radial Laplacian divides
+    counts = _count_divisions(monkeypatch)
+    lu_coefficients(fam, n, x=x)
+    assert counts == {"all": 4, "laplacian": 0}
+
+
+def _per_call_laplacian(du: Jet, fp: Jet, n: int) -> Jet:
+    """The radial Laplacian with its own reciprocals of f' + x f'' and f',
+    from the f' jet fp: a second route to radial_laplacian_jet."""
+    fp = fp.truncate(du.order)
+    fpp, ddu = fp.derive(), du.derive()
+    x = Jet.variable(du.x0, ddu.order)
+    return 1 / (fp + x * fpp) * (du + ddu * x) + 1 / fp * du * (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fam, x, exact", BACKEND_CASES)
+def test_lu_laplacians_match_per_call_reciprocals(monkeypatch, fam, n, x, exact):
+    # rho, Delta rho, Delta Delta rho and Delta(|R|^2 - 4|Ric|^2 + 8 rho^2),
+    # each from the frame's shared inverses, equal the Laplacian that forms
+    # its own, bit for bit, backends and ball endpoints included
+    calls, laplacian = [], curvature.radial_laplacian_jet
+    monkeypatch.setattr(curvature, "radial_laplacian_jet", lambda du, ginv, n: calls.append(
+        (du, laplacian(du, ginv, n))) or calls[-1][1])
+    x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=256)
+    lu_coefficients(fam, n, x0)
+    fp = fprime_jet(fam, x0, 2 + curvature.TABLE_ORDER)
+    assert [got.order for _, got in calls] == [4, 2, 0, 0]
+    for du, got in calls:
+        assert scalars_digest(got.coeffs) == scalars_digest(
+            _per_call_laplacian(du, fp, n).coeffs), du.order
 
 
 # f' = 2 + t^4 + ... at x0 = 1/2: f'' vanishes to order 2 and not to order 3,
