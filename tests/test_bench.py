@@ -46,7 +46,8 @@ def test_bench_alternates_the_sides_and_summarises_the_pairs(tmp_path):
 
     out = tool.bench(base, head, "certify", 3, 1.0,
                      {"evals_per_s": "higher", "eval_p50_ms": "lower"},
-                     ["jets.bijet_exp_s", "jets.bijet_compose_s"], run=run)
+                     ["jets.bijet_exp_s", "jets.bijet_compose_s"], run=run,
+                     clock=lambda root, args: ({base: 2.0, head: 1.0}[root], 0))
     # the pairs alternate the first side; one traced run per side follows them
     assert calls == [(base, 0), (head, 0), (head, 0), (base, 0), (base, 0), (head, 0),
                      (base, 1), (head, 1)]
@@ -58,12 +59,53 @@ def test_bench_alternates_the_sides_and_summarises_the_pairs(tmp_path):
         for side, n in (("base", 4132), ("head", 4100))}
     assert out["summary"]["src_lines"] == {"base": 4132, "head": 4100}
     assert out["summary"]["tests_lines"] == {"base": 3, "head": 6}
+    assert out["summary"]["import_s"] == {"base": {"median": 2.0, "exit_codes": [0] * 5},
+                                          "head": {"median": 1.0, "exit_codes": [0] * 5}}
+    assert out["summary"]["reproduce_paper_s"]["head"] == {"median": 1.0, "exit_codes": [0] * 3}
     rate, p50 = out["summary"]["evals_per_s"], out["summary"]["eval_p50_ms"]
     assert rate["base"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
     assert rate["head"] == {"median": 13.0, "q1": 12.0, "q3": 13.5}
     assert (rate["head_wins"], rate["pairs"]) == (2, 3)
     # a lower latency wins on a lower-is-better metric
     assert (p50["better"], p50["head_wins"]) == ("lower", 2)
+
+
+def test_bench_times_import_and_reproduce_paper_alternating_the_sides(tmp_path):
+    tool = _tool()
+    base, head = tmp_path / "base", tmp_path / "head"
+    # wall times 1, 2, 3, ... in call order; head's third import exits 1
+    calls, ticks = [], iter(range(1, 100))
+
+    def clock(root, args):
+        calls.append((root, args[:2]))
+        failed = root == head and sum(c == (head, ["-c", "import radialtyz"]) for c in calls) == 3
+        return float(next(ticks)), int(failed)
+
+    out = tool.process_times({"base": base, "head": head}, clock)
+    imp, rep = ["-c", "import radialtyz"], ["-m", "radialtyz.cli"]
+    assert calls == [(base, imp), (head, imp)] * 5 + [(base, rep), (head, rep)] * 3
+    assert out == {
+        "import_s": {"base": {"median": 5.0, "exit_codes": [0] * 5},
+                     "head": {"median": 6.0, "exit_codes": [0, 0, 1, 0, 0]}},
+        "reproduce_paper_s": {"base": {"median": 13.0, "exit_codes": [0] * 3},
+                              "head": {"median": 14.0, "exit_codes": [0] * 3}},
+    }
+    assert tool.PROCESSES["reproduce_paper_s"][0] == [
+        "-m", "radialtyz.cli", "reproduce-paper", "--format", "json"]
+
+
+def test_bench_times_a_process_on_its_checkouts_sources(monkeypatch):
+    tool = _tool()
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append((cmd, cwd, env["PYTHONPATH"]))
+        return type("Proc", (), {"returncode": 3})()
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    seconds, code = tool.time_process(Path("co"), ["-c", "import radialtyz"])
+    assert seen == [([tool.sys.executable, "-c", "import radialtyz"], Path("co"), str(Path("co/src")))]
+    assert code == 3 and seconds >= 0
 
 
 def test_bench_reads_the_context_block_and_the_result_line(monkeypatch):
@@ -110,7 +152,8 @@ def test_bench_counts_and_names_the_runs_with_wrong_outputs(monkeypatch, tmp_pat
     out = tmp_path / "BENCH.json"
     with pytest.raises(SystemExit) as exc:
         tool.main(["--against", str(tmp_path / "base"), "--workload", "certify",
-                   "--pairs", "3", "--seconds", "1", "--out", str(out)])
+                   "--pairs", "3", "--seconds", "1", "--out", str(out)],
+                  clock=lambda root, args: (1.0, 0))
     assert exc.value.code == ("runs with wrong outputs (correct: false): certify head pair 1, "
                               "certify head pair 2, certify head trace")
     # the file is written first, with the count per side in the summary
@@ -128,8 +171,11 @@ def test_bench_exits_zero_when_every_run_is_correct(monkeypatch, tmp_path):
     monkeypatch.setattr(tool.subprocess, "run",
                         lambda cmd, cwd, **kwargs: type("Proc", (), {"stdout": stdout})())
     tool.main(["--against", str(tmp_path), "--workload", "lu-sweep", "--pairs", "2",
-               "--seconds", "1", "--out", str(tmp_path / "BENCH.json")])
+               "--seconds", "1", "--out", str(tmp_path / "BENCH.json")],
+              clock=lambda root, args: (1.0, 0))
     report = json.loads((tmp_path / "BENCH.json").read_text())
-    assert report["lu-sweep"]["summary"] == {"incorrect_runs": {"base": 0, "head": 0},
-                                             "src_lines": {"base": None, "head": None},
-                                             "tests_lines": {"base": 0, "head": 0}}
+    timed = {name: {side: {"median": 1.0, "exit_codes": [0] * count} for side in ("base", "head")}
+             for name, count in (("import_s", 5), ("reproduce_paper_s", 3))}
+    assert report["lu-sweep"]["summary"] == {
+        "incorrect_runs": {"base": 0, "head": 0}, "src_lines": {"base": None, "head": None},
+        "tests_lines": {"base": 0, "head": 0}, **timed}

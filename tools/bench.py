@@ -14,9 +14,13 @@ only run.py's output, the context block and the result line, and writes every
 run's metrics and context. Per end-to-end metric of BENCHMARK.json it adds
 each side's median and quartiles and the number of pairs in which head did
 better than base; per side it adds the number of runs whose outputs run.py
-found wrong ("correct": false), the `src/` line count of the context block
-and the line count of the `tests/` Python files, counted from the checkout's
-root. An existing --out file keeps its other workloads, so each workload can
+found wrong ("correct": false), the `src/` line count of the context block,
+the line count of the `tests/` Python files, counted from the checkout's
+root, and two end-to-end wall times with PYTHONPATH=<checkout>/src:
+`import_s`, the median of 5 `python -c "import radialtyz"` processes, and
+`reproduce_paper_s`, the median of 3 `python -m radialtyz.cli
+reproduce-paper --format json` processes, each with its runs' exit codes
+(the sides alternate run by run). An existing --out file keeps its other workloads, so each workload can
 run with its own --pairs and --seconds. After writing --out it exits non-zero
 if any run was wrong, naming its workload, side and pair (or "trace"):
 run.py itself exits 0 however many evals fail.
@@ -25,12 +29,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("lu-sweep", "certify", "cli-oneshot")
+# name: (python arguments, runs per side) of the end-to-end wall times
+PROCESSES = {
+    "import_s": (["-c", "import radialtyz"], 5),
+    "reproduce_paper_s": (["-m", "radialtyz.cli", "reproduce-paper", "--format", "json"], 3),
+}
 
 
 def run_once(root: Path, workload: str, seconds: float, trace: int = 0) -> dict:
@@ -46,6 +57,31 @@ def run_once(root: Path, workload: str, seconds: float, trace: int = 0) -> dict:
     return dict(json.loads(lines[-1]), **context)
 
 
+def time_process(root: Path, args: list[str]) -> tuple[float, int]:
+    """(wall seconds, exit code) of one python process run from the checkout
+    at root on its own src/, its output discarded."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - start, proc.returncode
+
+
+def process_times(checkouts: dict[str, Path], clock=time_process) -> dict:
+    """Per PROCESSES name and side: the median wall time and every run's exit
+    code, the sides alternating run by run."""
+    out = {}
+    for name, (args, count) in PROCESSES.items():
+        runs = {side: [] for side in checkouts}
+        for _ in range(count):
+            for side, root in checkouts.items():
+                runs[side].append(clock(root, args))
+        out[name] = {side: {"median": statistics.median(t for t, _ in r),
+                            "exit_codes": [code for _, code in r]}
+                     for side, r in runs.items()}
+    return out
+
+
 def _spread(values: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
@@ -58,15 +94,16 @@ def tests_lines(root: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in (root / "tests").rglob("*.py"))
 
 
-def summarise(runs: list[dict], better: dict[str, str], tests: dict[str, int]) -> dict:
+def summarise(runs: list[dict], better: dict[str, str], tests: dict[str, int],
+              processes: dict) -> dict:
     """Per metric: each side's median and quartiles, and head's wins over base
     in the pairs, a win being a value on the metric's better side; and per
-    side the number of wrong runs, the src line count and the tests line
-    count given."""
+    side the number of wrong runs, the src line count, and the tests line
+    count and process times given."""
     out = {"incorrect_runs": {side: sum(r["side"] == side and not r["correct"] for r in runs)
                               for side in ("base", "head")},
            "src_lines": {r["side"]: r["context"].get("src_lines") for r in runs},
-           "tests_lines": tests}
+           "tests_lines": tests, **processes}
     for name, way in better.items():
         sides = {side: [r["metrics"][name]["value"] for r in runs if r["side"] == side]
                  for side in ("base", "head")}
@@ -78,9 +115,10 @@ def summarise(runs: list[dict], better: dict[str, str], tests: dict[str, int]) -
 
 
 def bench(against: Path, root: Path, workload: str, pairs: int, seconds: float,
-          better: dict[str, str], layers: list[str], run=run_once) -> dict:
+          better: dict[str, str], layers: list[str], run=run_once, clock=time_process) -> dict:
     """The runs of one workload, in the order they ran, their summary, and
-    per side one traced run's correctness and per-layer metrics."""
+    per side one traced run's correctness and per-layer metrics; clock times
+    the summary's processes."""
     runs = []
     order = [("base", against), ("head", root)]
     for pair in range(pairs):
@@ -92,10 +130,11 @@ def bench(against: Path, root: Path, workload: str, pairs: int, seconds: float,
         trace[side] = {"correct": out["correct"],
                        "metrics": {k: out["metrics"][k] for k in layers if k in out["metrics"]}}
     tests = {side: tests_lines(checkout) for side, checkout in order}
-    return {"runs": runs, "summary": summarise(runs, better, tests), "trace": trace}
+    processes = process_times(dict(order), clock)
+    return {"runs": runs, "summary": summarise(runs, better, tests, processes), "trace": trace}
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None, clock=time_process) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--against", type=Path, required=True, help="the other checkout's root")
     ap.add_argument("--workload", action="append", required=True, choices=WORKLOADS)
@@ -112,7 +151,7 @@ def main(argv: list[str] | None = None) -> None:
         report[w] = {"against": args.against.resolve().name, "pairs": args.pairs,
                      "seconds": args.seconds,
                      **bench(args.against.resolve(), root, w, args.pairs, args.seconds, better,
-                             layers)}
+                             layers, clock=clock)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     wrong = [f"{w} {r['side']} pair {r['pair']}" for w in args.workload
              for r in report[w]["runs"] if not r["correct"]]
