@@ -588,8 +588,13 @@ def test_frame_gi_is_the_leading_part_of_ginv(fam, n, x, exact):
     assert curvature._value_frame(frame).ginv is frame.ginv
 
 
-def _count_divisions(monkeypatch) -> dict:
-    """Jet divisions made, in all and inside radial_laplacian_jet."""
+@pytest.mark.parametrize("fam, n, x", [
+    (Simanca(), 2, F(2)),
+    (EpsilonFamily(1, F(1), 3), 3, F(3, 4)),
+], ids=["simanca-n2", "eps+1-n3"])
+def test_lu_coefficients_divides_four_jets(monkeypatch, fam, n, x):
+    # f' (a quotient for both families), g^{11̄}, g^{aā} and
+    # u' = (det g)' / det g; no radial Laplacian divides
     counts, inside = {"all": 0, "laplacian": 0}, []
     divide, laplacian = Jet.__truediv__, curvature.radial_laplacian_jet
 
@@ -607,17 +612,6 @@ def _count_divisions(monkeypatch) -> dict:
 
     monkeypatch.setattr(Jet, "__truediv__", counted_divide)
     monkeypatch.setattr(curvature, "radial_laplacian_jet", counted_laplacian)
-    return counts
-
-
-@pytest.mark.parametrize("fam, n, x", [
-    (Simanca(), 2, F(2)),
-    (EpsilonFamily(1, F(1), 3), 3, F(3, 4)),
-], ids=["simanca-n2", "eps+1-n3"])
-def test_lu_coefficients_divides_four_jets(monkeypatch, fam, n, x):
-    # f' (a quotient for both families), g^{11̄}, g^{aā} and
-    # u' = (det g)' / det g; no radial Laplacian divides
-    counts = _count_divisions(monkeypatch)
     lu_coefficients(fam, n, x=x)
     assert counts == {"all": 4, "laplacian": 0}
 
