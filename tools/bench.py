@@ -20,8 +20,8 @@ root, and two end-to-end wall times with PYTHONPATH=<checkout>/src:
 `import_s`, the median of 5 `python -c "import radialtyz"` processes, and
 `reproduce_paper_s`, the median of 3 `python -m radialtyz.cli
 reproduce-paper --format json` processes, each with its runs' exit codes
-(the sides alternate run by run). An existing --out file keeps its other workloads, so each workload can
-run with its own --pairs and --seconds. After writing --out it exits non-zero
+(the sides alternate run by run). An existing --out file keeps its other
+workloads, so each workload can run with its own --pairs and --seconds. After writing --out it exits non-zero
 if any run was wrong, naming its workload, side and pair (or "trace"):
 run.py itself exits 0 however many evals fail.
 """
@@ -94,16 +94,14 @@ def tests_lines(root: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in (root / "tests").rglob("*.py"))
 
 
-def summarise(runs: list[dict], better: dict[str, str], tests: dict[str, int],
-              processes: dict) -> dict:
+def summarise(runs: list[dict], better: dict[str, str], per_side: dict) -> dict:
     """Per metric: each side's median and quartiles, and head's wins over base
     in the pairs, a win being a value on the metric's better side; and per
-    side the number of wrong runs, the src line count, and the tests line
-    count and process times given."""
+    side the number of wrong runs, the src line count and the fields of
+    per_side given."""
     out = {"incorrect_runs": {side: sum(r["side"] == side and not r["correct"] for r in runs)
                               for side in ("base", "head")},
-           "src_lines": {r["side"]: r["context"].get("src_lines") for r in runs},
-           "tests_lines": tests, **processes}
+           "src_lines": {r["side"]: r["context"].get("src_lines") for r in runs}, **per_side}
     for name, way in better.items():
         sides = {side: [r["metrics"][name]["value"] for r in runs if r["side"] == side]
                  for side in ("base", "head")}
@@ -129,9 +127,9 @@ def bench(against: Path, root: Path, workload: str, pairs: int, seconds: float,
         out = run(checkout, workload, seconds, trace=1)
         trace[side] = {"correct": out["correct"],
                        "metrics": {k: out["metrics"][k] for k in layers if k in out["metrics"]}}
-    tests = {side: tests_lines(checkout) for side, checkout in order}
-    processes = process_times(dict(order), clock)
-    return {"runs": runs, "summary": summarise(runs, better, tests, processes), "trace": trace}
+    per_side = {"tests_lines": {side: tests_lines(checkout) for side, checkout in order},
+                **process_times(dict(order), clock)}
+    return {"runs": runs, "summary": summarise(runs, better, per_side), "trace": trace}
 
 
 def main(argv: list[str] | None = None, clock=time_process) -> None:
