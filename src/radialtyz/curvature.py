@@ -58,13 +58,16 @@ tests agree at every order.
 The tensor loops (Gamma, R, the covariant Ricci block, nabla R and the
 contractions) visit only the terms whose factors are all non-zero: each
 partial is looked up once, outside the loops it does not depend on, and each
-factor is tested with is_zero() before its product is built. The values are
+factor is tested with is_zero() before its product is built. The tensors are
 bit for bit those of the dense loops. An RV product with a zero factor is the
 ring's exact zero, and adding an exact rational zero, or a zero of the other
 parity, returns the other operand, so a skipped term changed no coefficient;
 the non-zero terms are added in the dense loops' lexicographic order. A term
 whose own sum is zero is still added, because a ball [0, 0] is not the exact
-zero.
+zero. The contractions (_contract) weigh each term by its class's weight
+W(a, b) (see below), formed once per frame: exact values are those of the
+dense loops with per-tuple weights, and on balls the weights differ from a
+per-tuple left-associated product by re-association alone.
 
 Each entry is computed once per symmetry class and the one RV is stored under
 every index tuple of the class: entries built from the same operands by the
@@ -72,7 +75,8 @@ same operations in the same order have the same bits. The partials table keys
 a value by (min(p, q), max(p, q), M, prod alpha_a!), all its formula reads, so
 transposes, reorderings of an index tuple, permutations of z_2..z_n (the
 U(n-1) classes) and all mismatched pairs share one RV; g^{aā} is one RV for
-a >= 2, and a weight g^{iī} g^{jj̄} ... depends only on which indices are 1.
+a >= 1, and a weight g^{i₀ī₀} g^{i₁ī₁} ... depends only on how many indices
+are 0: it is W(a, b) = (g^{11̄})^a (g^{aā})^b, a the 0s and b the others.
 Then R_{ij̄kl̄} depends on {i, k} and {j, l} only, Gamma^p_{ki} and
 Ric_{ij̄,k} on {i, k}, and nabla R on {i, k} and {j, l}: for i != k at most
 one of Gamma^q_{mi}, Gamma^q_{mk} is non-zero, so swapping i and k reorders
@@ -576,43 +580,63 @@ def _nabla_R(frame: RadialTensorFrame) -> list:
 
 
 class _Weights:
-    """w(i, j, ...) = g^{iī} g^{jj̄} ... as the left-associated product, one table
-    per frame, shared by its contractions and memoised by which indices are 0,
-    as gi[a] is one RV for a >= 1. (A class, not a recursive closure, so the
-    table is freed by reference counting.)"""
+    """W(a, b) = (g^{11̄})^a (g^{aā})^b, the weight g^{i₀ī₀} g^{i₁ī₁} ... of
+    every index tuple with a indices 0 and b others: g^-1 is diagonal with
+    two distinct entries, gi[0] and the one RV gi[a] for a >= 1 (n = 1 has
+    gi[0] only). One table per frame, shared by its contractions and filled on
+    first read: each entry's powers are one chain, g^k = g^(k-1) * g, and a
+    mixed class is one product of two of them. (A class, not a recursive
+    closure, so the table is freed by reference counting.)"""
 
     def __init__(self, frame: RadialTensorFrame):
-        self.gi = frame.gi
-        self.memo = {}
+        self.gi, self.memo = frame.gi, {}
 
-    def __call__(self, *idx: int) -> RV:
-        key = tuple(i == 0 for i in idx)
-        v = self.memo.get(key)
-        if v is None:
-            last = self.gi[idx[-1]]
-            v = self.memo[key] = self(*idx[:-1]) * last if len(idx) > 1 else last
-        return v
+    def __call__(self, a: int, b: int) -> RV:
+        w = self.memo.get((a, b))
+        if w is None:
+            if a and b:
+                w = self(a, 0) * self(0, b)
+            else:
+                g = self.gi[0 if a else 1]
+                w = g if a + b == 1 else self(a - (a > 0), b - (b > 0)) * g
+            self.memo[a, b] = w
+        return w
 
 
-def _norm2(ring: RadialRing, entries, w: _Weights) -> RV:
-    """The sum of w(*idx) * v * v over (idx, v) in the order given: a squared
-    norm, g^-1 being diagonal. An aliased entry and a memoised weight are one
-    RV each, so each product is formed once per distinct (weight, entry) pair
-    and added once per index tuple."""
-    acc, memo = ring.zero, {}  # id pairs; the table and the tensor keep both alive
-    for idx, v in entries:
-        wv = w(*idx)
-        t = memo.get((id(wv), id(v)))
-        if t is None:
-            t = memo[id(wv), id(v)] = wv * v * v
-        acc = acc + t
+def _contract(ring: RadialRing, w: _Weights, items) -> RV:
+    """The sum of W(a, b) * f1 * f2 * ... over (idx, (f1, f2, ...)) in the
+    order given, the product left-associated, a and b the numbers of 0s and of
+    other indices in idx. An item with a zero factor is skipped: its product
+    is the exact zero. A memoised weight and an aliased factor are one RV
+    each, so each product is formed once per distinct (weight, factors) and
+    added once per item."""
+    acc, memo = ring.zero, {}
+    for idx, factors in items:
+        if any(f.is_zero() for f in factors):
+            continue
+        a = idx.count(0)
+        wv = w(a, len(idx) - a)
+        key = (id(wv), *map(id, factors))
+        hit = memo.get(key)
+        if hit is None:
+            t = wv
+            for f in factors:
+                t = t * f
+            hit = memo[key] = (factors, t)  # the factors kept alive, so no id is reused
+        acc = acc + hit[1]
     return acc
+
+
+def _squares(t: list):
+    """(index tuple, (v, v)) of every non-zero entry v of a nested tensor, in
+    lexicographic index order: the items of its squared norm."""
+    return ((idx, (v, v)) for idx, v in _entries(t))
 
 
 def _norm2_R(frame: RadialTensorFrame, w: _Weights) -> RV:
     """|R|^2 = sum of g^{iī} g^{jj̄} g^{kk̄} g^{ll̄} R_{ij̄kl̄}^2; w is the
     frame's weight table."""
-    return _norm2(frame.ring, _entries(frame.R), w)
+    return _contract(frame.ring, w, _squares(frame.R))
 
 
 def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
@@ -634,7 +658,7 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     rho = -radial_laplacian_jet(frame.log_det.du, frame.ginv, n)
     w = _Weights(frame)
     r2 = _norm2_R(frame, w)
-    ric2 = _norm2(frame.ring, _entries(frame.ric), w)
+    ric2 = _contract(frame.ring, w, _squares(frame.ric))
 
     # from here on, values only
     value = _value_frame(frame)
@@ -643,67 +667,40 @@ def invariants_from_frame(frame: RadialTensorFrame) -> dict[str, Jet]:
     R, ric = value.R, value.ric
     ric_entries, R_entries = _entries(ric), _entries(R)
 
-    sigma3 = ring.zero
-    for (i, j), rij in ric_entries:
-        for k in range(n):
-            if ric[j][k].is_zero() or ric[k][i].is_zero():
-                continue
-            term = rij * ric[j][k] * ric[k][i]
-            if not term.is_zero():
-                sigma3 = sigma3 + w(i, j, k) * term
-
-    r_ric_ric = ring.zero
-    for (i, j, k, l), v in R_entries:
-        if not (ric[j][i].is_zero() or ric[l][k].is_zero()):
-            r_ric_ric = r_ric_ric + w(i, j, k, l) * (v * ric[j][i] * ric[l][k])
-
+    sigma3 = _contract(ring, w, (
+        ((i, j, k), (rij * ric[j][k] * ric[k][i],))
+        for (i, j), rij in ric_entries for k in range(n)
+        if not (ric[j][k].is_zero() or ric[k][i].is_zero())))
+    r_ric_ric = _contract(ring, w, (
+        ((i, j, k, l), (v * ric[j][i] * ric[l][k],))
+        for (i, j, k, l), v in R_entries
+        if not (ric[j][i].is_zero() or ric[l][k].is_zero())))
     R_by_first = [[] for _ in range(n)]
     for (j, k, p, q), v in R_entries:
         R_by_first[j].append((k, p, q, v))
-    ric_r_r = ring.zero
-    for (i, j), rij in ric_entries:
-        for k, p, q, t1 in R_by_first[j]:
-            t2 = R[k][i][q][p]
-            if not t2.is_zero():
-                ric_r_r = ric_r_r + w(i, j, k, p, q) * rij * t1 * t2
+    ric_r_r = _contract(ring, w, (
+        ((i, j, k, p, q), (rij, t1, R[k][i][q][p]))
+        for (i, j), rij in ric_entries for k, p, q, t1 in R_by_first[j]))
 
-    dric2 = _norm2(ring, _entries(value.ric_cov1), w)
-    # nabla R is stored out[m][i][j][k][l]; its weight reads the index m last
-    nabla = _entries(_nabla_R(value))
-    dr2 = _norm2(ring, (((i, j, k, l, m), v) for (m, i, j, k, l), v in nabla), w)
+    dric2 = _contract(ring, w, _squares(value.ric_cov1))
+    # nabla R is stored out[m][i][j][k][l]; a weight reads only its class
+    dr2 = _contract(ring, w, _squares(_nabla_R(value)))
 
     rho_x = rho.derive()
     rho_x, rho_xx = rho_x.raws[:1], rho_x.derive().raws[:1]
     drho = RV(ring, rho_x, 1)
-    drho2 = ring.zero if drho.is_zero() else w(0) * drho * drho
+    drho2 = _contract(ring, w, [((0,), (drho, drho))])
     # complex Hessian of a radial function: u'' zbar_a z_b + u' delta_ab
     hess = [[ring.zero] * n for _ in range(n)]
     hess[0][0] = RV(ring, _jet_add(_jet_mul(rho_xx, ring.x.raws), rho_x), 0)
     for i in range(1, n):
         hess[i][i] = RV(ring, rho_x, 0)
-    ric_hess = ring.zero
-    for (i, j), rij in ric_entries:
-        if not hess[j][i].is_zero():
-            ric_hess = ric_hess + w(i, j) * rij * hess[j][i]
+    ric_hess = _contract(ring, w, (((i, j), (rij, hess[j][i])) for (i, j), rij in ric_entries))
+    ric_cov2_r = _contract(ring, w, (
+        ((i, j, k, l), (a, R[j][i][l][k])) for (i, j, k, l), a in _entries(value.ric_cov2)))
 
-    ric_cov2_r = ring.zero
-    for (i, j, k, l), a in _entries(value.ric_cov2):
-        b = R[j][i][l][k]
-        if not b.is_zero():
-            ric_cov2_r = ric_cov2_r + w(i, j, k, l) * a * b
-
-    names = {
-        "R2": r2,
-        "Ric2": ric2,
-        "sigma3Ric": sigma3,
-        "RRicRic": r_ric_ric,
-        "RicRR": ric_r_r,
-        "DRic2": dric2,
-        "DR2": dr2,
-        "DRho2": drho2,
-        "ricHessRho": ric_hess,
-        "ricCov2R": ric_cov2_r,
-    }
+    names = dict(R2=r2, Ric2=ric2, sigma3Ric=sigma3, RRicRic=r_ric_ric, RicRR=ric_r_r,
+                 DRic2=dric2, DR2=dr2, DRho2=drho2, ricHessRho=ric_hess, ricCov2R=ric_cov2_r)
     return {"rho": rho, **{k: v.even_jet(k) for k, v in names.items()}}
 
 

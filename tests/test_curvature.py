@@ -490,8 +490,11 @@ def test_lu_ball_backend_matches_exact():
 def test_lu_report_balls_pinned():
     """Every LuReport field on 256-bit balls, bit for bit (digest re-taken when
     g^-1 came to be 1/g rather than g (1/g^2), which made every field tighter,
-    when rho came to be -Delta log det g, which tightened a3 and laplapRho, and
-    when rho lost a stray factor 2, which halved the rho and a1 balls)."""
+    when rho came to be -Delta log det g, which tightened a3 and laplapRho,
+    when rho lost a stray factor 2, which halved the rho and a1 balls, and when
+    each contraction weight came to be (g^{11̄})^a (g^{aā})^b from two power
+    chains: a2, a3, R2, DR2 and lapCombo8 moved, each at most 0.08% wider,
+    meeting the ball before and containing a 1024-bit enclosure)."""
     rep = lu_coefficients(EpsilonFamily(1, F(1), 3), 3, x=F(3, 4), precision_bits=256)
     assert all(v.backend == "ball" for v in rep.as_dict().values())
     # the order every output lists the fields in
@@ -500,7 +503,7 @@ def test_lu_report_balls_pinned():
         "RRicRic", "RicRR", "divdivRRic", "divdivRhoRic", "lapRho", "laplapRho", "lapCombo8",
     ]
     assert scalars_digest(rep.as_dict().values()) == (
-        "e76543b227f041d63b727ad7d066527004b5bc944ce09402c2c41cb384b97a7c"
+        "b4a72c2b2007baf5a5000c33496541678a038ca419ff6ce8ef420610edaa478f"
     )
 
 
@@ -508,7 +511,7 @@ def test_lu_report_balls_pinned():
     (EpsilonFamily(1, F(1), 2), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
     (EpsilonFamily(-1, F(1), 2), F(3, 2), False,
-     "5731345a56a2e5885626af436298a714c45c6d080901c6e703e07504b4aa6fdb"),
+     "c5d53552e44b31759f0d270bbe397dc54555733c419b7d28c997349e5832d11f"),
     # Eguchi-Hanson's f' is that of eps=1, n=2, so its report is the same
     (EguchiHanson(), F(3, 4), None,
      "dd47f3f03fb75669fd336b8e9e2d0866bdb867858f66a4918b0f60a870efc9ca"),
@@ -1000,3 +1003,108 @@ def test_lu_dimension_six_within_budget():
     elapsed = time.process_time() - start
     assert rep.a3.backend == "ball"
     assert elapsed < 1.5, f"lu_coefficients at n=6 took {elapsed:.2f} s of CPU"
+
+
+@pytest.mark.parametrize("fam, n, exact, most", [
+    (EpsilonFamily(1, F(1), 3), 3, False, 20),
+    (EpsilonFamily(1, F(1), 6), 6, False, 20),
+    (Simanca(), 2, None, 16),
+], ids=["eps+1-n3-ball", "eps+1-n6-ball", "simanca-n2"])
+def test_weight_table_forms_two_power_chains(monkeypatch, fam, n, exact, most):
+    # a weight g^{i₀ī₀} g^{i₁ī₁} ... depends only on how many indices are 0:
+    # W(a, b) = (g^{11̄})^a (g^{aā})^b, from one power chain per entry and one
+    # product per mixed class, per frame (one left-associated chain per zero
+    # pattern took 55, 55 and 47 products here)
+    inside, count = [], [0]
+    mul, call = curvature.RV.__mul__, curvature._Weights.__call__
+
+    def counted_mul(self, other):
+        count[0] += bool(inside) and isinstance(other, curvature.RV)
+        return mul(self, other)
+
+    def scoped_call(self, *args):
+        inside.append(1)
+        try:
+            return call(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(curvature.RV, "__mul__", counted_mul)
+    monkeypatch.setattr(curvature._Weights, "__call__", scoped_call)
+    lu_coefficients(fam, n, x=F(3, 4), exact=exact, precision_bits=256)
+    assert 0 < count[0] <= most
+
+
+def _dense_invariants(frame) -> dict:
+    """The ten contractions of invariants_from_frame by dense loops over every
+    index tuple, each weight g^{i₀ī₀} g^{i₁ī₁} ... the left-associated product
+    over the tuple's indices in order: a second route to the weight table and
+    the one contraction helper. R2 and Ric2 on the frame, the rest on its
+    order-0 cut, rho taken from the engine."""
+    n, gi = frame.n, frame.gi
+    tuples = lambda k: itertools.product(range(n), repeat=k)
+
+    def total(ring, terms):
+        acc = ring.zero
+        for idx, factors in terms:
+            t = gi[idx[0]]
+            for i in idx[1:]:
+                t = t * gi[i]
+            for f in factors:
+                t = t * f
+            acc = acc + t
+        return acc
+
+    R, ric = frame.R, frame.ric
+    out = {"R2": total(frame.ring, (((i, j, k, l), (R[i][j][k][l],) * 2)
+                                    for i, j, k, l in tuples(4))),
+           "Ric2": total(frame.ring, (((i, j), (ric[i][j],) * 2) for i, j in tuples(2)))}
+    value = curvature._value_frame(frame)
+    ring, R, ric, c1, c2 = value.ring, value.R, value.ric, value.ric_cov1, value.ric_cov2
+    nabla = curvature._nabla_R(value)
+    rho_x = invariants_from_frame(frame)["rho"].derive()
+    drho = curvature.RV(ring, rho_x.raws[:1], 1)
+    hess = [[ring.zero] * n for _ in range(n)]  # u'' zbar_a z_b + u' delta_ab
+    hess[0][0] = curvature.RV(ring, (rho_x.derive() * ring.x.value() + rho_x).raws[:1], 0)
+    for i in range(1, n):
+        hess[i][i] = curvature.RV(ring, rho_x.raws[:1], 0)
+    out.update(
+        sigma3Ric=total(ring, (((i, j, k), (ric[i][j] * ric[j][k] * ric[k][i],))
+                               for i, j, k in tuples(3))),
+        RRicRic=total(ring, (((i, j, k, l), (R[i][j][k][l] * ric[j][i] * ric[l][k],))
+                             for i, j, k, l in tuples(4))),
+        RicRR=total(ring, (((i, j, k, p, q), (ric[i][j], R[j][k][p][q], R[k][i][q][p]))
+                           for i, j, k, p, q in tuples(5))),
+        DRic2=total(ring, (((i, j, k), (c1[i][j][k],) * 2) for i, j, k in tuples(3))),
+        DR2=total(ring, (((i, j, k, l, m), (nabla[m][i][j][k][l],) * 2)
+                         for i, j, k, l, m in tuples(5))),
+        DRho2=total(ring, [((0,), (drho, drho))]),
+        ricHessRho=total(ring, (((i, j), (ric[i][j], hess[j][i])) for i, j in tuples(2))),
+        ricCov2R=total(ring, (((i, j, k, l), (c2[i][j][k][l], R[j][i][l][k]))
+                              for i, j, k, l in tuples(4))),
+    )
+    return {k: v.even_jet(k) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name, exact", [
+    *((name, exact) for name in ("eps+1", "eps-1", "simanca", "eguchi-hanson")
+      for exact in (True, False)),
+    ("custom", True),  # a custom potential has no ball point
+])
+def test_contractions_match_dense_per_tuple_weights(name, exact, n):
+    # every contraction invariant equals the dense sum with per-tuple weights
+    # exactly on exact frames, and meets it on 256-bit ball frames
+    make, x = dict(COVARIANT_FAMILIES, custom=(lambda n: CUSTOM_9, F(1, 2)))[name]
+    fam = make(n)
+    x0 = prepare_point(fam, as_scalar(x), exact=exact, precision_bits=256)
+    got = invariants_from_frame(frame_at_x(fam, n, x0, 2))
+    want = _dense_invariants(frame_at_x(fam, n, x0, 2))
+    assert len(want) == 10 and set(got) == {"rho", *want}
+    for key, jet in want.items():
+        assert got[key].order == jet.order, key
+        signs = [(a - b).sign() for a, b in zip(got[key].coeffs, jet.coeffs)]
+        if exact:
+            assert signs == [Sign.ZERO] * len(signs), key
+        else:
+            assert not {Sign.POSITIVE, Sign.NEGATIVE} & set(signs), key
