@@ -779,23 +779,22 @@ def lu_coefficients(
     combo8 = inv["R2"] - inv["Ric2"] * 4 + rho2 * 8
     lap_combo8 = radial_laplacian_jet(combo8.derive(), ginv, n)
 
-    divdiv_rho_ric = inv["DRho2"] * 2 + inv["ricHessRho"] + rho * lap_rho
-    divdiv_r_ric = (
-        -inv["ricHessRho"]
-        - inv["DRic2"] * 2
-        + inv["ricCov2R"]
-        - inv["RRicRic"]
-        - inv["sigma3Ric"]
-    )
+    # the rest is read at its value alone, so it runs on order-0 cuts: jet
+    # arithmetic is causal, so these are the full jets' constant terms, bit for bit
+    rho0, lap0, r20, ric20, rho20 = (
+        v.truncate(0) for v in (rho, lap_rho, inv["R2"], inv["Ric2"], rho2))
+    divdiv_rho_ric = inv["DRho2"] * 2 + inv["ricHessRho"] + rho0 * lap0
+    divdiv_r_ric = (-inv["ricHessRho"] - inv["DRic2"] * 2 + inv["ricCov2R"]
+                    - inv["RRicRic"] - inv["sigma3Ric"])
 
-    a1 = rho * Fraction(1, 2)
-    a2 = lap_rho * Fraction(1, 3) + (inv["R2"] - inv["Ric2"] * 4 + rho2 * 3) * Fraction(1, 24)
+    a1 = rho0 * Fraction(1, 2)
+    a2 = lap0 * Fraction(1, 3) + (r20 - ric20 * 4 + rho20 * 3) * Fraction(1, 24)
     a3 = (
         laplap_rho * Fraction(1, 8)
         + divdiv_r_ric * Fraction(1, 24)
         - divdiv_rho_ric * Fraction(1, 6)
         + lap_combo8 * Fraction(1, 48)
-        + rho * (rho2 - inv["Ric2"] * 4 + inv["R2"]) * Fraction(1, 48)
+        + rho0 * (rho20 - ric20 * 4 + r20) * Fraction(1, 48)
         + (inv["sigma3Ric"] - inv["RicRR"] - inv["RRicRic"]) * Fraction(1, 24)
     )
 
