@@ -416,15 +416,19 @@ def _trinomial(k: int, i: int, j: int) -> int:
     return math.comb(k, i) * math.comb(i, k - j) if k >= j else 0
 
 
+def _compose_entry(g: Jet, order: int):
+    """entry(i, j), the c_ij of bijet_compose_univariate(g, order), formed alone."""
+    if g.order < 2 * order:
+        raise ValueError(f"outer jet order {g.order} is short of 2*L = {2 * order}")
+    ks = range(1, 2 * order + 1)
+    return lambda i, j: _raw_dot(g.raws[0] if i == j == 0 else _ZERO, g.raws[1:],
+                                 [(_Q, (_trinomial(k, i, j),), 1) for k in ks])
+
+
 def bijet_compose_univariate(g: Jet, order: int) -> HermitianBiJet:
     """g(x) at x = x0 (1 + u)(1 + v), to order L = order in u and v, for g the
     jet of t -> g(x0 (1 + t)) (g.scale_var(x0) of the jet at x0) of order
     >= 2L: with 1 + t = (1 + u)(1 + v), t**k = (u + v + uv)**k, so c_ij is
     sum_k g_k T(k, i, j) with integer weights. The zero weights stay in each
     dot, so a ball g_k makes every c_ij a ball as the powers of t would."""
-    if g.order < 2 * order:
-        raise ValueError(f"outer jet order {g.order} is short of 2*L = {2 * order}")
-    ks = range(1, 2 * order + 1)
-    return _hermitian(g.x0, order + 1, lambda i, j: _raw_dot(
-        g.raws[0] if i == j == 0 else _ZERO, g.raws[1:],
-        [(_Q, (_trinomial(k, i, j),), 1) for k in ks]))
+    return _hermitian(g.x0, order + 1, _compose_entry(g, order))

@@ -20,8 +20,8 @@ condition and is labeled as such.
 In the scaled offsets x = x0 (1 + u_hat)(1 + v_hat), so f and every g_h
 compose as jets in t = x/x0 - 1 with integer weights (see jets): x0 enters
 each coefficient once, through Jet.scale_var. The germ's row 0 and column 0
-are the exact zeros D(u_hat, 0) = D(0, v_hat) = 0, and det_scalar runs on
-kernel raws and builds one Scalar. Results are bit for bit those of the same
+are the exact zeros D(u_hat, 0) = D(0, v_hat) = 0 and are not composed, and
+det_scalar runs on kernel raws and builds one Scalar. Results are bit for bit those of the same
 steps taken one Scalar operation at a time.
 """
 from __future__ import annotations
@@ -30,7 +30,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .jets import HermitianBiJet, Jet, bijet_compose_univariate, bijet_exp
+from .jets import (HermitianBiJet, Jet, _compose_entry, _hermitian, bijet_compose_univariate,
+                   bijet_exp)
 from .obstruction import gh_jets, gh_sequence
 from .potentials import PotentialFamily, family_label, fprime_jet, prepare_point
 from .records import Record
@@ -62,10 +63,9 @@ def diastasis_germ_at_x(fp: Jet, order: int) -> HermitianBiJet:
     v_hat, from the f' jet fp, of order >= 2L - 1."""
     # D = F((1 + u)(1 + v)) - F(1 + u) - F(1 + v), F(1 + t) = f(x0 (1 + t)) - f(x0):
     # the last two terms are the first's row 0 and column 0, so those are 0
-    fj = fp.antiderive(0).truncate(2 * order).scale_var(fp.x0)
-    c = bijet_compose_univariate(fj, order).raws
-    rows = [(_ZERO,) * (order + 1)] + [(_ZERO,) + r[1:] for r in c[1:]]
-    return HermitianBiJet(fp.x0, tuple(rows))
+    # and only the entries with i, j >= 1 are composed (i <= j: i = 0 is both)
+    entry = _compose_entry(fp.antiderive(0).truncate(2 * order).scale_var(fp.x0), order)
+    return _hermitian(fp.x0, order + 1, lambda i, j: entry(i, j) if i else _ZERO)
 
 
 def det_scalar(matrix: list[list[Scalar]]) -> Scalar:

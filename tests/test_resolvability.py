@@ -5,7 +5,8 @@ from math import comb, factorial
 import pytest
 import sympy as sp
 
-from radialtyz.jets import HermitianBiJet, bijet_exp
+from radialtyz import jets
+from radialtyz.jets import HermitianBiJet, bijet_compose_univariate, bijet_exp
 from radialtyz.obstruction import g3_closed_eps_minus1, gh_jets, gh_sequence
 from radialtyz.potentials import CustomPotential, EpsilonFamily, Simanca, fprime_jet, prepare_point
 from radialtyz.resolvability import (
@@ -53,6 +54,22 @@ def test_germ_axes_are_exact_zeros_on_ball_points():
         assert_exact_zero(g.coeff(k, 0), f"c_{k}0")
         assert_exact_zero(g.coeff(0, k), f"c_0{k}")
 
+
+
+def test_germ_composes_only_the_entries_off_its_axes(monkeypatch):
+    # row 0 and column 0 are exact zeros and are not composed: one kernel dot
+    # per c_ij with 1 <= i <= j <= L, each the full composition's entry bit for bit
+    fam, order = EpsilonFamily(1, F(1), 4), 4
+    x0 = prepare_point(fam, as_scalar(F(3, 4)), exact=False, precision_bits=64)
+    fp = fprime_jet(fam, x0, 2 * order - 1)
+    full = bijet_compose_univariate(fp.antiderive(0).truncate(2 * order).scale_var(x0), order)
+    dots, dot = [], jets._raw_dot
+    monkeypatch.setattr(jets, "_raw_dot", lambda *args, **kw: dots.append(1) or dot(*args, **kw))
+    g = diastasis_germ_at_x(fp, order)
+    assert len(dots) == order * (order + 1) // 2
+    inner = [(i, j) for i in range(1, order + 1) for j in range(1, order + 1)]
+    assert scalars_digest([g.coeff(i, j) for i, j in inner]) == scalars_digest(
+        [full.coeff(i, j) for i, j in inner])
 
 def test_flat_germ_is_uv():
     # f = x, s = 1: D = (z1-1)(z̄1-1), so c_11 = 1 and everything else 0
