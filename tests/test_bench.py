@@ -46,8 +46,7 @@ def test_bench_alternates_the_sides_and_summarises_the_pairs(tmp_path):
 
     out = tool.bench(base, head, "certify", 3, 1.0,
                      {"evals_per_s": "higher", "eval_p50_ms": "lower"},
-                     ["jets.bijet_exp_s", "jets.bijet_compose_s"], run=run,
-                     clock=lambda root, args: ({base: 2.0, head: 1.0}[root], 0))
+                     ["jets.bijet_exp_s", "jets.bijet_compose_s"], run=run)
     # the pairs alternate the first side; one traced run per side follows them
     assert calls == [(base, 0), (head, 0), (head, 0), (base, 0), (base, 0), (head, 0),
                      (base, 1), (head, 1)]
@@ -59,9 +58,8 @@ def test_bench_alternates_the_sides_and_summarises_the_pairs(tmp_path):
         for side, n in (("base", 4132), ("head", 4100))}
     assert out["summary"]["src_lines"] == {"base": 4132, "head": 4100}
     assert out["summary"]["tests_lines"] == {"base": 3, "head": 6}
-    assert out["summary"]["import_s"] == {"base": {"median": 2.0, "exit_codes": [0] * 5},
-                                          "head": {"median": 1.0, "exit_codes": [0] * 5}}
-    assert out["summary"]["reproduce_paper_s"]["head"] == {"median": 1.0, "exit_codes": [0] * 3}
+    # the process wall times are the invocation's, not the workload's
+    assert not {"import_s", "reproduce_paper_s"} & set(out["summary"])
     rate, p50 = out["summary"]["evals_per_s"], out["summary"]["eval_p50_ms"]
     assert rate["base"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
     assert rate["head"] == {"median": 13.0, "q1": 12.0, "q3": 13.5}
@@ -83,12 +81,12 @@ def test_bench_times_import_and_reproduce_paper_alternating_the_sides(tmp_path):
 
     out = tool.process_times({"base": base, "head": head}, clock)
     imp, rep = ["-c", "import radialtyz"], ["-m", "radialtyz.cli"]
-    assert calls == [(base, imp), (head, imp)] * 5 + [(base, rep), (head, rep)] * 3
+    assert calls == [(base, imp), (head, imp)] * 9 + [(base, rep), (head, rep)] * 7
     assert out == {
-        "import_s": {"base": {"median": 5.0, "exit_codes": [0] * 5},
-                     "head": {"median": 6.0, "exit_codes": [0, 0, 1, 0, 0]}},
-        "reproduce_paper_s": {"base": {"median": 13.0, "exit_codes": [0] * 3},
-                              "head": {"median": 14.0, "exit_codes": [0] * 3}},
+        "import_s": {"base": {"median": 9.0, "exit_codes": [0] * 9},
+                     "head": {"median": 10.0, "exit_codes": [0, 0, 1] + [0] * 6}},
+        "reproduce_paper_s": {"base": {"median": 25.0, "exit_codes": [0] * 7},
+                              "head": {"median": 26.0, "exit_codes": [0] * 7}},
     }
     assert tool.PROCESSES["reproduce_paper_s"][0] == [
         "-m", "radialtyz.cli", "reproduce-paper", "--format", "json"]
@@ -174,8 +172,39 @@ def test_bench_exits_zero_when_every_run_is_correct(monkeypatch, tmp_path):
                "--seconds", "1", "--out", str(tmp_path / "BENCH.json")],
               clock=lambda root, args: (1.0, 0))
     report = json.loads((tmp_path / "BENCH.json").read_text())
-    timed = {name: {side: {"median": 1.0, "exit_codes": [0] * count} for side in ("base", "head")}
-             for name, count in (("import_s", 5), ("reproduce_paper_s", 3))}
     assert report["lu-sweep"]["summary"] == {
         "incorrect_runs": {"base": 0, "head": 0}, "src_lines": {"base": None, "head": None},
-        "tests_lines": {"base": 0, "head": 0}, **timed}
+        "tests_lines": {"base": 0, "head": 0}}
+    assert {name: report[name] for name in ("import_s", "reproduce_paper_s")} == {
+        name: {side: {"median": 1.0, "exit_codes": [0] * count} for side in ("base", "head")}
+        for name, count in (("import_s", 9), ("reproduce_paper_s", 7))}
+
+
+def test_bench_times_the_processes_once_per_invocation(monkeypatch, tmp_path):
+    # two workloads in one invocation: 9 imports and 7 reproduce-paper runs per
+    # side in all, after every run.py process, written once at the top level
+    tool = _tool()
+    (tmp_path / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    monkeypatch.chdir(tmp_path)
+    events = []
+    stdout = '{"context": {}}\n{"correct": true, "attempted": 5, "failed": 0, "metrics": {}}\n'
+
+    def fake_run(cmd, cwd, **kwargs):
+        events.append("run.py")
+        return type("Proc", (), {"stdout": stdout})()
+
+    def clock(root, args):
+        events.append(("base" if root == tmp_path / "base" else "head", args[1]))
+        return 1.0, 0
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    out.write_text('{"import_s": "stale", "certify": {"kept": true}}')
+    tool.main(["--against", str(tmp_path / "base"), "--workload", "lu-sweep", "--workload",
+               "cli-oneshot", "--pairs", "1", "--seconds", "1", "--out", str(out)], clock=clock)
+    assert events == ["run.py"] * 8 + [("base", "import radialtyz"), ("head", "import radialtyz")] * 9 + [
+        ("base", "radialtyz.cli"), ("head", "radialtyz.cli")] * 7
+    report = json.loads(out.read_text())
+    assert sorted(report) == ["certify", "cli-oneshot", "import_s", "lu-sweep", "reproduce_paper_s"]
+    assert report["certify"] == {"kept": True}
+    assert report["import_s"]["head"] == {"median": 1.0, "exit_codes": [0] * 9}

@@ -14,16 +14,18 @@ only run.py's output, the context block and the result line, and writes every
 run's metrics and context. Per end-to-end metric of BENCHMARK.json it adds
 each side's median and quartiles and the number of pairs in which head did
 better than base; per side it adds the number of runs whose outputs run.py
-found wrong ("correct": false), the `src/` line count of the context block,
-the line count of the `tests/` Python files, counted from the checkout's
-root, and two end-to-end wall times with PYTHONPATH=<checkout>/src:
-`import_s`, the median of 5 `python -c "import radialtyz"` processes, and
-`reproduce_paper_s`, the median of 3 `python -m radialtyz.cli
+found wrong ("correct": false), the `src/` line count of the context block
+and the line count of the `tests/` Python files, counted from the checkout's
+root. Once per invocation, after the workloads, it times two end-to-end wall
+times per side with PYTHONPATH=<checkout>/src and writes them at the top
+level of --out: `import_s`, the median of 9 `python -c "import radialtyz"`
+processes, and `reproduce_paper_s`, the median of 7 `python -m radialtyz.cli
 reproduce-paper --format json` processes, each with its runs' exit codes
 (the sides alternate run by run). An existing --out file keeps its other
-workloads, so each workload can run with its own --pairs and --seconds. After writing --out it exits non-zero
-if any run was wrong, naming its workload, side and pair (or "trace"):
-run.py itself exits 0 however many evals fail.
+workloads, so each workload can run with its own --pairs and --seconds.
+After writing --out it exits non-zero if any run was wrong, naming its
+workload, side and pair (or "trace"): run.py itself exits 0 however many
+evals fail.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from pathlib import Path
 WORKLOADS = ("lu-sweep", "certify", "cli-oneshot")
 # name: (python arguments, runs per side) of the end-to-end wall times
 PROCESSES = {
-    "import_s": (["-c", "import radialtyz"], 5),
-    "reproduce_paper_s": (["-m", "radialtyz.cli", "reproduce-paper", "--format", "json"], 3),
+    "import_s": (["-c", "import radialtyz"], 9),
+    "reproduce_paper_s": (["-m", "radialtyz.cli", "reproduce-paper", "--format", "json"], 7),
 }
 
 
@@ -113,10 +115,9 @@ def summarise(runs: list[dict], better: dict[str, str], per_side: dict) -> dict:
 
 
 def bench(against: Path, root: Path, workload: str, pairs: int, seconds: float,
-          better: dict[str, str], layers: list[str], run=run_once, clock=time_process) -> dict:
+          better: dict[str, str], layers: list[str], run=run_once) -> dict:
     """The runs of one workload, in the order they ran, their summary, and
-    per side one traced run's correctness and per-layer metrics; clock times
-    the summary's processes."""
+    per side one traced run's correctness and per-layer metrics."""
     runs = []
     order = [("base", against), ("head", root)]
     for pair in range(pairs):
@@ -127,8 +128,7 @@ def bench(against: Path, root: Path, workload: str, pairs: int, seconds: float,
         out = run(checkout, workload, seconds, trace=1)
         trace[side] = {"correct": out["correct"],
                        "metrics": {k: out["metrics"][k] for k in layers if k in out["metrics"]}}
-    per_side = {"tests_lines": {side: tests_lines(checkout) for side, checkout in order},
-                **process_times(dict(order), clock)}
+    per_side = {"tests_lines": {side: tests_lines(checkout) for side, checkout in order}}
     return {"runs": runs, "summary": summarise(runs, better, per_side), "trace": trace}
 
 
@@ -149,7 +149,8 @@ def main(argv: list[str] | None = None, clock=time_process) -> None:
         report[w] = {"against": args.against.resolve().name, "pairs": args.pairs,
                      "seconds": args.seconds,
                      **bench(args.against.resolve(), root, w, args.pairs, args.seconds, better,
-                             layers, clock=clock)}
+                             layers)}
+    report.update(process_times({"base": args.against.resolve(), "head": root}, clock))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     wrong = [f"{w} {r['side']} pair {r['pair']}" for w in args.workload
              for r in report[w]["runs"] if not r["correct"]]
