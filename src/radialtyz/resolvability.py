@@ -21,8 +21,8 @@ In the scaled offsets x = x0 (1 + u_hat)(1 + v_hat), so f and every g_h
 compose as jets in t = x/x0 - 1 with integer weights (see jets): x0 enters
 each coefficient once, through Jet.scale_var. The germ's row 0 and column 0
 are the exact zeros D(u_hat, 0) = D(0, v_hat) = 0 and are not composed, and
-det_scalar runs on kernel raws and builds one Scalar. Results are bit for bit those of the same
-steps taken one Scalar operation at a time.
+det_scalar runs on kernel raws and builds one Scalar. Results are bit for bit
+those of the same steps taken one Scalar operation at a time.
 """
 from __future__ import annotations
 
